@@ -9,7 +9,7 @@ from .entropy import (gibbs_density, half_convexity_gap, log_partition,
                       strong_young_gap)
 from .errors import LogHLSError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
-                     gaussian_radial, planar_from_profile, radial_from_profile)
+                     gaussian_radial, radial_from_profile)
 from .flows import (HeatState, KSState, FlowTrajectory, decay_check,
                     dissipation_check, heat_evolve, heat_state, ks_evolve,
                     ks_rate_fit, reverse_entropy)
@@ -19,10 +19,10 @@ from .functionals import (dirichlet_energy, half_laplacian_energy,
                           planar_free_energy, planar_free_energy_report,
                           sphere_green_apply, spherical_free_energy)
 from .geometry import (ConformalParams, chordal_identity_check, conformal_push,
-                       lift_T, rotate_field, stereo_forward, stereo_inverse)
-from .grids import (CartesianGrid, CircleGrid, RadialGrid, SphereGrid,
-                    integrate, make_cartesian_grid, make_circle_grid,
-                    make_radial_grid, make_sphere_grid)
+                       lift_T, planar_from_profile, rotate_field, stereo_forward,
+                       stereo_inverse)
+from .grids import (CircleGrid, RadialGrid, SphereGrid, integrate,
+                    make_circle_grid, make_radial_grid, make_sphere_grid)
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          SphereOptimizerParams, circle_optimizer,
                          nearest_planar_L1, nearest_sphere_entropy,

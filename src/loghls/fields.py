@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NormalizationError
-from .grids import CartesianGrid, CircleGrid, RadialGrid, SphereGrid, integrate
+from .grids import CircleGrid, RadialGrid, SphereGrid, integrate
 from .sht import SphereTransform, legendre_analyze, legendre_synthesize
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "get_transform",
     "gaussian_radial",
     "radial_from_profile",
-    "planar_from_profile",
 ]
 
 _TRANSFORMS: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
@@ -79,42 +78,38 @@ class RadialDensity:
 
 @dataclass(eq=False)
 class PlanarDensity:
-    """Nonnegative density on a cell-centered Cartesian grid."""
+    """Nonnegative planar density carried on the sphere as its lift.
 
-    grid: CartesianGrid
-    values: np.ndarray
-    profile: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    ``lifted`` is T[rho(. + shift)], the L^1 isometry of the density
+    translated by -``shift``.  The free energy and the distance to the
+    optimizer family are translation invariant, so they are computed on
+    the lift; a nearest optimizer found there is translated back by
+    ``shift``.
+    """
+
+    lifted: SphereField
+    shift: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise DimensionMismatchError(
-                f"PlanarDensity: {self.values.shape} values on {self.grid.shape} grid")
-        if np.any(self.values < 0):
+        if np.any(self.lifted.values < 0):
             raise DomainError("PlanarDensity: values must be nonnegative")
 
     @property
     def mass(self) -> float:
-        return integrate(self.values, self.grid)
+        """int rho dx, which the lift preserves as the sigma-mean."""
+        return self.lifted.mean()
 
     def normalized(self) -> "PlanarDensity":
         m = self.mass
         if m <= 0:
             raise NormalizationError("PlanarDensity.normalized: zero mass")
-        prof = None
-        if self.profile is not None:
-            p = self.profile
-            prof = lambda x, y, _p=p, _m=m: _p(x, y) / _m
-        return PlanarDensity(self.grid, self.values / m, prof)
+        f = self.lifted
+        fn = None if f.fn is None else (lambda p, _f=f.fn, _m=m: _f(p) / _m)
+        return PlanarDensity(SphereField(f.grid, f.values / m, fn=fn), self.shift)
 
 
 def radial_from_profile(grid: RadialGrid, fn: Callable) -> RadialDensity:
     return RadialDensity(grid, fn(grid.nodes), profile=fn)
-
-
-def planar_from_profile(grid: CartesianGrid, fn: Callable) -> PlanarDensity:
-    X, Y = grid.meshgrid()
-    return PlanarDensity(grid, fn(X, Y), profile=fn)
 
 
 def gaussian_radial(grid: RadialGrid, sigma: float = 1.0) -> RadialDensity:

@@ -19,10 +19,12 @@ Interaction kernels
   mass density and M its cumulative integral; M is obtained from a
   spline antiderivative in the quadrature variable, so the evaluation
   never sees the diagonal kink.
-* Cartesian densities use a truncated-kernel Fourier method: the
-  Fourier transform of log|x| restricted to |x| <= D has a closed form
-  in Bessel functions, and sampling it on a 4x padded grid yields the
-  free-space convolution with spectral accuracy.
+* Off-center densities are held as their stereographic lift T rho on a
+  sphere grid (see ``geometry.planar_from_profile``).  The stereographic
+  identities dx = pi (1+|x|^2)^2 dsigma and
+  log|x-x'| = log|w-w'| - log 2 + (1/2) log(1+|x|^2) + (1/2) log(1+|x'|^2)
+  turn both planar parts into sphere integrals, and their sum into
+  H(rho) = H_S(T rho - 1), with no tail cut off.
 * Sphere fields use harmonic coefficients: log|w - w'| acts on mean-zero
   fields as -(1/2) / (l(l+1)) per degree; the azimuthal mean identity
   (1/2pi) int log|w-w'| dphi' = (1/2) log[(1+max z)(1-min z)] gives an
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import j0, j1
 
 from .entropy import xlogx
 from .errors import (DomainError, NormalizationError, PositivityError,
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 LOG_PI = float(np.log(np.pi))
+LOG_2 = float(np.log(2.0))
 MASS_TOL = 1e-6
 
 
@@ -99,54 +101,42 @@ def _radial_interaction(rho: RadialDensity) -> float:
     return 2.0 * pairwise_sum(masses * M * np.log(g.nodes))
 
 
-_KHAT_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _cartesian_log_kernel_hat(n: int, h: float, pad: int = 4) -> np.ndarray:
-    key = (n, float(h), pad)
-    if key in _KHAT_CACHE:
-        return _KHAT_CACHE[key]
-    P = pad * n
-    D = 1.5 * np.sqrt(2.0) * n * h          # > max pair distance sqrt(2)*n*h
-    k1 = 2.0 * np.pi * np.fft.fftfreq(P, d=h)
-    KX, KY = np.meshgrid(k1, k1, indexing="ij")
-    k = np.sqrt(KX**2 + KY**2)
-    nz = k > 0
-    Khat = np.empty_like(k)
-    Khat[nz] = 2.0 * np.pi * (np.log(D) * D * j1(k[nz] * D) / k[nz]
-                              - (1.0 - j0(k[nz] * D)) / k[nz]**2)
-    Khat[~nz] = np.pi * D**2 * np.log(D) - np.pi * D**2 / 2.0
-    if len(_KHAT_CACHE) > 3:
-        _KHAT_CACHE.clear()
-    _KHAT_CACHE[key] = Khat
-    return Khat
-
-
-def _cartesian_interaction(rho: PlanarDensity) -> float:
-    g = rho.grid
-    Khat = _cartesian_log_kernel_hat(g.n, g.h)
-    P = Khat.shape[0]
-    m = np.zeros((P, P))
-    m[: g.n, : g.n] = rho.values * g.h**2
-    conv = np.fft.ifft2(np.fft.fft2(m) * Khat).real / (g.h**2)
-    return pairwise_sum(m[: g.n, : g.n] * conv[: g.n, : g.n])
+def _lift_log_weight(rho: PlanarDensity) -> float:
+    """int T rho log(1 + omega_3) dsigma, i.e. int rho log(2/(1+|x|^2)) dx."""
+    f = rho.lifted
+    return integrate(f.values * np.log1p(f.grid.z)[:, None], f.grid)
 
 
 def log_interaction(rho: RadialDensity | PlanarDensity) -> float:
-    """The logarithmic interaction  int int rho(x) log|x-x'| rho(x') dx dx'."""
+    """The logarithmic interaction  int int rho(x) log|x-x'| rho(x') dx dx'.
+
+    A lifted density g = T rho of mass m uses
+    log|x-x'| = log|w-w'| - log 2 + (1/2) log(1+|x|^2) + (1/2) log(1+|x'|^2)
+    and int int log|w-w'| dsigma dsigma' = log 2 - 1/2, which give
+    I_S(g - m) + m^2 (log 2 - 1/2) - m int g log(1 + omega_3) dsigma.
+    """
     if isinstance(rho, RadialDensity):
         return _radial_interaction(rho)
     if isinstance(rho, PlanarDensity):
-        return _cartesian_interaction(rho)
+        f, m = rho.lifted, rho.mass
+        return (sphere_log_interaction(SphereField(f.grid, f.values - m))
+                + m * m * (LOG_2 - 0.5) - m * _lift_log_weight(rho))
     raise DomainError(f"log_interaction: unsupported density type {type(rho).__name__}")
 
 
 def entropy_term(rho: RadialDensity | PlanarDensity) -> float:
-    """int rho log rho dx with 0 log 0 = 0."""
+    """int rho log rho dx with 0 log 0 = 0.
+
+    A lifted density g = T rho of mass m uses dx = pi (1+|x|^2)^2 dsigma
+    with 1 + |x|^2 = 2/(1 + omega_3):
+    int g log g dsigma - m log(4 pi) + 2 int g log(1 + omega_3) dsigma.
+    """
     if isinstance(rho, RadialDensity):
         return pairwise_sum(rho.grid.weights * xlogx(rho.values))
     if isinstance(rho, PlanarDensity):
-        return pairwise_sum(xlogx(rho.values)) * rho.grid.h**2
+        f = rho.lifted
+        return (integrate(xlogx(f.values), f.grid) - rho.mass * (LOG_PI + 2.0 * LOG_2)
+                + 2.0 * _lift_log_weight(rho))
     raise DomainError(f"entropy_term: unsupported density type {type(rho).__name__}")
 
 
@@ -156,7 +146,7 @@ def planar_free_energy_report(rho: RadialDensity | PlanarDensity) -> FreeEnergyR
         raise NormalizationError(
             f"planar_free_energy: density mass {mass!r} violates the unit-mass "
             f"precondition (tolerance {MASS_TOL}); normalize the input")
-    work = rho if mass == 1.0 else type(rho)(rho.grid, rho.values / mass)
+    work = rho if mass == 1.0 else rho.normalized()
     ent = entropy_term(work)
     inter = log_interaction(work)
     return FreeEnergyReport(entropy=ent, interaction=inter,

@@ -25,6 +25,7 @@ __all__ = [
     "chordal_identity_check",
     "stereonorm_residual",
     "lift_T",
+    "planar_from_profile",
     "sphere_optimizer_values",
     "conformal_push",
     "rotate_field",
@@ -131,9 +132,11 @@ def lift_T(rho: RadialDensity | PlanarDensity) -> SphereField:
 
     T rho (omega) = pi * rho(S(omega)) * (1 + |S(omega)|^2)^2, so mass and
     sign are preserved: int |T rho| dsigma = int |rho| dx and the
-    optimizer profile lifts to the constant density 1.
+    optimizer profile lifts to the constant density 1.  A planar density
+    already holds its lift (of the density translated by -rho.shift).
     """
-    grid = _lift_grid(rho)
+    if isinstance(rho, PlanarDensity):
+        return rho.lifted
     if isinstance(rho, RadialDensity):
         prof = rho.profile
         if prof is None:
@@ -144,19 +147,26 @@ def lift_T(rho: RadialDensity | PlanarDensity) -> SphereField:
             r = _radius_from_z(z)
             return 4.0 * np.pi * _p(r) / (1.0 + np.clip(z, -1.0 + 1e-300, 1.0))**2
 
-        return SphereField.from_fn(grid, fn, axisymmetric=True)
-    if isinstance(rho, PlanarDensity):
-        if rho.profile is None:
-            raise DomainError("lift_T: a planar density needs an exact profile to lift")
-
-        def fn(points, _p=rho.profile):
-            z = np.clip(points[..., 2], -1.0 + 1e-300, 1.0)
-            x = points[..., 0] / (1.0 + z)
-            y = points[..., 1] / (1.0 + z)
-            return 4.0 * np.pi * _p(x, y) / (1.0 + z)**2
-
-        return SphereField.from_fn(grid, fn, axisymmetric=False)
+        return SphereField.from_fn(_lift_grid(rho), fn, axisymmetric=True)
     raise DomainError(f"lift_T: unsupported density type {type(rho).__name__}")
+
+
+def planar_from_profile(grid: SphereGrid, fn: Callable,
+                        shift: tuple[float, float] = (0.0, 0.0)) -> PlanarDensity:
+    """The planar density fn(x, y) as the lift of fn(. + shift) on ``grid``.
+
+    With 1 + |x|^2 = 2/(1 + omega_3) the lift is
+    4 pi fn(x + shift) / (1 + omega_3)^2 at x = S(omega).  Choosing
+    ``shift`` near the center of mass keeps the lifted field smooth.
+    """
+    a, b = float(shift[0]), float(shift[1])
+
+    def lifted(points, _f=fn, _a=a, _b=b):
+        z = np.clip(points[..., 2], -1.0 + 1e-300, 1.0)
+        return (4.0 * np.pi * _f(points[..., 0] / (1.0 + z) + _a,
+                                 points[..., 1] / (1.0 + z) + _b) / (1.0 + z)**2)
+
+    return PlanarDensity(SphereField.from_fn(grid, lifted), (a, b))
 
 
 _LIFT_GRIDS: dict[tuple[int, int], SphereGrid] = {}

@@ -1,4 +1,7 @@
-"""Quadrature grids on R^2 (radial and Cartesian), S^2 and S^1.
+"""Quadrature grids on R^2 (radial), S^2 and S^1.
+
+Off-center planar densities have no grid of their own: they live on a
+sphere grid as their stereographic lift (see ``geometry.lift_T``).
 
 All grids are immutable after construction and integration is a pure
 function with a fixed pairwise reduction order, so repeated calls are
@@ -24,11 +27,9 @@ from .errors import DimensionMismatchError, DomainError
 __all__ = [
     "pairwise_sum",
     "RadialGrid",
-    "CartesianGrid",
     "SphereGrid",
     "CircleGrid",
     "make_radial_grid",
-    "make_cartesian_grid",
     "make_sphere_grid",
     "make_circle_grid",
     "integrate",
@@ -129,33 +130,6 @@ def make_radial_grid(r_max: float, n: int, scheme: str = "log-uniform",
 
 
 @dataclass(frozen=True, eq=False)
-class CartesianGrid:
-    """Uniform cell-centered square grid on [-L, L]^2 with cell weight h^2."""
-
-    L: float
-    n: int
-    centers: np.ndarray      # 1d array of cell-center coordinates, length n
-    h: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.centers, self.centers, indexing="ij")
-
-
-def make_cartesian_grid(L: float, n: int) -> CartesianGrid:
-    if L <= 0:
-        raise DomainError(f"make_cartesian_grid: L must be positive, got {L}")
-    if n < 8:
-        raise DomainError(f"make_cartesian_grid: n per side must be at least 8, got {n}")
-    h = 2.0 * L / n
-    centers = -L + (np.arange(n) + 0.5) * h
-    return CartesianGrid(L=float(L), n=int(n), centers=centers, h=h)
-
-
-@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Gauss-Legendre x uniform-azimuth product grid on S^2.
 
@@ -234,11 +208,6 @@ def integrate(values: np.ndarray, grid) -> float:
             raise DimensionMismatchError(
                 f"integrate: got {v.shape} values for a radial grid of {grid.nodes.shape}")
         return pairwise_sum(v * grid.weights)
-    if isinstance(grid, CartesianGrid):
-        if v.shape != grid.shape:
-            raise DimensionMismatchError(
-                f"integrate: got {v.shape} values for a Cartesian grid of {grid.shape}")
-        return pairwise_sum(v) * grid.h**2
     if isinstance(grid, SphereGrid):
         if v.shape != grid.shape:
             raise DimensionMismatchError(

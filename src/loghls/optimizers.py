@@ -4,8 +4,10 @@ The planar manifold is { s^-2 h(x/s - x0) } with h the squared Cauchy
 profile, the sphere manifold is { u_{t,n} = -2 log(cosh t + sinh t n.w) },
 and the circle family consists of logs of normalized Poisson kernels.
 Searches are deterministic: golden section over log s with a fixed
-multistart pattern, a compass pattern search for Cartesian centers, and
-coarse-scan + Nelder-Mead refinement on (t, n).
+multistart pattern for radial densities, and coarse-scan + Nelder-Mead
+refinement on v = t n for the sphere family.  Off-center planar
+densities are searched on the sphere through their lift, where the
+planar family is e^{u_{t,n}}.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
-                     planar_from_profile, radial_from_profile)
+                     radial_from_profile)
 from .functionals import dirichlet_energy
 from .geometry import ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CartesianGrid, CircleGrid, RadialGrid, SphereGrid, make_circle_grid
+from .grids import CircleGrid, RadialGrid, SphereGrid, make_circle_grid
 
 __all__ = [
     "PlanarOptimizerParams",
@@ -99,26 +101,11 @@ def planar_optimizer_profile(p: PlanarOptimizerParams):
     return prof
 
 
-def planar_optimizer(p: PlanarOptimizerParams, grid: RadialGrid | CartesianGrid):
-    """The optimizer density s^-2 h(x/s - x0) realized on a grid.
-
-    On radial grids the center must be the origin.  On Cartesian grids
-    the truncated sample is renormalized to unit mass so the stated
-    unit-mass contract holds on the grid.
-    """
-    if isinstance(grid, RadialGrid):
-        if p.x0 != (0.0, 0.0):
-            raise DomainError("planar_optimizer: radial grids require x0 = 0")
-        return radial_from_profile(grid, planar_optimizer_profile(p))
-    if isinstance(grid, CartesianGrid):
-        s, (a, b) = p.s, p.x0
-
-        def prof(x, y):
-            q = (np.asarray(x) / s - a) ** 2 + (np.asarray(y) / s - b) ** 2
-            return (1.0 / (np.pi * s * s)) * (1.0 + q) ** -2
-
-        return planar_from_profile(grid, prof).normalized()
-    raise DomainError(f"planar_optimizer: unsupported grid type {type(grid).__name__}")
+def planar_optimizer(p: PlanarOptimizerParams, grid: RadialGrid) -> RadialDensity:
+    """The centered optimizer density s^-2 h(x/s) realized on a radial grid."""
+    if p.x0 != (0.0, 0.0):
+        raise DomainError("planar_optimizer: radial grids require x0 = 0")
+    return radial_from_profile(grid, planar_optimizer_profile(p))
 
 
 def sphere_optimizer(p: SphereOptimizerParams, grid: SphereGrid) -> SphereField:
@@ -191,14 +178,16 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity,
     """Minimize ||rho - h_{s,x0}||_1 over the optimizer manifold.
 
     Radial densities pin x0 = 0 and use multistart golden section over
-    log s; Cartesian densities add a compass pattern search over the
-    center.  Ties within 1e-12 resolve to the smallest s, then the
-    lexicographically smallest center.
+    log s; ties within 1e-12 resolve to the smallest s.  A lifted density
+    is searched on the sphere (T is an L^1 isometry onto the family
+    e^{u_{t,n}}), and the optimizer found there maps back in closed form:
+    s = 1/(cosh t - n_3 sinh t), center shift - s sinh t (n_1, n_2).
 
     Returns (params, distance, diagnostics).
     """
-    diag = SearchDiagnostics(starts=n_starts)
     if isinstance(rho, RadialDensity):
+        diag = SearchDiagnostics(starts=n_starts)
+
         def obj(ls: float) -> float:
             diag.evaluations += 1
             return _l1_radial(rho, planar_optimizer_profile(
@@ -215,47 +204,15 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity,
         return PlanarOptimizerParams(float(np.exp(ls))), float(val), diag
 
     if isinstance(rho, PlanarDensity):
-        grid = rho.grid
-        X, Y = grid.meshgrid()
-        w2 = grid.h ** 2
-
-        def dist_at(ls: float, x0: np.ndarray) -> float:
-            diag.evaluations += 1
-            s = float(np.exp(ls))
-            q = (X / s - x0[0]) ** 2 + (Y / s - x0[1]) ** 2
-            g = (1.0 / (np.pi * s * s)) * (1.0 + q) ** -2
-            return float(np.sum(np.abs(rho.values - g))) * w2
-
-        def s_opt(x0: np.ndarray) -> tuple[float, float]:
-            edges = np.linspace(-log_s_box, log_s_box, n_starts + 1)
-            cands = [golden_section(lambda ls: dist_at(ls, x0),
-                                    edges[i], edges[i + 1], 1e-8)
-                     for i in range(n_starts)]
-            return min(cands, key=lambda c: (c[1], c[0]))
-
-        # start the compass search at the center of mass
-        m = rho.mass
-        cx = float(np.sum(X * rho.values)) * w2 / m
-        cy = float(np.sum(Y * rho.values)) * w2 / m
-        x0 = np.array([cx, cy])
-        ls, val = s_opt(x0)
-        step = max(grid.L / 8.0, grid.h)
-        while step > 1e-6:
-            moved = False
-            for d in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = x0 + d
-                ls_c, val_c = s_opt(cand)
-                if val_c < val - 1e-14:
-                    x0, ls, val, moved = cand, ls_c, val_c, True
-                    break
-            if not moved:
-                step /= 2.0
-        if abs(abs(ls) - log_s_box) < 1e-6:
-            diag.boundary_hit = True
+        diag = SearchDiagnostics(starts=1)
+        f = rho.lifted
+        params, val, diag.boundary_hit = nearest_sphere_L1(f.values, f.grid, diag=diag)
+        t, (n1, n2, n3) = params.t, (float(c) for c in params.n)
+        s = 1.0 / (math.cosh(t) - n3 * math.sinh(t))
+        cx = rho.shift[0] - s * math.sinh(t) * n1
+        cy = rho.shift[1] - s * math.sinh(t) * n2
         # s^-2 h(x/s - x0): the parameter center satisfies x_phys = s * x0
-        s = float(np.exp(ls))
-        return (PlanarOptimizerParams(s, (float(x0[0] / s), float(x0[1] / s))),
-                float(val), diag)
+        return PlanarOptimizerParams(s, (cx / s, cy / s)), float(val), diag
     raise DomainError(f"nearest_planar_L1: unsupported density {type(rho).__name__}")
 
 
@@ -268,43 +225,43 @@ def _fibonacci_directions(k: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _manifold_minimize(fun, t_max: float, coarse_t, n_dirs: int = 32,
-                       xatol: float = 1e-9):
-    """Minimize fun(t, n) over [0, t_max] x S^2: coarse scan + Nelder-Mead."""
-    dirs = np.vstack([_fibonacci_directions(n_dirs),
-                      np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])])
-    best = (float("inf"), 0.0, dirs[0])
-    for t in coarse_t:
+_COARSE_T = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+_E3 = np.array([0.0, 0.0, 1.0])
+_SIMPLEX_STEP = 0.1
+
+
+def _manifold_minimize(fun, t_max: float, n_dirs: int = 32, xatol: float = 1e-9,
+                       diag: SearchDiagnostics | None = None):
+    """Minimize fun(t, n) over [0, t_max] x S^2: coarse scan + Nelder-Mead.
+
+    The scan evaluates t = 0 once (every axis names the same point there),
+    then each t of _COARSE_T on n_dirs + 2 axes.  Nelder-Mead refines over
+    v = t n in R^3 with t = |v| capped at t_max: the family is smooth in v
+    through v = 0, so a search that starts at t = 0 can leave it along any
+    axis.  ``diag``, when given, counts the evaluations.
+    """
+    def at(v: np.ndarray) -> float:
+        if diag is not None:
+            diag.evaluations += 1
+        t = float(np.linalg.norm(v))
+        return fun(0.0, _E3) if t == 0.0 else fun(min(t, t_max), v / t)
+
+    dirs = np.vstack([_fibonacci_directions(n_dirs), _E3, -_E3])
+    best_v = np.zeros(3)
+    best = at(best_v)
+    for t in _COARSE_T:
         for n in dirs:
-            v = fun(t, n)
-            if v < best[0]:
-                best = (v, t, n)
-    _, t0, n0 = best
-
-    def packed(q):
-        t = abs(q[0])
-        if t > t_max:
-            t = t_max
-        th, ph = q[1], q[2]
-        n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
-                      math.cos(th)])
-        return fun(t, n)
-
-    th0 = math.acos(min(1.0, max(-1.0, n0[2])))
-    ph0 = math.atan2(n0[1], n0[0])
-    res = minimize(packed, np.array([t0, th0, ph0]), method="Nelder-Mead",
-                   options={"xatol": xatol, "fatol": 1e-14, "maxiter": 2000})
-    t = min(abs(float(res.x[0])), t_max)
-    th, ph = float(res.x[1]), float(res.x[2])
-    n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
-                  math.cos(th)])
-    n /= np.linalg.norm(n)
-    if res.fun <= best[0]:
-        return float(res.fun), t, n
-    return best
-
-
-_COARSE_T = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+            val = at(t * n)
+            if val < best:
+                best, best_v = val, t * n
+    simplex = best_v + np.vstack([np.zeros(3), _SIMPLEX_STEP * np.eye(3)])
+    res = minimize(at, best_v, method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "xatol": xatol,
+                            "fatol": 1e-14, "maxiter": 2000})
+    if res.fun <= best:
+        best, best_v = float(res.fun), res.x
+    t = float(np.linalg.norm(best_v))
+    return best, min(t, t_max), (best_v / t if t > 0.0 else _E3)
 
 
 def _check_normalized_exp(u: SphereField, tol: float = 1e-6, who: str = "search"):
@@ -328,7 +285,7 @@ def nearest_sphere_entropy(u: SphereField, t_max: float = T_CAP):
     def fun(t, n):
         return base - float(np.sum(w * sphere_optimizer_values(t, n, pts)))
 
-    val, t, n = _manifold_minimize(fun, t_max, _COARSE_T)
+    val, t, n = _manifold_minimize(fun, t_max)
     cap = t >= t_max - 1e-6
     return SphereOptimizerParams(float(t), tuple(n)), float(val), cap
 
@@ -355,7 +312,7 @@ def nearest_sphere_gradient(u: SphereField, t_max: float = T_CAP):
         cross = float(np.sum(w * uvals * ev))
         return Eu + Ev - 4.0 * cross + 4.0 * ubar
 
-    val, t, n = _manifold_minimize(fun, t_max, _COARSE_T)
+    val, t, n = _manifold_minimize(fun, t_max)
     return SphereOptimizerParams(float(t), tuple(n)), float(max(val, 0.0)), t >= t_max - 1e-6
 
 
@@ -375,12 +332,16 @@ def nearest_sphere_reverse_entropy(u: SphereField, t_max: float = T_CAP):
         v = sphere_optimizer_values(t, n, pts)
         return float(np.sum(w * np.exp(v) * (v - uvals)))
 
-    val, t, n = _manifold_minimize(fun, t_max, _COARSE_T)
+    val, t, n = _manifold_minimize(fun, t_max)
     return SphereOptimizerParams(float(t), tuple(n)), float(val), t >= t_max - 1e-6
 
 
-def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid, t_max: float = T_CAP):
-    """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold."""
+def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid, t_max: float = T_CAP,
+                      diag: SearchDiagnostics | None = None):
+    """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold.
+
+    ``diag``, when given, counts the objective evaluations.
+    """
     w = grid.weights
     pts = grid.points()
 
@@ -388,7 +349,7 @@ def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid, t_max: float = T_C
         ev = np.exp(sphere_optimizer_values(t, n, pts))
         return float(np.sum(w * np.abs(f_plus_1 - ev)))
 
-    val, t, n = _manifold_minimize(fun, t_max, _COARSE_T)
+    val, t, n = _manifold_minimize(fun, t_max, diag=diag)
     return SphereOptimizerParams(float(t), tuple(n)), float(val), t >= t_max - 1e-6
 
 

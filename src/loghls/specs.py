@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fields import (CircleField, SphereField, get_transform,
-                     planar_from_profile, radial_from_profile)
-from .grids import (make_cartesian_grid, make_circle_grid, make_radial_grid,
-                    make_sphere_grid)
+from .fields import CircleField, SphereField, get_transform, radial_from_profile
+from .functionals import MASS_TOL
+from .geometry import planar_from_profile
+from .grids import make_circle_grid, make_radial_grid, make_sphere_grid
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          SphereOptimizerParams, circle_optimizer,
                          planar_optimizer_profile, sphere_optimizer)
@@ -273,8 +273,6 @@ class RunConfig:
     radial_n: int = 4096
     radial_rmax: float = 1e4
     radial_span: float = 25.0
-    cart_n: int = 512
-    cart_L: float = 40.0
     sphere_nz: int = 128
     sphere_nphi: int = 256
     circle_n: int = 512
@@ -295,8 +293,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.radial_n < 16 or self.radial_rmax <= 0 or self.radial_span <= 0:
             raise DomainError("RunConfig: invalid radial grid settings")
-        if self.cart_n < 8 or self.cart_L <= 0:
-            raise DomainError("RunConfig: invalid Cartesian grid settings")
         if self.sphere_nz < 4 or self.sphere_nphi < 4 or self.circle_n < 8:
             raise DomainError("RunConfig: invalid sphere/circle grid settings")
         if self.ks_n < 64 or not (0 < self.ks_rmin < self.ks_rmax):
@@ -311,11 +307,6 @@ class RunConfig:
             self._cache[key] = make_radial_grid(self.radial_rmax, self.radial_n,
                                                 scheme, self.radial_span)
         return self._cache[key]
-
-    def cartesian_grid(self):
-        if "cart" not in self._cache:
-            self._cache["cart"] = make_cartesian_grid(self.cart_L, self.cart_n)
-        return self._cache["cart"]
 
     def sphere_grid(self):
         if "sphere" not in self._cache:
@@ -358,7 +349,7 @@ class RunConfig:
                 raise ParseError(f"unknown config key {k!r}")
             if v in ("none", "None", ""):
                 typed[k] = None
-            elif k in ("radial_n", "cart_n", "sphere_nz", "sphere_nphi",
+            elif k in ("radial_n", "sphere_nz", "sphere_nphi",
                        "circle_n", "ks_n", "seed"):
                 typed[k] = int(float(v))
             elif k == "oracle":
@@ -417,7 +408,8 @@ def _planar_profile_radial(spec: InputSpec):
     raise DomainError(f"spec kind {kind!r} is not a planar density")
 
 
-def _planar_profile_cartesian(spec: InputSpec):
+def _planar_profile_xy(spec: InputSpec):
+    """Profile (x, y) -> rho of any planar spec."""
     kind = spec.kind
     if kind == "optimizer":
         s = float(spec.get("s"))
@@ -429,30 +421,36 @@ def _planar_profile_cartesian(spec: InputSpec):
 
         return prof
     if kind == "mixture":
-        comps = spec.get("components")
         w = [float(x) for x in spec.get("weights")]
-        profs = []
-        for c in comps:
-            rad = _planar_profile_radial(c)
-            if rad is not None:
-                profs.append(lambda x, y, _p=rad: _p(np.sqrt(np.asarray(x)**2 + np.asarray(y)**2)))
-            else:
-                profs.append(_planar_profile_cartesian(c))
+        profs = [_planar_profile_xy(c) for c in spec.get("components")]
 
         def prof(x, y, _w=w, _p=profs):
             return sum(wi * pi(x, y) for wi, pi in zip(_w, _p))
 
         return prof
     rad = _planar_profile_radial(spec)
-    if rad is None:
-        raise DomainError(f"spec {spec.kind!r} has no Cartesian realization")
     return lambda x, y, _p=rad: _p(np.sqrt(np.asarray(x)**2 + np.asarray(y)**2))
 
 
-def realize_planar(spec: InputSpec, config: RunConfig):
-    """Build the planar density; radial when centered, Cartesian otherwise.
+def _planar_center(spec: InputSpec) -> np.ndarray:
+    """First moment of a planar spec; optimizer:s,x0 is centered at s * x0."""
+    if spec.kind == "optimizer":
+        return float(spec.get("s")) * np.asarray(spec.get("x0"), dtype=float)
+    if spec.kind == "mixture":
+        return sum(float(w) * _planar_center(c)
+                   for w, c in zip(spec.get("weights"), spec.get("components")))
+    return np.zeros(2)
 
-    The result is normalized to unit mass on its grid.
+
+def realize_planar(spec: InputSpec, config: RunConfig):
+    """Build the planar density, normalized to unit mass on its grid.
+
+    Centered specs are radial.  An off-center spec is translated by its
+    first moment and lifted onto the sphere grid (``PlanarDensity``); the
+    free energy and the distance to the optimizer family are translation
+    invariant, and a single optimizer lifts to the constant 1.  Raises
+    DomainError when the grid does not resolve the lift (components far
+    apart relative to their scales).
     """
     if spec_domain(spec) != "plane":
         raise DomainError(f"spec {spec.kind!r} is not a planar density")
@@ -460,8 +458,15 @@ def realize_planar(spec: InputSpec, config: RunConfig):
     if prof is not None:
         rho = radial_from_profile(config.radial_grid(), prof)
         return rho if abs(rho.mass - 1.0) <= 1e-9 else rho.normalized()
-    return planar_from_profile(config.cartesian_grid(),
-                               _planar_profile_cartesian(spec)).normalized()
+    rho = planar_from_profile(config.sphere_grid(), _planar_profile_xy(spec),
+                              tuple(_planar_center(spec)))
+    # every planar spec has unit mass, so a lift that misses it is under-resolved
+    if abs(rho.mass - 1.0) > MASS_TOL:
+        raise DomainError(
+            f"realize_planar: the lift of {format_input_spec(spec)} has mass {rho.mass!r} "
+            f"on the {config.sphere_nz}x{config.sphere_nphi} sphere grid, not 1 within "
+            f"{MASS_TOL}; its components are too far apart for the grid (raise sphere_nz)")
+    return rho.normalized()
 
 
 def realize_sphere(spec: InputSpec, config: RunConfig) -> SphereField:

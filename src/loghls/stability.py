@@ -93,8 +93,10 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
               "evaluations": diag.evaluations, "boundary_hit": diag.boundary_hit}
     if oracle and isinstance(rho, RadialDensity):
         search["oracle_distance"] = _radial_oracle_distance(rho)
-    grid = (f"radial n={rho.grid.n}" if isinstance(rho, RadialDensity)
-            else f"cartesian {rho.grid.n}^2 L={rho.grid.L}")
+    if isinstance(rho, RadialDensity):
+        grid = f"radial n={rho.grid.n}"
+    else:
+        grid = f"sphere lift {rho.lifted.grid.n_z}x{rho.lifted.grid.n_phi}"
     return _certificate("log-HLS (plane)", report.total, 0.125, dist, grid, search)
 
 

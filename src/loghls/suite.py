@@ -72,11 +72,12 @@ def _c01_planar_equality(config: RunConfig):
         good = abs(H) <= 1e-6
         ok &= good
         lines.append(f"radial s={s}: H = {H:+.3e} (|.| <= 1e-6: {good})")
-    rho = realize_planar(parse_input_spec("optimizer:s=1,x0=(1,-1)"), config)
-    H = planar_free_energy(rho)
-    good = abs(H) <= 1e-3
-    ok &= good
-    lines.append(f"cartesian {config.cart_n}^2 s=1 x0=(1,-1): H = {H:+.3e} (|.| <= 1e-3: {good})")
+    for x0 in ("(1,-1)", "(30,0)"):
+        rho = realize_planar(parse_input_spec(f"optimizer:s=1,x0={x0}"), config)
+        H = planar_free_energy(rho)
+        good = abs(H) <= 1e-6
+        ok &= good
+        lines.append(f"lift s=1 x0={x0}: H = {H:+.3e} (|.| <= 1e-6: {good})")
     return ok, lines, {}
 
 

@@ -111,7 +111,7 @@ def test_suite_coarse_grid_fails(tmp_path, capsys):
     """A deliberately coarse grid makes the equality-case criterion fail
     with a nonzero exit (designed failure mode)."""
     cfg = tmp_path / "coarse.cfg"
-    cfg.write_text("radial_n = 64\nradial_span = 3\ncart_n = 32\ncart_L = 4\n")
+    cfg.write_text("radial_n = 64\nradial_span = 3\n")
     code, out, err = run_cli(capsys, "suite", "--ids", "A01", "--json",
                              "--config", str(cfg))
     assert code == 1

@@ -5,7 +5,7 @@ from scipy.special import i0
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
                            PreconditionError)
 from loghls.fields import (CircleField, SphereField, gaussian_radial,
-                           planar_from_profile, radial_from_profile)
+                           radial_from_profile)
 from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 half_laplacian_energy, lebedev_milin_functional,
                                 log_interaction, onofri_entropy_form_gap,
@@ -14,10 +14,11 @@ from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 sphere_log_interaction,
                                 sphere_log_interaction_zkernel,
                                 spherical_free_energy)
-from loghls.geometry import lift_T, sphere_optimizer_values
-from loghls.grids import make_cartesian_grid, make_radial_grid
+from loghls.geometry import lift_T, planar_from_profile, sphere_optimizer_values
+from loghls.grids import make_radial_grid
 from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                                circle_optimizer, planar_optimizer)
+from loghls.specs import RunConfig, parse_input_spec, realize_planar
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -68,18 +69,30 @@ def test_optimizer_family_values(radial_fine):
         assert abs(planar_free_energy(rho)) <= 1e-6
 
 
-def test_cartesian_free_energy_offcenter():
-    grid = make_cartesian_grid(40.0, 512)
-    rho = planar_optimizer(PlanarOptimizerParams(1.0, (1.0, -1.0)), grid)
-    assert abs(planar_free_energy(rho)) <= 1e-3
+@pytest.mark.parametrize("x0", ["(1,-1)", "(4,0)", "(30,0)"])
+def test_lift_free_energy_offcenter(x0):
+    rho = realize_planar(parse_input_spec(f"optimizer:s=1,x0={x0}"), RunConfig())
+    assert abs(planar_free_energy(rho)) <= 1e-6
 
 
-def test_cartesian_matches_radial_for_gaussian(radial_fine):
-    grid = make_cartesian_grid(20.0, 256)
-    rho_c = planar_from_profile(
-        grid, lambda x, y: np.exp(-(x**2 + y**2) / 2) / (2 * np.pi)).normalized()
+def test_lift_matches_radial_for_gaussian(radial_fine, sphere_grid):
     rho_r = gaussian_radial(radial_fine)
-    assert log_interaction(rho_c) == pytest.approx(log_interaction(rho_r), abs=1e-8)
+    for shift in ((0.0, 0.0), (0.3, -0.2)):
+        rho_l = planar_from_profile(
+            sphere_grid, lambda x, y: np.exp(-(x**2 + y**2) / 2) / (2 * np.pi),
+            shift).normalized()
+        assert log_interaction(rho_l) == pytest.approx(log_interaction(rho_r), abs=1e-8)
+        assert entropy_term(rho_l) == pytest.approx(entropy_term(rho_r), abs=1e-8)
+
+
+def test_lift_parts_of_the_optimizer(sphere_grid):
+    """The lifted parts carry the quadrature error of log(1 + omega_3) at
+    the south pole; their sum H does not."""
+    h = planar_from_profile(sphere_grid, lambda x, y: (1 / np.pi) * (1 + x**2 + y**2) ** -2,
+                            (0.5, 0.5))
+    assert entropy_term(h) == pytest.approx(-LOG_PI - 2.0, abs=3e-4)
+    assert log_interaction(h) == pytest.approx(0.5, abs=3e-4)
+    assert abs(planar_free_energy(h)) <= 1e-12
 
 
 def test_radial_interaction_consistent_with_double_sum(radial_fine):

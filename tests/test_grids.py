@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from loghls.errors import DimensionMismatchError, DomainError
-from loghls.grids import (integrate, make_cartesian_grid, make_circle_grid,
-                          make_radial_grid, make_sphere_grid, pairwise_sum)
+from loghls.grids import (integrate, make_circle_grid, make_radial_grid,
+                          make_sphere_grid, pairwise_sum)
 
 
 def test_radial_uniform_constant_mass():
@@ -91,12 +91,3 @@ def test_integrate_shape_errors():
     with pytest.raises(DimensionMismatchError):
         integrate(np.ones((8, 9)), sg)
 
-
-def test_cartesian_grid():
-    g = make_cartesian_grid(4.0, 16)
-    assert g.h == pytest.approx(0.5)
-    assert g.centers[0] == pytest.approx(-3.75)
-    X, Y = g.meshgrid()
-    assert integrate(np.ones(g.shape), g) == pytest.approx(64.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        make_cartesian_grid(4.0, 4)

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loghls.errors import DomainError, NormalizationError
-from loghls.fields import SphereField, gaussian_radial, planar_from_profile
+from loghls.fields import SphereField, gaussian_radial
 from loghls.functionals import planar_free_energy
 from loghls.geometry import sphere_optimizer_values
-from loghls.grids import make_cartesian_grid
 from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                                SphereOptimizerParams, circle_optimizer,
                                golden_section, nearest_circle_L1,
                                nearest_planar_L1, nearest_sphere_entropy,
                                planar_optimizer, recenter, sphere_optimizer)
-from loghls.specs import RunConfig, parse_input_spec, realize_sphere
+from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
+from loghls.stability import onofri_stability_certificates, pass_tolerance
 
 GAUSSIAN_NEAREST_DISTANCE = 0.35954192       # frozen from a 10^4-point log-s sweep
+CFG = RunConfig()                              # shared, so its grids are built once
 
 
 def test_golden_section_quadratic():
@@ -33,12 +35,6 @@ def test_planar_optimizer_radial(radial_fine):
         planar_optimizer(PlanarOptimizerParams(1.0, (1.0, 0.0)), radial_fine)
     with pytest.raises(DomainError):
         PlanarOptimizerParams(-1.0)
-
-
-def test_planar_optimizer_cartesian():
-    grid = make_cartesian_grid(30.0, 256)
-    rho = planar_optimizer(PlanarOptimizerParams(1.0, (1.0, -1.0)), grid)
-    assert abs(rho.mass - 1.0) <= 1e-12      # normalized on the grid
 
 
 def test_nearest_planar_recovers_member(radial_fine):
@@ -64,24 +60,53 @@ def test_nearest_planar_gaussian_oracle(radial_fine):
     assert abs(dist - best) <= 1e-4
 
 
-def test_nearest_planar_bimodal_cartesian():
-    grid = make_cartesian_grid(12.0, 128)
-    mix = planar_from_profile(grid, lambda x, y: 0.5 * (1 / np.pi) * (1 + x**2 + y**2) ** -2
-                              + 0.5 * (1 / np.pi) * (1 + (x - 4.0) ** 2 + y**2) ** -2)
-    mix = mix.normalized()
-    params, dist, _ = nearest_planar_L1(mix)
-    # coarse lattice oracle: the search must do at least as well
-    X, Y = grid.meshgrid()
+def _mixture(weights, scales, offset=(0.0, 0.0)) -> str:
+    """Mixture of optimizers s^-2 h(x/s - x0), all centered at offset."""
+    comps = "|".join(f"optimizer:s={s!r},x0=({offset[0] / s!r},{offset[1] / s!r})"
+                     for s in scales)
+    return f"mixture:weights=({','.join(repr(w) for w in weights)}),components=({comps})"
+
+
+def test_nearest_planar_bimodal_lift():
+    mix = realize_planar(parse_input_spec(
+        "mixture:weights=(0.5,0.5),components=(optimizer:s=1|optimizer:s=1,x0=(4,0))"), CFG)
+    params, dist, diag = nearest_planar_L1(mix)
+    assert diag.evaluations > 0 and not diag.boundary_hit
+    # coarse lattice oracle, ||rho - h_{s,(cx,0)}||_1 summed on the lift
+    f = mix.lifted
+    pts = f.grid.points()
+    x = pts[..., 0] / (1.0 + pts[..., 2]) + mix.shift[0]
+    y = pts[..., 1] / (1.0 + pts[..., 2]) + mix.shift[1]
+    lift_weight = 4.0 * np.pi / (1.0 + pts[..., 2]) ** 2
     best = np.inf
     for s in np.geomspace(0.5, 3.0, 24):
         for cx in np.linspace(-1.0, 5.0, 25):
-            g = (1.0 / (np.pi * s * s)) * (1.0 + (X / s - cx / s) ** 2 + (Y / s) ** 2) ** -2
-            best = min(best, float(np.sum(np.abs(mix.values - g))) * grid.h**2)
-    assert dist <= best + 1e-3
+            g = (1.0 / (np.pi * s * s)) * (1.0 + ((x - cx) / s) ** 2 + (y / s) ** 2) ** -2
+            best = min(best, float(np.sum(f.grid.weights * np.abs(f.values - lift_weight * g))))
+    assert dist <= best + 1e-6
     # the center lands between the lobes or on one of them
     cx_phys = params.s * params.x0[0]
     assert -0.5 <= cx_phys <= 4.5
     assert abs(params.s * params.x0[1]) <= 0.5
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(np.log(0.5), np.log(3.0))),
+                min_size=1, max_size=3),
+       st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+def test_lift_matches_centered_radial(components, offset):
+    """A mixture of optimizers translated by one offset has the free energy
+    and the manifold distance of its centered (radial) copy."""
+    total = sum(w for w, _ in components)
+    weights = [w / total for w, _ in components]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    scales = [float(np.exp(ls)) for _, ls in components]
+    centered = realize_planar(parse_input_spec(_mixture(weights, scales)), CFG)
+    moved = realize_planar(parse_input_spec(_mixture(weights, scales, offset)), CFG)
+    assert abs(planar_free_energy(moved) - planar_free_energy(centered)) <= 1e-6
+    _, d_moved, _ = nearest_planar_L1(moved)
+    _, d_centered, _ = nearest_planar_L1(centered)
+    assert abs(d_moved - d_centered) <= 1e-4
 
 
 def test_sphere_optimizer_basics(sphere_grid):
@@ -196,13 +221,11 @@ def test_nearest_circle_recovers_poisson():
 
 def test_nearest_planar_rotation_symmetry():
     """L1 distance to the manifold is invariant under a quarter rotation
-    of the density about the origin (a grid-symmetric rotation)."""
-    grid = make_cartesian_grid(12.0, 96)
-    prof = (lambda x, y: 0.5 * (1 / np.pi) * (1 + x**2 + y**2) ** -2
-            + 0.5 * (1 / np.pi) * (1 + (x - 3.0) ** 2 + y**2) ** -2)
-    rot = lambda x, y: prof(y, -x)
-    a = planar_from_profile(grid, prof).normalized()
-    b = planar_from_profile(grid, rot).normalized()
+    of the density about the origin."""
+    a = realize_planar(parse_input_spec(
+        "mixture:weights=(0.5,0.5),components=(optimizer:s=1|optimizer:s=1,x0=(3,0))"), CFG)
+    b = realize_planar(parse_input_spec(
+        "mixture:weights=(0.5,0.5),components=(optimizer:s=1|optimizer:s=1,x0=(0,-3))"), CFG)
     _, da, _ = nearest_planar_L1(a)
     _, db, _ = nearest_planar_L1(b)
     assert da == pytest.approx(db, abs=1e-6)
@@ -215,3 +238,20 @@ def test_nearest_planar_boundary_warning(radial_small):
     params, dist, diag = nearest_planar_L1(rho)
     assert diag.boundary_hit
     assert params.s == pytest.approx(np.exp(-6.0), rel=1e-4)
+
+
+@pytest.mark.parametrize("spec, distance", [
+    pytest.param("band-limited-random:seed=21,L=3,amplitude=0.1", 0.090689, id="seed21"),
+    pytest.param("band-limited-random:seed=2,L=5,amplitude=0.25", 0.295497, id="seed2"),
+])
+def test_sphere_search_leaves_t_zero(spec, distance):
+    """A field whose coarse scan is best at t = 0 still finds the nearer
+    optimizer at small t, and certifies as its recentered image does."""
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    grad, entropy, l1 = onofri_stability_certificates(u)
+    assert grad.search["t"] > 0.0
+    assert grad.distance == pytest.approx(distance, abs=2e-6)
+    assert grad.gap >= -pass_tolerance(grad.value)
+    rec = onofri_stability_certificates(recenter(u).field)
+    for c, r in zip((grad, entropy, l1), rec):
+        assert c.distance == pytest.approx(r.distance, rel=1e-4)

@@ -76,8 +76,7 @@ def test_spec_domains():
 
 @pytest.fixture(scope="module")
 def cfg():
-    return RunConfig(radial_n=1024, cart_n=64, cart_L=12.0, sphere_nz=64,
-                     sphere_nphi=128)
+    return RunConfig(radial_n=1024, sphere_nz=64, sphere_nphi=128)
 
 
 def test_realize_planar_radial(cfg):
@@ -92,10 +91,21 @@ def test_realize_planar_radial(cfg):
     assert np.all(pert.values >= 0)
 
 
-def test_realize_planar_cartesian(cfg):
+def test_realize_planar_lift(cfg):
     rho = realize_planar(parse_input_spec("optimizer:s=1,x0=(1,-1)"), cfg)
     assert isinstance(rho, PlanarDensity)
+    assert rho.lifted.grid is cfg.sphere_grid()
     assert abs(rho.mass - 1.0) <= 1e-12
+    assert rho.shift == (1.0, -1.0)               # the first moment
+    assert np.max(np.abs(rho.lifted.values - 1.0)) <= 1e-12
+    mix = realize_planar(parse_input_spec(
+        "mixture:weights=(0.25,0.75),components=(optimizer:s=2,x0=(1,0)|gaussian:sigma=1)"), cfg)
+    assert abs(mix.mass - 1.0) <= 1e-12
+    assert mix.shift == (0.5, 0.0)
+    # lobes 20 scales apart are too narrow for the grid: an error, not a wrong H
+    with pytest.raises(DomainError):
+        realize_planar(parse_input_spec(
+            "mixture:weights=(0.5,0.5),components=(optimizer:s=1|optimizer:s=1,x0=(20,0))"), cfg)
 
 
 def test_realize_sphere_normalized(cfg):
@@ -121,11 +131,12 @@ def test_runconfig_validation_and_file(tmp_path):
     with pytest.raises(DomainError):
         RunConfig(tol=-1.0)
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nradial_n = 512\ncart_L = 24\noracle = true\nks_dt = none\n")
+    path.write_text("# comment\nradial_n = 512\nsphere_nz = 64\noracle = true\nks_dt = none\n")
     cfg = RunConfig.from_file(str(path))
     assert cfg.radial_n == 512
-    assert cfg.cart_L == 24.0
+    assert cfg.sphere_nz == 64
     assert cfg.oracle is True
     assert cfg.ks_dt is None
-    with pytest.raises(ParseError):
-        RunConfig.from_strings({"nonsense": "1"})
+    for key in ("nonsense", "cart_n", "cart_L"):
+        with pytest.raises(ParseError):
+            RunConfig.from_strings({key: "1"})
