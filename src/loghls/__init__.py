@@ -24,7 +24,7 @@ from .geometry import (ConformalParams, chordal_identity_check, conformal_push,
 from .grids import (CircleGrid, RadialGrid, SphereGrid, integrate,
                     make_circle_grid, make_radial_grid, make_sphere_grid)
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
-                         SphereOptimizerParams, circle_optimizer,
+                         SearchDiagnostics, SphereOptimizerParams, circle_optimizer,
                          nearest_planar_L1, nearest_sphere_entropy,
                          planar_optimizer, recenter, sphere_optimizer)
 from .specs import RunConfig, format_input_spec, parse_input_spec

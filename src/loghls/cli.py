@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import LogHLSError, ParseError
 from .fields import RadialDensity, SphereField
-from .flows import (FlowTrajectory, KS_MASS, decay_check, dissipation_check,
-                    entropy_dissipation_rate, heat_evolve, heat_state,
-                    ks_evolve, ks_rate_fit, reverse_entropy)
+from .flows import (FlowTrajectory, KS_MASS, _jsonable, decay_check,
+                    dissipation_check, entropy_dissipation_rate, heat_evolve,
+                    heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
 from .functionals import (dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report)
@@ -63,18 +63,8 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _np_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1, default=_np_default)
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -102,9 +102,21 @@ def _radial_interaction(rho: RadialDensity) -> float:
 
 
 def _lift_log_weight(rho: PlanarDensity) -> float:
-    """int T rho log(1 + omega_3) dsigma, i.e. int rho log(2/(1+|x|^2)) dx."""
-    f = rho.lifted
-    return integrate(f.values * np.log1p(f.grid.z)[:, None], f.grid)
+    """int T rho log(1 + omega_3) dsigma, i.e. int rho log(2/(1+|x|^2)) dx.
+
+    The log is singular at the south pole, where the lift g of an r^-4 tail
+    is nonzero, so the quadrature takes g - g_S, and the pole value g_S (the
+    callable's at 1 + omega_3 = 1e-12, else the mean over the ring nearest
+    the pole) is added back times int log(1 + omega_3) dsigma = log 2 - 1.
+    """
+    f, g = rho.lifted, rho.lifted.grid
+    if f.fn is not None:
+        e = 1e-12
+        g_S = float(f.fn(np.array([[np.sqrt(e * (2.0 - e)), 0.0, e - 1.0]]))[0])
+    else:
+        g_S = float(np.mean(f.values[np.argmin(g.z)]))
+    return (integrate((f.values - g_S) * np.log1p(g.z)[:, None], g)
+            + g_S * (LOG_2 - 1.0))
 
 
 def log_interaction(rho: RadialDensity | PlanarDensity) -> float:
@@ -295,11 +307,9 @@ def half_laplacian_energy(u: CircleField) -> float:
     return float(2.0 * np.sum(k * np.abs(u.coeffs[1:]) ** 2))
 
 
-def _circle_grid_for(u: CircleField, grid: CircleGrid | None) -> CircleGrid:
-    if grid is not None:
-        return grid
-    n = max(512, 4 * max(u.kmax, 1))
-    return make_circle_grid(n)
+def _circle_grid_for(u: CircleField, grid: CircleGrid | None = None) -> CircleGrid:
+    """``grid``, or else the circle grid that resolves u: 512 points or 4 per mode."""
+    return grid if grid is not None else make_circle_grid(max(512, 4 * max(u.kmax, 1)))
 
 
 def lebedev_milin_functional(u: CircleField, grid: CircleGrid | None = None) -> float:

@@ -2,12 +2,14 @@
 
 The planar manifold is { s^-2 h(x/s - x0) } with h the squared Cauchy
 profile, the sphere manifold is { u_{t,n} = -2 log(cosh t + sinh t n.w) },
-and the circle family consists of logs of normalized Poisson kernels.
-Searches are deterministic: golden section over log s with a fixed
-multistart pattern for radial densities, and coarse-scan + Nelder-Mead
-refinement on v = t n for the sphere family.  Off-center planar
-densities are searched on the sphere through their lift, where the
-planar family is e^{u_{t,n}}.
+and the circle family is { e^v = (cosh t + sinh t n.w)^-1 } on S^1, the
+normalized Poisson kernels of radius tanh(t/2).  Searches are
+deterministic and return (params, value, SearchDiagnostics): golden
+section over log s with a fixed multistart pattern for radial densities,
+and one coarse-scan + Nelder-Mead search over v = t n in R^3 or R^2 for
+the sphere and circle families.  Off-center planar densities are
+searched on the sphere through their lift, where the planar family is
+e^{u_{t,n}}.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from scipy.optimize import minimize
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
                      radial_from_profile)
-from .functionals import dirichlet_energy
+from .functionals import _circle_grid_for, dirichlet_energy
 from .geometry import ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CircleGrid, RadialGrid, SphereGrid, make_circle_grid
+from .grids import CircleGrid, RadialGrid, SphereGrid
 
 __all__ = [
     "PlanarOptimizerParams",
@@ -37,8 +39,10 @@ __all__ = [
     "nearest_planar_L1",
     "nearest_sphere_entropy",
     "nearest_sphere_gradient",
+    "nearest_sphere_reverse_entropy",
     "nearest_sphere_L1",
     "nearest_circle_L1",
+    "SearchDiagnostics",
     "RecenterResult",
     "recenter",
     "LOG_S_BOX",
@@ -111,10 +115,7 @@ def planar_optimizer(p: PlanarOptimizerParams, grid: RadialGrid) -> RadialDensit
 def sphere_optimizer(p: SphereOptimizerParams, grid: SphereGrid) -> SphereField:
     """u_{t,n} as a SphereField with exact callable; int e^u dsigma = 1."""
     n = p.axis
-    t = p.t
     axi = abs(n[0]) < 1e-15 and abs(n[1]) < 1e-15
-    if axi and n[2] < 0:
-        n, t = -n, t  # u_{t,-e3}(z) = u_{t,e3}(-z); keep the axis as given
     fn = lambda pts, _t=p.t, _n=p.axis: sphere_optimizer_values(_t, _n, pts)
     return SphereField.from_fn(grid, fn, axisymmetric=axi)
 
@@ -162,19 +163,14 @@ def golden_section(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, fl
 
 @dataclass
 class SearchDiagnostics:
+    """Objective evaluations of a search, and whether its optimum lies on
+    the boundary of the parameter box."""
+
     evaluations: int = 0
     boundary_hit: bool = False
-    starts: int = 0
 
 
-def _l1_radial(rho: RadialDensity, prof) -> float:
-    return float(np.sum(rho.grid.weights * np.abs(rho.values - prof(rho.grid.nodes))))
-
-
-def nearest_planar_L1(rho: RadialDensity | PlanarDensity,
-                      log_s_box: float = LOG_S_BOX,
-                      n_starts: int = 5,
-                      tol: float = 1e-10):
+def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
     """Minimize ||rho - h_{s,x0}||_1 over the optimizer manifold.
 
     Radial densities pin x0 = 0 and use multistart golden section over
@@ -186,33 +182,30 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity,
     Returns (params, distance, diagnostics).
     """
     if isinstance(rho, RadialDensity):
-        diag = SearchDiagnostics(starts=n_starts)
+        diag = SearchDiagnostics()
 
         def obj(ls: float) -> float:
             diag.evaluations += 1
-            return _l1_radial(rho, planar_optimizer_profile(
-                PlanarOptimizerParams(float(np.exp(ls)))))
+            prof = planar_optimizer_profile(PlanarOptimizerParams(float(np.exp(ls))))
+            return float(np.sum(rho.grid.weights * np.abs(rho.values - prof(rho.grid.nodes))))
 
-        edges = np.linspace(-log_s_box, log_s_box, n_starts + 1)
-        candidates = [golden_section(obj, edges[i], edges[i + 1], tol)
-                      for i in range(n_starts)]
+        edges = np.linspace(-LOG_S_BOX, LOG_S_BOX, 6)      # five starts
+        candidates = [golden_section(obj, a, b) for a, b in zip(edges[:-1], edges[1:])]
         best = min(c[1] for c in candidates)
         ls, val = min((c for c in candidates if c[1] <= best + 1e-12),
                       key=lambda c: c[0])
-        if abs(abs(ls) - log_s_box) < 1e-6:
-            diag.boundary_hit = True
+        diag.boundary_hit = abs(abs(ls) - LOG_S_BOX) < 1e-6
         return PlanarOptimizerParams(float(np.exp(ls))), float(val), diag
 
     if isinstance(rho, PlanarDensity):
-        diag = SearchDiagnostics(starts=1)
         f = rho.lifted
-        params, val, diag.boundary_hit = nearest_sphere_L1(f.values, f.grid, diag=diag)
+        params, val, diag = nearest_sphere_L1(f.values, f.grid)
         t, (n1, n2, n3) = params.t, (float(c) for c in params.n)
         s = 1.0 / (math.cosh(t) - n3 * math.sinh(t))
         cx = rho.shift[0] - s * math.sinh(t) * n1
         cy = rho.shift[1] - s * math.sinh(t) * n2
         # s^-2 h(x/s - x0): the parameter center satisfies x_phys = s * x0
-        return PlanarOptimizerParams(s, (cx / s, cy / s)), float(val), diag
+        return PlanarOptimizerParams(s, (cx / s, cy / s)), val, diag
     raise DomainError(f"nearest_planar_L1: unsupported density {type(rho).__name__}")
 
 
@@ -226,42 +219,56 @@ def _fibonacci_directions(k: int) -> np.ndarray:
 
 
 _COARSE_T = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
-_E3 = np.array([0.0, 0.0, 1.0])
 _SIMPLEX_STEP = 0.1
+# scan axes: 32 Fibonacci directions and the poles on S^2, 16 equispaced on S^1
+_SPHERE_DIRS = np.vstack([_fibonacci_directions(32), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+_CIRCLE_DIRS = np.stack([np.cos(np.pi * np.arange(16) / 8.0),
+                         np.sin(np.pi * np.arange(16) / 8.0)], axis=1)
+_CIRCLE_T_MAX = 2.0 * math.atanh(1.0 - 1e-6)    # caps r = tanh(t/2) at 1 - 1e-6
 
 
-def _manifold_minimize(fun, t_max: float, n_dirs: int = 32, xatol: float = 1e-9,
-                       diag: SearchDiagnostics | None = None):
-    """Minimize fun(t, n) over [0, t_max] x S^2: coarse scan + Nelder-Mead.
+def _manifold_minimize(fun, dirs: np.ndarray, t_max: float):
+    """Minimize fun(t, n) over [0, t_max] x S^{d-1}: coarse scan + Nelder-Mead.
 
-    The scan evaluates t = 0 once (every axis names the same point there),
-    then each t of _COARSE_T on n_dirs + 2 axes.  Nelder-Mead refines over
-    v = t n in R^3 with t = |v| capped at t_max: the family is smooth in v
-    through v = 0, so a search that starts at t = 0 can leave it along any
-    axis.  ``diag``, when given, counts the evaluations.
+    ``dirs`` holds the scan's unit axes in R^d.  The scan evaluates t = 0
+    once (every axis names the same point there), then each t of
+    _COARSE_T on every axis.  Nelder-Mead refines over v = t n in R^d with
+    t = |v| capped at t_max: the family is smooth in v through v = 0, so a
+    search that starts at t = 0 can leave it along any axis.
+
+    Returns (value, t, n, diagnostics); the boundary is t = t_max.
     """
-    def at(v: np.ndarray) -> float:
-        if diag is not None:
-            diag.evaluations += 1
-        t = float(np.linalg.norm(v))
-        return fun(0.0, _E3) if t == 0.0 else fun(min(t, t_max), v / t)
+    d = dirs.shape[1]
+    pole = np.eye(d)[-1]
+    diag = SearchDiagnostics()
 
-    dirs = np.vstack([_fibonacci_directions(n_dirs), _E3, -_E3])
-    best_v = np.zeros(3)
+    def at(v: np.ndarray) -> float:
+        diag.evaluations += 1
+        t = float(np.linalg.norm(v))
+        return fun(0.0, pole) if t == 0.0 else fun(min(t, t_max), v / t)
+
+    best_v = np.zeros(d)
     best = at(best_v)
     for t in _COARSE_T:
         for n in dirs:
             val = at(t * n)
             if val < best:
                 best, best_v = val, t * n
-    simplex = best_v + np.vstack([np.zeros(3), _SIMPLEX_STEP * np.eye(3)])
+    simplex = best_v + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
     res = minimize(at, best_v, method="Nelder-Mead",
-                   options={"initial_simplex": simplex, "xatol": xatol,
+                   options={"initial_simplex": simplex, "xatol": 1e-9,
                             "fatol": 1e-14, "maxiter": 2000})
     if res.fun <= best:
         best, best_v = float(res.fun), res.x
     t = float(np.linalg.norm(best_v))
-    return best, min(t, t_max), (best_v / t if t > 0.0 else _E3)
+    diag.boundary_hit = t >= t_max - 1e-6
+    return float(best), min(t, t_max), (best_v / t if t > 0.0 else pole), diag
+
+
+def _sphere_search(fun):
+    """Search the sphere family: (params, value, diagnostics)."""
+    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP)
+    return SphereOptimizerParams(t, tuple(n)), val, diag
 
 
 def _check_normalized_exp(u: SphereField, tol: float = 1e-6, who: str = "search"):
@@ -271,11 +278,8 @@ def _check_normalized_exp(u: SphereField, tol: float = 1e-6, who: str = "search"
             f"{who}: int e^u dsigma = {m!r}, expected 1 within {tol}")
 
 
-def nearest_sphere_entropy(u: SphereField, t_max: float = T_CAP):
-    """Minimize H(e^u | e^{u_{t,n}}) = int e^u (u - u_{t,n}) dsigma.
-
-    Returns (params, H_min, cap_warning).
-    """
+def nearest_sphere_entropy(u: SphereField):
+    """Minimize H(e^u | e^{u_{t,n}}) = int e^u (u - u_{t,n}) dsigma."""
     _check_normalized_exp(u, who="nearest_sphere_entropy")
     g = u.grid
     w = g.weights * np.exp(u.values)
@@ -285,12 +289,10 @@ def nearest_sphere_entropy(u: SphereField, t_max: float = T_CAP):
     def fun(t, n):
         return base - float(np.sum(w * sphere_optimizer_values(t, n, pts)))
 
-    val, t, n = _manifold_minimize(fun, t_max)
-    cap = t >= t_max - 1e-6
-    return SphereOptimizerParams(float(t), tuple(n)), float(val), cap
+    return _sphere_search(fun)
 
 
-def nearest_sphere_gradient(u: SphereField, t_max: float = T_CAP):
+def nearest_sphere_gradient(u: SphereField):
     """Minimize int |grad u - grad u_{t,n}|^2 dsigma over the manifold.
 
     Uses -Delta u_{t,n} = 2 (e^{u_{t,n}} - 1) to evaluate the cross term
@@ -312,11 +314,11 @@ def nearest_sphere_gradient(u: SphereField, t_max: float = T_CAP):
         cross = float(np.sum(w * uvals * ev))
         return Eu + Ev - 4.0 * cross + 4.0 * ubar
 
-    val, t, n = _manifold_minimize(fun, t_max)
-    return SphereOptimizerParams(float(t), tuple(n)), float(max(val, 0.0)), t >= t_max - 1e-6
+    params, val, diag = _sphere_search(fun)
+    return params, max(val, 0.0), diag
 
 
-def nearest_sphere_reverse_entropy(u: SphereField, t_max: float = T_CAP):
+def nearest_sphere_reverse_entropy(u: SphereField):
     """Minimize H(e^{u_{t,n}} | e^u) = int e^{u_{t,n}} (u_{t,n} - u) dsigma.
 
     This is the direction appearing in the entropy-form stability bound;
@@ -332,16 +334,11 @@ def nearest_sphere_reverse_entropy(u: SphereField, t_max: float = T_CAP):
         v = sphere_optimizer_values(t, n, pts)
         return float(np.sum(w * np.exp(v) * (v - uvals)))
 
-    val, t, n = _manifold_minimize(fun, t_max)
-    return SphereOptimizerParams(float(t), tuple(n)), float(val), t >= t_max - 1e-6
+    return _sphere_search(fun)
 
 
-def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid, t_max: float = T_CAP,
-                      diag: SearchDiagnostics | None = None):
-    """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold.
-
-    ``diag``, when given, counts the objective evaluations.
-    """
+def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid):
+    """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold."""
     w = grid.weights
     pts = grid.points()
 
@@ -349,37 +346,26 @@ def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid, t_max: float = T_C
         ev = np.exp(sphere_optimizer_values(t, n, pts))
         return float(np.sum(w * np.abs(f_plus_1 - ev)))
 
-    val, t, n = _manifold_minimize(fun, t_max, diag=diag)
-    return SphereOptimizerParams(float(t), tuple(n)), float(val), t >= t_max - 1e-6
+    return _sphere_search(fun)
 
 
-def nearest_circle_L1(u: CircleField, grid: CircleGrid | None = None,
-                      r_cap: float = 1.0 - 1e-6):
-    """Minimize ||e^u - e^{v_{r,alpha}}||_1 over normalized Poisson kernels."""
-    if grid is None:
-        grid = make_circle_grid(max(512, 4 * max(u.kmax, 1)))
+def nearest_circle_L1(u: CircleField, grid: CircleGrid | None = None):
+    """Minimize ||e^u - e^{v_{r,alpha}}||_1 over normalized Poisson kernels.
+
+    The kernel is e^v = (cosh t + sinh t n.w)^-1 with r = tanh(t/2) and
+    n = -(cos alpha, sin alpha), searched over v = t n with r <= 1 - 1e-6.
+    """
+    grid = _circle_grid_for(u, grid)
     eu = np.exp(u.values(grid))
-    th = grid.theta
+    pts = np.stack([np.cos(grid.theta), np.sin(grid.theta)], axis=1)
 
-    def fun(r, alpha):
-        if r < 0 or r >= 1.0:
-            return float("inf")
-        pk = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(th - alpha) + r * r)
+    def fun(t, n):
+        pk = 1.0 / (math.cosh(t) + math.sinh(t) * (pts @ n))
         return float(np.mean(np.abs(eu - pk)))
 
-    best = (float("inf"), 0.0, 0.0)
-    for r in np.linspace(0.0, 0.95, 20):
-        for alpha in np.linspace(0.0, 2.0 * np.pi, 17)[:-1]:
-            v = fun(r, alpha)
-            if v < best[0]:
-                best = (v, r, alpha)
-    res = minimize(lambda q: fun(min(abs(q[0]), r_cap), q[1]),
-                   np.array([best[1], best[2]]), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-    r = min(abs(float(res.x[0])), r_cap)
-    alpha = float(res.x[1]) % (2.0 * np.pi)
-    val = min(float(res.fun), best[0])
-    return CircleOptimizerParams(r, alpha), val, r >= r_cap - 1e-9
+    val, t, n, diag = _manifold_minimize(fun, _CIRCLE_DIRS, _CIRCLE_T_MAX)
+    alpha = math.atan2(-n[1], -n[0]) % (2.0 * math.pi)
+    return CircleOptimizerParams(math.tanh(0.5 * t), alpha), val, diag
 
 
 # ----------------------------------------------------------------------

@@ -13,17 +13,17 @@ error dominates at the grids used here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField
-from .functionals import (dirichlet_energy, lebedev_milin_functional,
-                          onofri_functional, planar_free_energy_report,
-                          spherical_free_energy)
-from .grids import integrate, make_circle_grid
+from .functionals import (_circle_grid_for, dirichlet_energy,
+                          lebedev_milin_functional, onofri_functional,
+                          planar_free_energy_report, spherical_free_energy)
+from .grids import integrate
 from .optimizers import (nearest_circle_L1, nearest_planar_L1, nearest_sphere_L1,
                          nearest_sphere_gradient, nearest_sphere_reverse_entropy)
 
@@ -80,6 +80,12 @@ def _certificate(name: str, value: float, constant: float, distance: float,
                                 tol=tol, grid=grid, search=search)
 
 
+def _search(params, diag) -> dict:
+    """A certificate's ``search`` record: the optimizer and its diagnostics."""
+    return {**asdict(params), "evaluations": diag.evaluations,
+            "boundary_hit": diag.boundary_hit}
+
+
 # ----------------------------------------------------------------------
 # log HLS certificates
 # ----------------------------------------------------------------------
@@ -89,8 +95,7 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
     """H(rho) >= (1/8) inf_g ||rho - g||_1^2 over the planar manifold."""
     report = planar_free_energy_report(rho)
     params, dist, diag = nearest_planar_L1(rho)
-    search = {"s": params.s, "x0": list(params.x0),
-              "evaluations": diag.evaluations, "boundary_hit": diag.boundary_hit}
+    search = _search(params, diag)
     if oracle and isinstance(rho, RadialDensity):
         search["oracle_distance"] = _radial_oracle_distance(rho)
     if isinstance(rho, RadialDensity):
@@ -115,10 +120,9 @@ def _radial_oracle_distance(rho: RadialDensity, n_sweep: int = 10_000) -> float:
 def spherical_stability_certificate(f: SphereField) -> StabilityCertificate:
     """H_S(f) >= (1/8) inf ||(f+1) - e^{u_{t,n}}||_1^2."""
     report = spherical_free_energy(f)
-    params, dist, cap = nearest_sphere_L1(f.values + 1.0, f.grid)
-    search = {"t": params.t, "n": list(params.n), "cap_warning": cap}
+    params, dist, diag = nearest_sphere_L1(f.values + 1.0, f.grid)
     return _certificate("log-HLS (sphere)", report.total, 0.125, dist,
-                        f"sphere {f.grid.n_z}x{f.grid.n_phi}", search)
+                        f"sphere {f.grid.n_z}x{f.grid.n_phi}", _search(params, diag))
 
 
 # ----------------------------------------------------------------------
@@ -139,17 +143,16 @@ def onofri_stability_certificates(u: SphereField) -> tuple[StabilityCertificate,
     J = onofri_functional(u)
     gridname = f"sphere {u.grid.n_z}x{u.grid.n_phi}"
 
-    pg, Einf, cap_g = nearest_sphere_gradient(u)
+    pg, Einf, diag_g = nearest_sphere_gradient(u)
     cert_a = _certificate("Onofri gradient form", J, 0.125, float(np.sqrt(max(Einf, 0.0))),
-                          gridname, {"t": pg.t, "n": list(pg.n), "cap_warning": cap_g})
+                          gridname, _search(pg, diag_g))
 
-    pe, Hinf, cap_e = nearest_sphere_reverse_entropy(u)
+    pe, Hinf, diag_e = nearest_sphere_reverse_entropy(u)
     cert_b = _certificate("Onofri entropy form", J, 0.5, float(np.sqrt(max(Hinf, 0.0))),
-                          gridname, {"t": pe.t, "n": list(pe.n), "cap_warning": cap_e})
+                          gridname, _search(pe, diag_e))
 
-    pl, dist, cap_l = nearest_sphere_L1(np.exp(u.values), u.grid)
-    cert_c = _certificate("Onofri L1 form", J, 0.25, dist,
-                          gridname, {"t": pl.t, "n": list(pl.n), "cap_warning": cap_l})
+    pl, dist, diag_l = nearest_sphere_L1(np.exp(u.values), u.grid)
+    cert_c = _certificate("Onofri L1 form", J, 0.25, dist, gridname, _search(pl, diag_l))
     return cert_a, cert_b, cert_c
 
 
@@ -173,16 +176,15 @@ def constrained_onofri_gap(u: SphereField, bary_tol: float = 1e-8) -> float:
 
 def circle_stability_certificate(u: CircleField) -> StabilityCertificate:
     """LM(u) >= (1/4) inf ||e^u - e^v||_1^2 over normalized Poisson kernels."""
-    grid = make_circle_grid(max(512, 4 * max(u.kmax, 1)))
+    grid = _circle_grid_for(u)
     m = integrate(np.exp(u.values(grid)), grid)
     if abs(m - 1.0) > 1e-6:
         raise PreconditionError(
             f"circle_stability_certificate: int e^u = {m!r}, expected 1 within 1e-06")
     value = lebedev_milin_functional(u, grid)
-    params, dist, cap = nearest_circle_L1(u, grid)
-    search = {"r": params.r, "alpha": params.alpha, "cap_warning": cap}
+    params, dist, diag = nearest_circle_L1(u, grid)
     return _certificate("Lebedev-Milin (circle)", value, 0.25, dist,
-                        f"circle n={grid.n}", search)
+                        f"circle n={grid.n}", _search(params, diag))
 
 
 # ----------------------------------------------------------------------

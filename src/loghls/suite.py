@@ -357,6 +357,12 @@ def _c12_circle(config: RunConfig):
         good = abs(lm) <= 1e-8
         ok &= good
         lines.append(f"Poisson r={r}: LM = {lm:+.2e} (|.| <= 1e-8: {good})")
+    for r in (0.01, 0.2, 0.5, 0.8):
+        cert = circle_stability_certificate(circle_optimizer(CircleOptimizerParams(r, 0.9)))
+        good = cert.passed and cert.distance <= 1e-8
+        ok &= good
+        lines.append(f"Poisson r={r}: certificate d = {cert.distance:.1e}, "
+                     f"gap = {cert.gap:+.1e} (pass, d <= 1e-8: {good})")
     e_half = half_laplacian_energy(circle_optimizer(CircleOptimizerParams(0.5, 0.0)))
     good = abs(e_half - 0.575364) <= 1e-6
     ok &= good

@@ -56,6 +56,10 @@ def test_stability_circle(capsys):
     code, out, _ = run_cli(capsys, "stability", "circle-cos:eps=0.3")
     assert code == 0
     assert json.loads(out)["certificate"]["pass"] is True
+    # a Poisson kernel whose coarse scan is best at r = 0 lies on the family
+    code, out, _ = run_cli(capsys, "stability", "circle-poisson:r=0.01,alpha=2.5")
+    assert code == 0
+    assert json.loads(out)["certificate"]["distance"] <= 1e-8
 
 
 def test_onofri_command(capsys):

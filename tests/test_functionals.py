@@ -4,8 +4,8 @@ from scipy.special import i0
 
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
                            PreconditionError)
-from loghls.fields import (CircleField, SphereField, gaussian_radial,
-                           radial_from_profile)
+from loghls.fields import (CircleField, PlanarDensity, SphereField,
+                           gaussian_radial, radial_from_profile)
 from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 half_laplacian_energy, lebedev_milin_functional,
                                 log_interaction, onofri_entropy_form_gap,
@@ -86,13 +86,23 @@ def test_lift_matches_radial_for_gaussian(radial_fine, sphere_grid):
 
 
 def test_lift_parts_of_the_optimizer(sphere_grid):
-    """The lifted parts carry the quadrature error of log(1 + omega_3) at
-    the south pole; their sum H does not."""
-    h = planar_from_profile(sphere_grid, lambda x, y: (1 / np.pi) * (1 + x**2 + y**2) ** -2,
-                            (0.5, 0.5))
-    assert entropy_term(h) == pytest.approx(-LOG_PI - 2.0, abs=3e-4)
-    assert log_interaction(h) == pytest.approx(0.5, abs=3e-4)
-    assert abs(planar_free_energy(h)) <= 1e-12
+    """The lifted parts of an off-center optimizer s^-2 h(x/s - x0) match
+    their exact values -log(pi s^2) - 2 and 1/2 + log s, with the lift's
+    south-pole value taken from its callable or, without one, from the ring
+    nearest the pole."""
+    cfg = RunConfig()
+    cases = [(planar_from_profile(sphere_grid,
+                                  lambda x, y: (1 / np.pi) * (1 + x**2 + y**2) ** -2,
+                                  (0.5, 0.5)), 1.0)]
+    cases += [(realize_planar(parse_input_spec(text), cfg), s)
+              for text, s in (("optimizer:s=2,x0=(1,-1)", 2.0),
+                              ("optimizer:s=1,x0=(30,0)", 1.0))]
+    for rho, s in cases:
+        bare = PlanarDensity(SphereField(rho.lifted.grid, rho.lifted.values), rho.shift)
+        for h in (rho, bare):
+            assert entropy_term(h) == pytest.approx(-LOG_PI - 2.0 - 2.0 * np.log(s), abs=1e-6)
+            assert log_interaction(h) == pytest.approx(0.5 + np.log(s), abs=1e-6)
+            assert abs(planar_free_energy(h)) <= 1e-12
 
 
 def test_radial_interaction_consistent_with_double_sum(radial_fine):

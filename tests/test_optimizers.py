@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loghls.errors import DomainError, NormalizationError
-from loghls.fields import SphereField, gaussian_radial
+from loghls.fields import CircleField, SphereField, gaussian_radial
 from loghls.functionals import planar_free_energy
 from loghls.geometry import sphere_optimizer_values
+from loghls.grids import integrate, make_circle_grid
 from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                                SphereOptimizerParams, circle_optimizer,
                                golden_section, nearest_circle_L1,
@@ -128,11 +129,12 @@ def test_sphere_optimizer_basics(sphere_grid):
 def test_nearest_sphere_entropy_recovers_member(sphere_grid):
     n = np.array([0.0, 0.6, 0.8])
     u = sphere_optimizer(SphereOptimizerParams(0.8, tuple(n)), sphere_grid)
-    params, H, cap = nearest_sphere_entropy(u)
+    params, H, diag = nearest_sphere_entropy(u)
     assert H <= 1e-8
     assert params.t == pytest.approx(0.8, abs=1e-3)
     assert np.dot(params.axis, n) == pytest.approx(1.0, abs=1e-4)
-    assert not cap
+    assert not diag.boundary_hit
+    assert diag.evaluations > 0
 
 
 def test_nearest_sphere_entropy_constant_field(sphere_grid):
@@ -208,15 +210,41 @@ def test_recenter_stationarity_condition(sphere_grid):
         assert abs(Hp - Hm) / (2 * h) <= 1e-6
 
 
-def test_nearest_circle_recovers_poisson():
-    u = circle_optimizer(CircleOptimizerParams(0.4, 1.3))
-    params, dist, cap = nearest_circle_L1(u)
+@pytest.mark.parametrize("r", [0.0, 0.01, 0.4, 0.95])
+def test_nearest_circle_recovers_poisson(r):
+    """Every Poisson kernel is found at distance 0, including one whose
+    coarse scan is best at r = 0 (r = 0.01)."""
+    u = circle_optimizer(CircleOptimizerParams(r, 2.5))
+    params, dist, diag = nearest_circle_L1(u)
     assert dist <= 1e-8
-    assert params.r == pytest.approx(0.4, abs=1e-5)
-    assert params.alpha == pytest.approx(1.3, abs=1e-4)
-    assert not cap
+    assert not diag.boundary_hit
+    assert params.r == pytest.approx(r, abs=1e-5)
+    if r > 0.0:
+        assert params.alpha == pytest.approx(2.5, abs=1e-4)
     with pytest.raises(DomainError):
         CircleOptimizerParams(1.0)
+
+
+def test_nearest_circle_near_zero_field_oracle():
+    """A field near the uniform density, whose nearest kernel has r = 0.0104:
+    the search is no farther than a dense (r, alpha) lattice of Poisson
+    kernels.  The lattice stops at r = 0.05, since ||P_r - 1||_1 >= 0.063
+    there, so those kernels lie more than 0.063 - ||e^u - 1||_1 away."""
+    coeffs = np.zeros(65, dtype=complex)
+    coeffs[1], coeffs[2] = 0.01 * np.exp(-3j), 0.01
+    grid = make_circle_grid(512)
+    coeffs[0] = -np.log(integrate(np.exp(CircleField(coeffs).values(grid)), grid))
+    u = CircleField(coeffs)
+    params, dist, diag = nearest_circle_L1(u, grid)
+    assert not diag.boundary_hit
+    eu = np.exp(u.values(grid))
+    assert 0.063 - np.mean(np.abs(eu - 1.0)) > dist
+    cos = np.cos(grid.theta[None, :] - np.linspace(0.0, 2.0 * np.pi, 720,
+                                                   endpoint=False)[:, None])
+    oracle = min(float(np.min(np.mean(np.abs(eu - (1 - r * r) / (1 - 2 * r * cos + r * r)),
+                                      axis=1)))
+                 for r in np.linspace(0.0, 0.05, 101))
+    assert dist <= oracle + 1e-9
 
 
 def test_nearest_planar_rotation_symmetry():

@@ -26,6 +26,7 @@ def test_planar_certificate_on_manifold(radial_fine):
     assert abs(cert.value) <= 1e-6
     assert cert.distance <= 1e-4
     assert abs(cert.gap) <= 1e-6
+    assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
 
 
 def test_planar_certificate_gaussian(radial_fine):
@@ -65,6 +66,7 @@ def test_spherical_certificate_on_manifold(sphere_grid):
     assert cert.passed
     assert abs(cert.value) <= 1e-5
     assert cert.distance <= 1e-3
+    assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
 
 
 def test_onofri_certificates_on_manifold(sphere_grid):
@@ -72,6 +74,7 @@ def test_onofri_certificates_on_manifold(sphere_grid):
     for cert in onofri_stability_certificates(u):
         assert cert.passed
         assert abs(cert.gap) <= 3e-6
+        assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
 
 
 def test_onofri_certificates_perturbation(sphere_grid):
@@ -127,6 +130,7 @@ def test_circle_certificate(sphere_grid):
     cert = circle_stability_certificate(
         realize_circle(parse_input_spec("circle-poisson:r=0.5,alpha=1"), None))
     assert cert.passed and abs(cert.gap) <= 1e-10
+    assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
     pert = realize_circle(parse_input_spec("circle-cos:eps=0.3"), None)
     cert = circle_stability_certificate(pert)
     assert cert.passed and cert.gap > 0.0
