@@ -127,7 +127,7 @@ def cmd_stability(args) -> int:
         out["spherical_certificate"] = scert.to_json()
         ok = all(c.passed for c in certs) and scert.passed
     elif domain == "circle":
-        cert = circle_stability_certificate(realize_circle(spec, cfg))
+        cert = circle_stability_certificate(realize_circle(spec, cfg), cfg.circle_grid())
         out["certificate"] = cert.to_json()
         ok = cert.passed
     else:

@@ -17,6 +17,17 @@ treated implicitly (backward Euler, banded solve), the quadratic
 transport explicitly with a CFL safeguard; interior stencils are fourth
 order so the discrete steady state stays within ~1e-6 of the continuum
 profile at n = 1024.
+
+Adaptive steps sit on a ladder, 2e-3 * 2^(-k/4) for the smallest k that
+keeps the step within the CFL bound, so a run meets few distinct steps.
+The banded matrix I - dt L is factored once per rung (LAPACK gbtrf) and
+each step is one triangular solve (gbtrs) with the cached factors; only
+a step cut short to land on a sample time is factored on its own.  Each
+step computes M_x once, for its free energy and for the next step's
+transport.  The free energy includes the disc |x| < r_min in closed
+form: the inner boundary condition M = M_0 (r/r_min)^2 makes rho
+constant there, so H stays dilation invariant when the aggregate
+approaches r_min.
 """
 
 from __future__ import annotations
@@ -25,10 +36,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .entropy import xlogx
 from .errors import (DomainError, MassConservationError, NormalizationError,
@@ -59,6 +71,7 @@ __all__ = [
 ]
 
 KS_MASS = 8.0 * np.pi
+DT_CAP = 2e-3           # the largest Keller-Segel step, the top rung of the ladder
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +241,12 @@ def _jsonable(obj):
 
 @dataclass
 class KSState:
-    """Cumulative-mass state of the radial Keller-Segel flow."""
+    """Cumulative-mass state of the radial Keller-Segel flow.
+
+    ``weights`` are the trapezoid weights 2 pi r^2 dx in x, so that
+    sum(weights * rho) = int rho over r_min <= |x| <= r_max, and
+    ``inv_2pir2`` is 1 / (2 pi r^2); both depend on the grid alone.
+    """
 
     x: np.ndarray            # log-radius nodes, uniform
     r: np.ndarray
@@ -236,6 +254,14 @@ class KSState:
     time: float
     dt: float
     mass_total: float
+    weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    inv_2pir2: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.inv_2pir2 = 1.0 / (2.0 * np.pi * self.r**2)
+        self.weights = 2.0 * np.pi * self.r**2 * self.dx
+        self.weights[0] *= 0.5
+        self.weights[-1] *= 0.5
 
     @property
     def dx(self) -> float:
@@ -250,10 +276,12 @@ class KSState:
             raise MassConservationError(
                 f"KSState: M(r_max) = {self.M[-1]!r} drifted from {self.mass_total!r}")
 
-    def density(self) -> np.ndarray:
-        """rho = M_x / (2 pi r^2) with fourth-order centered differences."""
-        Mx = _dx4(self.M, self.dx)
-        return Mx / (2.0 * np.pi * self.r**2)
+    def density(self, Mx: np.ndarray | None = None) -> np.ndarray:
+        """rho = M_x / (2 pi r^2) with fourth-order centered differences;
+        ``Mx`` is M_x when the caller already has it."""
+        if Mx is None:
+            Mx = _dx4(self.M, self.dx)
+        return Mx * self.inv_2pir2
 
 
 def _dx4(M: np.ndarray, dx: float) -> np.ndarray:
@@ -299,63 +327,101 @@ def ks_initial_state(rho0: RadialDensity, n: int = 1024, r_min: float = 1e-2,
     return KSState(x=x, r=r, M=M, time=0.0, dt=0.0, mass_total=float(M[-1]))
 
 
-def _ks_linear_diagonals(r: np.ndarray, dx: float) -> dict[int, np.ndarray]:
-    """Diagonals of L = (d_xx - 2 d_x)/r^2; rows 0, 1, n-2, n-1 handled separately."""
+def _ks_minus_L_band(r: np.ndarray, dx: float) -> np.ndarray:
+    """-L = -(d_xx - 2 d_x)/r^2 in the band layout of LAPACK gbtrf with
+    kl = ku = 2: element (i, j) sits at [4 + i - j, j], and rows 0-1 are
+    room for the fill-in of the factorization.  Interior rows use fourth
+    order stencils, rows 1 and n-2 second order ones, and rows 0 and n-1
+    are left to the boundary conditions."""
     n = r.size
     inv_r2 = 1.0 / r**2
-    diags = {o: np.zeros(n) for o in (-2, -1, 0, 1, 2)}
+    band = np.zeros((7, n))
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0   # / dx^2
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0       # / dx
+    rows = np.arange(2, n - 2)
     for k, o in enumerate((-2, -1, 0, 1, 2)):
         coeff = c2[k] / dx**2 - 2.0 * c1[k] / dx
-        diags[o][2:n - 2] = coeff * inv_r2[2:n - 2]
+        band[4 - o, rows + o] = -coeff * inv_r2[rows]
     for i in (1, n - 2):
-        diags[-1][i] = (1.0 / dx**2 + 1.0 / dx) * inv_r2[i]
-        diags[0][i] = (-2.0 / dx**2) * inv_r2[i]
-        diags[1][i] = (1.0 / dx**2 - 1.0 / dx) * inv_r2[i]
-    return diags
+        for o, coeff in ((-1, 1.0 / dx**2 + 1.0 / dx), (0, -2.0 / dx**2),
+                         (1, 1.0 / dx**2 - 1.0 / dx)):
+            band[4 - o, i + o] = -coeff * inv_r2[i]
+    return band
 
 
-def _ks_banded_matrix(diags: dict[int, np.ndarray], n: int, dx: float,
-                      dt: float) -> np.ndarray:
-    """ab array for solve_banded((2, 2)) of A = I - dt L with BC rows."""
-    ab = np.zeros((5, n))
-    for o in (-2, -1, 0, 1, 2):
-        col = -dt * diags[o]
-        if o == 0:
-            col = col + 1.0
-        # element a[i, i+o] -> ab[2 - o, i + o]
-        if o >= 0:
-            ab[2 - o, o:] += col[: n - o]
-        else:
-            ab[2 - o, : n + o] += col[-o:]
+def _ks_system(minus_L: np.ndarray, step: float, dx: float) -> np.ndarray:
+    """I - step L with the boundary-condition rows, in the layout of minus_L."""
+    ab = step * minus_L
+    ab[4] += 1.0
+    n = ab.shape[1]
     # inner BC: M ~ C e^{2x} near the origin -> M_0 = e^{-2 dx} M_1
-    ab[2, 0] = 1.0
-    ab[1, 1] = -math.exp(-2.0 * dx)
-    ab[0, 2] = 0.0
+    ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, -math.exp(-2.0 * dx), 0.0
     # outer BC: M_{n-1} = total mass
-    ab[2, n - 1] = 1.0
-    ab[3, n - 2] = 0.0
-    ab[4, n - 3] = 0.0
+    ab[4, n - 1], ab[5, n - 2], ab[6, n - 3] = 1.0, 0.0, 0.0
     return ab
 
 
-def ks_free_energy(state: KSState) -> float:
+class _Factor(NamedTuple):
+    """LU factors of I - step L with the boundary rows (LAPACK gbtrf)."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    step: float
+
+
+def _factor(minus_L: np.ndarray, step: float, dx: float) -> _Factor:
+    lu, piv, info = dgbtrf(_ks_system(minus_L, step, dx), 2, 2, overwrite_ab=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"ks_evolve: I - dt L is singular at dt = {step!r} (gbtrf info {info})")
+    return _Factor(lu, piv, step)
+
+
+def solve_banded(factor: _Factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - step L) M = rhs with cached factors (LAPACK gbtrs).
+
+    The result is bit-identical to ``scipy.linalg.solve_banded`` on the
+    same matrix, whose gbsv is gbtrf followed by gbtrs.  ``ks_evolve``
+    calls this once per time step, by this module-level name: the traced
+    benchmark run (``perfbench/layers.py``) wraps it and reports its calls
+    as ``flows.ks_steps`` and its time as ``flows.ks_solve_s``.
+    """
+    x, _info = dgbtrs(factor.lu, 2, 2, rhs, factor.piv)
+    return x
+
+
+def _ladder_step(dt_cfl: float) -> tuple[int, float]:
+    """The rung k and step DT_CAP * 2^(-k/4) of the smallest k >= 0 whose
+    step is at most dt_cfl."""
+    k = max(0, math.ceil(-4.0 * math.log2(dt_cfl / DT_CAP) - 1e-9))
+    while DT_CAP * 2.0 ** (-k / 4.0) > dt_cfl:
+        k += 1
+    return k, DT_CAP * 2.0 ** (-k / 4.0)
+
+
+def ks_free_energy(state: KSState, Mx: np.ndarray | None = None) -> float:
     """H(rho(t) / mass): entropy + 2*interaction + 1 + log pi, on the flow grid.
 
     Uses trapezoid weights in x and the cumulative-mass form of the
     radial interaction (J = 2 int M f log r dr), consistent across steps
-    so the gradient-flow monotonicity is visible at the 1e-8 level.
+    so the gradient-flow monotonicity is visible at the 1e-8 level.  On
+    the disc |x| < r_min the inner boundary condition M = M_0 (r/r_min)^2
+    makes rho constant, so with f_0 = M_0 / mass the disc adds the
+    entropy f_0 log(f_0 / (pi r_min^2)) and the interaction
+    f_0^2 (log r_min - 1/4) exactly.  ``Mx`` is M_x when the caller
+    already has it.
     """
-    dx = state.dx
-    Mn = state.M / state.mass_total
-    rho = state.density() / state.mass_total
-    wq = 2.0 * np.pi * state.r**2 * dx
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-    ent = float(np.sum(wq * xlogx(np.clip(rho, 0.0, None))))
-    g = 2.0 * Mn * np.log(state.r) * _dx4(Mn, dx)
-    inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * dx)
+    if Mx is None:
+        Mx = _dx4(state.M, state.dx)
+    mass = state.mass_total
+    rho = state.density(Mx) / mass
+    ent = float(np.sum(state.weights * xlogx(np.clip(rho, 0.0, None))))
+    g = (2.0 / mass**2) * state.M * state.x * Mx          # 2 M_n log r (M_n)_x
+    inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * state.dx)
+    f0 = float(state.M[0]) / mass
+    if f0 > 0.0:
+        ent += f0 * math.log(f0 / (np.pi * float(state.r[0]) ** 2))
+    inter += f0**2 * (float(state.x[0]) - 0.25)
     return ent + 2.0 * inter + 1.0 + float(np.log(np.pi))
 
 
@@ -363,10 +429,7 @@ def ks_distance(state: KSState) -> tuple[float, float]:
     """d = inf_s || rho - mass * h_s ||_1 on the flow grid, and the argmin s."""
     from .optimizers import golden_section
     rho = state.density() / state.mass_total
-    wq = 2.0 * np.pi * state.r**2 * state.dx
-    wq = wq.copy()
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
+    wq = state.weights
     r = state.r
 
     def obj(ls: float) -> float:
@@ -384,15 +447,21 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
               mono_tol: float = 1e-10) -> tuple[FlowTrajectory, KSState]:
     """Run the critical-mass flow to time T with per-step diagnostics.
 
-    dt = None picks an adaptive step 0.5*dx/max|velocity| each step
-    (capped at 2e-3); an explicit dt is used as given but raises
-    StepSizeError the moment it violates the CFL safeguard.
+    dt = None steps on a ladder: each step is DT_CAP * 2^(-k/4) for the
+    smallest k >= 0 that keeps it within the CFL safeguard
+    0.5*dx/max|velocity|.  An explicit dt is used as given but raises
+    StepSizeError the moment it violates the CFL safeguard.  A step is
+    cut short where it would pass a sample time.  The factors of
+    I - step L are computed once per rung (once for an explicit dt) and
+    reused; a step cut short is factored on its own.
+
+    The diagnostics hold the number of ``steps`` and of
+    ``factorizations``, and ``dt_min``, the smallest step before any cut.
     """
     state = ks_initial_state(rho0, n=n, r_min=r_min, r_max=r_max)
     dx = state.dx
-    r = state.r
-    diags = _ks_linear_diagonals(r, dx)
-    inv_2pir2 = 1.0 / (2.0 * np.pi * r**2)
+    minus_L = _ks_minus_L_band(state.r, dx)
+    factors: dict[int, _Factor] = {}
 
     sample_times = np.unique(np.concatenate((
         [0.0], np.geomspace(max(T * 1e-3, 10 * (dt or 1e-3)), T, n_samples - 1))))
@@ -402,13 +471,13 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
 
     times, fes, dists, diss, merr = [], [], [], [], []
     max_fe_increase = 0.0
-    fe_prev_step = ks_free_energy(state)
+    Mx = _dx4(state.M, dx)
+    fe_prev_step = ks_free_energy(state, Mx)
     fe_prev_sample = fe_prev_step
     t_prev_sample = 0.0
     M0_end = state.M[-1]
 
-    def record(t: float):
-        fe = ks_free_energy(state)
+    def record(t: float, fe: float):
         d, _s = ks_distance(state)
         times.append(t)
         fes.append(fe)
@@ -421,45 +490,50 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
         merr.append(abs(state.M[-1] - M0_end))
         fe_prev_sample, t_prev_sample = fe, t
 
-    record(0.0)
+    record(0.0, fe_prev_step)
     next_sample = 1
     t = 0.0
-    cached_dt = -1.0
-    ab = None
+    steps = factorizations = 0
+    dt_min = math.inf
     while t < T - 1e-14:
-        vmax = float(np.max(state.M * inv_2pir2))
-        dt_cfl = cfl_safety * dx / max(vmax, 1e-12)
+        velocity = state.M * state.inv_2pir2
+        dt_cfl = cfl_safety * dx / max(float(np.max(velocity)), 1e-12)
         if dt is None:
-            step = min(2e-3, dt_cfl)
+            rung, full = _ladder_step(dt_cfl)
         else:
             if dt > dt_cfl:
                 raise StepSizeError(
                     f"ks_evolve: dt = {dt} violates the CFL safeguard "
                     f"{dt_cfl:.3e} at t = {t:.4f}")
-            step = dt
+            rung, full = 0, dt
         target = sample_times[next_sample] if next_sample < sample_times.size else T
-        step = min(step, target - t, T - t)
-        if step != cached_dt:
-            ab = _ks_banded_matrix(diags, n, dx, step)
-            cached_dt = step
-        Mx = _dx4(state.M, dx)
-        rhs = state.M + step * (state.M * Mx * inv_2pir2)
+        step = min(full, target - t, T - t)
+        factor = factors.get(rung) if step == full else None
+        if factor is None:
+            factor = _factor(minus_L, step, dx)
+            factorizations += 1
+            if step == full:
+                factors[rung] = factor
+        rhs = state.M + step * (velocity * Mx)
         rhs[0] = 0.0
         rhs[-1] = state.mass_total
-        state.M = solve_banded((2, 2), ab, rhs)
+        state.M = solve_banded(factor, rhs)
         t += step
         state.time = t
         state.dt = step
+        steps += 1
+        dt_min = min(dt_min, full)
         state.check_invariants(mono_tol)
-        fe_now = ks_free_energy(state)
+        Mx = _dx4(state.M, dx)
+        fe_now = ks_free_energy(state, Mx)
         if fe_now > fe_prev_step:
             max_fe_increase = max(max_fe_increase, fe_now - fe_prev_step)
         fe_prev_step = fe_now
         if next_sample < sample_times.size and t >= sample_times[next_sample] - 1e-14:
-            record(t)
+            record(t, fe_now)
             next_sample += 1
     if times[-1] < t:
-        record(t)
+        record(t, fe_prev_step)
 
     mass_drift = abs(state.M[-1] - M0_end)
     if mass_drift > 1e-6 * state.mass_total:
@@ -474,6 +548,7 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
             "n": n, "r_min": r_min, "r_max": r_max, "T": T,
             "dt": "adaptive" if dt is None else dt,
             "mass_total": state.mass_total,
+            "steps": steps, "factorizations": factorizations, "dt_min": dt_min,
         })
     return traj, state
 

@@ -308,8 +308,10 @@ def half_laplacian_energy(u: CircleField) -> float:
 
 
 def _circle_grid_for(u: CircleField, grid: CircleGrid | None = None) -> CircleGrid:
-    """``grid``, or else the circle grid that resolves u: 512 points or 4 per mode."""
-    return grid if grid is not None else make_circle_grid(max(512, 4 * max(u.kmax, 1)))
+    """``grid`` when it has at least 4 points per mode of u, or else the
+    circle grid that resolves u: 512 points or 4 per mode."""
+    need = 4 * max(u.kmax, 1)
+    return grid if grid is not None and grid.n >= need else make_circle_grid(max(512, need))
 
 
 def lebedev_milin_functional(u: CircleField, grid: CircleGrid | None = None) -> float:

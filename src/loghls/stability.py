@@ -23,7 +23,7 @@ from .fields import CircleField, PlanarDensity, RadialDensity, SphereField
 from .functionals import (_circle_grid_for, dirichlet_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report, spherical_free_energy)
-from .grids import integrate
+from .grids import CircleGrid, integrate
 from .optimizers import (nearest_circle_L1, nearest_planar_L1, nearest_sphere_L1,
                          nearest_sphere_gradient, nearest_sphere_reverse_entropy)
 
@@ -174,9 +174,11 @@ def constrained_onofri_gap(u: SphereField, bary_tol: float = 1e-8) -> float:
 # circle certificate
 # ----------------------------------------------------------------------
 
-def circle_stability_certificate(u: CircleField) -> StabilityCertificate:
-    """LM(u) >= (1/4) inf ||e^u - e^v||_1^2 over normalized Poisson kernels."""
-    grid = _circle_grid_for(u)
+def circle_stability_certificate(u: CircleField,
+                                 grid: CircleGrid | None = None) -> StabilityCertificate:
+    """LM(u) >= (1/4) inf ||e^u - e^v||_1^2 over normalized Poisson kernels,
+    on ``grid`` or else the circle grid that resolves u."""
+    grid = _circle_grid_for(u, grid)
     m = integrate(np.exp(u.values(grid)), grid)
     if abs(m - 1.0) > 1e-6:
         raise PreconditionError(

@@ -62,6 +62,18 @@ def test_stability_circle(capsys):
     assert json.loads(out)["certificate"]["distance"] <= 1e-8
 
 
+def test_stability_circle_uses_config_grid(tmp_path, capsys):
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("circle_n = 2048\n")
+    code, out, _ = run_cli(capsys, "stability", "circle-cos:eps=0.3", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["certificate"]["grid"] == "circle n=2048"
+    # a grid with fewer than 4 points per mode gives way to one that has them
+    code, out, _ = run_cli(capsys, "stability", "circle-poisson:r=0.8,alpha=0.9")
+    assert code == 0
+    assert json.loads(out)["certificate"]["grid"] == "circle n=720"
+
+
 def test_onofri_command(capsys):
     code, out, _ = run_cli(capsys, "onofri", "sphere-optimizer:t=1,n=(0,0,1)")
     assert code == 0

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded as scipy_solve_banded
+
+from loghls import flows
 
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
                            StepSizeError)
@@ -111,6 +114,10 @@ def gauss8pi(grid):
     return radial_from_profile(grid, lambda r: 4.0 * np.exp(-r**2 / 2.0))
 
 
+def h8pi_scaled(grid, s):
+    return radial_from_profile(grid, lambda r: 8.0 / s**2 * (1.0 + (r / s)**2) ** -2)
+
+
 def test_ks_mass_precondition(ks_grid):
     bad = radial_from_profile(ks_grid, lambda r: np.exp(-r**2 / 2.0) / (2 * np.pi))
     with pytest.raises(NormalizationError):
@@ -124,6 +131,85 @@ def test_ks_initial_state_matches_closed_form(ks_grid):
     st.check_invariants()
 
 
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.3, 1.0])
+def test_ks_free_energy_dilation_invariant(ks_grid, s):
+    """H(8 pi h_s) = 0 for every s.  At s = 0.05 the disc |x| < r_min
+    holds 2e-2 of the mass; leaving it out made H = -0.17."""
+    st = ks_initial_state(h8pi_scaled(ks_grid, s))
+    assert abs(ks_free_energy(st)) <= 1e-5
+
+
+def test_ks_free_energy_gaussian_closed_form(ks_grid):
+    st = ks_initial_state(gauss8pi(ks_grid))
+    assert ks_free_energy(st) == pytest.approx(np.log(2.0) - np.euler_gamma, abs=1e-7)
+    # a derivative handed in is the one computed inside
+    assert ks_free_energy(st, flows._dx4(st.M, st.dx)) == ks_free_energy(st)
+
+
+@pytest.mark.parametrize("step", [flows.DT_CAP, flows.DT_CAP * 2.0 ** (-5 / 4), 1.234e-4],
+                         ids=["cap", "rung 5", "cut short"])
+def test_ks_cached_factor_solve_is_solve_banded(step):
+    """gbtrf once, then gbtrs per step, is scipy's gbsv bit for bit."""
+    n = 1024
+    x = np.linspace(np.log(1e-2), np.log(1e3), n)
+    dx = float(x[1] - x[0])
+    minus_L = flows._ks_minus_L_band(np.exp(x), dx)
+    factor = flows._factor(minus_L, step, dx)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        rhs = rng.uniform(0.0, KS_MASS, n)
+        ref = scipy_solve_banded((2, 2), flows._ks_system(minus_L, step, dx)[2:], rhs)
+        assert np.array_equal(flows.solve_banded(factor, rhs), ref)
+
+
+def test_ks_minus_L_band_annihilates_steady_state():
+    """The band holds -(d_xx - 2 d_x)/r^2 in gbtrf's layout: on the steady
+    state M = 8 pi r^2/(1 + r^2), L M balances the transport M M_x/(2 pi r^2)."""
+    n = 1024
+    x = np.linspace(np.log(1e-2), np.log(1e3), n)
+    r, dx = np.exp(x), float(x[1] - x[0])
+    band = flows._ks_minus_L_band(r, dx)
+    M = KS_MASS * r**2 / (1.0 + r**2)
+    LM = np.zeros(n)
+    for o in (-2, -1, 0, 1, 2):
+        i = np.arange(max(0, -o), min(n, n - o))
+        LM[i] -= band[4 - o, i + o] * M[i + o]
+    Mx = KS_MASS * 2.0 * r**2 / (1.0 + r**2) ** 2
+    residual = (LM + M * Mx / (2.0 * np.pi * r**2))[1:-1]
+    assert np.max(np.abs(residual * r[1:-1] ** 2)) <= 1e-5
+
+
+def test_ks_adaptive_steps_keep_cfl(ks_grid, monkeypatch):
+    """Every step of a CFL-limited Gaussian run is at most 0.5 dx / max|v| of
+    the state it starts from, and a full step is the largest rung that is."""
+    vmax, steps = [], []
+    real_fe, real_solve = flows.ks_free_energy, flows.solve_banded
+
+    def fe(state, Mx=None):
+        vmax.append(float(np.max(state.M * state.inv_2pir2)))
+        return real_fe(state, Mx)
+
+    def solve(factor, rhs):
+        steps.append(factor.step)
+        return real_solve(factor, rhs)
+
+    monkeypatch.setattr(flows, "ks_free_energy", fe)
+    monkeypatch.setattr(flows, "solve_banded", solve)
+    sharp = radial_from_profile(ks_grid, lambda r: 16.0 * np.exp(-2.0 * r**2))
+    traj, state = ks_evolve(sharp, T=0.5, n=512, n_samples=8)
+    assert len(steps) == traj.diagnostics["steps"] and len(vmax) == len(steps) + 1
+    cfl = 0.5 * state.dx / np.asarray(vmax[:-1])
+    steps = np.asarray(steps)
+    assert np.all(steps <= cfl)
+    k = np.round(-4.0 * np.log2(steps / flows.DT_CAP))
+    full = np.isclose(steps, flows.DT_CAP * 2.0 ** (-k / 4.0), rtol=1e-14, atol=0.0)
+    assert np.sum(full) >= 0.9 * steps.size and np.any(k[full] > 0)
+    above = flows.DT_CAP * 2.0 ** (-(k - 1) / 4.0)
+    assert np.all((k[full] == 0) | (above[full] > cfl[full]))
+    assert traj.diagnostics["dt_min"] == np.min(steps[full])
+    assert traj.diagnostics["factorizations"] < 0.1 * steps.size
+
+
 def test_ks_stationary_short(ks_grid):
     traj, state = ks_evolve(h8pi(ks_grid), T=1.0, n=512, n_samples=8)
     rho_eq = 8.0 * (1.0 + state.r**2) ** -2
@@ -134,6 +220,10 @@ def test_ks_stationary_short(ks_grid):
     assert drift <= 1e-4
     assert traj.diagnostics["max_free_energy_increase_per_step"] <= 1e-8
     assert np.max(traj.mass_error) == 0.0
+    # at the step cap: one factor for full steps, one per step cut at a sample
+    diag = traj.diagnostics
+    assert diag["dt_min"] == flows.DT_CAP
+    assert diag["steps"] >= 1.0 / flows.DT_CAP and diag["factorizations"] <= 8
 
 
 def test_ks_gaussian_short(ks_grid):
@@ -159,6 +249,12 @@ def test_ks_refinement_consistency(ks_grid):
 def test_ks_explicit_dt_cfl_error(ks_grid):
     with pytest.raises(StepSizeError):
         ks_evolve(h8pi(ks_grid), dt=1.0, T=2.0, n=512)
+    traj, _ = ks_evolve(h8pi(ks_grid), dt=1e-3, T=0.1, n=512, n_samples=4)
+    assert traj.diagnostics["dt_min"] == 1e-3
+    # 0.1 / dt full steps, one of them split at the sample time 10^-1.5;
+    # one factor for dt and at most one per step cut short at a sample
+    assert traj.diagnostics["steps"] == 101
+    assert traj.diagnostics["factorizations"] <= 1 + 4
 
 
 def test_ks_distance_helper(ks_grid):
