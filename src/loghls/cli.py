@@ -64,7 +64,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

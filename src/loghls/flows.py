@@ -211,27 +211,31 @@ class FlowTrajectory:
                 w.writerow([repr(float(v)) for v in row])
 
     def to_json(self) -> dict:
-        return {
-            "t": [float(v) for v in self.times],
-            "free_energy": [float(v) for v in self.free_energy],
-            "distance_L1": [float(v) for v in self.distance_L1],
-            "dissipation": [float(v) for v in self.dissipation],
-            "mass_error": [float(v) for v in self.mass_error],
-            "diagnostics": _jsonable(self.diagnostics),
-        }
+        return _jsonable({
+            "t": self.times,
+            "free_energy": self.free_energy,
+            "distance_L1": self.distance_L1,
+            "dissipation": self.dissipation,
+            "mass_error": self.mass_error,
+            "diagnostics": self.diagnostics,
+        })
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
+            json.dump(self.to_json(), fh, indent=1, sort_keys=True, allow_nan=False)
 
 
 def _jsonable(obj):
+    """``obj`` with numpy values as Python ones and every non-finite float
+    as None, which strict JSON writes as null."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_,)):

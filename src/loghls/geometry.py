@@ -197,15 +197,14 @@ def _spline_profile(rho: RadialDensity) -> Callable:
 def sphere_optimizer_values(t: float, n: np.ndarray, points: np.ndarray) -> np.ndarray:
     """u_{t,n}(omega) = -2 log(cosh t + sinh t n.omega) at the given points."""
     n = np.asarray(n, dtype=float)
-    zdot = np.tensordot(points, n, axes=([-1], [0]))
-    return -2.0 * np.log(np.cosh(t) + np.sinh(t) * zdot)
+    return -2.0 * np.log(np.cosh(t) + np.sinh(t) * (points @ n))
 
 
 def _mobius_map(points: np.ndarray, t: float, n: np.ndarray) -> np.ndarray:
     """Conformal dilation along axis n: z -> (z cosh t + sinh t)/(cosh t + z sinh t),
     tangential direction preserved."""
     n = np.asarray(n, dtype=float)
-    z = np.tensordot(points, n, axes=([-1], [0]))
+    z = points @ n
     c, s = np.cosh(t), np.sinh(t)
     zp = (z * c + s) / (c + z * s)
     tang = points - z[..., None] * n

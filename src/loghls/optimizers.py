@@ -10,6 +10,13 @@ and one coarse-scan + Nelder-Mead search over v = t n in R^3 or R^2 for
 the sphere and circle families.  Off-center planar densities are
 searched on the sphere through their lift, where the planar family is
 e^{u_{t,n}}.
+
+A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
+q = cosh t + sinh t n.w (no exp; the two entropy forms take one log
+for u_{t,n} = -2 log q), written into two buffers built once per
+search.  Its scan reads every 4th azimuth column of the grid (128 x 64
+points on the default grid) and only picks Nelder-Mead's start;
+Nelder-Mead and the returned value use the full grid.
 """
 
 from __future__ import annotations
@@ -164,10 +171,17 @@ def golden_section(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, fl
 @dataclass
 class SearchDiagnostics:
     """Objective evaluations of a search, and whether its optimum lies on
-    the boundary of the parameter box."""
+    the boundary of the parameter box.
+
+    ``evaluations`` counts every evaluation; ``scan_evaluations`` those of
+    the coarse scan and ``iterations`` the Nelder-Mead iterations of a
+    manifold search (both 0 for the radial golden-section search).
+    """
 
     evaluations: int = 0
     boundary_hit: bool = False
+    iterations: int = 0
+    scan_evaluations: int = 0
 
 
 def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
@@ -227,37 +241,46 @@ _CIRCLE_DIRS = np.stack([np.cos(np.pi * np.arange(16) / 8.0),
 _CIRCLE_T_MAX = 2.0 * math.atanh(1.0 - 1e-6)    # caps r = tanh(t/2) at 1 - 1e-6
 
 
-def _manifold_minimize(fun, dirs: np.ndarray, t_max: float):
+def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
     """Minimize fun(t, n) over [0, t_max] x S^{d-1}: coarse scan + Nelder-Mead.
 
     ``dirs`` holds the scan's unit axes in R^d.  The scan evaluates t = 0
     once (every axis names the same point there), then each t of
-    _COARSE_T on every axis.  Nelder-Mead refines over v = t n in R^d with
-    t = |v| capped at t_max: the family is smooth in v through v = 0, so a
-    search that starts at t = 0 can leave it along any axis.
+    _COARSE_T on every axis.  It evaluates ``scan`` when given (a cheaper
+    objective that only has to pick the start) and ``fun`` otherwise; a
+    start picked by ``scan`` is evaluated again by ``fun`` before it is
+    compared with Nelder-Mead's result.  Nelder-Mead refines ``fun`` over
+    v = t n in R^d with t = |v| capped at t_max: the family is smooth in
+    v through v = 0, so a search that starts at t = 0 can leave it along
+    any axis.
 
     Returns (value, t, n, diagnostics); the boundary is t = t_max.
     """
     d = dirs.shape[1]
     pole = np.eye(d)[-1]
     diag = SearchDiagnostics()
+    scan = fun if scan is None else scan
 
-    def at(v: np.ndarray) -> float:
+    def at(v: np.ndarray, f=fun) -> float:
         diag.evaluations += 1
         t = float(np.linalg.norm(v))
-        return fun(0.0, pole) if t == 0.0 else fun(min(t, t_max), v / t)
+        return f(0.0, pole) if t == 0.0 else f(min(t, t_max), v / t)
 
     best_v = np.zeros(d)
-    best = at(best_v)
+    best = at(best_v, scan)
     for t in _COARSE_T:
         for n in dirs:
-            val = at(t * n)
+            val = at(t * n, scan)
             if val < best:
                 best, best_v = val, t * n
+    diag.scan_evaluations = diag.evaluations
+    if scan is not fun:
+        best = at(best_v)
     simplex = best_v + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
     res = minimize(at, best_v, method="Nelder-Mead",
                    options={"initial_simplex": simplex, "xatol": 1e-9,
                             "fatol": 1e-14, "maxiter": 2000})
+    diag.iterations = int(res.nit)
     if res.fun <= best:
         best, best_v = float(res.fun), res.x
     t = float(np.linalg.norm(best_v))
@@ -265,9 +288,74 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float):
     return float(best), min(t, t_max), (best_v / t if t > 0.0 else pole), diag
 
 
-def _sphere_search(fun):
-    """Search the sphere family: (params, value, diagnostics)."""
-    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP)
+class _SphereFamily:
+    """The family e^{u_{t,n}} = q^-2, q = cosh t + sinh t n.w, at every
+    ``step``-th azimuth column of a sphere grid.
+
+    Every evaluation writes into the same two grid-sized buffers, so an
+    objective allocates no temporaries.  Integrals are row sums dotted
+    with the Gauss row weights, an order fixed by the grid alone.
+    """
+
+    def __init__(self, grid: SphereGrid, step: int = 1):
+        self.step = step
+        pts = self.columns(grid.points())
+        self.points = pts.reshape(-1, 3)
+        self.row_weights = grid.w_z / (2.0 * pts.shape[1])
+        self.q = np.empty(pts.shape[:2])
+        self.work = np.empty(pts.shape[:2])
+
+    def columns(self, values: np.ndarray) -> np.ndarray:
+        """Grid values at this family's columns, as a contiguous array."""
+        return np.ascontiguousarray(values[:, ::self.step])
+
+    def base(self, t: float, n: np.ndarray) -> np.ndarray:
+        """q = cosh t + sinh t n.w, in the first buffer."""
+        np.matmul(self.points, n, out=self.q.reshape(-1))
+        self.q *= np.sinh(t)
+        self.q += np.cosh(t)
+        return self.q
+
+    def density(self, t: float, n: np.ndarray) -> np.ndarray:
+        """e^{u_{t,n}} = q^-2, in the first buffer."""
+        q = self.base(t, n)
+        np.square(q, out=q)
+        return np.reciprocal(q, out=q)
+
+    def optimizer(self, t: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u_{t,n}, e^{u_{t,n}}) = (-2 log q, q^-2), in the second and first buffers."""
+        q = self.base(t, n)
+        u = np.log(q, out=self.work)
+        u *= -2.0
+        np.square(q, out=q)
+        return u, np.reciprocal(q, out=q)
+
+    def integrate(self, values: np.ndarray) -> float:
+        return float(values.sum(axis=1) @ self.row_weights)
+
+
+_SCAN_STEP = 4
+
+
+def _scan_step(grid: SphereGrid) -> int:
+    """Azimuth stride of the sphere scan: 4 on grids of at least 128
+    columns in a multiple of 4, where the scan grid stays exact for
+    azimuthal modes below n_phi / 4 >= 32; the full grid otherwise."""
+    fits = grid.n_phi % _SCAN_STEP == 0 and grid.n_phi >= 128
+    return _SCAN_STEP if fits else 1
+
+
+def _sphere_search(objective, grid: SphereGrid, *args):
+    """Search the sphere family: (params, value, diagnostics).
+
+    ``objective(family, *args)`` returns fun(t, n) on a _SphereFamily.
+    The scan runs it on every _scan_step(grid)-th azimuth column;
+    Nelder-Mead and the returned value use the full grid.
+    """
+    fun = objective(_SphereFamily(grid), *args)
+    step = _scan_step(grid)
+    scan = objective(_SphereFamily(grid, step), *args) if step > 1 else None
+    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, scan)
     return SphereOptimizerParams(t, tuple(n)), val, diag
 
 
@@ -278,18 +366,40 @@ def _check_normalized_exp(u: SphereField, tol: float = 1e-6, who: str = "search"
             f"{who}: int e^u dsigma = {m!r}, expected 1 within {tol}")
 
 
+def _entropy_objective(fam: _SphereFamily, u: np.ndarray):
+    """H(e^u | e^{u_{t,n}}) = int e^u u + 2 int e^u log q."""
+    u = fam.columns(u)
+    eu = np.exp(u)
+    base = fam.integrate(eu * u)
+
+    def fun(t, n):
+        q = fam.base(t, n)
+        logq = np.log(q, out=q)
+        logq *= eu
+        return base + 2.0 * fam.integrate(logq)
+
+    return fun
+
+
 def nearest_sphere_entropy(u: SphereField):
     """Minimize H(e^u | e^{u_{t,n}}) = int e^u (u - u_{t,n}) dsigma."""
     _check_normalized_exp(u, who="nearest_sphere_entropy")
-    g = u.grid
-    w = g.weights * np.exp(u.values)
-    pts = g.points()
-    base = float(np.sum(w * u.values))
+    return _sphere_search(_entropy_objective, u.grid, u.values)
+
+
+def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float, ubar: float):
+    """E(u - u_{t,n}) by the cross-term identity of nearest_sphere_gradient."""
+    u = fam.columns(u)
 
     def fun(t, n):
-        return base - float(np.sum(w * sphere_optimizer_values(t, n, pts)))
+        if t < 1e-14:
+            return Eu
+        Ev = 8.0 * t / math.tanh(t) - 8.0
+        ev = fam.density(t, n)
+        ev *= u
+        return Eu + Ev - 4.0 * fam.integrate(ev) + 4.0 * ubar
 
-    return _sphere_search(fun)
+    return fun
 
 
 def nearest_sphere_gradient(u: SphereField):
@@ -299,23 +409,22 @@ def nearest_sphere_gradient(u: SphereField):
     by plain quadrature:
         E(u - v) = E(u) + E(v) - 4 int u e^v dsigma + 4 int u dsigma.
     """
-    g = u.grid
-    Eu = dirichlet_energy(u)
-    w = g.weights
-    pts = g.points()
-    ubar = u.mean()
-    uvals = u.values
+    params, val, diag = _sphere_search(_gradient_objective, u.grid, u.values,
+                                       dirichlet_energy(u), u.mean())
+    return params, max(val, 0.0), diag
+
+
+def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
+    """H(e^{u_{t,n}} | e^u) = int e^{u_{t,n}} (u_{t,n} - u)."""
+    u = fam.columns(u)
 
     def fun(t, n):
-        if t < 1e-14:
-            return Eu
-        Ev = 8.0 * t / math.tanh(t) - 8.0
-        ev = np.exp(sphere_optimizer_values(t, n, pts))
-        cross = float(np.sum(w * uvals * ev))
-        return Eu + Ev - 4.0 * cross + 4.0 * ubar
+        v, ev = fam.optimizer(t, n)
+        v -= u
+        v *= ev
+        return fam.integrate(v)
 
-    params, val, diag = _sphere_search(fun)
-    return params, max(val, 0.0), diag
+    return fun
 
 
 def nearest_sphere_reverse_entropy(u: SphereField):
@@ -325,28 +434,24 @@ def nearest_sphere_reverse_entropy(u: SphereField):
     note it differs from :func:`nearest_sphere_entropy`.
     """
     _check_normalized_exp(u, who="nearest_sphere_reverse_entropy")
-    g = u.grid
-    w = g.weights
-    pts = g.points()
-    uvals = u.values
+    return _sphere_search(_reverse_entropy_objective, u.grid, u.values)
+
+
+def _l1_objective(fam: _SphereFamily, f_plus_1: np.ndarray):
+    """||(f+1) - e^{u_{t,n}}||_1."""
+    f = fam.columns(f_plus_1)
 
     def fun(t, n):
-        v = sphere_optimizer_values(t, n, pts)
-        return float(np.sum(w * np.exp(v) * (v - uvals)))
+        ev = fam.density(t, n)
+        np.subtract(f, ev, out=ev)
+        return fam.integrate(np.abs(ev, out=ev))
 
-    return _sphere_search(fun)
+    return fun
 
 
 def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid):
     """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold."""
-    w = grid.weights
-    pts = grid.points()
-
-    def fun(t, n):
-        ev = np.exp(sphere_optimizer_values(t, n, pts))
-        return float(np.sum(w * np.abs(f_plus_1 - ev)))
-
-    return _sphere_search(fun)
+    return _sphere_search(_l1_objective, grid, f_plus_1)
 
 
 def nearest_circle_L1(u: CircleField, grid: CircleGrid | None = None):

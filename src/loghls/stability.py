@@ -83,6 +83,7 @@ def _certificate(name: str, value: float, constant: float, distance: float,
 def _search(params, diag) -> dict:
     """A certificate's ``search`` record: the optimizer and its diagnostics."""
     return {**asdict(params), "evaluations": diag.evaluations,
+            "scan_evaluations": diag.scan_evaluations, "iterations": diag.iterations,
             "boundary_hit": diag.boundary_hit}
 
 

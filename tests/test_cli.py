@@ -42,6 +42,17 @@ def test_eval_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_stability_sphere_deterministic_output(capsys):
+    spec = "band-limited-random:seed=7,L=6,amplitude=0.25"
+    code, out1, _ = run_cli(capsys, "stability", spec)
+    assert code == 0
+    _, out2, _ = run_cli(capsys, "stability", spec)
+    assert out1 == out2
+    search = json.loads(out1)["onofri_certificates"][0]["search"]
+    assert search["scan_evaluations"] == 273
+    assert search["evaluations"] > search["scan_evaluations"] and search["iterations"] > 0
+
+
 def test_stability_planar(capsys):
     code, out, _ = run_cli(capsys, "stability", "gaussian:sigma=1")
     assert code == 0
@@ -105,6 +116,21 @@ def test_ks_command(tmp_path, capsys):
     assert csv.exists()
     code, _, err = run_cli(capsys, "ks", "optimizer:s=1")
     assert code == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_ks_undefined_rate_fit_is_strict_json(capsys):
+    """A rate fit that is undefined on a short run prints its slopes as
+    null, never as a bare NaN."""
+    code, out, _ = run_cli(capsys, "ks", "8pi*optimizer:s=2", "--T", "0.5")
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    fit = data["rate_fit"]
+    assert fit["defined"] is False
+    assert fit["slope_free_energy"] is None and fit["slope_distance"] is None
 
 
 def test_duality_demo_command(capsys):

@@ -4,14 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from loghls.errors import DomainError, NormalizationError
 from loghls.fields import CircleField, SphereField, gaussian_radial
-from loghls.functionals import planar_free_energy
-from loghls.geometry import sphere_optimizer_values
-from loghls.grids import integrate, make_circle_grid
-from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
-                               SphereOptimizerParams, circle_optimizer,
+from loghls.functionals import dirichlet_energy, planar_free_energy
+from loghls.geometry import T_CAP, sphere_optimizer_values
+from loghls.grids import integrate, make_circle_grid, make_sphere_grid
+from loghls.optimizers import (_SPHERE_DIRS, CircleOptimizerParams, PlanarOptimizerParams,
+                               SphereOptimizerParams, _entropy_objective,
+                               _gradient_objective, _l1_objective, _manifold_minimize,
+                               _reverse_entropy_objective, _SphereFamily, circle_optimizer,
                                golden_section, nearest_circle_L1,
                                nearest_planar_L1, nearest_sphere_entropy,
-                               planar_optimizer, recenter, sphere_optimizer)
+                               nearest_sphere_gradient, nearest_sphere_L1,
+                               nearest_sphere_reverse_entropy, planar_optimizer,
+                               recenter, sphere_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 from loghls.stability import onofri_stability_certificates, pass_tolerance
 
@@ -135,6 +139,7 @@ def test_nearest_sphere_entropy_recovers_member(sphere_grid):
     assert np.dot(params.axis, n) == pytest.approx(1.0, abs=1e-4)
     assert not diag.boundary_hit
     assert diag.evaluations > 0
+    assert diag.scan_evaluations == 1 + 8 * 34 and diag.iterations > 0
 
 
 def test_nearest_sphere_entropy_constant_field(sphere_grid):
@@ -218,6 +223,7 @@ def test_nearest_circle_recovers_poisson(r):
     params, dist, diag = nearest_circle_L1(u)
     assert dist <= 1e-8
     assert not diag.boundary_hit
+    assert diag.scan_evaluations == 1 + 8 * 16 and diag.iterations > 0
     assert params.r == pytest.approx(r, abs=1e-5)
     if r > 0.0:
         assert params.alpha == pytest.approx(2.5, abs=1e-4)
@@ -283,3 +289,86 @@ def test_sphere_search_leaves_t_zero(spec, distance):
     rec = onofri_stability_certificates(recenter(u).field)
     for c, r in zip((grad, entropy, l1), rec):
         assert c.distance == pytest.approx(r.distance, rel=1e-4)
+
+
+def _objectives(u: SphereField):
+    """(search, objective builder, its arguments) for each sphere search."""
+    eu = np.exp(u.values)
+    return [
+        (nearest_sphere_entropy, (u,), _entropy_objective, (u.values,)),
+        (nearest_sphere_gradient, (u,), _gradient_objective,
+         (u.values, dirichlet_energy(u), u.mean())),
+        (nearest_sphere_reverse_entropy, (u,), _reverse_entropy_objective, (u.values,)),
+        (nearest_sphere_L1, (eu, u.grid), _l1_objective, (eu,)),
+    ]
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 3.0, 15.0])
+def test_sphere_objectives_match_closed_forms(t):
+    """Each in-place objective agrees with its closed form through
+    sphere_optimizer_values, np.exp and np.sum, on both poles and three
+    other axes."""
+    u = realize_sphere(parse_input_spec("band-limited-random:seed=3,L=5,amplitude=0.3"), CFG)
+    g, uv = u.grid, u.values
+    w, pts, eu = g.weights, g.points(), np.exp(u.values)
+    Eu = dirichlet_energy(u)
+    fam = _SphereFamily(g)
+    entropy, gradient, reverse, l1 = (objective(fam, *args)
+                                      for _, _, objective, args in _objectives(u))
+    for n in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+              [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.48, 0.64, -0.6]):
+        n = np.array(n)
+        v = sphere_optimizer_values(t, n, pts)
+        ev = np.exp(v)
+        grad = Eu if t == 0.0 else (Eu + 8.0 * t / np.tanh(t) - 8.0
+                                    - 4.0 * np.sum(w * uv * ev) + 4.0 * u.mean())
+        for fun, closed in ((entropy, np.sum(w * eu * (uv - v))),
+                            (gradient, grad),
+                            (reverse, np.sum(w * ev * (v - uv))),
+                            (l1, np.sum(w * np.abs(eu - ev)))):
+            assert fun(t, n) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["band-limited-random:seed=21,L=3,amplitude=0.1",
+                                  "band-limited-random:seed=2,L=5,amplitude=0.25"])
+def test_coarse_scan_matches_full_grid_scan(spec):
+    """The scan on every 4th azimuth column picks a start from which
+    every search reaches the optimum that a full-grid scan reaches."""
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    for search, search_args, objective, args in _objectives(u):
+        params, val, diag = search(*search_args)
+        full = objective(_SphereFamily(u.grid), *args)
+        ref, t, _, ref_diag = _manifold_minimize(full, _SPHERE_DIRS, T_CAP, scan=full)
+        assert val == pytest.approx(max(ref, 0.0), rel=1e-10)
+        assert params.t == pytest.approx(t, abs=1e-6)
+        assert diag.scan_evaluations == ref_diag.scan_evaluations == 1 + 8 * 34
+
+
+def _small_grid_target():
+    g = make_sphere_grid(16, 32)
+    f = np.exp(sphere_optimizer_values(0.7, np.array([0.6, 0.0, 0.8]), g.points()))
+    return g, 0.5 * (f + 1.0)
+
+
+def test_small_grid_scans_on_full_grid():
+    """A 16x32 grid has no coarse scan: the search is the full-grid
+    search, evaluation for evaluation."""
+    g, f = _small_grid_target()
+    params, val, diag = nearest_sphere_L1(f, g)
+    ref, t, n, ref_diag = _manifold_minimize(_l1_objective(_SphereFamily(g), f),
+                                             _SPHERE_DIRS, T_CAP)
+    assert (val, params.t, params.n) == (ref, t, tuple(n))
+    assert diag == ref_diag
+
+
+def test_scan_only_picks_the_start():
+    """A scan that reads 1 below the objective picks the same start; the
+    start is evaluated again, and the search returns the objective's own
+    minimum."""
+    g, f = _small_grid_target()
+    fun = _l1_objective(_SphereFamily(g), f)
+    ref = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP)
+    low = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, scan=lambda t, n: fun(t, n) - 1.0)
+    assert low[:2] == ref[:2]
+    assert low[3].evaluations == ref[3].evaluations + 1
+    assert low[3].scan_evaluations == ref[3].scan_evaluations
