@@ -2,8 +2,8 @@
 
 A field carries its grid, its point values, and (when available) an
 exact callable so that conformal changes of variables never have to
-interpolate.  Axisymmetric sphere fields additionally carry plain
-Legendre coefficients.
+interpolate.  A sphere field is expanded by its grid's one
+``SphereTransform``; zonal fields take its m = 0 shortcut.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NormalizationError
 from .grids import CircleGrid, RadialGrid, SphereGrid, integrate
-from .sht import SphereTransform, legendre_analyze, legendre_synthesize
+from .sht import SphereTransform
+from .sht import legendre_analyze  # noqa: F401  perfbench wraps this name here until ROADMAP 3(b)
 
 __all__ = [
     "RadialDensity",
@@ -126,14 +127,16 @@ def gaussian_radial(grid: RadialGrid, sigma: float = 1.0) -> RadialDensity:
 
 @dataclass(eq=False)
 class SphereField:
-    """Real function on S^2: grid values, optional exact callable,
-    optional plain Legendre coefficients for axisymmetric fields."""
+    """Real function on S^2: grid values and an optional exact callable.
+
+    ``axisymmetric`` marks a field that depends on omega_3 alone; only the
+    independent zonal cross-check reads it.
+    """
 
     grid: SphereGrid
     values: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     axisymmetric: bool = False
-    leg_coeffs: np.ndarray | None = None
     _coeffs: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -141,36 +144,17 @@ class SphereField:
         if self.values.shape != self.grid.shape:
             raise DimensionMismatchError(
                 f"SphereField: {self.values.shape} values on {self.grid.shape} grid")
-        if self.leg_coeffs is not None:
-            recon = legendre_synthesize(self.leg_coeffs, self.grid.z)
-            err = np.max(np.abs(recon[:, None] - self.values))
-            if err > 1e-8 * max(1.0, np.max(np.abs(self.values))):
-                raise DomainError(
-                    f"SphereField: Legendre coefficients reproduce grid values only to {err:.2e}")
 
     # constructors -----------------------------------------------------
     @classmethod
-    def from_fn(cls, grid: SphereGrid, fn: Callable, axisymmetric: bool = False,
-                lmax_axi: int = 256) -> "SphereField":
-        values = fn(grid.points())
-        leg = None
-        if axisymmetric:
-            leg = legendre_analyze(values[:, 0], grid, min(lmax_axi, grid.n_z - 1))
-        return cls(grid, values, fn=fn, axisymmetric=axisymmetric, leg_coeffs=leg)
+    def from_fn(cls, grid: SphereGrid, fn: Callable,
+                axisymmetric: bool = False) -> "SphereField":
+        return cls(grid, fn(grid.points()), fn=fn, axisymmetric=axisymmetric)
 
     @classmethod
-    def from_zonal(cls, grid: SphereGrid, zfn: Callable, lmax_axi: int = 256) -> "SphereField":
+    def from_zonal(cls, grid: SphereGrid, zfn: Callable) -> "SphereField":
         """Axisymmetric field u(omega) = zfn(omega_3)."""
-        return cls.from_fn(grid, lambda p: zfn(p[..., 2]), axisymmetric=True,
-                           lmax_axi=lmax_axi)
-
-    @classmethod
-    def from_legendre(cls, grid: SphereGrid, coeffs: np.ndarray) -> "SphereField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        vals_z = legendre_synthesize(coeffs, grid.z)
-        values = np.repeat(vals_z[:, None], grid.n_phi, axis=1)
-        fn = lambda p, _c=coeffs: legendre_synthesize(_c, p[..., 2])
-        return cls(grid, values, fn=fn, axisymmetric=True, leg_coeffs=coeffs)
+        return cls.from_fn(grid, lambda p: zfn(p[..., 2]), axisymmetric=True)
 
     # evaluation -------------------------------------------------------
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -183,8 +167,6 @@ class SphereField:
         points = np.asarray(points, dtype=float)
         if self.fn is not None:
             return self.fn(points)
-        if self.axisymmetric and self.leg_coeffs is not None:
-            return legendre_synthesize(self.leg_coeffs, points[..., 2])
         tr = get_transform(self.grid)
         c, s = self.coeffs()
         z = np.clip(points[..., 2], -1.0, 1.0)
@@ -217,12 +199,8 @@ class SphereField:
         if self.fn is not None:
             f = self.fn
             fn = lambda p, _f=f, _c=c: _f(p) + _c
-        leg = None
-        if self.leg_coeffs is not None:
-            leg = self.leg_coeffs.copy()
-            leg[0] += c
         return SphereField(self.grid, self.values + c, fn=fn,
-                           axisymmetric=self.axisymmetric, leg_coeffs=leg)
+                           axisymmetric=self.axisymmetric)
 
 
 @dataclass(eq=False)

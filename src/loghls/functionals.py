@@ -25,8 +25,9 @@ Interaction kernels
   log|x-x'| = log|w-w'| - log 2 + (1/2) log(1+|x|^2) + (1/2) log(1+|x'|^2)
   turn both planar parts into sphere integrals, and their sum into
   H(rho) = H_S(T rho - 1), with no tail cut off.
-* Sphere fields use harmonic coefficients: log|w - w'| acts on mean-zero
-  fields as -(1/2) / (l(l+1)) per degree; the azimuthal mean identity
+* Sphere fields, zonal or not, use the harmonic coefficients of their
+  grid's one transform: log|w - w'| acts on mean-zero fields as
+  -(1/2) / (l(l+1)) per degree; the azimuthal mean identity
   (1/2pi) int log|w-w'| dphi' = (1/2) log[(1+max z)(1-min z)] gives an
   independent axisymmetric route used for cross-checks.
 """
@@ -43,7 +44,7 @@ from .errors import (DomainError, NormalizationError, PositivityError,
                      PreconditionError)
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField, get_transform
 from .grids import CircleGrid, integrate, make_circle_grid, pairwise_sum
-from .sht import legendre_analyze
+from .sht import legendre_analyze  # noqa: F401  perfbench wraps this name here until ROADMAP 3(b)
 
 __all__ = [
     "FreeEnergyReport",
@@ -175,10 +176,6 @@ def planar_free_energy(rho: RadialDensity | PlanarDensity) -> float:
 # sphere
 # ----------------------------------------------------------------------
 
-def _axi_values(f: SphereField) -> np.ndarray:
-    return f.values[:, 0]
-
-
 def sphere_log_interaction(f: SphereField, mean_tol: float = 1e-8) -> float:
     """int int f log|w-w'| f dsigma dsigma' for a mean-zero field."""
     mean = f.mean()
@@ -186,13 +183,6 @@ def sphere_log_interaction(f: SphereField, mean_tol: float = 1e-8) -> float:
         raise PreconditionError(
             f"sphere_log_interaction: field mean {mean!r} violates the "
             f"mean-zero precondition (tolerance {mean_tol})")
-    if f.axisymmetric:
-        lmax = min(256, f.grid.n_z - 1)
-        a = (f.leg_coeffs if f.leg_coeffs is not None
-             else legendre_analyze(_axi_values(f), f.grid, lmax))
-        ell = np.arange(a.size, dtype=float)
-        coef2 = a[1:] ** 2 / (2.0 * ell[1:] + 1.0)      # orthonormal-basis squares
-        return float(-0.5 * np.sum(coef2 / (ell[1:] * (ell[1:] + 1.0))))
     tr = get_transform(f.grid)
     c, s = f.coeffs()
     return tr.log_kernel_quadratic(c, s)
@@ -208,7 +198,7 @@ def sphere_log_interaction_zkernel(f: SphereField, mean_tol: float = 1e-8) -> fl
     if abs(f.mean()) > mean_tol:
         raise PreconditionError("sphere_log_interaction_zkernel: field mean is not zero")
     g = f.grid
-    vals = _axi_values(f)
+    vals = f.values[:, 0]
     half_w = g.w_z / 2.0
     F = CubicSpline(g.z, vals / 2.0).antiderivative()(g.z)
     G = CubicSpline(g.z, vals * np.log1p(-g.z) / 2.0).antiderivative()(g.z)
@@ -238,31 +228,13 @@ def sphere_green_apply(f: SphereField, mean_tol: float = 1e-8) -> SphereField:
     """
     if abs(f.mean()) > mean_tol:
         raise PreconditionError("sphere_green_apply: field must have zero mean")
-    if f.axisymmetric:
-        lmax = min(256, f.grid.n_z - 1)
-        a = (f.leg_coeffs if f.leg_coeffs is not None
-             else legendre_analyze(_axi_values(f), f.grid, lmax)).copy()
-        ell = np.arange(a.size, dtype=float)
-        a[0] = 0.0
-        a[1:] = a[1:] / (ell[1:] * (ell[1:] + 1.0))
-        return SphereField.from_legendre(f.grid, a)
     tr = get_transform(f.grid)
     c, s = tr.green_coeffs(*f.coeffs())
     return SphereField(f.grid, tr.synthesize(c, s))
 
 
 def dirichlet_energy(u: SphereField) -> float:
-    """int |grad u|^2 dsigma (not quartered).
-
-    Axisymmetric fields use their Legendre coefficients, general fields
-    the full spherical-harmonic expansion; both are sum l(l+1)|coef|^2.
-    """
-    if u.axisymmetric:
-        lmax = min(256, u.grid.n_z - 1)
-        a = (u.leg_coeffs if u.leg_coeffs is not None
-             else legendre_analyze(_axi_values(u), u.grid, lmax))
-        ell = np.arange(a.size, dtype=float)
-        return float(np.sum(ell * (ell + 1.0) * a**2 / (2.0 * ell + 1.0)))
+    """int |grad u|^2 dsigma (not quartered): sum l(l+1)|coef|^2."""
     tr = get_transform(u.grid)
     return tr.dirichlet_energy(*u.coeffs())
 
@@ -288,10 +260,7 @@ def onofri_entropy_form_gap(rho: SphereField, mass_tol: float = 1e-6) -> float:
     if abs(mass - 1.0) > mass_tol:
         raise NormalizationError(
             f"onofri_entropy_form_gap: density mass {mass!r} is not 1 within {mass_tol}")
-    if rho.axisymmetric:
-        logrho = SphereField(rho.grid, np.log(rho.values), axisymmetric=True)
-    else:
-        logrho = SphereField(rho.grid, np.log(rho.values))
+    logrho = SphereField(rho.grid, np.log(rho.values))
     energy = dirichlet_energy(logrho)
     H_rev = -logrho.mean()          # H(1||rho) = - int log rho dsigma
     return energy - 4.0 * H_rev

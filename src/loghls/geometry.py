@@ -4,6 +4,15 @@ conformal transformations of S^2.
 The projection is based at the south pole (0, 0, -1): the north pole
 maps to the origin and the equator is fixed.  With z = omega_3 the
 radius satisfies |S(omega)|^2 = (1 - z)/(1 + z).
+
+Conformal maps of S^2 are 4x4 orthochronous Lorentz matrices G
+(G^T eta G = eta with eta = diag(-1, 1, 1, 1), G_00 > 0).  A point omega
+is the null vector x = (1, omega); G maps it to
+tau(omega) = (G x)_{1:3} / (G x)_0 with log-Jacobian -2 log (G x)_0.
+The boost along n with rapidity t has (G x)_0 = cosh t + sinh t n.omega,
+so its log-Jacobian is the optimizer u_{t,n}; a rotation R is
+diag(1, R), with Jacobian 1.  Pushes compose by matrix product:
+pushing by A and then by B is pushing once by A @ B.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .fields import PlanarDensity, RadialDensity, SphereField
-from .grids import SphereGrid
+from .grids import SphereGrid, make_sphere_grid
 
 __all__ = [
     "ConformalParams",
@@ -34,14 +43,16 @@ __all__ = [
 ]
 
 T_CAP = 20.0   # cosh(t) stays far from overflow and minimizers live at bounded t
+_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
 class ConformalParams:
-    """Dilation parameter t >= 0 along a unit axis n."""
+    """The boost with rapidity 0 <= t <= T_CAP along a unit axis n, whose
+    log-Jacobian is the optimizer u_{t,n}."""
 
     t: float
-    n: tuple[float, float, float]
+    n: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=float)
@@ -55,6 +66,17 @@ class ConformalParams:
     @property
     def axis(self) -> np.ndarray:
         return np.asarray(self.n, dtype=float)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The Lorentz boost along n with rapidity t."""
+        n = self.axis
+        c, s = np.cosh(self.t), np.sinh(self.t)
+        G = np.empty((4, 4))
+        G[0, 0] = c
+        G[0, 1:] = G[1:, 0] = s * n
+        G[1:, 1:] = np.eye(3) + (c - 1.0) * np.outer(n, n)
+        return G
 
 
 def _check_unit(omega: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -127,15 +149,19 @@ def _radius_from_z(z: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 - zc) / (1.0 + zc))
 
 
-def lift_T(rho: RadialDensity | PlanarDensity) -> SphereField:
+def lift_T(rho: RadialDensity | PlanarDensity, grid: SphereGrid | None = None) -> SphereField:
     """The isometry T from L^1(R^2) onto L^1(S^2).
 
     T rho (omega) = pi * rho(S(omega)) * (1 + |S(omega)|^2)^2, so mass and
     sign are preserved: int |T rho| dsigma = int |rho| dx and the
-    optimizer profile lifts to the constant density 1.  A planar density
-    already holds its lift (of the density translated by -rho.shift).
+    optimizer profile lifts to the constant density 1.  A radial density
+    is lifted onto ``grid`` (the default ``make_sphere_grid()`` when none
+    is given); a planar density already holds its lift (of the density
+    translated by -rho.shift) on its own grid.
     """
     if isinstance(rho, PlanarDensity):
+        if grid is not None and grid is not rho.lifted.grid:
+            raise DomainError("lift_T: a planar density is already lifted on another grid")
         return rho.lifted
     if isinstance(rho, RadialDensity):
         prof = rho.profile
@@ -147,7 +173,8 @@ def lift_T(rho: RadialDensity | PlanarDensity) -> SphereField:
             r = _radius_from_z(z)
             return 4.0 * np.pi * _p(r) / (1.0 + np.clip(z, -1.0 + 1e-300, 1.0))**2
 
-        return SphereField.from_fn(_lift_grid(rho), fn, axisymmetric=True)
+        grid = make_sphere_grid() if grid is None else grid
+        return SphereField.from_fn(grid, fn, axisymmetric=True)
     raise DomainError(f"lift_T: unsupported density type {type(rho).__name__}")
 
 
@@ -167,17 +194,6 @@ def planar_from_profile(grid: SphereGrid, fn: Callable,
                                  points[..., 1] / (1.0 + z) + _b) / (1.0 + z)**2)
 
     return PlanarDensity(SphereField.from_fn(grid, lifted), (a, b))
-
-
-_LIFT_GRIDS: dict[tuple[int, int], SphereGrid] = {}
-
-
-def _lift_grid(rho, n_z: int = 128, n_phi: int = 256) -> SphereGrid:
-    from .grids import make_sphere_grid
-    key = (n_z, n_phi)
-    if key not in _LIFT_GRIDS:
-        _LIFT_GRIDS[key] = make_sphere_grid(n_z, n_phi)
-    return _LIFT_GRIDS[key]
 
 
 def _spline_profile(rho: RadialDensity) -> Callable:
@@ -200,40 +216,29 @@ def sphere_optimizer_values(t: float, n: np.ndarray, points: np.ndarray) -> np.n
     return -2.0 * np.log(np.cosh(t) + np.sinh(t) * (points @ n))
 
 
-def _mobius_map(points: np.ndarray, t: float, n: np.ndarray) -> np.ndarray:
-    """Conformal dilation along axis n: z -> (z cosh t + sinh t)/(cosh t + z sinh t),
-    tangential direction preserved."""
-    n = np.asarray(n, dtype=float)
-    z = points @ n
-    c, s = np.cosh(t), np.sinh(t)
-    zp = (z * c + s) / (c + z * s)
-    tang = points - z[..., None] * n
-    t2 = np.clip(1.0 - z**2, 0.0, None)
-    tp2 = np.clip(1.0 - zp**2, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(t2 > 0, np.sqrt(tp2 / np.where(t2 > 0, t2, 1.0)), 0.0)
-    return zp[..., None] * n + scale[..., None] * tang
+def conformal_push(u: SphereField, g: ConformalParams | np.ndarray) -> SphereField:
+    """Conformal action U = u o tau + log J_tau of a Lorentz matrix G.
 
-
-def conformal_push(u: SphereField, params: ConformalParams) -> SphereField:
-    """Conformal action U = u o tau + log J_tau with log J_tau = u_{t,n}.
-
-    Pushing the zero field yields exactly the optimizer u_{t,n}; the
-    integral of e^U over sigma equals that of e^u (change of variables),
-    which callers verify by quadrature.
+    ``g`` is a ConformalParams (its boost) or any 4x4 orthochronous Lorentz
+    matrix.  With x = (1, omega): tau(omega) = (G x)_{1:3} / (G x)_0 and
+    log J_tau = -2 log (G x)_0, so pushing the zero field by a boost gives
+    u_{t,n}.  int e^U dsigma = int e^u dsigma (change of variables), which
+    callers verify by quadrature.  U's callable evaluates u once, at tau.
     """
-    t = float(params.t)
-    n = params.axis
-    if t == 0.0:
+    G = g.matrix if isinstance(g, ConformalParams) else np.asarray(g, dtype=float)
+    # rounding moves G^T eta G off eta by about eps * G_00^2
+    if G.shape != (4, 4) or not G[0, 0] > 0.0 or (
+            np.max(np.abs(G.T @ _ETA @ G - _ETA)) > 1e-10 * G[0, 0] ** 2):
+        raise DomainError("conformal_push: g must be a 4x4 orthochronous Lorentz matrix")
+    if np.array_equal(G, np.eye(4)):
         return u
-    grid = u.grid
 
-    def fn(points, _u=u, _t=t, _n=n):
-        moved = _mobius_map(points, _t, _n)
-        return _u.evaluate(moved) + sphere_optimizer_values(_t, _n, points)
+    def fn(points, _u=u, _G=G):
+        x0 = _G[0, 0] + points @ _G[0, 1:]
+        moved = (_G[1:, 0] + points @ _G[1:, 1:].T) / x0[..., None]
+        return _u.evaluate(moved) - 2.0 * np.log(x0)
 
-    values = fn(grid.points())
-    return SphereField(grid, values, fn=fn, axisymmetric=False)
+    return SphereField(u.grid, fn(u.grid.points()), fn=fn)
 
 
 def rotation_to_pole(n: np.ndarray) -> np.ndarray:
@@ -249,13 +254,10 @@ def rotation_to_pole(n: np.ndarray) -> np.ndarray:
 
 
 def rotate_field(u: SphereField, R: np.ndarray) -> SphereField:
-    """u o R (a measure-preserving conformal map, Jacobian 1)."""
+    """u o R (a measure-preserving conformal map, Jacobian 1): the push by diag(1, R)."""
     R = np.asarray(R, dtype=float)
     if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-10:
         raise DomainError("rotate_field: R must be orthogonal")
-    grid = u.grid
-
-    def fn(points, _u=u, _R=R):
-        return _u.evaluate(points @ _R.T)
-
-    return SphereField(grid, fn(grid.points()), fn=fn, axisymmetric=False)
+    G = np.eye(4)
+    G[1:, 1:] = R
+    return conformal_push(u, G)

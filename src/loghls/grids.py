@@ -170,12 +170,22 @@ class SphereGrid:
         return pts
 
 
+_SPHERE_GRIDS: dict[tuple[int, int], SphereGrid] = {}
+
+
 def make_sphere_grid(n_z: int = 128, n_phi: int = 256) -> SphereGrid:
-    if n_z < 4 or n_phi < 4:
-        raise DomainError(f"make_sphere_grid: grid too small ({n_z} x {n_phi})")
-    z, w_z = roots_legendre(n_z)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(n_z=int(n_z), n_phi=int(n_phi), z=z, w_z=w_z, phi=phi)
+    """The one shared, read-only grid of each shape, so its transform
+    tables (``fields.get_transform``) are built once."""
+    key = (int(n_z), int(n_phi))
+    if key not in _SPHERE_GRIDS:
+        if n_z < 4 or n_phi < 4:
+            raise DomainError(f"make_sphere_grid: grid too small ({n_z} x {n_phi})")
+        z, w_z = roots_legendre(n_z)
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        for a in (z, w_z, phi):
+            a.flags.writeable = False
+        _SPHERE_GRIDS[key] = SphereGrid(*key, z=z, w_z=w_z, phi=phi)
+    return _SPHERE_GRIDS[key]
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,21 +70,8 @@ class PlanarOptimizerParams:
             raise DomainError(f"PlanarOptimizerParams: s must be positive, got {self.s}")
 
 
-@dataclass(frozen=True)
-class SphereOptimizerParams:
-    t: float
-    n: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        if self.t < 0 or self.t > T_CAP:
-            raise DomainError(f"SphereOptimizerParams: t must lie in [0, {T_CAP}], got {self.t}")
-        nn = np.linalg.norm(self.n)
-        if abs(nn - 1.0) > 1e-12:
-            raise DomainError(f"SphereOptimizerParams: |n| = {nn!r} is not 1")
-
-    @property
-    def axis(self) -> np.ndarray:
-        return np.asarray(self.n, dtype=float)
+# the optimizer u_{t,n} is the log-Jacobian of the boost ConformalParams(t, n)
+SphereOptimizerParams = ConformalParams
 
 
 @dataclass(frozen=True)
@@ -492,10 +479,13 @@ def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
     Pushing along axis n moves mass toward -n and changes a small
     barycenter b by about -(2/3) t n, so the damped Newton step
     t = 1.5 |b| along n = b/|b| contracts quadratically near the fixed
-    point; steps are halved whenever |b| fails to decrease.
+    point; steps are halved whenever |b| fails to decrease.  The steps
+    compose into one Lorentz matrix G <- G @ boost, and each candidate
+    pushes the original u by its G, so the result is one map deep.
     """
     _check_normalized_exp(u, who="recenter")
     steps: list[ConformalParams] = []
+    G = np.eye(4)
     cur = u
     b = cur.barycenter()
     bn = float(np.linalg.norm(b))
@@ -506,7 +496,8 @@ def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
         axis = tuple(b / bn)
         for _ in range(10):
             params = ConformalParams(t_step, axis)
-            cand = conformal_push(cur, params)
+            G_new = G @ params.matrix
+            cand = conformal_push(u, G_new)
             b_new = cand.barycenter()
             bn_new = float(np.linalg.norm(b_new))
             if bn_new < bn or bn_new <= tol:
@@ -516,7 +507,7 @@ def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
             raise ConvergenceError(
                 f"recenter: barycenter stalled at |b| = {bn:.3e} after {it} iterations")
         steps.append(params)
-        cur, b, bn = cand, b_new, bn_new
+        G, cur, b, bn = G_new, cand, b_new, bn_new
     if bn <= tol:
         return RecenterResult(cur, steps, bn, max_iter)
     raise ConvergenceError(

@@ -1,22 +1,21 @@
 """Real spherical-harmonic analysis/synthesis on Gauss-Legendre x FFT grids.
 
-Two paths are provided:
+Every sphere field is expanded by one transform, against the real basis
+that is orthonormal for the uniform *probability* measure sigma:
 
-* an axisymmetric path working with plain Legendre coefficients ``a_l``
-  of fields u(z) = sum a_l P_l(z), which is what the heat flow and the
-  zonal optimizer profiles use, and
-* a general path working with coefficients against the real basis that
-  is orthonormal for the uniform *probability* measure sigma:
+    Ytilde_{l,0}        = Q_{l,0}(z)
+    Ytilde_{l,m}^{cos}  = sqrt(2) Q_{l,m}(z) cos(m phi)
+    Ytilde_{l,m}^{sin}  = sqrt(2) Q_{l,m}(z) sin(m phi)
 
-      Ytilde_{l,0}        = Q_{l,0}(z)
-      Ytilde_{l,m}^{cos}  = sqrt(2) Q_{l,m}(z) cos(m phi)
-      Ytilde_{l,m}^{sin}  = sqrt(2) Q_{l,m}(z) sin(m phi)
+where Q_{l,m} are normalized associated Legendre functions with
+(1/2) int_{-1}^{1} Q_{l,m}^2 dz = 1.  The Laplace-Beltrami operator acts
+as multiplication by -l(l+1), which is all the energy functionals need.
 
-  where Q_{l,m} are normalized associated Legendre functions with
-  (1/2) int_{-1}^{1} Q_{l,m}^2 dz = 1.
-
-In both bases the Laplace-Beltrami operator acts as multiplication by
--l(l+1), which is all the energy functionals need.
+Zonal input (every grid row constant) has only m = 0 modes, so
+``SphereTransform.analyze`` fills the m = 0 column alone from the table
+it holds; that column is the plain Legendre a_l times 1/sqrt(2l+1).
+The heat flow keeps its own plain Legendre coefficients a_l of
+u(z) = sum a_l P_l(z) (``legendre_analyze``/``legendre_synthesize``).
 """
 
 from __future__ import annotations
@@ -38,8 +37,10 @@ __all__ = [
 def assoc_legendre_single_m(lmax: int, m: int, z: np.ndarray) -> np.ndarray:
     """Rows Q_{l,m}(z) for one order m, l = m..lmax; shape (lmax+1-m, n).
 
-    Same normalization as :func:`normalized_assoc_legendre` but O(L n)
-    memory, for pointwise synthesis at many points.
+    Normalization (1/2) int Q_{l,m}^2 dz = 1, no Condon-Shortley phase:
+    a sectoral seed Q_{m,m} and the stable three-term recurrence in l,
+    accurate for the moderate degrees (l <= few hundred) used here.
+    O(L n) memory, for pointwise synthesis at many points.
     """
     z = np.asarray(z, dtype=float)
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -63,25 +64,13 @@ def normalized_assoc_legendre(lmax: int, z: np.ndarray) -> np.ndarray:
 
     Normalization: (1/2) * int_{-1}^1 Q_{l,m}(z)^2 dz = 1 (no
     Condon-Shortley phase).  Returned array has shape
-    (lmax+1, lmax+1, len(z)); entries with m > l are zero.
-
-    Uses the standard stable three-term recurrence in l with a sectoral
-    seed, accurate for the moderate degrees (l <= few hundred) used here.
+    (lmax+1, lmax+1, len(z)); entries with m > l are zero.  Each column m
+    holds the rows of :func:`assoc_legendre_single_m`.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     Q = np.zeros((lmax + 1, lmax + 1, z.size))
-    Q[0, 0] = 1.0
-    for m in range(1, lmax + 1):
-        Q[m, m] = np.sqrt((2 * m + 1) / (2.0 * m)) * s * Q[m - 1, m - 1]
     for m in range(lmax + 1):
-        if m + 1 <= lmax:
-            Q[m + 1, m] = np.sqrt(2 * m + 3.0) * z * Q[m, m]
-        for l in range(m + 2, lmax + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / ((l - m) * (l + m)))
-            b = np.sqrt((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
-                        / ((2.0 * l - 3.0) * (l - m) * (l + m)))
-            Q[l, m] = a * z * Q[l - 1, m] - b * Q[l - 2, m]
+        Q[m:, m] = assoc_legendre_single_m(lmax, m, z)
     return Q
 
 
@@ -131,20 +120,26 @@ class SphereTransform:
         self.eigs = ell * (ell + 1.0)
 
     def analyze(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values (n_z, n_phi) -> coefficient arrays (c, s)."""
+        """Grid values (n_z, n_phi) -> coefficient arrays (c, s).
+
+        Zonal values (every row constant) fill the m = 0 column alone,
+        with no FFT; the other columns are then exactly 0.
+        """
         g = self.grid
         v = np.asarray(values, dtype=float)
         if v.shape != g.shape:
             raise DimensionMismatchError(
                 f"SphereTransform.analyze: got {v.shape}, expected {g.shape}")
-        F = np.fft.rfft(v, axis=1)
-        nphi = g.n_phi
-        A0 = F[:, 0].real / nphi
         L = self.lmax
         c = np.zeros((L + 1, L + 1))
         s = np.zeros((L + 1, L + 1))
         wh = g.w_z / 2.0
-        c[:, 0] = self.Q[:, 0, :] @ (wh * A0)
+        if np.all(v == v[:, :1]):
+            c[:, 0] = self.Q[:, 0, :] @ (wh * v[:, 0])
+            return c, s
+        F = np.fft.rfft(v, axis=1)
+        nphi = g.n_phi
+        c[:, 0] = self.Q[:, 0, :] @ (wh * (F[:, 0].real / nphi))
         for m in range(1, self.max_m + 1):
             Am = 2.0 * F[:, m].real / nphi
             Bm = -2.0 * F[:, m].imag / nphi

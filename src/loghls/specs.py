@@ -309,9 +309,7 @@ class RunConfig:
         return self._cache[key]
 
     def sphere_grid(self):
-        if "sphere" not in self._cache:
-            self._cache["sphere"] = make_sphere_grid(self.sphere_nz, self.sphere_nphi)
-        return self._cache["sphere"]
+        return make_sphere_grid(self.sphere_nz, self.sphere_nphi)
 
     def circle_grid(self):
         if "circle" not in self._cache:

@@ -298,7 +298,7 @@ def _c10_transfer(config: RunConfig):
     for text in densities:
         rho = realize_planar(parse_input_spec(text), config)
         Hp = planar_free_energy(rho)
-        lifted = lift_T(rho)
+        lifted = lift_T(rho, config.sphere_grid())
         # subtract the sphere-grid mean so f is mean-zero in quadrature
         f = SphereField(lifted.grid, lifted.values - lifted.mean(), axisymmetric=True)
         Hs = spherical_free_energy(f).total

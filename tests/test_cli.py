@@ -53,6 +53,19 @@ def test_stability_sphere_deterministic_output(capsys):
     assert search["evaluations"] > search["scan_evaluations"] and search["iterations"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("onofri", "band-limited-random:seed=5,L=4,amplitude=0.2", "--certify"),
+    ("heatflow", "1+0.5*P1", "--T", "1"),
+    ("ks", "8pi*optimizer:s=1", "--T", "0.5", "--samples", "6"),
+    ("duality-demo",),
+], ids=lambda argv: argv[0])
+def test_repeated_json_is_byte_identical(capsys, argv):
+    code, out1, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, out2, _ = run_cli(capsys, *argv)
+    assert out1 == out2
+
+
 def test_stability_planar(capsys):
     code, out, _ = run_cli(capsys, "stability", "gaussian:sigma=1")
     assert code == 0

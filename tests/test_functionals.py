@@ -182,7 +182,8 @@ def test_green_function_eigenvalues(sphere_small):
     for ell, eig in ((1, 2.0), (2, 6.0), (3, 12.0)):
         coeffs = np.zeros(ell + 1)
         coeffs[ell] = 1.0
-        f = SphereField.from_legendre(sphere_small, coeffs)
+        f = SphereField.from_zonal(sphere_small,
+                                   lambda z, _c=coeffs: np.polynomial.legendre.legval(z, _c))
         g = sphere_green_apply(f)
         assert np.max(np.abs(g.values - f.values / eig)) <= 1e-4
     with pytest.raises(PreconditionError):

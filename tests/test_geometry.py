@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
+import loghls.suite as suite
 from loghls.errors import DomainError
 from loghls.fields import SphereField, gaussian_radial, radial_from_profile
-from loghls.functionals import dirichlet_energy
+from loghls.functionals import dirichlet_energy, onofri_functional
 from loghls.geometry import (ConformalParams, chordal_identity_check,
                              conformal_push, lift_T, rotate_field,
                              rotation_to_pole, sphere_optimizer_values,
                              stereo_forward, stereo_inverse, stereonorm_residual)
 from loghls.grids import integrate, make_radial_grid
 from loghls.sht import SphereTransform
+from loghls.specs import RunConfig, parse_input_spec, realize_sphere
+
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def test_stereo_special_points():
@@ -70,6 +76,24 @@ def test_lift_T_spline_fallback(radial_fine):
     assert abs(m_exact - m_spline) <= 1e-6
 
 
+def test_lift_T_default_grid_is_the_run_grid(radial_fine):
+    """One grid per shape: the default lift shares the run's grid, and so
+    its transform tables."""
+    assert lift_T(gaussian_radial(radial_fine)).grid is RunConfig().sphere_grid()
+
+
+def test_transfer_identity_follows_the_config_grid(monkeypatch):
+    """A10 lifts onto the run's sphere grid and passes at 64 x 128."""
+    grids = []
+    real = suite.lift_T
+    monkeypatch.setattr(suite, "lift_T",
+                        lambda rho, grid=None: grids.append(grid) or real(rho, grid))
+    cfg = RunConfig(sphere_nz=64, sphere_nphi=128)
+    result = suite.run_criterion("A10", cfg)
+    assert result.passed, "\n".join(result.lines)
+    assert len(grids) == 5 and all(g is cfg.sphere_grid() and g.n_z == 64 for g in grids)
+
+
 def test_conformal_push_of_zero_is_optimizer(sphere_grid):
     zero = SphereField(sphere_grid, np.zeros(sphere_grid.shape),
                        fn=lambda p: np.zeros(p.shape[:-1]))
@@ -86,6 +110,66 @@ def test_conformal_push_identity_and_cap(sphere_grid):
         ConformalParams(25.0, (0.0, 0.0, 1.0))
     with pytest.raises(DomainError):
         ConformalParams(1.0, (0.0, 0.0, 1.1))
+
+
+def test_conformal_params_matrix_is_a_lorentz_boost():
+    n = np.array([0.48, -0.6, 0.64])
+    G = ConformalParams(1.3, tuple(n)).matrix
+    assert np.max(np.abs(G.T @ ETA @ G - ETA)) <= 1e-13
+    assert G[0, 0] == pytest.approx(np.cosh(1.3))
+    # x = (1, omega) goes to (G x)_0 = cosh t + sinh t n.omega
+    omega = np.array([0.0, 0.6, 0.8])
+    assert (G @ np.r_[1.0, omega])[0] == pytest.approx(np.cosh(1.3) + np.sinh(1.3) * (n @ omega))
+    assert np.array_equal(ConformalParams(0.0, (0.0, 0.0, 1.0)).matrix, np.eye(4))
+
+
+def test_conformal_push_rejects_non_lorentz(sphere_grid):
+    u = SphereField.from_zonal(sphere_grid, lambda z: 0.2 * z)
+    G = ConformalParams(0.5, (0.0, 0.0, 1.0)).matrix
+    for bad in (-G, 2.0 * np.eye(4), np.eye(3), G + 1e-6):
+        with pytest.raises(DomainError):
+            conformal_push(u, bad)
+    assert conformal_push(u, np.eye(4)) is u
+
+
+def _band_limited(seed, L, amplitude):
+    spec = f"band-limited-random:seed={seed},L={L},amplitude={amplitude!r}"
+    return realize_sphere(parse_input_spec(spec), RunConfig())
+
+
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+def _unit(v):
+    return tuple(np.asarray(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), L=st.integers(1, 5), amplitude=st.floats(0.05, 0.25),
+       t=st.floats(0.0, 1.5), axis=_UNIT, rotvec=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+def test_onofri_conformal_and_rotation_invariance(seed, L, amplitude, t, axis, rotvec):
+    """J is invariant under boosts, rotations and their products."""
+    u = _band_limited(seed, L, amplitude)
+    J = onofri_functional(u)
+    boost = ConformalParams(t, _unit(axis))
+    R = Rotation.from_rotvec(rotvec).as_matrix()
+    rotation = np.eye(4)
+    rotation[1:, 1:] = R
+    for moved in (conformal_push(u, boost), rotate_field(u, R),
+                  conformal_push(u, rotation @ boost.matrix)):
+        assert abs(onofri_functional(moved) - J) <= 1e-10
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), L=st.integers(1, 5), amplitude=st.floats(0.05, 0.25),
+       ta=st.floats(0.0, 1.5), na=_UNIT, tb=st.floats(0.0, 1.5), nb=_UNIT)
+def test_conformal_push_group_law(seed, L, amplitude, ta, na, tb, nb):
+    """Pushing by a, then by b, is pushing once by a.matrix @ b.matrix."""
+    u = _band_limited(seed, L, amplitude)
+    a, b = ConformalParams(ta, _unit(na)), ConformalParams(tb, _unit(nb))
+    twice = conformal_push(conformal_push(u, a), b)
+    once = conformal_push(u, a.matrix @ b.matrix)
+    assert np.max(np.abs(twice.values - once.values)) <= 1e-12
 
 
 def test_conformal_push_preserves_exp_integral(sphere_grid):

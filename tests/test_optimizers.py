@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loghls.optimizers as optimizers
 from loghls.errors import DomainError, NormalizationError
 from loghls.fields import CircleField, SphereField, gaussian_radial
 from loghls.functionals import dirichlet_energy, planar_free_energy
@@ -196,6 +197,26 @@ def test_recenter_band_limited_and_idempotence(sphere_grid):
     assert res.iterations <= 50
     again = recenter(res.field)
     assert np.max(np.abs(again.field.values - res.field.values)) <= 1e-8
+
+
+def test_recenter_pushes_the_original_field_once_per_candidate(monkeypatch):
+    """recenter composes its steps into one matrix: each candidate push
+    calls u.fn once, and the result's callable calls it once."""
+    u0 = realize_sphere(parse_input_spec("band-limited-random:seed=3,L=6,amplitude=0.25"), CFG)
+    calls = []
+    u = SphereField(u0.grid, u0.values, fn=lambda p: calls.append(1) or u0.fn(p))
+    pushes = []
+    push = optimizers.conformal_push
+    monkeypatch.setattr(optimizers, "conformal_push",
+                        lambda f, g: pushes.append(f) or push(f, g))
+    res = recenter(u)
+    assert res.iterations >= 3 and len(pushes) >= res.iterations
+    assert all(f is u for f in pushes)
+    assert len(calls) == len(pushes)
+    calls.clear()
+    values = res.field.fn(u.grid.points())
+    assert len(calls) == 1
+    assert np.array_equal(values, res.field.values)
 
 
 def test_recenter_stationarity_condition(sphere_grid):

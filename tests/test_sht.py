@@ -67,3 +67,21 @@ def test_legendre_analyze_exact_for_polynomials():
     back = legendre_analyze(vals, grid, 8)
     assert np.max(np.abs(back[:4] - coeffs)) <= 1e-13
     assert np.max(np.abs(back[4:])) <= 1e-13
+
+
+def test_analyze_zonal_values_fill_the_m0_column():
+    """Zonal values take the m = 0 shortcut: the m > 0 columns are exactly
+    0, and c[:, 0] is the plain Legendre a_l over sqrt(2l+1)."""
+    grid = make_sphere_grid(32, 64)
+    tr = SphereTransform(grid)
+    v = np.repeat(np.exp(0.7 * grid.z - 0.2 * grid.z**3)[:, None], grid.n_phi, axis=1)
+    c, s = tr.analyze(v)
+    assert not np.any(c[:, 1:]) and not np.any(s)
+    ell = np.arange(tr.lmax + 1)
+    a = legendre_analyze(v[:, 0], grid, tr.lmax)
+    assert np.max(np.abs(c[:, 0] - a / np.sqrt(2 * ell + 1))) <= 1e-13
+    # one value moved by roundoff sends the field down the FFT path
+    w = v.copy()
+    w[0, 1] *= 1.0 + 1e-15
+    c2, s2 = tr.analyze(w)
+    assert np.max(np.abs(c2[:, 0] - c[:, 0])) <= 1e-13
