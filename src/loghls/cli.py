@@ -50,8 +50,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.radial_n = args.grid_n
     if getattr(args, "rmax", None):
         cfg.radial_rmax = args.rmax
-    if getattr(args, "tol", None):
-        cfg.tol = args.tol
     if getattr(args, "oracle", False):
         cfg.oracle = True
     if getattr(args, "seed", None) is not None:
@@ -59,14 +57,13 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "out", None):
         cfg.out = args.out
     cfg.validate()
-    cfg._cache.clear()
     return cfg
 
 
-def _emit(obj, args) -> None:
+def _emit(obj, cfg: RunConfig) -> None:
     text = json.dumps(_jsonable(obj), sort_keys=True, indent=1, allow_nan=False)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if cfg.out:
+        with open(cfg.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -103,7 +100,7 @@ def cmd_eval(args) -> int:
                    exp_integral=integrate(np.exp(u.values(grid)), grid))
     else:
         raise ParseError(f"eval: spec domain {domain!r} is not evaluable directly")
-    _emit(out, args)
+    _emit(out, cfg)
     return 0
 
 
@@ -132,7 +129,7 @@ def cmd_stability(args) -> int:
         ok = cert.passed
     else:
         raise ParseError(f"stability: unsupported domain {domain!r}")
-    _emit(out, args)
+    _emit(out, cfg)
     return 0 if ok else 1
 
 
@@ -150,7 +147,7 @@ def cmd_onofri(args) -> int:
            "barycenter": list(u.barycenter())}
     if args.certify:
         out["certificates"] = [c.to_json() for c in onofri_stability_certificates(u)]
-    _emit(out, args)
+    _emit(out, cfg)
     return 0
 
 
@@ -168,7 +165,7 @@ def cmd_heatflow(args) -> int:
         st = heat_evolve(state0, float(t))
         rho = st.density_values()
         H = reverse_entropy(st)
-        dist = float(np.sum(st.grid.w_z / 2.0 * np.abs(rho - 1.0)))
+        dist = integrate(np.broadcast_to(np.abs(rho - 1.0)[:, None], st.grid.shape), st.grid)
         rows.append((float(t), H, dist, entropy_dissipation_rate(st), 0.0))
     traj = FlowTrajectory(times=np.array([r[0] for r in rows]),
                           free_energy=np.array([r[1] for r in rows]),
@@ -184,7 +181,7 @@ def cmd_heatflow(args) -> int:
            "dissipation": {"lhs": lhs, "rhs": rhs, "residual": res}}
     if args.csv:
         traj.write_csv(args.csv)
-    _emit(out, args)
+    _emit(out, cfg)
     return 0 if decay.passed else 1
 
 
@@ -218,7 +215,7 @@ def cmd_ks(args) -> int:
            "max_free_energy_increase_per_step": inc}
     if args.csv:
         traj.write_csv(args.csv)
-    _emit(out, args)
+    _emit(out, cfg)
     return 0 if (bound_ok and inc <= 1e-8) else 1
 
 
@@ -234,7 +231,7 @@ def cmd_duality_demo(args) -> int:
                               F=lambda x: 2.0 * x[:, 0]**2 + 3.0 * x[:, 1]**2,
                               C=1.0, lam=0.125, name="2d anisotropic pair")
     rep = toy_duality_demo(spec)
-    _emit({**_meta(cfg), "report": rep.to_json()}, args)
+    _emit({**_meta(cfg), "report": rep.to_json()}, cfg)
     return 0 if rep.passed else 1
 
 
@@ -248,7 +245,7 @@ def cmd_suite(args) -> int:
                "criteria": [{"id": r.cid, "name": r.name, "pass": r.passed,
                              "runtime_s": r.runtime, "budget_s": r.budget,
                              "lines": r.lines} for r in results],
-               "all_pass": all_pass}, args)
+               "all_pass": all_pass}, cfg)
     else:
         for r in results:
             print(r.summary())
@@ -272,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--grid-n", type=int, dest="grid_n", help="radial grid size")
         sp.add_argument("--rmax", type=float, help="radial outer radius")
-        sp.add_argument("--tol", type=float, help="pass tolerance")
         sp.add_argument("--oracle", action="store_true", help="enable dense-grid oracles")
         sp.add_argument("--seed", type=int, help="seed for randomized inputs")
         sp.add_argument("--out", help="write the JSON report to this path")

@@ -190,9 +190,9 @@ class SphereField:
 
     def barycenter(self) -> np.ndarray:
         """int e^u omega dsigma (the sphere barycenter of the density e^u)."""
-        w = self.grid.weights * np.exp(self.values)
+        eu = np.exp(self.values)
         pts = self.grid.points()
-        return np.array([float(np.sum(w * pts[..., i])) for i in range(3)])
+        return np.array([integrate(eu * pts[..., i], self.grid) for i in range(3)])
 
     def shifted(self, c: float) -> "SphereField":
         fn = None

@@ -46,7 +46,7 @@ from .entropy import xlogx
 from .errors import (DomainError, MassConservationError, NormalizationError,
                      PositivityError, StepSizeError)
 from .fields import RadialDensity
-from .grids import SphereGrid, make_sphere_grid
+from .grids import SphereGrid, integrate, make_sphere_grid
 from .sht import legendre_synthesize
 from numpy.polynomial import legendre as npleg
 
@@ -128,16 +128,17 @@ def _positive_density(state: HeatState, who: str) -> np.ndarray:
 def reverse_entropy(state: HeatState) -> float:
     """H(1 || rho) = - int log rho dsigma."""
     rho = _positive_density(state, "reverse_entropy")
-    return float(-np.sum(state.grid.w_z / 2.0 * np.log(rho)))
+    g = state.grid
+    return -integrate(np.broadcast_to(np.log(rho)[:, None], g.shape), g)
 
 
 def entropy_dissipation_rate(state: HeatState) -> float:
     """int |grad log rho|^2 dsigma = (1/2) int (1-z^2) (rho'/rho)^2 dz."""
     rho = _positive_density(state, "entropy_dissipation_rate")
-    dcoef = npleg.legder(state.coeffs)
-    drho = legendre_synthesize(dcoef, state.grid.z)
-    z = state.grid.z
-    return float(np.sum(state.grid.w_z / 2.0 * (1.0 - z**2) * (drho / rho) ** 2))
+    g = state.grid
+    drho = legendre_synthesize(npleg.legder(state.coeffs), g.z)
+    zonal = (1.0 - g.z**2) * (drho / rho) ** 2
+    return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
 
 
 def dissipation_check(state: HeatState, dt: float = 1e-3) -> tuple[float, float, float]:

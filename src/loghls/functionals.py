@@ -43,7 +43,7 @@ from .entropy import xlogx
 from .errors import (DomainError, NormalizationError, PositivityError,
                      PreconditionError)
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField, get_transform
-from .grids import CircleGrid, integrate, make_circle_grid, pairwise_sum
+from .grids import CircleGrid, integrate, make_circle_grid
 from .sht import legendre_analyze  # noqa: F401  perfbench wraps this name here until ROADMAP 3(b)
 
 __all__ = [
@@ -84,22 +84,22 @@ class FreeEnergyReport:
 # ----------------------------------------------------------------------
 
 def _radial_interaction(rho: RadialDensity) -> float:
-    g = rho.grid
-    masses = g.weights * rho.values
+    g, vals = rho.grid, rho.values
     # Guard against tails the grid cannot represent (divergent log moment).
     # Only meaningful on the log-uniform scheme, whose top of span stands in
     # for the large-r tail; compact densities on uniform grids are exempt.
     if g.scheme == "log-uniform":
         outer = g.nodes > g.r_max * np.exp(-0.1 * g.span)
-        tail = float(np.sum(masses[outer]))
-        total = float(np.sum(masses))
+        tail = integrate(np.where(outer, vals, 0.0), g)
+        total = integrate(vals, g)
         if total > 0 and tail > 1e-2 * total:
             raise DomainError(
                 "log_interaction: density carries significant mass in the top "
                 "decade of the grid; log moment not converged on this grid")
-    dm_dxi = masses / g.ref_weights
+    # mass per unit of the reference variable, whose antiderivative is M
+    dm_dxi = g.weights * vals / g.ref_weights
     M = CubicSpline(g.ref_nodes, dm_dxi).antiderivative()(g.ref_nodes)
-    return 2.0 * pairwise_sum(masses * M * np.log(g.nodes))
+    return 2.0 * integrate(vals * M * np.log(g.nodes), g)
 
 
 def _lift_log_weight(rho: PlanarDensity) -> float:
@@ -145,7 +145,7 @@ def entropy_term(rho: RadialDensity | PlanarDensity) -> float:
     int g log g dsigma - m log(4 pi) + 2 int g log(1 + omega_3) dsigma.
     """
     if isinstance(rho, RadialDensity):
-        return pairwise_sum(rho.grid.weights * xlogx(rho.values))
+        return integrate(xlogx(rho.values), rho.grid)
     if isinstance(rho, PlanarDensity):
         f = rho.lifted
         return (integrate(xlogx(f.values), f.grid) - rho.mass * (LOG_PI + 2.0 * LOG_2)
@@ -199,10 +199,10 @@ def sphere_log_interaction_zkernel(f: SphereField, mean_tol: float = 1e-8) -> fl
         raise PreconditionError("sphere_log_interaction_zkernel: field mean is not zero")
     g = f.grid
     vals = f.values[:, 0]
-    half_w = g.w_z / 2.0
     F = CubicSpline(g.z, vals / 2.0).antiderivative()(g.z)
     G = CubicSpline(g.z, vals * np.log1p(-g.z) / 2.0).antiderivative()(g.z)
-    return pairwise_sum(half_w * vals * (np.log1p(g.z) * F + G))
+    zonal = vals * (np.log1p(g.z) * F + G)
+    return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
 
 
 def spherical_free_energy(f: SphereField, mean_tol: float = 1e-8):

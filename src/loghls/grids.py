@@ -3,16 +3,19 @@
 Off-center planar densities have no grid of their own: they live on a
 sphere grid as their stereographic lift (see ``geometry.lift_T``).
 
-All grids are immutable after construction and integration is a pure
-function with a fixed pairwise reduction order, so repeated calls are
-bit-identical.
+Each ``make_*_grid`` returns one shared grid per argument tuple, with
+read-only arrays.  :func:`integrate` is the one rule that weights a
+grid's values; its reduction order is fixed by the grid's shape, so
+repeated calls are bit-identical.
 
 Conventions
 -----------
 * Radial weights absorb the full planar area measure:
-  ``sum(w_i * phi(r_i)) ~ int_{R^2} phi(|x|) dx``.
-* Sphere and circle weights are normalized probability measures
-  (``sum(w) == 1``), matching the uniform measure sigma used throughout.
+  ``integrate(phi(r), g) ~ int_{R^2} phi(|x|) dx``, as ``values @ weights``.
+* Sphere and circle grids carry the uniform probability measure sigma.
+  On the sphere each Gauss row is summed and the row sums are dotted
+  with the row weights ``w_z / (2 n_phi)``; on the circle it is the
+  plain mean.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from scipy.special import roots_legendre
 from .errors import DimensionMismatchError, DomainError
 
 __all__ = [
-    "pairwise_sum",
     "RadialGrid",
     "SphereGrid",
     "CircleGrid",
@@ -36,22 +38,9 @@ __all__ = [
 ]
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum ``values`` with a fixed binary-tree (pairwise) reduction.
-
-    The reduction order depends only on the length of the input, so the
-    result is reproducible bit-for-bit across runs and platforms with
-    IEEE-754 doubles, and the accumulated rounding error grows like
-    O(log n) rather than O(n).
-    """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        return 0.0
-    while x.size > 1:
-        if x.size % 2:
-            x = np.append(x, 0.0)
-        x = x[0::2] + x[1::2]
-    return float(x[0])
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +70,7 @@ class RadialGrid:
         if np.any(np.diff(self.nodes) <= 0) or self.nodes[0] <= 0:
             raise DomainError("RadialGrid: nodes must be strictly increasing with r_1 > 0")
         target = np.pi * self.r_max**2
-        total = pairwise_sum(w)
+        total = float(np.sum(w))
         if abs(total - target) > 1e-10 * target:
             raise DomainError(
                 "RadialGrid: weights integrate the constant 1 to "
@@ -92,10 +81,17 @@ class RadialGrid:
     def n(self) -> int:
         return self.nodes.size
 
+    @property
+    def shape(self) -> tuple[int]:
+        return self.nodes.shape
+
+
+_RADIAL_GRIDS: dict[tuple[float, int, str, float], RadialGrid] = {}
+
 
 def make_radial_grid(r_max: float, n: int, scheme: str = "log-uniform",
                      span: float = 25.0) -> RadialGrid:
-    """Build a radial quadrature grid.
+    """The one shared, read-only radial quadrature grid of these arguments.
 
     Parameters
     ----------
@@ -109,6 +105,9 @@ def make_radial_grid(r_max: float, n: int, scheme: str = "log-uniform",
     span : width of the log-radius window for the log-uniform scheme;
         the innermost node sits near r_max * exp(-span).
     """
+    key = (float(r_max), int(n), scheme, float(span))
+    if key in _RADIAL_GRIDS:
+        return _RADIAL_GRIDS[key]
     if r_max <= 0:
         raise DomainError(f"make_radial_grid: r_max must be positive, got {r_max}")
     if n < 16:
@@ -125,8 +124,11 @@ def make_radial_grid(r_max: float, n: int, scheme: str = "log-uniform",
         weights = 2.0 * np.pi * r**2 * (span / 2.0) * w
     else:
         raise DomainError(f"make_radial_grid: unknown scheme {scheme!r}")
-    return RadialGrid(nodes=r, weights=weights, r_max=float(r_max),
-                      scheme=scheme, span=float(span), ref_nodes=xi, ref_weights=w)
+    _read_only(r, weights, xi, w)
+    grid = RadialGrid(nodes=r, weights=weights, r_max=key[0], scheme=scheme,
+                      span=key[3], ref_nodes=xi, ref_weights=w)
+    _RADIAL_GRIDS[key] = grid
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +148,7 @@ class SphereGrid:
     phi: np.ndarray
 
     def __post_init__(self):
-        total = pairwise_sum(self.w_z) / 2.0
+        total = float(np.sum(self.w_z)) / 2.0
         if abs(total - 1.0) > 1e-12:
             raise DomainError("SphereGrid: weights must sum to 1 within 1e-12")
 
@@ -182,8 +184,7 @@ def make_sphere_grid(n_z: int = 128, n_phi: int = 256) -> SphereGrid:
             raise DomainError(f"make_sphere_grid: grid too small ({n_z} x {n_phi})")
         z, w_z = roots_legendre(n_z)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        for a in (z, w_z, phi):
-            a.flags.writeable = False
+        _read_only(z, w_z, phi)
         _SPHERE_GRIDS[key] = SphereGrid(*key, z=z, w_z=w_z, phi=phi)
     return _SPHERE_GRIDS[key]
 
@@ -199,33 +200,40 @@ class CircleGrid:
     def weight(self) -> float:
         return 1.0 / self.n
 
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n,)
+
+
+_CIRCLE_GRIDS: dict[int, CircleGrid] = {}
+
 
 def make_circle_grid(n: int = 512) -> CircleGrid:
-    if n < 8:
-        raise DomainError(f"make_circle_grid: n must be at least 8, got {n}")
-    return CircleGrid(n=int(n), theta=2.0 * np.pi * np.arange(n) / n)
+    """The one shared, read-only circle grid of ``n`` points."""
+    n = int(n)
+    if n not in _CIRCLE_GRIDS:
+        if n < 8:
+            raise DomainError(f"make_circle_grid: n must be at least 8, got {n}")
+        theta = 2.0 * np.pi * np.arange(n) / n
+        _read_only(theta)
+        _CIRCLE_GRIDS[n] = CircleGrid(n=n, theta=theta)
+    return _CIRCLE_GRIDS[n]
 
 
 def integrate(values: np.ndarray, grid) -> float:
     """Quadrature of point values against a grid's measure.
 
-    Deterministic: the product values*weights is reduced by
-    :func:`pairwise_sum` in a fixed order.
+    ``values`` has the grid's shape; a zonal row vector v on a sphere grid
+    is passed as ``np.broadcast_to(v[:, None], grid.shape)``.
     """
+    if not isinstance(grid, (SphereGrid, RadialGrid, CircleGrid)):
+        raise DomainError(f"integrate: unsupported grid type {type(grid).__name__}")
     v = np.asarray(values, dtype=float)
-    if isinstance(grid, RadialGrid):
-        if v.shape != grid.nodes.shape:
-            raise DimensionMismatchError(
-                f"integrate: got {v.shape} values for a radial grid of {grid.nodes.shape}")
-        return pairwise_sum(v * grid.weights)
+    if v.shape != grid.shape:
+        raise DimensionMismatchError(
+            f"integrate: got {v.shape} values for a {type(grid).__name__} of {grid.shape}")
     if isinstance(grid, SphereGrid):
-        if v.shape != grid.shape:
-            raise DimensionMismatchError(
-                f"integrate: got {v.shape} values for a sphere grid of {grid.shape}")
-        return pairwise_sum(v * grid.weights)
-    if isinstance(grid, CircleGrid):
-        if v.shape != grid.theta.shape:
-            raise DimensionMismatchError(
-                f"integrate: got {v.shape} values for a circle grid of {grid.theta.shape}")
-        return pairwise_sum(v) / grid.n
-    raise DomainError(f"integrate: unsupported grid type {type(grid).__name__}")
+        return float(v.sum(axis=1) @ (grid.w_z / (2.0 * grid.n_phi)))
+    if isinstance(grid, RadialGrid):
+        return float(v @ grid.weights)
+    return float(np.mean(v))

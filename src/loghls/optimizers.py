@@ -14,9 +14,10 @@ e^{u_{t,n}}.
 A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
 q = cosh t + sinh t n.w (no exp; the two entropy forms take one log
 for u_{t,n} = -2 log q), written into two buffers built once per
-search.  Its scan reads every 4th azimuth column of the grid (128 x 64
-points on the default grid) and only picks Nelder-Mead's start;
-Nelder-Mead and the returned value use the full grid.
+search.  Its scan runs on the sphere grid of every 4th azimuth column
+(128 x 64 points on the default grid) and only picks Nelder-Mead's
+start; Nelder-Mead and the returned value use the full grid.  Both
+integrate with ``grids.integrate`` on their grid.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
                      radial_from_profile)
 from .functionals import _circle_grid_for, dirichlet_energy
 from .geometry import ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CircleGrid, RadialGrid, SphereGrid
+from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, make_sphere_grid
 
 __all__ = [
     "PlanarOptimizerParams",
@@ -188,7 +189,7 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
         def obj(ls: float) -> float:
             diag.evaluations += 1
             prof = planar_optimizer_profile(PlanarOptimizerParams(float(np.exp(ls))))
-            return float(np.sum(rho.grid.weights * np.abs(rho.values - prof(rho.grid.nodes))))
+            return integrate(np.abs(rho.values - prof(rho.grid.nodes)), rho.grid)
 
         edges = np.linspace(-LOG_S_BOX, LOG_S_BOX, 6)      # five starts
         candidates = [golden_section(obj, a, b) for a, b in zip(edges[:-1], edges[1:])]
@@ -276,21 +277,22 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
 
 
 class _SphereFamily:
-    """The family e^{u_{t,n}} = q^-2, q = cosh t + sinh t n.w, at every
-    ``step``-th azimuth column of a sphere grid.
+    """The family e^{u_{t,n}} = q^-2, q = cosh t + sinh t n.w, on the
+    sphere grid of every ``step``-th azimuth column of ``grid``.
 
-    Every evaluation writes into the same two grid-sized buffers, so an
-    objective allocates no temporaries.  Integrals are row sums dotted
-    with the Gauss row weights, an order fixed by the grid alone.
+    That grid, ``self.grid``, has the same Gauss rows and n_phi / step
+    columns, whose points are those of the chosen columns.  Every
+    evaluation writes into the same two grid-sized buffers, so an
+    objective allocates no temporaries; objectives integrate them with
+    ``integrate(values, family.grid)``.
     """
 
     def __init__(self, grid: SphereGrid, step: int = 1):
         self.step = step
-        pts = self.columns(grid.points())
-        self.points = pts.reshape(-1, 3)
-        self.row_weights = grid.w_z / (2.0 * pts.shape[1])
-        self.q = np.empty(pts.shape[:2])
-        self.work = np.empty(pts.shape[:2])
+        self.grid = make_sphere_grid(grid.n_z, grid.n_phi // step)
+        self.points = self.grid.points().reshape(-1, 3)
+        self.q = np.empty(self.grid.shape)
+        self.work = np.empty(self.grid.shape)
 
     def columns(self, values: np.ndarray) -> np.ndarray:
         """Grid values at this family's columns, as a contiguous array."""
@@ -316,9 +318,6 @@ class _SphereFamily:
         u *= -2.0
         np.square(q, out=q)
         return u, np.reciprocal(q, out=q)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(values.sum(axis=1) @ self.row_weights)
 
 
 _SCAN_STEP = 4
@@ -357,13 +356,13 @@ def _entropy_objective(fam: _SphereFamily, u: np.ndarray):
     """H(e^u | e^{u_{t,n}}) = int e^u u + 2 int e^u log q."""
     u = fam.columns(u)
     eu = np.exp(u)
-    base = fam.integrate(eu * u)
+    base = integrate(eu * u, fam.grid)
 
     def fun(t, n):
         q = fam.base(t, n)
         logq = np.log(q, out=q)
         logq *= eu
-        return base + 2.0 * fam.integrate(logq)
+        return base + 2.0 * integrate(logq, fam.grid)
 
     return fun
 
@@ -384,7 +383,7 @@ def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float, ubar: floa
         Ev = 8.0 * t / math.tanh(t) - 8.0
         ev = fam.density(t, n)
         ev *= u
-        return Eu + Ev - 4.0 * fam.integrate(ev) + 4.0 * ubar
+        return Eu + Ev - 4.0 * integrate(ev, fam.grid) + 4.0 * ubar
 
     return fun
 
@@ -409,7 +408,7 @@ def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
         v, ev = fam.optimizer(t, n)
         v -= u
         v *= ev
-        return fam.integrate(v)
+        return integrate(v, fam.grid)
 
     return fun
 
@@ -431,7 +430,7 @@ def _l1_objective(fam: _SphereFamily, f_plus_1: np.ndarray):
     def fun(t, n):
         ev = fam.density(t, n)
         np.subtract(f, ev, out=ev)
-        return fam.integrate(np.abs(ev, out=ev))
+        return integrate(np.abs(ev, out=ev), fam.grid)
 
     return fun
 
@@ -453,7 +452,7 @@ def nearest_circle_L1(u: CircleField, grid: CircleGrid | None = None):
 
     def fun(t, n):
         pk = 1.0 / (math.cosh(t) + math.sinh(t) * (pts @ n))
-        return float(np.mean(np.abs(eu - pk)))
+        return integrate(np.abs(eu - pk), grid)
 
     val, t, n, diag = _manifold_minimize(fun, _CIRCLE_DIRS, _CIRCLE_T_MAX)
     alpha = math.atan2(-n[1], -n[0]) % (2.0 * math.pi)

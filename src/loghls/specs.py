@@ -20,7 +20,7 @@ Examples::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import DomainError, ParseError
 from .fields import CircleField, SphereField, get_transform, radial_from_profile
 from .functionals import MASS_TOL
 from .geometry import planar_from_profile
-from .grids import make_circle_grid, make_radial_grid, make_sphere_grid
+from .grids import integrate, make_circle_grid, make_radial_grid, make_sphere_grid
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          SphereOptimizerParams, circle_optimizer,
                          planar_optimizer_profile, sphere_optimizer)
@@ -268,7 +268,7 @@ def spec_domain(spec: InputSpec) -> str:
 
 @dataclass
 class RunConfig:
-    """Grid sizes, tolerances, search boxes and output settings."""
+    """Grid sizes, Keller-Segel run settings, switches and the output path."""
 
     radial_n: int = 4096
     radial_rmax: float = 1e4
@@ -281,11 +281,9 @@ class RunConfig:
     ks_rmax: float = 1e3
     ks_T: float = 50.0
     ks_dt: float | None = None
-    tol: float = 1e-6
     oracle: bool = False
     seed: int = 0
     out: str | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.validate()
@@ -297,32 +295,19 @@ class RunConfig:
             raise DomainError("RunConfig: invalid sphere/circle grid settings")
         if self.ks_n < 64 or not (0 < self.ks_rmin < self.ks_rmax):
             raise DomainError("RunConfig: invalid Keller-Segel grid settings")
-        if self.tol <= 0:
-            raise DomainError("RunConfig: tol must be positive")
 
-    # lazily built, shared grids
+    # the shared grids of this configuration
     def radial_grid(self, scheme: str = "log-uniform"):
-        key = ("radial", scheme)
-        if key not in self._cache:
-            self._cache[key] = make_radial_grid(self.radial_rmax, self.radial_n,
-                                                scheme, self.radial_span)
-        return self._cache[key]
+        return make_radial_grid(self.radial_rmax, self.radial_n, scheme, self.radial_span)
 
     def sphere_grid(self):
         return make_sphere_grid(self.sphere_nz, self.sphere_nphi)
 
     def circle_grid(self):
-        if "circle" not in self._cache:
-            self._cache["circle"] = make_circle_grid(self.circle_n)
-        return self._cache["circle"]
+        return make_circle_grid(self.circle_n)
 
     def metadata(self) -> dict:
-        out = {}
-        for f in dc_fields(self):
-            if f.name.startswith("_"):
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
+        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -341,7 +326,7 @@ class RunConfig:
     @classmethod
     def from_strings(cls, kwargs: dict) -> "RunConfig":
         typed = {}
-        valid = {f.name: f.type for f in dc_fields(cls) if not f.name.startswith("_")}
+        valid = {f.name for f in dc_fields(cls)}
         for k, v in kwargs.items():
             if k not in valid:
                 raise ParseError(f"unknown config key {k!r}")
@@ -510,8 +495,7 @@ def realize_circle(spec: InputSpec, config: RunConfig | None = None) -> CircleFi
         coeffs[1] = eps / 2.0
         u = CircleField(coeffs)
         grid = make_circle_grid(512 if config is None else config.circle_n)
-        from .grids import integrate as _integrate
-        shift = float(np.log(_integrate(np.exp(u.values(grid)), grid)))
+        shift = float(np.log(integrate(np.exp(u.values(grid)), grid)))
         coeffs[0] = -shift
         return CircleField(coeffs)
     raise DomainError(f"spec {spec.kind!r} is not a circle field")

@@ -108,11 +108,10 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
 
 def _radial_oracle_distance(rho: RadialDensity, n_sweep: int = 10_000) -> float:
     from .optimizers import PlanarOptimizerParams, planar_optimizer_profile
-    w, r = rho.grid.weights, rho.grid.nodes
     best = np.inf
     for ls in np.linspace(-6.0, 6.0, n_sweep):
         prof = planar_optimizer_profile(PlanarOptimizerParams(float(np.exp(ls))))
-        d = float(np.sum(w * np.abs(rho.values - prof(r))))
+        d = integrate(np.abs(rho.values - prof(rho.grid.nodes)), rho.grid)
         if d < best:
             best = d
     return best

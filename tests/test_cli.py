@@ -178,3 +178,23 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "eval", "optimizer:s=1", "--out", str(path))
     assert code == 0
     assert json.loads(path.read_text())["free_energy"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_config_out_writes_the_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {path}\n")
+    code, out, _ = run_cli(capsys, "eval", "optimizer:s=1", "--config", str(cfg))
+    assert code == 0
+    assert out == ""
+    assert json.loads(path.read_text())["free_energy"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_tol_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["stability", "gaussian:sigma=1", "--tol", "1e-1"])
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 1e-1\n")
+    code, _, err = run_cli(capsys, "eval", "gaussian:sigma=1", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'tol'" in err

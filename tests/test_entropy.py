@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from loghls import entropy as ent
 from loghls.errors import DomainError, NormalizationError
@@ -94,13 +95,13 @@ def test_duality_round_trip_brute_force():
     rho = np.array([1.2, 0.9, 0.82]) / np.sum(np.array([1.2, 0.9, 0.82]) * nu)
     H = float(np.sum(nu * ent.xlogx(rho)))
     grid = np.linspace(-6.0, 6.0, 241)
-    best = -np.inf
-    for a in grid:                       # phi = (a, b, 0) by shift invariance
-        for b in grid:
-            phi = np.array([a, b, 0.0])
-            val = float(np.sum(nu * phi * rho)) - ent.log_partition(phi, nu)
-            best = max(best, val)
-    assert abs(best - H) <= 1e-3
+    a, b = np.meshgrid(grid, grid, indexing="ij")  # phi = (a, b, 0) by shift invariance
+    phi = np.stack([a.ravel(), b.ravel(), np.zeros(a.size)], axis=1)
+    log_Z = logsumexp(phi, b=nu, axis=1)
+    vals = phi @ (nu * rho) - log_Z
+    k = int(np.argmax(vals))
+    assert abs(ent.log_partition(phi[k], nu) - log_Z[k]) <= 1e-14
+    assert abs(vals[k] - H) <= 1e-3
 
 
 def test_small_set_delta():

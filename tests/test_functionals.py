@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import i0
 
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
@@ -128,6 +129,18 @@ def test_divergent_log_moment_rejected(radial_fine):
     heavy = radial_from_profile(radial_fine, lambda r: 1.0 / (1.0 + r**2))
     with pytest.raises(DomainError):
         log_interaction(heavy)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=st.sampled_from(("gaussian:sigma={s!r}",
+                             "perturbed-optimizer:eps=0.3,mode=2,s={s!r}")),
+       scale=st.floats(0.3, 3.0))
+def test_free_energy_is_dilation_invariant(spec, scale):
+    """H(rho) does not change under rho -> s^-2 rho(x/s)."""
+    cfg = RunConfig()
+    H = planar_free_energy(realize_planar(parse_input_spec(spec.format(s=scale)), cfg))
+    H1 = planar_free_energy(realize_planar(parse_input_spec(spec.format(s=1.0)), cfg))
+    assert abs(H - H1) <= 1e-6
 
 
 # ----------------------------------------------------------------------

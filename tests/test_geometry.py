@@ -13,7 +13,7 @@ from loghls.geometry import (ConformalParams, chordal_identity_check,
                              stereo_forward, stereo_inverse, stereonorm_residual)
 from loghls.grids import integrate, make_radial_grid
 from loghls.sht import SphereTransform
-from loghls.specs import RunConfig, parse_input_spec, realize_sphere
+from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -237,3 +237,16 @@ def test_plane_sphere_onofri_correspondence():
     E = 2.0 * 0.3**2 / 3.0 + 6.0 * 0.1**2 / 5.0
     rhs = 0.25 * E + 0.0 - U(-1.0)
     assert abs(lhs - rhs) <= 1e-3
+
+
+_PLANAR_FAMILIES = ("gaussian:sigma={s!r}", "optimizer:s={s!r}",
+                    "perturbed-optimizer:eps=0.3,mode=1,s={s!r}")
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=st.sampled_from(_PLANAR_FAMILIES), scale=st.floats(0.3, 3.0))
+def test_lift_is_an_L1_isometry(spec, scale):
+    """||T rho||_1 on the run's sphere grid is ||rho||_1 on its radial grid."""
+    cfg = RunConfig()
+    rho = realize_planar(parse_input_spec(spec.format(s=scale)), cfg)
+    assert abs(lift_T(rho, cfg.sphere_grid()).mean() - rho.mass) <= 1e-6

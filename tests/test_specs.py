@@ -128,8 +128,10 @@ def test_realize_circle_normalized(cfg):
 def test_runconfig_validation_and_file(tmp_path):
     with pytest.raises(DomainError):
         RunConfig(radial_n=4)
-    with pytest.raises(DomainError):
-        RunConfig(tol=-1.0)
+    stale = tmp_path / "stale.cfg"
+    stale.write_text("tol = 1e-6\n")             # the pass tolerance is not configurable
+    with pytest.raises(ParseError):
+        RunConfig.from_file(str(stale))
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nradial_n = 512\nsphere_nz = 64\noracle = true\nks_dt = none\n")
     cfg = RunConfig.from_file(str(path))
