@@ -34,7 +34,7 @@ class ConvergenceError(LogHLSError, RuntimeError):
 
 
 class StepSizeError(LogHLSError, RuntimeError):
-    """A requested time step violates the stability (CFL) safeguard."""
+    """A requested time step violates a step-size safeguard or cap."""
 
 
 class MassConservationError(LogHLSError, RuntimeError):

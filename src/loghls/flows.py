@@ -12,22 +12,21 @@ M(r) = int_{|x|<r} rho satisfies
 
 which in x = log r becomes M_t = (M_xx - 2 M_x + M M_x / (2 pi)) / r^2.
 Mass conservation is structural (Dirichlet condition at r_max) and the
-steady states are exactly M(r) = 8 pi r^2 / (s^2 + r^2).  Diffusion is
-treated implicitly (backward Euler, banded solve), the quadratic
-transport explicitly with a CFL safeguard; interior stencils are fourth
-order so the discrete steady state stays within ~1e-6 of the continuum
-profile at n = 1024.
+steady states are exactly M(r) = 8 pi r^2 / (s^2 + r^2).  Interior
+stencils are fourth order, so the discrete steady state stays within
+~1e-6 of the continuum profile at n = 1024.
 
-Adaptive steps sit on a ladder, 2e-3 * 2^(-k/4) for the smallest k that
-keeps the step within the CFL bound, so a run meets few distinct steps.
-The banded matrix I - dt L is factored once per rung (LAPACK gbtrf) and
-each step is one triangular solve (gbtrs) with the cached factors; only
-a step cut short to land on a sample time is factored on its own.  Each
-step computes M_x once, for its free energy and for the next step's
-transport.  The free energy includes the disc |x| < r_min in closed
-form: the inner boundary condition M = M_0 (r/r_min)^2 makes rho
-constant there, so H stays dilation invariant when the aggregate
-approaches r_min.
+Diffusion and transport are both linearly implicit, in variable-step
+SBDF2 (Ascher-Ruuth-Spiteri 1997): the transport velocity M / (2 pi r^2)
+is extrapolated to the new time level, so each step is one banded solve
+whose matrix changes with it (LAPACK gbtrf, then gbtrs).  No CFL bound
+limits the step.  Steps target min(DT_CAP, 8 dx / max velocity), the
+time scale of the aggregate, and split each sample interval evenly, so
+sample times are hit exactly.  A discrete steady state of the equation
+is a fixed point of the scheme.  The free energy includes the disc
+|x| < r_min in closed form: the inner boundary condition
+M = M_0 (r/r_min)^2 makes rho constant there, so H stays dilation
+invariant when the aggregate approaches r_min.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .entropy import xlogx
-from .errors import (DomainError, MassConservationError, NormalizationError,
-                     PositivityError, StepSizeError)
+from .errors import (ConvergenceError, DomainError, MassConservationError,
+                     NormalizationError, PositivityError, StepSizeError)
 from .fields import RadialDensity
 from .grids import SphereGrid, integrate, make_sphere_grid
 from .sht import legendre_synthesize
@@ -71,7 +70,8 @@ __all__ = [
 ]
 
 KS_MASS = 8.0 * np.pi
-DT_CAP = 2e-3           # the largest Keller-Segel step, the top rung of the ladder
+DT_CAP = 2e-2           # the largest Keller-Segel step
+STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP + n_samples steps
 
 
 # ----------------------------------------------------------------------
@@ -281,12 +281,9 @@ class KSState:
             raise MassConservationError(
                 f"KSState: M(r_max) = {self.M[-1]!r} drifted from {self.mass_total!r}")
 
-    def density(self, Mx: np.ndarray | None = None) -> np.ndarray:
-        """rho = M_x / (2 pi r^2) with fourth-order centered differences;
-        ``Mx`` is M_x when the caller already has it."""
-        if Mx is None:
-            Mx = _dx4(self.M, self.dx)
-        return Mx * self.inv_2pir2
+    def density(self) -> np.ndarray:
+        """rho = M_x / (2 pi r^2) with fourth-order centered differences."""
+        return _dx4(self.M, self.dx) * self.inv_2pir2
 
 
 def _dx4(M: np.ndarray, dx: float) -> np.ndarray:
@@ -310,8 +307,7 @@ def _cumulative_mass(rho: RadialDensity, r_nodes: np.ndarray) -> np.ndarray:
         anti = CubicSpline(xf, integrand).antiderivative()
         return np.asarray(anti(np.log(r_nodes)) - anti(a), dtype=float)
     g = rho.grid
-    dm = g.weights * rho.values / g.ref_weights
-    anti = CubicSpline(g.ref_nodes, dm).antiderivative()
+    anti = g.mass_antiderivative(rho.values)
     if g.scheme == "log-uniform":
         lo = math.log(g.r_max) - g.span
         xi = 2.0 * (np.log(r_nodes) - lo) / g.span - 1.0
@@ -332,79 +328,74 @@ def ks_initial_state(rho0: RadialDensity, n: int = 1024, r_min: float = 1e-2,
     return KSState(x=x, r=r, M=M, time=0.0, dt=0.0, mass_total=float(M[-1]))
 
 
-def _ks_minus_L_band(r: np.ndarray, dx: float) -> np.ndarray:
-    """-L = -(d_xx - 2 d_x)/r^2 in the band layout of LAPACK gbtrf with
+# (inner 5-point, edge 3-point) stencils of dx d_x (those of _dx4) and dx^2 d_xx
+_D1 = (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, np.array([-0.5, 0.0, 0.5]))
+_D2 = (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, np.array([1.0, -2.0, 1.0]))
+
+
+def _stencil_band(n: int, inner: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """The n x n matrix with the stencil ``inner`` on rows 2..n-3 and
+    ``edge`` on rows 1 and n-2, in the band layout of LAPACK gbtrf with
     kl = ku = 2: element (i, j) sits at [4 + i - j, j], and rows 0-1 are
-    room for the fill-in of the factorization.  Interior rows use fourth
-    order stencils, rows 1 and n-2 second order ones, and rows 0 and n-1
-    are left to the boundary conditions."""
-    n = r.size
-    inv_r2 = 1.0 / r**2
+    room for the fill-in.  Rows 0 and n-1 are left to the boundary
+    conditions."""
     band = np.zeros((7, n))
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0   # / dx^2
-    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0       # / dx
     rows = np.arange(2, n - 2)
-    for k, o in enumerate((-2, -1, 0, 1, 2)):
-        coeff = c2[k] / dx**2 - 2.0 * c1[k] / dx
-        band[4 - o, rows + o] = -coeff * inv_r2[rows]
-    for i in (1, n - 2):
-        for o, coeff in ((-1, 1.0 / dx**2 + 1.0 / dx), (0, -2.0 / dx**2),
-                         (1, 1.0 / dx**2 - 1.0 / dx)):
-            band[4 - o, i + o] = -coeff * inv_r2[i]
+    for o in (-2, -1, 0, 1, 2):
+        band[4 - o, rows + o] = inner[o + 2]
+        if abs(o) <= 1:
+            band[4 - o, [1 + o, n - 2 + o]] = edge[o + 1]
     return band
 
 
-def _ks_system(minus_L: np.ndarray, step: float, dx: float) -> np.ndarray:
-    """I - step L with the boundary-condition rows, in the layout of minus_L."""
-    ab = step * minus_L
-    ab[4] += 1.0
-    n = ab.shape[1]
-    # inner BC: M ~ C e^{2x} near the origin -> M_0 = e^{-2 dx} M_1
-    ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, -math.exp(-2.0 * dx), 0.0
-    # outer BC: M_{n-1} = total mass
-    ab[4, n - 1], ab[5, n - 2], ab[6, n - 3] = 1.0, 0.0, 0.0
-    return ab
+class _KSOperator(NamedTuple):
+    """The grid's part of every step matrix, in gbtrf's band layout: -L for
+    L = (d_xx - 2 d_x)/r^2, the derivative D of ``_dx4``, and the matrix
+    row of each band entry (clipped where it lies outside)."""
+
+    minus_L: np.ndarray
+    D: np.ndarray
+    rows: np.ndarray
+    dx: float
+
+    @classmethod
+    def build(cls, r: np.ndarray, dx: float) -> "_KSOperator":
+        n = r.size
+        rows = np.clip(np.arange(n) + np.arange(-4, 3)[:, None], 0, n - 1)
+        D = _stencil_band(n, *_D1) / dx
+        minus_L = (2.0 * D - _stencil_band(n, *_D2) / dx**2) / r[rows] ** 2
+        return cls(minus_L, D, rows, dx)
+
+    def system(self, step: float, a0: float, V: np.ndarray) -> np.ndarray:
+        """a0 I - step (L + diag(V) D) with the boundary-condition rows."""
+        ab = step * (self.minus_L - V[self.rows] * self.D)
+        ab[4] += a0
+        n = ab.shape[1]
+        # inner BC: M ~ C e^{2x} near the origin -> M_0 = e^{-2 dx} M_1
+        ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, -math.exp(-2.0 * self.dx), 0.0
+        # outer BC: M_{n-1} = total mass
+        ab[4, n - 1], ab[5, n - 2], ab[6, n - 3] = 1.0, 0.0, 0.0
+        return ab
 
 
-class _Factor(NamedTuple):
-    """LU factors of I - step L with the boundary rows (LAPACK gbtrf)."""
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the system ``ab`` (gbtrf's band layout, kl = ku = 2) M = rhs,
+    overwriting ``ab``: LAPACK gbtrf, then gbtrs.
 
-    lu: np.ndarray
-    piv: np.ndarray
-    step: float
-
-
-def _factor(minus_L: np.ndarray, step: float, dx: float) -> _Factor:
-    lu, piv, info = dgbtrf(_ks_system(minus_L, step, dx), 2, 2, overwrite_ab=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"ks_evolve: I - dt L is singular at dt = {step!r} (gbtrf info {info})")
-    return _Factor(lu, piv, step)
-
-
-def solve_banded(factor: _Factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - step L) M = rhs with cached factors (LAPACK gbtrs).
-
-    The result is bit-identical to ``scipy.linalg.solve_banded`` on the
-    same matrix, whose gbsv is gbtrf followed by gbtrs.  ``ks_evolve``
-    calls this once per time step, by this module-level name: the traced
+    The result is bit-identical to ``scipy.linalg.solve_banded((2, 2),
+    ab[2:], rhs)``, whose gbsv is the same two calls.  ``ks_evolve`` calls
+    this once per time step, by this module-level name: the traced
     benchmark run (``perfbench/layers.py``) wraps it and reports its calls
     as ``flows.ks_steps`` and its time as ``flows.ks_solve_s``.
     """
-    x, _info = dgbtrs(factor.lu, 2, 2, rhs, factor.piv)
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"ks_evolve: the step matrix is singular (gbtrf info {info})")
+    x, _info = dgbtrs(lu, 2, 2, rhs, piv)
     return x
 
 
-def _ladder_step(dt_cfl: float) -> tuple[int, float]:
-    """The rung k and step DT_CAP * 2^(-k/4) of the smallest k >= 0 whose
-    step is at most dt_cfl."""
-    k = max(0, math.ceil(-4.0 * math.log2(dt_cfl / DT_CAP) - 1e-9))
-    while DT_CAP * 2.0 ** (-k / 4.0) > dt_cfl:
-        k += 1
-    return k, DT_CAP * 2.0 ** (-k / 4.0)
-
-
-def ks_free_energy(state: KSState, Mx: np.ndarray | None = None) -> float:
+def ks_free_energy(state: KSState) -> float:
     """H(rho(t) / mass): entropy + 2*interaction + 1 + log pi, on the flow grid.
 
     Uses trapezoid weights in x and the cumulative-mass form of the
@@ -413,13 +404,11 @@ def ks_free_energy(state: KSState, Mx: np.ndarray | None = None) -> float:
     the disc |x| < r_min the inner boundary condition M = M_0 (r/r_min)^2
     makes rho constant, so with f_0 = M_0 / mass the disc adds the
     entropy f_0 log(f_0 / (pi r_min^2)) and the interaction
-    f_0^2 (log r_min - 1/4) exactly.  ``Mx`` is M_x when the caller
-    already has it.
+    f_0^2 (log r_min - 1/4) exactly.
     """
-    if Mx is None:
-        Mx = _dx4(state.M, state.dx)
+    Mx = _dx4(state.M, state.dx)
     mass = state.mass_total
-    rho = state.density(Mx) / mass
+    rho = Mx * state.inv_2pir2 / mass
     ent = float(np.sum(state.weights * xlogx(np.clip(rho, 0.0, None))))
     g = (2.0 / mass**2) * state.M * state.x * Mx          # 2 M_n log r (M_n)_x
     inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * state.dx)
@@ -448,25 +437,37 @@ def ks_distance(state: KSState) -> tuple[float, float]:
 
 def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
               n: int = 1024, r_min: float = 1e-2, r_max: float = 1e3,
-              n_samples: int = 64, cfl_safety: float = 0.5,
+              n_samples: int = 64,
               mono_tol: float = 1e-10) -> tuple[FlowTrajectory, KSState]:
     """Run the critical-mass flow to time T with per-step diagnostics.
 
-    dt = None steps on a ladder: each step is DT_CAP * 2^(-k/4) for the
-    smallest k >= 0 that keeps it within the CFL safeguard
-    0.5*dx/max|velocity|.  An explicit dt is used as given but raises
-    StepSizeError the moment it violates the CFL safeguard.  A step is
-    cut short where it would pass a sample time.  The factors of
-    I - step L are computed once per rung (once for an explicit dt) and
-    reused; a step cut short is factored on its own.
+    Each step is linearly-implicit, variable-step SBDF2: with w = h_n /
+    h_{n-1}, a0 = (1 + 2w)/(1 + w) and V* = (1 + w) V^n - w V^{n-1},
+    V = M / (2 pi r^2), it solves
 
-    The diagnostics hold the number of ``steps`` and of
-    ``factorizations``, and ``dt_min``, the smallest step before any cut.
+        (a0 I - h (L + diag(V*) D)) M^{n+1} = (1 + w) M^n - w^2/(1 + w) M^{n-1},
+
+    where D is the derivative of ``_dx4``; the first step is backward Euler
+    (a0 = 1, V* = V^0).  The matrix changes with V*, so each step factors
+    it once (``solve_banded``).
+
+    dt = None targets h* = min(DT_CAP, 8 dx / max V), the time scale of the
+    aggregate rather than the CFL bound of explicit transport, and at most
+    t_1 / 8 before the first sample t_1.  An explicit dt in (0, DT_CAP]
+    replaces h*; any other raises StepSizeError.  Each step splits what is
+    left of the current sample interval evenly into ceil(left / h*) steps,
+    so sample times are hit exactly and consecutive steps change smoothly.
+    More than STEP_BUDGET times the cap-limited count T / DT_CAP +
+    n_samples of steps raises ConvergenceError.
+
+    The diagnostics hold the number of ``steps`` and ``dt_min``, the
+    smallest h* met (without the t_1 / 8 bound and the even split).
     """
+    if dt is not None and not 0.0 < dt <= DT_CAP:
+        raise StepSizeError(f"ks_evolve: dt = {dt} lies outside (0, DT_CAP = {DT_CAP}]")
     state = ks_initial_state(rho0, n=n, r_min=r_min, r_max=r_max)
     dx = state.dx
-    minus_L = _ks_minus_L_band(state.r, dx)
-    factors: dict[int, _Factor] = {}
+    op = _KSOperator.build(state.r, dx)
 
     sample_times = np.unique(np.concatenate((
         [0.0], np.geomspace(max(T * 1e-3, 10 * (dt or 1e-3)), T, n_samples - 1))))
@@ -476,8 +477,7 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
 
     times, fes, dists, diss, merr = [], [], [], [], []
     max_fe_increase = 0.0
-    Mx = _dx4(state.M, dx)
-    fe_prev_step = ks_free_energy(state, Mx)
+    fe_prev_step = ks_free_energy(state)
     fe_prev_sample = fe_prev_step
     t_prev_sample = 0.0
     M0_end = state.M[-1]
@@ -496,49 +496,49 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
         fe_prev_sample, t_prev_sample = fe, t
 
     record(0.0, fe_prev_step)
+    budget = STEP_BUDGET * (T / DT_CAP + n_samples)
     next_sample = 1
     t = 0.0
-    steps = factorizations = 0
+    steps = 0
     dt_min = math.inf
-    while t < T - 1e-14:
-        velocity = state.M * state.inv_2pir2
-        dt_cfl = cfl_safety * dx / max(float(np.max(velocity)), 1e-12)
-        if dt is None:
-            rung, full = _ladder_step(dt_cfl)
+    V = state.M * state.inv_2pir2
+    M_prev = V_prev = None
+    while t < T:
+        if steps >= budget:
+            raise ConvergenceError(
+                f"ks_evolve: {steps} steps reach t = {t:.6g} of T = {T} (budget {budget:.0f}); "
+                f"dt_min = {dt_min:.3e}, the aggregate is outrunning the grid")
+        target = sample_times[next_sample]
+        h_star = dt if dt is not None else min(DT_CAP, 8.0 * dx / max(float(np.max(V)), 1e-12))
+        dt_min = min(dt_min, h_star)
+        if dt is None and next_sample == 1:
+            h_star = min(h_star, target / 8.0)
+        # the 1e-9 keeps rounding in t from adding a step to the split
+        parts = math.ceil((target - t) / h_star * (1.0 - 1e-9))
+        step = (target - t) / parts
+        if M_prev is None:
+            a0, V_star, rhs = 1.0, V, state.M.copy()
         else:
-            if dt > dt_cfl:
-                raise StepSizeError(
-                    f"ks_evolve: dt = {dt} violates the CFL safeguard "
-                    f"{dt_cfl:.3e} at t = {t:.4f}")
-            rung, full = 0, dt
-        target = sample_times[next_sample] if next_sample < sample_times.size else T
-        step = min(full, target - t, T - t)
-        factor = factors.get(rung) if step == full else None
-        if factor is None:
-            factor = _factor(minus_L, step, dx)
-            factorizations += 1
-            if step == full:
-                factors[rung] = factor
-        rhs = state.M + step * (velocity * Mx)
+            w = step / state.dt
+            a0, V_star = (1.0 + 2.0 * w) / (1.0 + w), (1.0 + w) * V - w * V_prev
+            rhs = (1.0 + w) * state.M - (w * w / (1.0 + w)) * M_prev
         rhs[0] = 0.0
         rhs[-1] = state.mass_total
-        state.M = solve_banded(factor, rhs)
-        t += step
+        M_prev, V_prev = state.M, V
+        state.M = solve_banded(op.system(step, a0, V_star), rhs)
+        t = target if parts == 1 else t + step
         state.time = t
         state.dt = step
         steps += 1
-        dt_min = min(dt_min, full)
         state.check_invariants(mono_tol)
-        Mx = _dx4(state.M, dx)
-        fe_now = ks_free_energy(state, Mx)
+        V = state.M * state.inv_2pir2
+        fe_now = ks_free_energy(state)
         if fe_now > fe_prev_step:
             max_fe_increase = max(max_fe_increase, fe_now - fe_prev_step)
         fe_prev_step = fe_now
-        if next_sample < sample_times.size and t >= sample_times[next_sample] - 1e-14:
+        if parts == 1:
             record(t, fe_now)
             next_sample += 1
-    if times[-1] < t:
-        record(t, fe_prev_step)
 
     mass_drift = abs(state.M[-1] - M0_end)
     if mass_drift > 1e-6 * state.mass_total:
@@ -553,7 +553,7 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
             "n": n, "r_min": r_min, "r_max": r_max, "T": T,
             "dt": "adaptive" if dt is None else dt,
             "mass_total": state.mass_total,
-            "steps": steps, "factorizations": factorizations, "dt_min": dt_min,
+            "steps": steps, "dt_min": dt_min,
         })
     return traj, state
 

@@ -96,9 +96,7 @@ def _radial_interaction(rho: RadialDensity) -> float:
             raise DomainError(
                 "log_interaction: density carries significant mass in the top "
                 "decade of the grid; log moment not converged on this grid")
-    # mass per unit of the reference variable, whose antiderivative is M
-    dm_dxi = g.weights * vals / g.ref_weights
-    M = CubicSpline(g.ref_nodes, dm_dxi).antiderivative()(g.ref_nodes)
+    M = g.mass_antiderivative(vals)(g.ref_nodes)
     return 2.0 * integrate(vals * M * np.log(g.nodes), g)
 
 

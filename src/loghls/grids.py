@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
 from .errors import DimensionMismatchError, DomainError
@@ -84,6 +85,14 @@ class RadialGrid:
     @property
     def shape(self) -> tuple[int]:
         return self.nodes.shape
+
+    def mass_antiderivative(self, values: np.ndarray) -> CubicSpline:
+        """The cumulative mass of ``values`` as a function of the reference
+        variable: the spline antiderivative of the mass per unit of it,
+        ``weights * values / ref_weights``, so that its value at xi less its
+        value at -1 is the mass inside the radius that xi maps to."""
+        dm_dxi = self.weights * values / self.ref_weights
+        return CubicSpline(self.ref_nodes, dm_dxi).antiderivative()
 
 
 _RADIAL_GRIDS: dict[tuple[float, int, str, float], RadialGrid] = {}

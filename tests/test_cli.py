@@ -131,6 +131,16 @@ def test_ks_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_ks_sharp_gaussian_command(capsys):
+    """The sigma = 0.5 Gaussian concentrates to s ~ 0.29 by T = 10; its run
+    passes the distance bound in fewer than 10,000 steps."""
+    code, out, _ = run_cli(capsys, "ks", "8pi*gaussian:sigma=0.5", "--T", "10")
+    assert code == 0
+    data = json.loads(out)
+    assert data["distance_bound_pass"] is True
+    assert data["trajectory"]["diagnostics"]["steps"] < 10_000
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -4,8 +4,8 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 
 from loghls import flows
 
-from loghls.errors import (DomainError, NormalizationError, PositivityError,
-                           StepSizeError)
+from loghls.errors import (ConvergenceError, DomainError, NormalizationError,
+                           PositivityError, StepSizeError)
 from loghls.fields import radial_from_profile
 from loghls.flows import (KS_MASS, FlowTrajectory, decay_check,
                           dissipation_check, entropy_dissipation_rate,
@@ -142,24 +142,51 @@ def test_ks_free_energy_dilation_invariant(ks_grid, s):
 def test_ks_free_energy_gaussian_closed_form(ks_grid):
     st = ks_initial_state(gauss8pi(ks_grid))
     assert ks_free_energy(st) == pytest.approx(np.log(2.0) - np.euler_gamma, abs=1e-7)
-    # a derivative handed in is the one computed inside
-    assert ks_free_energy(st, flows._dx4(st.M, st.dx)) == ks_free_energy(st)
 
 
-@pytest.mark.parametrize("step", [flows.DT_CAP, flows.DT_CAP * 2.0 ** (-5 / 4), 1.234e-4],
-                         ids=["cap", "rung 5", "cut short"])
-def test_ks_cached_factor_solve_is_solve_banded(step):
-    """gbtrf once, then gbtrs per step, is scipy's gbsv bit for bit."""
-    n = 1024
+def dense_ks_matrix(r, dx, step, a0, V):
+    """a0 I - step (L + diag(V) D) with the boundary rows, assembled densely
+    from the stencils of L = (d_xx - 2 d_x)/r^2 and of D = ``_dx4``."""
+    n = r.size
+    D1, D2 = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(2, n - 2):
+        D1[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dx)
+        D2[i, i - 2:i + 3] = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx**2)
+    for i in (1, n - 2):
+        D1[i, i - 1:i + 2] = np.array([-1.0, 0.0, 1.0]) / (2.0 * dx)
+        D2[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / dx**2
+    A = a0 * np.eye(n) - step * ((D2 - 2.0 * D1) / r[:, None] ** 2 + V[:, None] * D1)
+    A[0], A[-1] = 0.0, 0.0
+    A[0, 0], A[0, 1], A[-1, -1] = 1.0, -np.exp(-2.0 * dx), 1.0
+    return A
+
+
+@pytest.mark.parametrize("omega", [None, 1.0, 0.6], ids=["backward Euler", "omega=1", "omega=0.6"])
+def test_ks_sbdf2_band_is_dense_system(omega):
+    """The vectorized band of an SBDF2 step is the densely assembled
+    a0 I - h (L + diag(V*) D), and its per-step gbtrf + gbtrs solve is
+    scipy's gbsv bit for bit."""
+    n, step = 256, flows.DT_CAP
     x = np.linspace(np.log(1e-2), np.log(1e3), n)
-    dx = float(x[1] - x[0])
-    minus_L = flows._ks_minus_L_band(np.exp(x), dx)
-    factor = flows._factor(minus_L, step, dx)
+    r, dx = np.exp(x), float(x[1] - x[0])
     rng = np.random.default_rng(3)
+    V, V_prev = (rng.uniform(0.0, 4.0, n) for _ in range(2))
+    if omega is None:
+        a0, V_star = 1.0, V
+    else:
+        a0, V_star = (1 + 2 * omega) / (1 + omega), (1 + omega) * V - omega * V_prev
+    ab = flows._KSOperator.build(r, dx).system(step, a0, V_star)
+    A = dense_ks_matrix(r, dx, step, a0, V_star)
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= 2
+    assert np.all(A[~inside] == 0.0)
+    dense_band = np.zeros((7, n))
+    dense_band[4 + i[inside] - j[inside], j[inside]] = A[inside]
+    assert np.allclose(ab, dense_band, rtol=1e-13, atol=1e-13 * np.max(np.abs(A)))
     for _ in range(3):
         rhs = rng.uniform(0.0, KS_MASS, n)
-        ref = scipy_solve_banded((2, 2), flows._ks_system(minus_L, step, dx)[2:], rhs)
-        assert np.array_equal(flows.solve_banded(factor, rhs), ref)
+        ref = scipy_solve_banded((2, 2), ab[2:], rhs)
+        assert np.array_equal(flows.solve_banded(ab.copy(), rhs), ref)
 
 
 def test_ks_minus_L_band_annihilates_steady_state():
@@ -168,7 +195,7 @@ def test_ks_minus_L_band_annihilates_steady_state():
     n = 1024
     x = np.linspace(np.log(1e-2), np.log(1e3), n)
     r, dx = np.exp(x), float(x[1] - x[0])
-    band = flows._ks_minus_L_band(r, dx)
+    band = flows._KSOperator.build(r, dx).minus_L
     M = KS_MASS * r**2 / (1.0 + r**2)
     LM = np.zeros(n)
     for o in (-2, -1, 0, 1, 2):
@@ -179,35 +206,40 @@ def test_ks_minus_L_band_annihilates_steady_state():
     assert np.max(np.abs(residual * r[1:-1] ** 2)) <= 1e-5
 
 
-def test_ks_adaptive_steps_keep_cfl(ks_grid, monkeypatch):
-    """Every step of a CFL-limited Gaussian run is at most 0.5 dx / max|v| of
-    the state it starts from, and a full step is the largest rung that is."""
-    vmax, steps = [], []
+def test_ks_adaptive_steps_follow_step_rule(ks_grid, monkeypatch):
+    """Every step of a sharp Gaussian run is at most min(DT_CAP, 8 dx / max V)
+    of the state it starts from (and t_1 / 8 before the first sample t_1),
+    and splits what is left of its sample interval evenly."""
+    vmax, starts, solves = [], [], []
     real_fe, real_solve = flows.ks_free_energy, flows.solve_banded
 
-    def fe(state, Mx=None):
+    def fe(state):
         vmax.append(float(np.max(state.M * state.inv_2pir2)))
-        return real_fe(state, Mx)
+        starts.append(state.time)
+        return real_fe(state)
 
-    def solve(factor, rhs):
-        steps.append(factor.step)
-        return real_solve(factor, rhs)
+    def solve(ab, rhs):
+        solves.append(ab.shape)
+        return real_solve(ab, rhs)
 
     monkeypatch.setattr(flows, "ks_free_energy", fe)
     monkeypatch.setattr(flows, "solve_banded", solve)
     sharp = radial_from_profile(ks_grid, lambda r: 16.0 * np.exp(-2.0 * r**2))
-    traj, state = ks_evolve(sharp, T=0.5, n=512, n_samples=8)
-    assert len(steps) == traj.diagnostics["steps"] and len(vmax) == len(steps) + 1
-    cfl = 0.5 * state.dx / np.asarray(vmax[:-1])
-    steps = np.asarray(steps)
-    assert np.all(steps <= cfl)
-    k = np.round(-4.0 * np.log2(steps / flows.DT_CAP))
-    full = np.isclose(steps, flows.DT_CAP * 2.0 ** (-k / 4.0), rtol=1e-14, atol=0.0)
-    assert np.sum(full) >= 0.9 * steps.size and np.any(k[full] > 0)
-    above = flows.DT_CAP * 2.0 ** (-(k - 1) / 4.0)
-    assert np.all((k[full] == 0) | (above[full] > cfl[full]))
-    assert traj.diagnostics["dt_min"] == np.min(steps[full])
-    assert traj.diagnostics["factorizations"] < 0.1 * steps.size
+    traj, state = ks_evolve(sharp, T=2.0, n=1024, n_samples=8)
+    assert len(solves) == traj.diagnostics["steps"] and len(vmax) == len(solves) + 1
+    t = np.asarray(starts)
+    steps = np.diff(t)
+    h_star = np.minimum(flows.DT_CAP, 8.0 * state.dx / np.asarray(vmax[:-1]))
+    assert np.any(h_star < flows.DT_CAP)           # the velocity term binds
+    assert traj.diagnostics["dt_min"] == np.min(h_star)
+    # the sample interval each step ends in, and what was left of it
+    target = traj.times[np.searchsorted(traj.times, t[1:] - 1e-12)]
+    assert set(traj.times[1:]) <= set(t) and t[-1] == 2.0
+    bound = np.where(target <= traj.times[1], np.minimum(h_star, traj.times[1] / 8.0), h_star)
+    assert np.all(steps <= bound * (1.0 + 1e-9))
+    left = target - t[:-1]
+    parts = np.ceil(left / bound * (1.0 - 1e-9))
+    assert np.allclose(steps, left / parts, rtol=1e-12, atol=0.0)
 
 
 def test_ks_stationary_short(ks_grid):
@@ -220,10 +252,11 @@ def test_ks_stationary_short(ks_grid):
     assert drift <= 1e-4
     assert traj.diagnostics["max_free_energy_increase_per_step"] <= 1e-8
     assert np.max(traj.mass_error) == 0.0
-    # at the step cap: one factor for full steps, one per step cut at a sample
+    # at the step cap: T / DT_CAP steps, 8 in the first sample interval and
+    # at most one more per sample interval for the even split
     diag = traj.diagnostics
     assert diag["dt_min"] == flows.DT_CAP
-    assert diag["steps"] >= 1.0 / flows.DT_CAP and diag["factorizations"] <= 8
+    assert diag["steps"] <= 1.0 / flows.DT_CAP + 8 + traj.times.size
 
 
 def test_ks_gaussian_short(ks_grid):
@@ -247,14 +280,35 @@ def test_ks_refinement_consistency(ks_grid):
 
 
 def test_ks_explicit_dt_cfl_error(ks_grid):
-    with pytest.raises(StepSizeError):
+    """An explicit dt above the step cap DT_CAP raises StepSizeError, as one
+    above the explicit-transport CFL bound did."""
+    with pytest.raises(StepSizeError, match="DT_CAP"):
         ks_evolve(h8pi(ks_grid), dt=1.0, T=2.0, n=512)
     traj, _ = ks_evolve(h8pi(ks_grid), dt=1e-3, T=0.1, n=512, n_samples=4)
     assert traj.diagnostics["dt_min"] == 1e-3
-    # 0.1 / dt full steps, one of them split at the sample time 10^-1.5;
-    # one factor for dt and at most one per step cut short at a sample
+    # the sample intervals (0, 0.01], (0.01, 10^-1.5] and (10^-1.5, 0.1]
+    # split evenly into 10, 22 and 69 steps
     assert traj.diagnostics["steps"] == 101
-    assert traj.diagnostics["factorizations"] <= 1 + 4
+
+
+def test_ks_second_order_in_time(ks_grid):
+    """Halving an explicit dt cuts the error of the final free energy by
+    about 4 (SBDF2), not by 2 (first order)."""
+    def H_end(dt):
+        traj, _ = ks_evolve(gauss8pi(ks_grid), dt=dt, T=1.0, n=512, n_samples=4)
+        return traj.free_energy[-1]
+
+    ref = H_end(1.25e-3)
+    err = [abs(H_end(dt) - ref) for dt in (1e-2, 5e-3)]
+    assert err[0] >= 3.5 * err[1] > 0.0
+
+
+def test_ks_step_budget(ks_grid, monkeypatch):
+    """A run that needs more steps than its budget raises ConvergenceError
+    naming T, t and dt_min, instead of stepping on."""
+    monkeypatch.setattr(flows, "STEP_BUDGET", 0.1)
+    with pytest.raises(ConvergenceError, match=r"t = .* of T = 1\.0.*dt_min = "):
+        ks_evolve(gauss8pi(ks_grid), T=1.0, n=256, n_samples=8)
 
 
 def test_ks_distance_helper(ks_grid):
