@@ -157,7 +157,7 @@ def cmd_heatflow(args) -> int:
     coeffs = realize_heat_coeffs(spec)
     state0 = heat_state(coeffs)
     T = args.T
-    times = np.geomspace(max(1e-2, T / 100.0), T, args.samples)
+    times = np.geomspace(max(1e-2, T / 100.0) if T > 1e-2 else T / 100.0, T, args.samples)
     times = np.concatenate(([0.0], times))
     H0 = reverse_entropy(state0)
     rows = []
@@ -167,11 +167,8 @@ def cmd_heatflow(args) -> int:
         H = reverse_entropy(st)
         dist = integrate(np.broadcast_to(np.abs(rho - 1.0)[:, None], st.grid.shape), st.grid)
         rows.append((float(t), H, dist, entropy_dissipation_rate(st), 0.0))
-    traj = FlowTrajectory(times=np.array([r[0] for r in rows]),
-                          free_energy=np.array([r[1] for r in rows]),
-                          distance_L1=np.array([r[2] for r in rows]),
-                          dissipation=np.array([r[3] for r in rows]),
-                          mass_error=np.array([r[4] for r in rows]),
+    # columns t, free_energy, distance_L1, dissipation, mass_error
+    traj = FlowTrajectory(*np.array(rows).T,
                           diagnostics={"kind": "heat", "H0": H0,
                                        "spec": format_input_spec(spec)})
     decay = decay_check(state0, times[1:])
@@ -198,7 +195,7 @@ def cmd_ks(args) -> int:
     prof = rho.profile
     scaled = RadialDensity(rho.grid, KS_MASS * rho.values,
                            profile=(lambda r, _p=prof: KS_MASS * _p(r)) if prof else None)
-    traj, state = ks_evolve(scaled, dt=cfg.ks_dt, T=args.T if args.T else cfg.ks_T,
+    traj, state = ks_evolve(scaled, dt=cfg.ks_dt, T=cfg.ks_T if args.T is None else args.T,
                             n=cfg.ks_n, r_min=cfg.ks_rmin, r_max=cfg.ks_rmax,
                             n_samples=args.samples)
     fit = ks_rate_fit(traj)
@@ -260,6 +257,13 @@ def cmd_suite(args) -> int:
     return 0
 
 
+def _positive_time(text: str) -> float:
+    T = float(text)
+    if not 0.0 < T < np.inf:
+        raise argparse.ArgumentTypeError(f"T must be a finite number > 0, got {text}")
+    return T
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="loghls", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("heatflow", help="heat semigroup run (flow heat)")
     sp.add_argument("spec", help='e.g. "1+0.5*P1" or legendre:c0=1,c1=0.5')
-    sp.add_argument("--T", type=float, default=1.0)
+    sp.add_argument("--T", type=_positive_time, default=1.0)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--samples", type=int, default=33)
     sp.add_argument("--csv", help="write the trajectory CSV here")
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ks", help="critical-mass Keller-Segel run (flow ks)")
     sp.add_argument("spec", help='e.g. "8pi*optimizer:s=1"')
-    sp.add_argument("--T", type=float, default=None)
+    sp.add_argument("--T", type=_positive_time, default=None)
     sp.add_argument("--samples", type=int, default=64)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp)

@@ -230,17 +230,5 @@ class CircleField:
         phase = np.exp(1j * np.outer(grid.theta, k))
         return self.coeffs[0].real + 2.0 * (phase @ self.coeffs[1:]).real
 
-    @classmethod
-    def from_values(cls, values: np.ndarray, grid: CircleGrid,
-                    kmax: int | None = None) -> "CircleField":
-        v = np.asarray(values, dtype=float)
-        if v.shape != grid.theta.shape:
-            raise DimensionMismatchError(
-                f"CircleField.from_values: {v.shape} values on {grid.theta.shape} angles")
-        F = np.fft.rfft(v) / grid.n
-        if kmax is None:
-            kmax = grid.n // 2 - 1
-        return cls(F[: kmax + 1])
-
     def mean(self) -> float:
         return float(self.coeffs[0].real)

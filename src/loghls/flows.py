@@ -2,6 +2,11 @@
 Legendre coefficients) and the critical-mass radial Keller-Segel flow
 (cumulative-mass finite differences on a log-radius grid).
 
+A heat state keeps the plain Legendre a_l of rho(z) = sum a_l P_l(z).
+Its grid's ``SphereTransform`` synthesizes rho from the m = 0 column
+a_l / sqrt(2l+1) and gives int |grad log rho|^2 as the Dirichlet energy
+of log rho, as ``onofri_entropy_form_gap`` does.
+
 Keller-Segel reduction
 ----------------------
 For radial solutions of the parabolic-elliptic system
@@ -42,12 +47,12 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .entropy import xlogx
-from .errors import (ConvergenceError, DomainError, MassConservationError,
-                     NormalizationError, PositivityError, StepSizeError)
-from .fields import RadialDensity
-from .grids import SphereGrid, integrate, make_sphere_grid
-from .sht import legendre_synthesize
-from numpy.polynomial import legendre as npleg
+from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
+                     MassConservationError, NormalizationError, PositivityError,
+                     StepSizeError)
+from .fields import RadialDensity, SphereField, get_transform
+from .functionals import dirichlet_energy
+from .grids import SphereGrid, make_sphere_grid
 
 __all__ = [
     "HeatState",
@@ -80,7 +85,7 @@ STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP
 
 @dataclass(frozen=True)
 class HeatState:
-    """Axisymmetric density on S^2 as plain Legendre coefficients a_l."""
+    """Axisymmetric density on S^2 as plain Legendre a_l, one per z node at most."""
 
     grid: SphereGrid
     coeffs: np.ndarray
@@ -91,17 +96,26 @@ class HeatState:
         if abs(c[0] - 1.0) > 1e-12:
             raise NormalizationError(
                 f"HeatState: a_0 = {c[0]!r}, unit mass requires a_0 = 1")
+        if c.size > self.grid.n_z:
+            raise DimensionMismatchError(
+                f"HeatState: {c.size} coefficients need n_z >= {c.size}, "
+                f"the grid has {self.grid.n_z}")
         object.__setattr__(self, "coeffs", c)
 
     def density_values(self) -> np.ndarray:
-        """rho at the grid's z nodes."""
-        return legendre_synthesize(self.coeffs, self.grid.z)
+        """rho at the grid's z nodes, synthesized from the m = 0 column
+        c_l0 = a_l / sqrt(2l+1) of the grid's transform."""
+        tr = get_transform(self.grid)
+        c = np.zeros((tr.lmax + 1, tr.lmax + 1))
+        c[: self.coeffs.size, 0] = self.coeffs / np.sqrt(2.0 * np.arange(self.coeffs.size) + 1.0)
+        return tr.synthesize(c, np.zeros_like(c))[:, 0]
 
 
 def heat_state(coeffs, grid: SphereGrid | None = None, time: float = 0.0) -> HeatState:
+    """A heat state; the default grid is max(256, len(coeffs)) x 8."""
     if grid is None:
-        grid = make_sphere_grid(256, 8)
-    return HeatState(grid, np.asarray(coeffs, dtype=float), time)
+        grid = make_sphere_grid(max(256, len(coeffs)), 8)
+    return HeatState(grid, coeffs, time)
 
 
 def _evolved_coeffs(coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -116,29 +130,24 @@ def heat_evolve(state: HeatState, t: float) -> HeatState:
     return HeatState(state.grid, _evolved_coeffs(state.coeffs, t), state.time + t)
 
 
-def _positive_density(state: HeatState, who: str) -> np.ndarray:
+def _log_density(state: HeatState, who: str) -> SphereField:
+    """log rho as a zonal field on the state's grid."""
     rho = state.density_values()
     if np.min(rho) <= 0.0:
         raise PositivityError(
             f"{who}: reconstructed density has min {np.min(rho)!r} <= 0; "
             "entropy diagnostics need a positive density")
-    return rho
+    return SphereField(state.grid, np.broadcast_to(np.log(rho)[:, None], state.grid.shape))
 
 
 def reverse_entropy(state: HeatState) -> float:
     """H(1 || rho) = - int log rho dsigma."""
-    rho = _positive_density(state, "reverse_entropy")
-    g = state.grid
-    return -integrate(np.broadcast_to(np.log(rho)[:, None], g.shape), g)
+    return -_log_density(state, "reverse_entropy").mean()
 
 
 def entropy_dissipation_rate(state: HeatState) -> float:
-    """int |grad log rho|^2 dsigma = (1/2) int (1-z^2) (rho'/rho)^2 dz."""
-    rho = _positive_density(state, "entropy_dissipation_rate")
-    g = state.grid
-    drho = legendre_synthesize(npleg.legder(state.coeffs), g.z)
-    zonal = (1.0 - g.z**2) * (drho / rho) ** 2
-    return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
+    """int |grad log rho|^2 dsigma: the Dirichlet energy of log rho."""
+    return dirichlet_energy(_log_density(state, "entropy_dissipation_rate"))
 
 
 def dissipation_check(state: HeatState, dt: float = 1e-3) -> tuple[float, float, float]:
@@ -463,6 +472,8 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
     The diagnostics hold the number of ``steps`` and ``dt_min``, the
     smallest h* met (without the t_1 / 8 bound and the even split).
     """
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"ks_evolve: T must be a finite number > 0, got {T}")
     if dt is not None and not 0.0 < dt <= DT_CAP:
         raise StepSizeError(f"ks_evolve: dt = {dt} lies outside (0, DT_CAP = {DT_CAP}]")
     state = ks_initial_state(rho0, n=n, r_min=r_min, r_max=r_max)
@@ -575,21 +586,19 @@ def ks_rate_fit(traj: FlowTrajectory, t_min: float = 1.0,
     bounds (report-only: the underlying results are upper bounds with an
     unspecified constant, not exact rates).
 
-    The flags assert that H(t) t^{1/8} and d(t) t^{1/16} do not grow
-    beyond their value at the start of the fit window.
+    The fit needs at least 4 samples at t >= t_min, the last at or after
+    10 t_min.  The flags assert that H(t) t^{1/8} and d(t) t^{1/16} do not
+    grow beyond their value at the start of the fit window.
     """
     sel = (traj.times >= t_min) & (traj.free_energy > 0) & (traj.distance_L1 > 0)
     ts = traj.times[sel]
-    if ts.size < 4 or ts[-1] / ts[0] < 10.0:
-        return RateFit(float("nan"), float("nan"), False, False, False,
-                       (float(ts[0]) if ts.size else 0.0,
-                        float(ts[-1]) if ts.size else 0.0))
     H = traj.free_energy[sel]
     d = traj.distance_L1[sel]
-    rel_span = (H.max() - H.min()) / max(abs(H.max()), 1e-300)
-    if rel_span < 1e-6:        # stationary runs have no defined rate
-        return RateFit(float("nan"), float("nan"), False, False, False,
-                       (float(ts[0]), float(ts[-1])))
+    window = (float(ts[0]), float(ts[-1])) if ts.size else (0.0, 0.0)
+    # too few samples, too short a span, or a stationary run: no defined rate
+    if (ts.size < 4 or ts[-1] < 10.0 * t_min
+            or (H.max() - H.min()) / max(abs(H.max()), 1e-300) < 1e-6):
+        return RateFit(float("nan"), float("nan"), False, False, False, window)
     sH = float(np.polyfit(np.log(ts), np.log(H), 1)[0])
     sd = float(np.polyfit(np.log(ts), np.log(d), 1)[0])
     qH = H * ts ** 0.125
@@ -597,4 +606,4 @@ def ks_rate_fit(traj: FlowTrajectory, t_min: float = 1.0,
     return RateFit(sH, sd,
                    bool(np.max(qH) <= headroom * qH[0]),
                    bool(np.max(qd) <= headroom * qd[0]),
-                   True, (float(ts[0]), float(ts[-1])))
+                   True, window)

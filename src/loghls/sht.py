@@ -11,11 +11,11 @@ where Q_{l,m} are normalized associated Legendre functions with
 (1/2) int_{-1}^{1} Q_{l,m}^2 dz = 1.  The Laplace-Beltrami operator acts
 as multiplication by -l(l+1), which is all the energy functionals need.
 
-Zonal input (every grid row constant) has only m = 0 modes, so
-``SphereTransform.analyze`` fills the m = 0 column alone from the table
-it holds; that column is the plain Legendre a_l times 1/sqrt(2l+1).
-The heat flow keeps its own plain Legendre coefficients a_l of
-u(z) = sum a_l P_l(z) (``legendre_analyze``/``legendre_synthesize``).
+A transform tabulates only the orders its grid resolves.  Zonal input
+(every grid row constant) fills the m = 0 column alone, the plain
+Legendre a_l of u(z) = sum a_l P_l(z) times 1/sqrt(2l+1), in which the
+heat flow keeps its states; ``legendre_analyze`` computes the a_l
+directly, a reference for that shortcut.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .grids import SphereGrid
 __all__ = [
     "normalized_assoc_legendre",
     "legendre_analyze",
-    "legendre_synthesize",
     "SphereTransform",
 ]
 
@@ -90,19 +89,15 @@ def legendre_analyze(values_z: np.ndarray, grid: SphereGrid, lmax: int) -> np.nd
     return (2 * np.arange(lmax + 1) + 1) / 2.0 * raw
 
 
-def legendre_synthesize(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate sum_l a_l P_l(z)."""
-    return npleg.legval(np.asarray(z, dtype=float), np.asarray(coeffs, dtype=float))
-
-
 class SphereTransform:
     """Forward/inverse real spherical-harmonic transform on one grid.
 
     The transform object precomputes the normalized associated Legendre
-    table at the grid's z nodes and is reused by every field bound to
-    that grid.  Coefficients are stored as a pair of (lmax+1, lmax+1)
+    table ``Q`` at the grid's z nodes, for the orders m <= max_m = min(lmax,
+    n_phi/2 - 1) that the grid resolves, and is reused by every field bound
+    to that grid.  Coefficients are stored as a pair of (lmax+1, lmax+1)
     arrays ``c`` (m=0 column plus cosine modes) and ``s`` (sine modes,
-    m >= 1).
+    m >= 1); their columns m > max_m stay 0.
     """
 
     def __init__(self, grid: SphereGrid, lmax: int | None = None):
@@ -115,7 +110,9 @@ class SphereTransform:
         self.grid = grid
         self.lmax = int(lmax)
         self.max_m = int(max_m)
-        self.Q = normalized_assoc_legendre(lmax, grid.z)   # (L+1, L+1, n_z)
+        self.Q = np.zeros((lmax + 1, max_m + 1, grid.n_z))
+        for m in range(max_m + 1):
+            self.Q[m:, m] = assoc_legendre_single_m(lmax, m, grid.z)
         ell = np.arange(lmax + 1)
         self.eigs = ell * (ell + 1.0)
 

@@ -139,6 +139,30 @@ def test_ks_sharp_gaussian_command(capsys):
     data = json.loads(out)
     assert data["distance_bound_pass"] is True
     assert data["trajectory"]["diagnostics"]["steps"] < 10_000
+    # the samples from t = 1.077 to 10 span 10 t_min = 10, so the rate is fit
+    fit = data["rate_fit"]
+    assert fit["defined"] is True
+    assert np.isfinite(fit["slope_free_energy"]) and np.isfinite(fit["slope_distance"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("ks", "8pi*optimizer:s=1", "--T", "0"),
+    ("ks", "8pi*optimizer:s=1", "--T", "-1"),
+    ("heatflow", "1+0.5*P1", "--T", "0"),
+    ("heatflow", "1+0.5*P1", "--T", "-1"),
+], ids=lambda argv: f"{argv[0]} T={argv[-1]}")
+def test_non_positive_T_is_invalid_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --T: T must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_heatflow_short_T_samples_end_at_T(capsys):
+    code, out, _ = run_cli(capsys, "heatflow", "1+0.5*P1", "--T", "0.005")
+    assert code == 0
+    t = np.array(json.loads(out)["trajectory"]["t"])
+    assert t[0] == 0.0 and t[-1] == 0.005 and np.all(np.diff(t) > 0)
 
 
 def _reject_constant(name):

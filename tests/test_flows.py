@@ -4,15 +4,15 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 
 from loghls import flows
 
-from loghls.errors import (ConvergenceError, DomainError, NormalizationError,
-                           PositivityError, StepSizeError)
+from loghls.errors import (ConvergenceError, DimensionMismatchError, DomainError,
+                           NormalizationError, PositivityError, StepSizeError)
 from loghls.fields import radial_from_profile
 from loghls.flows import (KS_MASS, FlowTrajectory, decay_check,
                           dissipation_check, entropy_dissipation_rate,
                           heat_evolve, heat_state, ks_distance, ks_evolve,
                           ks_free_energy, ks_initial_state, ks_rate_fit,
                           reverse_entropy)
-from loghls.grids import make_radial_grid
+from loghls.grids import make_radial_grid, make_sphere_grid
 from loghls.sht import legendre_analyze
 
 
@@ -83,6 +83,20 @@ def test_dissipation_equality_on_optimizers(sphere_grid):
     st = heat_state(coeffs, grid=sphere_grid)
     assert entropy_dissipation_rate(st) == pytest.approx(
         4.0 * reverse_entropy(st), abs=1e-6)
+
+
+def test_heat_grid_holds_the_coefficients():
+    """The default grid grows to one z node per coefficient; an explicit
+    grid with fewer nodes is refused."""
+    a = np.zeros(301)
+    a[:2] = 1.0, 0.3
+    a[300] = 1e-3
+    st = heat_state(a)
+    assert st.grid.shape == (301, 8)
+    assert np.max(np.abs(st.density_values() - np.polynomial.legendre.legval(st.grid.z, a))) <= 1e-13
+    assert heat_state([1.0, 0.5]).grid.shape == (256, 8)
+    with pytest.raises(DimensionMismatchError):
+        heat_state(np.r_[1.0, np.zeros(39)], grid=make_sphere_grid(32, 8))
 
 
 def test_heat_positivity_errors():
@@ -311,6 +325,12 @@ def test_ks_step_budget(ks_grid, monkeypatch):
         ks_evolve(gauss8pi(ks_grid), T=1.0, n=256, n_samples=8)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+def test_ks_evolve_rejects_a_bad_T(ks_grid, T):
+    with pytest.raises(DomainError, match="T must be a finite number > 0"):
+        ks_evolve(gauss8pi(ks_grid), T=T, n=256, n_samples=8)
+
+
 def test_ks_distance_helper(ks_grid):
     st = ks_initial_state(h8pi(ks_grid), n=512)
     d, s = ks_distance(st)
@@ -333,6 +353,12 @@ def test_ks_rate_fit_paths(ks_grid):
     assert fit.slope_free_energy == pytest.approx(-0.5, abs=1e-10)
     assert fit.slope_distance == pytest.approx(-0.25, abs=1e-10)
     assert fit.bound_flag_free_energy and fit.bound_flag_distance
+    # the span is measured from t_min: samples at 1.08-10 span 10 t_min
+    ts = np.geomspace(1.077, 10.0, 21)
+    fit = ks_rate_fit(FlowTrajectory(times=ts, free_energy=ts**-1.0, distance_L1=ts**-1.0,
+                                     dissipation=np.zeros_like(ts),
+                                     mass_error=np.zeros_like(ts)))
+    assert fit.defined and fit.slope_free_energy == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_trajectory_io(tmp_path):

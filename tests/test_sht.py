@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 from scipy.special import roots_legendre
 
+from loghls.fields import get_transform
 from loghls.grids import make_sphere_grid
 from loghls.sht import (SphereTransform, assoc_legendre_single_m,
-                        legendre_analyze, legendre_synthesize,
-                        normalized_assoc_legendre)
+                        legendre_analyze, normalized_assoc_legendre)
 
 
 def test_normalized_assoc_legendre_orthonormal():
@@ -45,6 +46,33 @@ def test_transform_roundtrip_band_limited():
     assert np.max(np.abs(again - vals)) <= 1e-12
 
 
+def test_table_holds_the_orders_the_grid_resolves():
+    """On 256 x 8 the FFT resolves m <= 3, so the table holds those four
+    order columns of the full table, and fields with m <= 3 round-trip."""
+    grid = make_sphere_grid(256, 8)
+    tr = SphereTransform(grid)
+    assert tr.max_m == 3 and tr.Q.shape == (256, 4, 256)
+    assert np.array_equal(tr.Q, normalized_assoc_legendre(255, grid.z)[:, :4])
+    rng = np.random.default_rng(5)
+    c = np.zeros((256, 256))
+    s = np.zeros((256, 256))
+    for m in range(4):
+        c[m:9, m] = rng.normal(size=9 - m)
+        s[m:9, m] = rng.normal(size=9 - m) if m else 0.0
+    c2, s2 = tr.analyze(tr.synthesize(c, s))
+    # on 256 nodes the Gram matrix of the rows Q_l0, l <= 8, against all
+    # l <= 255 is the identity only to 1.1e-12, which bounds the round trip
+    assert np.max(np.abs(c2 - c)) <= 2e-12
+    assert np.max(np.abs(s2 - s)) <= 2e-12
+
+
+def test_full_table_on_the_default_grid(sphere_grid):
+    """On 128 x 256 every order is resolved: the shared transform's table
+    is the full degree-127 table."""
+    Q = get_transform(sphere_grid).Q
+    assert np.array_equal(Q, normalized_assoc_legendre(127, sphere_grid.z))
+
+
 def test_dirichlet_energy_eigenvalues():
     grid = make_sphere_grid(32, 64)
     tr = SphereTransform(grid, lmax=12)
@@ -63,7 +91,7 @@ def test_dirichlet_energy_eigenvalues():
 def test_legendre_analyze_exact_for_polynomials():
     grid = make_sphere_grid(32, 8)
     coeffs = np.array([1.0, 0.5, 0.0, -0.25])
-    vals = legendre_synthesize(coeffs, grid.z)
+    vals = legval(grid.z, coeffs)
     back = legendre_analyze(vals, grid, 8)
     assert np.max(np.abs(back[:4] - coeffs)) <= 1e-13
     assert np.max(np.abs(back[4:])) <= 1e-13
