@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import LogHLSError, ParseError
+from .errors import DomainError, LogHLSError, ParseError
 from .fields import RadialDensity, SphereField
 from .flows import (FlowTrajectory, KS_MASS, _jsonable, decay_check,
                     dissipation_check, entropy_dissipation_rate, heat_evolve,
@@ -42,21 +42,22 @@ from .suite import run_all
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig()
-    if getattr(args, "grid_n", None):
-        cfg.radial_n = args.grid_n
-    if getattr(args, "rmax", None):
-        cfg.radial_rmax = args.rmax
-    if getattr(args, "oracle", False):
-        cfg.oracle = True
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    cfg.validate()
+    """The run's configuration; one that fails validation is invalid input."""
+    try:
+        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        if args.grid_n:
+            cfg.radial_n = args.grid_n
+        if args.rmax:
+            cfg.radial_rmax = args.rmax
+        if args.oracle:
+            cfg.oracle = True
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.out:
+            cfg.out = args.out
+        cfg.validate()
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
     return cfg
 
 
@@ -157,8 +158,10 @@ def cmd_heatflow(args) -> int:
     coeffs = realize_heat_coeffs(spec)
     state0 = heat_state(coeffs)
     T = args.T
-    times = np.geomspace(max(1e-2, T / 100.0) if T > 1e-2 else T / 100.0, T, args.samples)
-    times = np.concatenate(([0.0], times))
+    first = max(1e-2, T / 100.0) if T > 1e-2 else T / 100.0
+    if args.samples == 1:
+        first = T                 # the one sample after t = 0 is T
+    times = np.concatenate(([0.0], np.geomspace(first, T, args.samples)))
     H0 = reverse_entropy(state0)
     rows = []
     for t in times:
@@ -192,9 +195,8 @@ def cmd_ks(args) -> int:
     rho = realize_planar(spec, cfg)
     if not isinstance(rho, RadialDensity):
         raise ParseError("ks: only radial initial data is supported")
-    prof = rho.profile
     scaled = RadialDensity(rho.grid, KS_MASS * rho.values,
-                           profile=(lambda r, _p=prof: KS_MASS * _p(r)) if prof else None)
+                           profile=lambda r, _p=rho.profile: KS_MASS * _p(r))
     traj, state = ks_evolve(scaled, dt=cfg.ks_dt, T=cfg.ks_T if args.T is None else args.T,
                             n=cfg.ks_n, r_min=cfg.ks_rmin, r_max=cfg.ks_rmax,
                             n_samples=args.samples)
@@ -264,6 +266,13 @@ def _positive_time(text: str) -> float:
     return T
 
 
+def _positive_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"the count must be >= 1, got {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="loghls", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -297,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec", help='e.g. "1+0.5*P1" or legendre:c0=1,c1=0.5')
     sp.add_argument("--T", type=_positive_time, default=1.0)
     sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--samples", type=int, default=33)
+    sp.add_argument("--samples", type=_positive_count, default=33)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp)
     sp.set_defaults(fn=cmd_heatflow)
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ks", help="critical-mass Keller-Segel run (flow ks)")
     sp.add_argument("spec", help='e.g. "8pi*optimizer:s=1"')
     sp.add_argument("--T", type=_positive_time, default=None)
-    sp.add_argument("--samples", type=int, default=64)
+    sp.add_argument("--samples", type=_positive_count, default=64)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp)
     sp.set_defaults(fn=cmd_ks)

@@ -1,8 +1,8 @@
 """Field and density containers shared by the functional/flow modules.
 
-A field carries its grid, its point values, and (when available) an
-exact callable so that conformal changes of variables never have to
-interpolate.  A sphere field is expanded by its grid's one
+A field carries its grid, its point values and an exact callable
+(always, for a radial density) so that conformal changes of variables
+never have to interpolate.  A sphere field is expanded by its grid's one
 ``SphereTransform``; zonal fields take its m = 0 shortcut.
 """
 
@@ -46,13 +46,14 @@ def get_transform(grid: SphereGrid, lmax: int | None = None) -> SphereTransform:
 class RadialDensity:
     """Nonnegative radial density rho(|x|) sampled on a RadialGrid.
 
-    ``profile`` is the exact radial function when known; operations that
-    need off-grid values (the sphere lift) prefer it over interpolation.
+    ``profile`` is the exact radial function r -> rho(r), whose values on
+    the grid are ``values``; operations that need off-grid values (the
+    sphere lift, the Keller-Segel cumulative mass) evaluate it.
     """
 
     grid: RadialGrid
     values: np.ndarray
-    profile: Callable[[np.ndarray], np.ndarray] | None = None
+    profile: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -70,11 +71,8 @@ class RadialDensity:
         m = self.mass
         if m <= 0:
             raise NormalizationError("RadialDensity.normalized: zero mass")
-        prof = None
-        if self.profile is not None:
-            p = self.profile
-            prof = lambda r, _p=p, _m=m: _p(r) / _m
-        return RadialDensity(self.grid, self.values / m, prof)
+        return RadialDensity(self.grid, self.values / m,
+                             lambda r, _p=self.profile, _m=m: _p(r) / _m)
 
 
 @dataclass(eq=False)
@@ -226,9 +224,11 @@ class CircleField:
         return self.coeffs.size - 1
 
     def values(self, grid: CircleGrid) -> np.ndarray:
-        k = np.arange(1, self.coeffs.size)
-        phase = np.exp(1j * np.outer(grid.theta, k))
-        return self.coeffs[0].real + 2.0 * (phase @ self.coeffs[1:]).real
+        """u at the grid's angles 2 pi j / n: one inverse real FFT of length
+        N = m n, m the least integer with N > 2 kmax (so no mode reaches
+        the Nyquist bin), read at every m-th point."""
+        m = 2 * self.kmax // grid.n + 1
+        return np.fft.irfft(self.coeffs, m * grid.n, norm="forward")[::m]
 
     def mean(self) -> float:
         return float(self.coeffs[0].real)

@@ -32,12 +32,13 @@ is a fixed point of the scheme.  The free energy includes the disc
 |x| < r_min in closed form: the inner boundary condition
 M = M_0 (r/r_min)^2 makes rho constant there, so H stays dilation
 invariant when the aggregate approaches r_min.
+Tolerances are module constants, and the critical mass of the initial
+data is checked to ``functionals.MASS_TOL``.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -51,7 +52,7 @@ from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
                      MassConservationError, NormalizationError, PositivityError,
                      StepSizeError)
 from .fields import RadialDensity, SphereField, get_transform
-from .functionals import dirichlet_energy
+from .functionals import MASS_TOL, dirichlet_energy
 from .grids import SphereGrid, make_sphere_grid
 
 __all__ = [
@@ -77,6 +78,10 @@ __all__ = [
 KS_MASS = 8.0 * np.pi
 DT_CAP = 2e-2           # the largest Keller-Segel step
 STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP + n_samples steps
+DECAY_SLACK = 1e-8      # slack of the heat flow's entropy decay bound
+MONO_TOL = 1e-10        # largest decrease of M between nodes, relative to the mass
+RATE_T_MIN = 1.0        # the rate fit's window starts here
+RATE_HEADROOM = 1.05    # growth of H t^{1/8} and d t^{1/16} the rate fit's flags allow
 
 
 # ----------------------------------------------------------------------
@@ -111,11 +116,11 @@ class HeatState:
         return tr.synthesize(c, np.zeros_like(c))[:, 0]
 
 
-def heat_state(coeffs, grid: SphereGrid | None = None, time: float = 0.0) -> HeatState:
-    """A heat state; the default grid is max(256, len(coeffs)) x 8."""
+def heat_state(coeffs, grid: SphereGrid | None = None) -> HeatState:
+    """A heat state at t = 0; the default grid is max(256, len(coeffs)) x 8."""
     if grid is None:
         grid = make_sphere_grid(max(256, len(coeffs)), 8)
-    return HeatState(grid, coeffs, time)
+    return HeatState(grid, coeffs)
 
 
 def _evolved_coeffs(coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -180,13 +185,13 @@ class DecayReport:
     passed: bool
 
 
-def decay_check(state0: HeatState, times, slack: float = 1e-8) -> DecayReport:
-    """H(1||rho(t)) <= e^{-4t} H(1||rho(0)) + slack for each requested t."""
+def decay_check(state0: HeatState, times) -> DecayReport:
+    """H(1||rho(t)) <= e^{-4t} H(1||rho(0)) + DECAY_SLACK for each requested t."""
     H0 = reverse_entropy(state0)
     ts = np.asarray(list(times), dtype=float)
     Hs = np.array([reverse_entropy(heat_evolve(state0, float(t))) for t in ts])
     bounds = np.exp(-4.0 * ts) * H0
-    return DecayReport(ts, Hs, bounds, bool(np.all(Hs <= bounds + slack)))
+    return DecayReport(ts, Hs, bounds, bool(np.all(Hs <= bounds + DECAY_SLACK)))
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +234,6 @@ class FlowTrajectory:
             "mass_error": self.mass_error,
             "diagnostics": self.diagnostics,
         })
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True, allow_nan=False)
 
 
 def _jsonable(obj):
@@ -281,8 +282,8 @@ class KSState:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def check_invariants(self, mono_tol: float = 1e-10) -> None:
-        if np.any(np.diff(self.M) < -mono_tol * self.mass_total):
+    def check_invariants(self) -> None:
+        if np.any(np.diff(self.M) < -MONO_TOL * self.mass_total):
             raise PositivityError(
                 f"KSState: cumulative mass not monotone at t = {self.time:.4f} "
                 "(density went negative)")
@@ -306,31 +307,22 @@ def _dx4(M: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _cumulative_mass(rho: RadialDensity, r_nodes: np.ndarray) -> np.ndarray:
-    """M(r_i) = int_{|x|<r_i} rho dx, via a fine log-radius spline."""
-    if rho.profile is not None:
-        a = math.log(r_nodes[0]) - 25.0
-        b = math.log(r_nodes[-1])
-        xf = np.linspace(a, b, 8 * r_nodes.size + 1)
-        rf = np.exp(xf)
-        integrand = 2.0 * np.pi * rf**2 * np.asarray(rho.profile(rf), dtype=float)
-        anti = CubicSpline(xf, integrand).antiderivative()
-        return np.asarray(anti(np.log(r_nodes)) - anti(a), dtype=float)
-    g = rho.grid
-    anti = g.mass_antiderivative(rho.values)
-    if g.scheme == "log-uniform":
-        lo = math.log(g.r_max) - g.span
-        xi = 2.0 * (np.log(r_nodes) - lo) / g.span - 1.0
-    else:
-        xi = 2.0 * r_nodes / g.r_max - 1.0
-    return np.asarray(anti(np.clip(xi, -1.0, 1.0)) - anti(-1.0), dtype=float)
+    """M(r_i) = int_{|x|<r_i} rho dx, via a fine log-radius spline of the profile."""
+    a = math.log(r_nodes[0]) - 25.0
+    b = math.log(r_nodes[-1])
+    xf = np.linspace(a, b, 8 * r_nodes.size + 1)
+    rf = np.exp(xf)
+    integrand = 2.0 * np.pi * rf**2 * np.asarray(rho.profile(rf), dtype=float)
+    anti = CubicSpline(xf, integrand).antiderivative()
+    return np.asarray(anti(np.log(r_nodes)) - anti(a), dtype=float)
 
 
 def ks_initial_state(rho0: RadialDensity, n: int = 1024, r_min: float = 1e-2,
-                     r_max: float = 1e3, mass_tol: float = 1e-6) -> KSState:
+                     r_max: float = 1e3) -> KSState:
     mass = rho0.mass
-    if abs(mass - KS_MASS) > mass_tol:
+    if abs(mass - KS_MASS) > MASS_TOL:
         raise NormalizationError(
-            f"ks_initial_state: mass {mass!r} is not the critical 8*pi within {mass_tol}")
+            f"ks_initial_state: mass {mass!r} is not the critical 8*pi within {MASS_TOL}")
     x = np.linspace(math.log(r_min), math.log(r_max), n)
     r = np.exp(x)
     M = _cumulative_mass(rho0, r)
@@ -446,8 +438,7 @@ def ks_distance(state: KSState) -> tuple[float, float]:
 
 def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
               n: int = 1024, r_min: float = 1e-2, r_max: float = 1e3,
-              n_samples: int = 64,
-              mono_tol: float = 1e-10) -> tuple[FlowTrajectory, KSState]:
+              n_samples: int = 64) -> tuple[FlowTrajectory, KSState]:
     """Run the critical-mass flow to time T with per-step diagnostics.
 
     Each step is linearly-implicit, variable-step SBDF2: with w = h_n /
@@ -474,6 +465,8 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"ks_evolve: T must be a finite number > 0, got {T}")
+    if n_samples < 1:
+        raise DomainError(f"ks_evolve: n_samples must be >= 1, got {n_samples}")
     if dt is not None and not 0.0 < dt <= DT_CAP:
         raise StepSizeError(f"ks_evolve: dt = {dt} lies outside (0, DT_CAP = {DT_CAP}]")
     state = ks_initial_state(rho0, n=n, r_min=r_min, r_max=r_max)
@@ -541,7 +534,7 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
         state.time = t
         state.dt = step
         steps += 1
-        state.check_invariants(mono_tol)
+        state.check_invariants()
         V = state.M * state.inv_2pir2
         fe_now = ks_free_energy(state)
         if fe_now > fe_prev_step:
@@ -579,24 +572,24 @@ class RateFit:
     window: tuple[float, float]
 
 
-def ks_rate_fit(traj: FlowTrajectory, t_min: float = 1.0,
-                headroom: float = 1.05) -> RateFit:
+def ks_rate_fit(traj: FlowTrajectory) -> RateFit:
     """Least-squares log-log slopes of the free energy and the manifold
     distance, plus consistency flags for the t^{-1/8} / t^{-1/16} upper
     bounds (report-only: the underlying results are upper bounds with an
     unspecified constant, not exact rates).
 
-    The fit needs at least 4 samples at t >= t_min, the last at or after
-    10 t_min.  The flags assert that H(t) t^{1/8} and d(t) t^{1/16} do not
-    grow beyond their value at the start of the fit window.
+    The fit needs at least 4 samples at t >= RATE_T_MIN, the last at or
+    after 10 RATE_T_MIN.  The flags assert that H(t) t^{1/8} and d(t)
+    t^{1/16} grow to at most RATE_HEADROOM times their value at the start
+    of the fit window.
     """
-    sel = (traj.times >= t_min) & (traj.free_energy > 0) & (traj.distance_L1 > 0)
+    sel = (traj.times >= RATE_T_MIN) & (traj.free_energy > 0) & (traj.distance_L1 > 0)
     ts = traj.times[sel]
     H = traj.free_energy[sel]
     d = traj.distance_L1[sel]
     window = (float(ts[0]), float(ts[-1])) if ts.size else (0.0, 0.0)
     # too few samples, too short a span, or a stationary run: no defined rate
-    if (ts.size < 4 or ts[-1] < 10.0 * t_min
+    if (ts.size < 4 or ts[-1] < 10.0 * RATE_T_MIN
             or (H.max() - H.min()) / max(abs(H.max()), 1e-300) < 1e-6):
         return RateFit(float("nan"), float("nan"), False, False, False, window)
     sH = float(np.polyfit(np.log(ts), np.log(H), 1)[0])
@@ -604,6 +597,6 @@ def ks_rate_fit(traj: FlowTrajectory, t_min: float = 1.0,
     qH = H * ts ** 0.125
     qd = d * ts ** 0.0625
     return RateFit(sH, sd,
-                   bool(np.max(qH) <= headroom * qH[0]),
-                   bool(np.max(qd) <= headroom * qd[0]),
+                   bool(np.max(qH) <= RATE_HEADROOM * qH[0]),
+                   bool(np.max(qd) <= RATE_HEADROOM * qd[0]),
                    True, window)

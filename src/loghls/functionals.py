@@ -66,7 +66,8 @@ __all__ = [
 
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
-MASS_TOL = 1e-6
+MASS_TOL = 1e-6          # unit-mass (and critical-mass) preconditions, absolute
+MEAN_TOL = 1e-8          # mean-zero preconditions of the sphere functionals
 
 
 @dataclass(frozen=True)
@@ -174,26 +175,26 @@ def planar_free_energy(rho: RadialDensity | PlanarDensity) -> float:
 # sphere
 # ----------------------------------------------------------------------
 
-def sphere_log_interaction(f: SphereField, mean_tol: float = 1e-8) -> float:
+def sphere_log_interaction(f: SphereField) -> float:
     """int int f log|w-w'| f dsigma dsigma' for a mean-zero field."""
     mean = f.mean()
-    if abs(mean) > mean_tol:
+    if abs(mean) > MEAN_TOL:
         raise PreconditionError(
             f"sphere_log_interaction: field mean {mean!r} violates the "
-            f"mean-zero precondition (tolerance {mean_tol})")
+            f"mean-zero precondition (tolerance {MEAN_TOL})")
     tr = get_transform(f.grid)
     c, s = f.coeffs()
     return tr.log_kernel_quadratic(c, s)
 
 
-def sphere_log_interaction_zkernel(f: SphereField, mean_tol: float = 1e-8) -> float:
+def sphere_log_interaction_zkernel(f: SphereField) -> float:
     """Axisymmetric interaction through the azimuthal mean identity.
 
     Independent of the harmonic-coefficient route; used as a cross-check.
     """
     if not f.axisymmetric:
         raise DomainError("sphere_log_interaction_zkernel: field must be axisymmetric")
-    if abs(f.mean()) > mean_tol:
+    if abs(f.mean()) > MEAN_TOL:
         raise PreconditionError("sphere_log_interaction_zkernel: field mean is not zero")
     g = f.grid
     vals = f.values[:, 0]
@@ -203,28 +204,28 @@ def sphere_log_interaction_zkernel(f: SphereField, mean_tol: float = 1e-8) -> fl
     return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
 
 
-def spherical_free_energy(f: SphereField, mean_tol: float = 1e-8):
+def spherical_free_energy(f: SphereField):
     """H_S(f) = int (f+1) log(f+1) dsigma + 2 * int int f log|.| f."""
     mean = f.mean()
-    if abs(mean) > mean_tol:
+    if abs(mean) > MEAN_TOL:
         raise PreconditionError(
-            f"spherical_free_energy: int f dsigma = {mean!r}, not 0 within {mean_tol}")
+            f"spherical_free_energy: int f dsigma = {mean!r}, not 0 within {MEAN_TOL}")
     dens = f.values + 1.0
     if np.min(dens) < -1e-9:
         raise PositivityError(
             f"spherical_free_energy: f + 1 has min {np.min(dens)!r} < 0")
     ent = integrate(xlogx(np.clip(dens, 0.0, None)), f.grid)
-    inter = sphere_log_interaction(f, mean_tol)
+    inter = sphere_log_interaction(f)
     return FreeEnergyReport(entropy=ent, interaction=inter,
                             total=ent + 2.0 * inter, domain="sphere")
 
 
-def sphere_green_apply(f: SphereField, mean_tol: float = 1e-8) -> SphereField:
+def sphere_green_apply(f: SphereField) -> SphereField:
     """G f with G the Green function of -Laplacian on S^2 (kernel -2 log|w-w'|).
 
     Acts on degree-l harmonics as multiplication by 1/(l(l+1)).
     """
-    if abs(f.mean()) > mean_tol:
+    if abs(f.mean()) > MEAN_TOL:
         raise PreconditionError("sphere_green_apply: field must have zero mean")
     tr = get_transform(f.grid)
     c, s = tr.green_coeffs(*f.coeffs())
@@ -250,14 +251,14 @@ def onofri_functional(u: SphereField) -> float:
     return 0.25 * dirichlet_energy(u) - log_int
 
 
-def onofri_entropy_form_gap(rho: SphereField, mass_tol: float = 1e-6) -> float:
+def onofri_entropy_form_gap(rho: SphereField) -> float:
     """int |grad log rho|^2 dsigma - 4 H(1 || rho) >= 0 (entropy form of Onofri)."""
     if np.min(rho.values) <= 0:
         raise PositivityError("onofri_entropy_form_gap: density must be strictly positive")
     mass = rho.mean()
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > MASS_TOL:
         raise NormalizationError(
-            f"onofri_entropy_form_gap: density mass {mass!r} is not 1 within {mass_tol}")
+            f"onofri_entropy_form_gap: density mass {mass!r} is not 1 within {MASS_TOL}")
     logrho = SphereField(rho.grid, np.log(rho.values))
     energy = dirichlet_energy(logrho)
     H_rev = -logrho.mean()          # H(1||rho) = - int log rho dsigma

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .fields import PlanarDensity, RadialDensity, SphereField
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 T_CAP = 20.0   # cosh(t) stays far from overflow and minimizers live at bounded t
+UNIT_TOL = 1e-10   # how far from 1 the norm of a point given as on S^2 may be
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
@@ -79,12 +79,12 @@ class ConformalParams:
         return G
 
 
-def _check_unit(omega: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_unit(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     norms = np.sqrt(np.sum(omega**2, axis=-1))
-    if np.any(np.abs(norms - 1.0) > tol):
+    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
         raise DomainError(
-            f"stereo_forward: input must lie on S^2 within {tol} (max deviation "
+            f"stereo_forward: input must lie on S^2 within {UNIT_TOL} (max deviation "
             f"{np.max(np.abs(norms - 1.0)):.2e})")
     return omega
 
@@ -156,19 +156,16 @@ def lift_T(rho: RadialDensity | PlanarDensity, grid: SphereGrid | None = None) -
     sign are preserved: int |T rho| dsigma = int |rho| dx and the
     optimizer profile lifts to the constant density 1.  A radial density
     is lifted onto ``grid`` (the default ``make_sphere_grid()`` when none
-    is given); a planar density already holds its lift (of the density
-    translated by -rho.shift) on its own grid.
+    is given) through its exact profile, so the lift never interpolates;
+    a planar density already holds its lift (of the density translated by
+    -rho.shift) on its own grid.
     """
     if isinstance(rho, PlanarDensity):
         if grid is not None and grid is not rho.lifted.grid:
             raise DomainError("lift_T: a planar density is already lifted on another grid")
         return rho.lifted
     if isinstance(rho, RadialDensity):
-        prof = rho.profile
-        if prof is None:
-            prof = _spline_profile(rho)
-
-        def fn(points, _p=prof):
+        def fn(points, _p=rho.profile):
             z = points[..., 2]
             r = _radius_from_z(z)
             return 4.0 * np.pi * _p(r) / (1.0 + np.clip(z, -1.0 + 1e-300, 1.0))**2
@@ -179,7 +176,7 @@ def lift_T(rho: RadialDensity | PlanarDensity, grid: SphereGrid | None = None) -
 
 
 def planar_from_profile(grid: SphereGrid, fn: Callable,
-                        shift: tuple[float, float] = (0.0, 0.0)) -> PlanarDensity:
+                        shift: tuple[float, float]) -> PlanarDensity:
     """The planar density fn(x, y) as the lift of fn(. + shift) on ``grid``.
 
     With 1 + |x|^2 = 2/(1 + omega_3) the lift is
@@ -194,20 +191,6 @@ def planar_from_profile(grid: SphereGrid, fn: Callable,
                                  points[..., 1] / (1.0 + z) + _b) / (1.0 + z)**2)
 
     return PlanarDensity(SphereField.from_fn(grid, lifted), (a, b))
-
-
-def _spline_profile(rho: RadialDensity) -> Callable:
-    """Monotone-grid spline fallback for grid-only radial densities."""
-    r = rho.grid.nodes
-    spl = CubicSpline(np.log(r), rho.values, extrapolate=False)
-
-    def prof(rr):
-        rr = np.asarray(rr, dtype=float)
-        out = spl(np.log(np.clip(rr, r[0], r[-1])))
-        out = np.where(rr > r[-1], 0.0, out)
-        return np.clip(out, 0.0, None)
-
-    return prof
 
 
 def sphere_optimizer_values(t: float, n: np.ndarray, points: np.ndarray) -> np.ndarray:

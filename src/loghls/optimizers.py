@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
                      radial_from_profile)
-from .functionals import _circle_grid_for, dirichlet_energy
+from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
 from .geometry import ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
 from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, make_sphere_grid
 
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 LOG_S_BOX = 6.0          # searches cover s in [e^-6, e^6]
+RECENTER_TOL = 1e-10     # recenter stops at |barycenter| <= this
+RECENTER_MAX_ITER = 50
+RECENTER_STEP = 1.5      # Newton step t = RECENTER_STEP |b| (capped at 2)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -115,11 +118,11 @@ def sphere_optimizer(p: SphereOptimizerParams, grid: SphereGrid) -> SphereField:
     return SphereField.from_fn(grid, fn, axisymmetric=axi)
 
 
-def circle_optimizer(p: CircleOptimizerParams, kmax: int | None = None) -> CircleField:
-    """log of the normalized Poisson kernel: e^u = (1-r^2)/(1-2r cos(th-a)+r^2)."""
+def circle_optimizer(p: CircleOptimizerParams) -> CircleField:
+    """log of the normalized Poisson kernel: e^u = (1-r^2)/(1-2r cos(th-a)+r^2),
+    truncated where r^k < e^-40, with 64 to 4096 modes."""
     r, alpha = p.r, p.alpha
-    if kmax is None:
-        kmax = 64 if r == 0 else max(64, min(4096, int(np.ceil(-40.0 / np.log(max(r, 1e-12))))))
+    kmax = 64 if r == 0 else max(64, min(4096, int(np.ceil(-40.0 / np.log(max(r, 1e-12))))))
     coeffs = np.zeros(kmax + 1, dtype=complex)
     coeffs[0] = np.log1p(-r * r)
     k = np.arange(1, kmax + 1)
@@ -345,11 +348,11 @@ def _sphere_search(objective, grid: SphereGrid, *args):
     return SphereOptimizerParams(t, tuple(n)), val, diag
 
 
-def _check_normalized_exp(u: SphereField, tol: float = 1e-6, who: str = "search"):
+def _check_normalized_exp(u: SphereField, who: str):
     m = u.exp_integral()
-    if abs(m - 1.0) > tol:
+    if abs(m - 1.0) > MASS_TOL:
         raise NormalizationError(
-            f"{who}: int e^u dsigma = {m!r}, expected 1 within {tol}")
+            f"{who}: int e^u dsigma = {m!r}, expected 1 within {MASS_TOL}")
 
 
 def _entropy_objective(fam: _SphereFamily, u: np.ndarray):
@@ -471,9 +474,8 @@ class RecenterResult:
     iterations: int = 0
 
 
-def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
-             step_scale: float = 1.5) -> RecenterResult:
-    """Apply conformal pushes until the sphere barycenter of e^u vanishes.
+def recenter(u: SphereField) -> RecenterResult:
+    """Apply conformal pushes until the sphere barycenter of e^u is within RECENTER_TOL.
 
     Pushing along axis n moves mass toward -n and changes a small
     barycenter b by about -(2/3) t n, so the damped Newton step
@@ -488,10 +490,10 @@ def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
     cur = u
     b = cur.barycenter()
     bn = float(np.linalg.norm(b))
-    for it in range(max_iter):
-        if bn <= tol:
+    for it in range(RECENTER_MAX_ITER):
+        if bn <= RECENTER_TOL:
             return RecenterResult(cur, steps, bn, it)
-        t_step = min(step_scale * bn, 2.0)
+        t_step = min(RECENTER_STEP * bn, 2.0)
         axis = tuple(b / bn)
         for _ in range(10):
             params = ConformalParams(t_step, axis)
@@ -499,7 +501,7 @@ def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
             cand = conformal_push(u, G_new)
             b_new = cand.barycenter()
             bn_new = float(np.linalg.norm(b_new))
-            if bn_new < bn or bn_new <= tol:
+            if bn_new < bn or bn_new <= RECENTER_TOL:
                 break
             t_step /= 2.0
         else:
@@ -507,7 +509,7 @@ def recenter(u: SphereField, tol: float = 1e-10, max_iter: int = 50,
                 f"recenter: barycenter stalled at |b| = {bn:.3e} after {it} iterations")
         steps.append(params)
         G, cur, b, bn = G_new, cand, b_new, bn_new
-    if bn <= tol:
-        return RecenterResult(cur, steps, bn, max_iter)
+    if bn <= RECENTER_TOL:
+        return RecenterResult(cur, steps, bn, RECENTER_MAX_ITER)
     raise ConvergenceError(
-        f"recenter: |b| = {bn:.3e} > {tol} after {max_iter} iterations")
+        f"recenter: |b| = {bn:.3e} > {RECENTER_TOL} after {RECENTER_MAX_ITER} iterations")

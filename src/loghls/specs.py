@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .fields import CircleField, SphereField, get_transform, radial_from_profile
+from .flows import DT_CAP
 from .functionals import MASS_TOL
 from .geometry import planar_from_profile
 from .grids import integrate, make_circle_grid, make_radial_grid, make_sphere_grid
@@ -295,10 +296,15 @@ class RunConfig:
             raise DomainError("RunConfig: invalid sphere/circle grid settings")
         if self.ks_n < 64 or not (0 < self.ks_rmin < self.ks_rmax):
             raise DomainError("RunConfig: invalid Keller-Segel grid settings")
+        if not 0.0 < self.ks_T < np.inf:
+            raise DomainError(f"RunConfig: ks_T must be a finite number > 0, got {self.ks_T}")
+        if self.ks_dt is not None and not 0.0 < self.ks_dt <= DT_CAP:
+            raise DomainError(
+                f"RunConfig: ks_dt = {self.ks_dt} lies outside (0, DT_CAP = {DT_CAP}]")
 
     # the shared grids of this configuration
-    def radial_grid(self, scheme: str = "log-uniform"):
-        return make_radial_grid(self.radial_rmax, self.radial_n, scheme, self.radial_span)
+    def radial_grid(self):
+        return make_radial_grid(self.radial_rmax, self.radial_n, "log-uniform", self.radial_span)
 
     def sphere_grid(self):
         return make_sphere_grid(self.sphere_nz, self.sphere_nphi)
@@ -483,7 +489,7 @@ def realize_sphere(spec: InputSpec, config: RunConfig) -> SphereField:
     raise DomainError(f"spec {spec.kind!r} is not a sphere field")
 
 
-def realize_circle(spec: InputSpec, config: RunConfig | None = None) -> CircleField:
+def realize_circle(spec: InputSpec, config: RunConfig) -> CircleField:
     """Build a circle field with int e^u dsigma = 1."""
     if spec.kind == "circle-poisson":
         return circle_optimizer(
@@ -494,7 +500,7 @@ def realize_circle(spec: InputSpec, config: RunConfig | None = None) -> CircleFi
         coeffs = np.zeros(kmax + 1, dtype=complex)
         coeffs[1] = eps / 2.0
         u = CircleField(coeffs)
-        grid = make_circle_grid(512 if config is None else config.circle_n)
+        grid = config.circle_grid()
         shift = float(np.log(integrate(np.exp(u.values(grid)), grid)))
         coeffs[0] = -shift
         return CircleField(coeffs)

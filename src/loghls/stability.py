@@ -6,9 +6,9 @@ optimizer manifold, the explicit constant, and the gap
 
     gap = value - constant * distance^2,
 
-which the corresponding stability inequality asserts is nonnegative.  Pass tolerance
-defaults to 1e-6 absolute plus 1e-4 relative to the value (quadrature
-error dominates at the grids used here).
+which the corresponding stability inequality asserts is nonnegative.  The
+pass tolerance is PASS_ABS_TOL = 1e-6 absolute plus PASS_REL_TOL = 1e-4
+relative to the value (quadrature error dominates at the grids used here).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField
-from .functionals import (_circle_grid_for, dirichlet_energy,
+from .functionals import (MASS_TOL, _circle_grid_for, dirichlet_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report, spherical_free_energy)
 from .grids import CircleGrid, integrate
@@ -41,8 +41,16 @@ __all__ = [
 ]
 
 
-def pass_tolerance(value: float, abs_tol: float = 1e-6, rel_tol: float = 1e-4) -> float:
-    return abs_tol + rel_tol * abs(value)
+PASS_ABS_TOL = 1e-6
+PASS_REL_TOL = 1e-4
+BARY_TOL = 1e-8          # the barycenter precondition of constrained_onofri_gap
+ORACLE_SWEEP = 10_000    # log s values of the radial oracle's dense sweep
+DUALITY_SLACK = 2e-2     # toy_duality_demo's slack on each of its checks
+DUALITY_EQ_TOL = 1e-9    # toy_duality_demo's tolerance for equality
+
+
+def pass_tolerance(value: float) -> float:
+    return PASS_ABS_TOL + PASS_REL_TOL * abs(value)
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,9 @@ class StabilityCertificate:
 
 
 def _certificate(name: str, value: float, constant: float, distance: float,
-                 grid: str, search: dict, abs_tol: float = 1e-6) -> StabilityCertificate:
+                 grid: str, search: dict) -> StabilityCertificate:
     gap = value - constant * distance**2
-    tol = pass_tolerance(value, abs_tol)
+    tol = pass_tolerance(value)
     return StabilityCertificate(inequality=name, value=value, constant=constant,
                                 distance=distance, gap=gap, passed=gap >= -tol,
                                 tol=tol, grid=grid, search=search)
@@ -106,10 +114,10 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
     return _certificate("log-HLS (plane)", report.total, 0.125, dist, grid, search)
 
 
-def _radial_oracle_distance(rho: RadialDensity, n_sweep: int = 10_000) -> float:
+def _radial_oracle_distance(rho: RadialDensity) -> float:
     from .optimizers import PlanarOptimizerParams, planar_optimizer_profile
     best = np.inf
-    for ls in np.linspace(-6.0, 6.0, n_sweep):
+    for ls in np.linspace(-6.0, 6.0, ORACLE_SWEEP):
         prof = planar_optimizer_profile(PlanarOptimizerParams(float(np.exp(ls))))
         d = integrate(np.abs(rho.values - prof(rho.grid.nodes)), rho.grid)
         if d < best:
@@ -137,9 +145,9 @@ def onofri_stability_certificates(u: SphereField) -> tuple[StabilityCertificate,
     (c) J >= (1/4) inf ||e^u - e^{u_{t,n}}||_1^2  (Pinsker applied to (b)).
     """
     m = u.exp_integral()
-    if abs(m - 1.0) > 1e-6:
+    if abs(m - 1.0) > MASS_TOL:
         raise PreconditionError(
-            f"onofri_stability_certificates: int e^u = {m!r}, expected 1 within 1e-06")
+            f"onofri_stability_certificates: int e^u = {m!r}, expected 1 within {MASS_TOL}")
     J = onofri_functional(u)
     gridname = f"sphere {u.grid.n_z}x{u.grid.n_phi}"
 
@@ -156,16 +164,16 @@ def onofri_stability_certificates(u: SphereField) -> tuple[StabilityCertificate,
     return cert_a, cert_b, cert_c
 
 
-def constrained_onofri_gap(u: SphereField, bary_tol: float = 1e-8) -> float:
+def constrained_onofri_gap(u: SphereField) -> float:
     """(1/8) int |grad u|^2 - log int e^u + int u for barycenter-free u.
 
-    Precondition: the sphere barycenter of e^u vanishes within bary_tol
+    Precondition: the sphere barycenter of e^u vanishes within BARY_TOL
     (recenter first); the improved constant 1/8 is valid only there.
     """
     b = float(np.linalg.norm(u.barycenter()))
-    if b > bary_tol:
+    if b > BARY_TOL:
         raise PreconditionError(
-            f"constrained_onofri_gap: |barycenter| = {b:.3e} exceeds {bary_tol}; "
+            f"constrained_onofri_gap: |barycenter| = {b:.3e} exceeds {BARY_TOL}; "
             "recenter the field first")
     return onofri_functional(u) - 0.125 * dirichlet_energy(u)
 
@@ -180,9 +188,9 @@ def circle_stability_certificate(u: CircleField,
     on ``grid`` or else the circle grid that resolves u."""
     grid = _circle_grid_for(u, grid)
     m = integrate(np.exp(u.values(grid)), grid)
-    if abs(m - 1.0) > 1e-6:
+    if abs(m - 1.0) > MASS_TOL:
         raise PreconditionError(
-            f"circle_stability_certificate: int e^u = {m!r}, expected 1 within 1e-06")
+            f"circle_stability_certificate: int e^u = {m!r}, expected 1 within {MASS_TOL}")
     value = lebedev_milin_functional(u, grid)
     params, dist, diag = nearest_circle_L1(u, grid)
     return _certificate("Lebedev-Milin (circle)", value, 0.25, dist,
@@ -246,13 +254,13 @@ def _grid_points(box: float, n_axis: int, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _brute_conjugate(points_primal, values_primal, points_dual, chunk=1024):
+def _brute_conjugate(points_primal, values_primal, points_dual):
     """E*(y) = max_x <x,y> - E(x) over the primal grid, and the argmax."""
     n_dual = points_dual.shape[0]
     conj = np.empty(n_dual)
     arg = np.empty((n_dual, points_primal.shape[1]))
-    for start in range(0, n_dual, chunk):
-        sl = slice(start, min(start + chunk, n_dual))
+    for start in range(0, n_dual, 1024):
+        sl = slice(start, min(start + 1024, n_dual))
         inner = points_dual[sl] @ points_primal.T - values_primal[None, :]
         idx = np.argmax(inner, axis=1)
         conj[sl] = inner[np.arange(idx.size), idx]
@@ -260,8 +268,7 @@ def _brute_conjugate(points_primal, values_primal, points_dual, chunk=1024):
     return conj, arg
 
 
-def toy_duality_demo(spec: ConvexPairSpec, slack: float = 2e-2,
-                     eq_tol: float = 1e-9) -> DualityReport:
+def toy_duality_demo(spec: ConvexPairSpec) -> DualityReport:
     """Verify the duality-transfer machinery on a low-dimensional pair.
 
     Checks, all on brute-force grid Legendre transforms:
@@ -287,9 +294,9 @@ def toy_duality_demo(spec: ConvexPairSpec, slack: float = 2e-2,
     dual_order = float(np.max(Fstar - Estar))
 
     # equality sets
-    E0_mask = (Fv - Ev) <= eq_tol
+    E0_mask = (Fv - Ev) <= DUALITY_EQ_TOL
     E0 = X[E0_mask]
-    E0star_mask = (Estar - Fstar) <= slack * 1e-2
+    E0star_mask = (Estar - Fstar) <= DUALITY_SLACK * 1e-2
     E0star = Y[E0star_mask]
     if E0.size == 0 or E0star.size == 0:
         raise DomainError("toy_duality_demo: empty equality set on the grid")
@@ -336,7 +343,7 @@ def toy_duality_demo(spec: ConvexPairSpec, slack: float = 2e-2,
         sl = slice(start, min(start + 1024, Y.shape[0]))
         gap = Ev[None, :] + Estar[sl, None] - Y[sl] @ X.T
         young_min = min(young_min, float(np.min(gap)))
-        eq_pairs = np.argwhere(gap <= eq_tol)
+        eq_pairs = np.argwhere(gap <= DUALITY_EQ_TOL)
         for iy, ix in eq_pairs:
             if np.linalg.norm(X[ix] - gradEstar[sl][iy]) > 2.0 * h_axis:
                 young_eq_ok = False
@@ -356,13 +363,13 @@ def toy_duality_demo(spec: ConvexPairSpec, slack: float = 2e-2,
         excess = dg - dy / (2.0 * spec.lam)
     lip_excess = float(np.max(excess))
 
-    passed = (dual_order <= slack
+    passed = (dual_order <= DUALITY_SLACK
               and young_min >= -1e-12
               and young_eq_ok
-              and fwd <= 2.0 * h_axis + slack
-              and back <= 2.0 * h_axis + slack
-              and transfer_slack >= -slack
-              and lip_excess <= 2.0 * h_axis + slack)
+              and fwd <= 2.0 * h_axis + DUALITY_SLACK
+              and back <= 2.0 * h_axis + DUALITY_SLACK
+              and transfer_slack >= -DUALITY_SLACK
+              and lip_excess <= 2.0 * h_axis + DUALITY_SLACK)
     return DualityReport(
         name=spec.name, mu=mu,
         premise_max_violation=premise,
@@ -373,5 +380,5 @@ def toy_duality_demo(spec: ConvexPairSpec, slack: float = 2e-2,
         eq_set_backward_max_dist=back,
         transfer_min_slack=transfer_slack,
         lipschitz_max_excess=lip_excess,
-        slack=slack, passed=passed,
+        slack=DUALITY_SLACK, passed=passed,
         details={"Estar": Estar, "Fstar": Fstar, "Y": Y, "E0": E0, "E0star": E0star})

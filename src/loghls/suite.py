@@ -400,16 +400,14 @@ CRITERIA = (
 )
 
 
-def run_criterion(cid: str, config: RunConfig | None = None) -> CriterionResult:
-    config = config or RunConfig()
+def run_criterion(cid: str, config: RunConfig) -> CriterionResult:
     for c, name, budget, fn in CRITERIA:
         if c == cid:
             return _run(c, name, budget, fn, config)
     raise KeyError(f"unknown criterion {cid!r}")
 
 
-def run_all(config: RunConfig | None = None, ids=None) -> list[CriterionResult]:
-    config = config or RunConfig()
+def run_all(config: RunConfig, ids=None) -> list[CriterionResult]:
     results = []
     for cid, name, budget, fn in CRITERIA:
         if ids is not None and cid not in ids:

@@ -158,6 +158,38 @@ def test_non_positive_T_is_invalid_input(capsys, argv):
     assert "argument --T: T must be a finite number > 0" in capsys.readouterr().err
 
 
+def test_heatflow_one_sample_is_T(capsys):
+    code, out, _ = run_cli(capsys, "heatflow", "1+0.5*P1", "--T", "1", "--samples", "1")
+    assert code == 0
+    assert json.loads(out)["trajectory"]["t"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("heatflow", "1+0.5*P1", "--samples", "0"),
+    ("heatflow", "1+0.5*P1", "--samples", "-2"),
+    ("ks", "8pi*optimizer:s=1", "--samples", "0"),
+], ids=lambda argv: f"{argv[0]} samples={argv[-1]}")
+def test_non_positive_samples_is_invalid_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --samples: the count must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,argv", [
+    ("ks_T = 0", ("ks", "8pi*optimizer:s=1")),
+    ("ks_dt = 1", ("ks", "8pi*optimizer:s=1", "--T", "0.5")),
+    ("radial_n = 4", ("eval", "optimizer:s=1")),
+    ("", ("eval", "optimizer:s=1", "--grid-n", "4")),
+], ids=["ks_T", "ks_dt", "radial_n", "grid-n"])
+def test_invalid_config_is_invalid_input(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "RunConfig" in err
+
+
 def test_heatflow_short_T_samples_end_at_T(capsys):
     code, out, _ = run_cli(capsys, "heatflow", "1+0.5*P1", "--T", "0.005")
     assert code == 0

@@ -16,7 +16,7 @@ from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 sphere_log_interaction_zkernel,
                                 spherical_free_energy)
 from loghls.geometry import lift_T, planar_from_profile, sphere_optimizer_values
-from loghls.grids import make_radial_grid
+from loghls.grids import make_circle_grid, make_radial_grid
 from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                                circle_optimizer, planar_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar
@@ -157,14 +157,14 @@ def test_spherical_free_energy_zero_field(sphere_grid):
 def test_spherical_free_energy_on_optimizers(sphere_grid, t):
     vals = np.exp(sphere_optimizer_values(t, np.array([0, 0, 1.0]), sphere_grid.points()))
     f = SphereField(sphere_grid, vals - 1.0, axisymmetric=True)
-    assert abs(spherical_free_energy(f, mean_tol=1e-6).total) <= 1e-5
+    assert abs(spherical_free_energy(f).total) <= 1e-5
 
 
 def test_spherical_free_energy_tilted_optimizer(sphere_grid):
     n = np.array([0.6, 0.0, 0.8])
     vals = np.exp(sphere_optimizer_values(1.0, n, sphere_grid.points()))
     f = SphereField(sphere_grid, vals - 1.0)
-    assert abs(spherical_free_energy(f, mean_tol=1e-6).total) <= 1e-4
+    assert abs(spherical_free_energy(f).total) <= 1e-4
 
 
 def test_sphere_interaction_zkernel_cross_check(sphere_grid, radial_fine):
@@ -188,7 +188,7 @@ def test_spherical_free_energy_preconditions(sphere_grid):
         spherical_free_energy(SphereField.from_zonal(sphere_grid, lambda z: 0.1 + 0 * z))
     bad = SphereField.from_zonal(sphere_grid, lambda z: 1.5 * z)  # f+1 < 0 somewhere
     with pytest.raises(PositivityError):
-        spherical_free_energy(bad, mean_tol=1e-6)
+        spherical_free_energy(bad)
 
 
 def test_green_function_eigenvalues(sphere_small):
@@ -245,6 +245,19 @@ def test_onofri_entropy_form(sphere_grid):
 # ----------------------------------------------------------------------
 # circle
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kmax,n", [(64, 8), (64, 100), (64, 512), (4096, 512)])
+def test_circle_values_match_the_dense_sum(kmax, n):
+    """The FFT evaluation agrees with u = c_0 + 2 Re sum c_k e^{ik theta},
+    also when the grid is coarser than the field (kmax >= n / 2)."""
+    rng = np.random.default_rng(kmax + n)
+    k = np.arange(1, kmax + 1)
+    coeffs = np.r_[0.3, (rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)) / k]
+    grid = make_circle_grid(n)
+    dense = coeffs[0].real + 2.0 * (np.exp(1j * np.outer(grid.theta, k)) @ coeffs[1:]).real
+    got = CircleField(coeffs).values(grid)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
 
 def test_circle_zero_field():
     u = CircleField(np.zeros(8, dtype=complex))

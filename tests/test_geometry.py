@@ -66,16 +66,6 @@ def test_lift_T_preserves_mass(radial_fine):
     assert abs(lifted.mean() - rho.mass) <= 1e-6
 
 
-def test_lift_T_spline_fallback(radial_fine):
-    prof = lambda r: np.exp(-(r - 1.0) ** 2) / 2.0
-    rho = radial_from_profile(radial_fine, prof)
-    grid_only = radial_from_profile(radial_fine, prof)
-    grid_only.profile = None
-    m_exact = lift_T(rho).mean()
-    m_spline = lift_T(grid_only).mean()
-    assert abs(m_exact - m_spline) <= 1e-6
-
-
 def test_lift_T_default_grid_is_the_run_grid(radial_fine):
     """One grid per shape: the default lift shares the run's grid, and so
     its transform tables."""

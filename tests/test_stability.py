@@ -128,10 +128,10 @@ def test_constrained_gap_on_recentered_fields():
 
 def test_circle_certificate(sphere_grid):
     cert = circle_stability_certificate(
-        realize_circle(parse_input_spec("circle-poisson:r=0.5,alpha=1"), None))
+        realize_circle(parse_input_spec("circle-poisson:r=0.5,alpha=1"), RunConfig()))
     assert cert.passed and abs(cert.gap) <= 1e-10
     assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
-    pert = realize_circle(parse_input_spec("circle-cos:eps=0.3"), None)
+    pert = realize_circle(parse_input_spec("circle-cos:eps=0.3"), RunConfig())
     cert = circle_stability_certificate(pert)
     assert cert.passed and cert.gap > 0.0
     assert cert.constant == 0.25
