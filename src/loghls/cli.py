@@ -259,11 +259,16 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _positive_time(text: str) -> float:
-    T = float(text)
-    if not 0.0 < T < np.inf:
-        raise argparse.ArgumentTypeError(f"T must be a finite number > 0, got {text}")
-    return T
+def _finite_positive(name: str):
+    """The argparse type of option ``name``: a finite number > 0."""
+    def parse(text: str) -> float:
+        x = float(text)
+        if not 0.0 < x < np.inf:
+            raise argparse.ArgumentTypeError(f"{name} must be a finite number > 0, got {text}")
+        return x
+
+    parse.__name__ = name
+    return parse
 
 
 def _positive_count(text: str) -> int:
@@ -304,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("heatflow", help="heat semigroup run (flow heat)")
     sp.add_argument("spec", help='e.g. "1+0.5*P1" or legendre:c0=1,c1=0.5')
-    sp.add_argument("--T", type=_positive_time, default=1.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--T", type=_finite_positive("T"), default=1.0)
+    sp.add_argument("--dt", type=_finite_positive("dt"), default=1e-3)
     sp.add_argument("--samples", type=_positive_count, default=33)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp)
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ks", help="critical-mass Keller-Segel run (flow ks)")
     sp.add_argument("spec", help='e.g. "8pi*optimizer:s=1"')
-    sp.add_argument("--T", type=_positive_time, default=None)
+    sp.add_argument("--T", type=_finite_positive("T"), default=None)
     sp.add_argument("--samples", type=_positive_count, default=64)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp)

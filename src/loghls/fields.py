@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NormalizationError
-from .grids import CircleGrid, RadialGrid, SphereGrid, integrate
+from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, moments
 from .sht import SphereTransform
 from .sht import legendre_analyze  # noqa: F401  perfbench wraps this name here until ROADMAP 3(b)
 
@@ -188,9 +188,7 @@ class SphereField:
 
     def barycenter(self) -> np.ndarray:
         """int e^u omega dsigma (the sphere barycenter of the density e^u)."""
-        eu = np.exp(self.values)
-        pts = self.grid.points()
-        return np.array([integrate(eu * pts[..., i], self.grid) for i in range(3)])
+        return moments(np.exp(self.values), self.grid)[1:]
 
     def shifted(self, c: float) -> "SphereField":
         fn = None

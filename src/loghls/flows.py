@@ -162,8 +162,8 @@ def dissipation_check(state: HeatState, dt: float = 1e-3) -> tuple[float, float,
     rhs: -int |grad log rho(t)|^2 dsigma,
     residual |lhs - rhs| = O(dt^2) for smooth positive densities.
     """
-    if dt <= 0:
-        raise DomainError(f"dissipation_check: dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise DomainError(f"dissipation_check: dt must be a finite number > 0, got {dt}")
     active = np.nonzero(np.abs(state.coeffs) > 1e-13)[0]
     lmax_active = int(active.max()) if active.size else 0
     if lmax_active * (lmax_active + 1) * dt > 5.0:

@@ -15,12 +15,14 @@ Conventions
 * Sphere and circle grids carry the uniform probability measure sigma.
   On the sphere each Gauss row is summed and the row sums are dotted
   with the row weights ``w_z / (2 n_phi)``; on the circle it is the
-  plain mean.
+  plain mean.  :func:`moments` weights a sphere grid's values against
+  [1, omega] by the same row weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -36,6 +38,7 @@ __all__ = [
     "make_sphere_grid",
     "make_circle_grid",
     "integrate",
+    "moments",
 ]
 
 
@@ -180,6 +183,18 @@ class SphereGrid:
         pts[:, :, 2] = self.z[:, None]
         return pts
 
+    @cached_property
+    def moment_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of :func:`moments`: [1, cos phi, sin phi] by column
+        (n_phi x 3) and the row weights times [1, sin theta, sin theta, z]
+        (n_z x 4)."""
+        azimuth = np.stack([np.ones(self.n_phi), np.cos(self.phi), np.sin(self.phi)], axis=1)
+        s = np.sqrt(np.clip(1.0 - self.z**2, 0.0, None))
+        rows = (self.w_z / (2.0 * self.n_phi))[:, None] * np.stack(
+            [np.ones(self.n_z), s, s, self.z], axis=1)
+        _read_only(azimuth, rows)
+        return azimuth, rows
+
 
 _SPHERE_GRIDS: dict[tuple[int, int], SphereGrid] = {}
 
@@ -246,3 +261,19 @@ def integrate(values: np.ndarray, grid) -> float:
     if isinstance(grid, RadialGrid):
         return float(v @ grid.weights)
     return float(np.mean(v))
+
+
+def moments(values: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """[int v, int v omega_1, int v omega_2, int v omega_3] dsigma.
+
+    Each Gauss row is summed against [1, cos phi, sin phi], and the row
+    sums are dotted with the row weights of :func:`integrate` times
+    [1, sin theta, sin theta, z].
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape != grid.shape:
+        raise DimensionMismatchError(
+            f"moments: got {v.shape} values for a sphere grid of {grid.shape}")
+    azimuth, rows = grid.moment_tables
+    sums = v @ azimuth
+    return np.einsum("ij,ij->j", sums[:, [0, 1, 2, 0]], rows)

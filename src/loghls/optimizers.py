@@ -6,24 +6,31 @@ and the circle family is { e^v = (cosh t + sinh t n.w)^-1 } on S^1, the
 normalized Poisson kernels of radius tanh(t/2).  Searches are
 deterministic and return (params, value, SearchDiagnostics): golden
 section over log s with a fixed multistart pattern for radial densities,
-and one coarse-scan + Nelder-Mead search over v = t n in R^3 or R^2 for
-the sphere and circle families.  Off-center planar densities are
-searched on the sphere through their lift, where the planar family is
-e^{u_{t,n}}.
+and one coarse scan + refinement over v = t n in R^3 or R^2 for the
+sphere and circle families.  Off-center planar densities are searched on
+the sphere through their lift, where the planar family is e^{u_{t,n}}.
 
 A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
 q = cosh t + sinh t n.w (no exp; the two entropy forms take one log
-for u_{t,n} = -2 log q), written into two buffers built once per
+for u_{t,n} = -2 log q), written into three buffers built once per
 search.  Its scan runs on the sphere grid of every 4th azimuth column
-(128 x 64 points on the default grid) and only picks Nelder-Mead's
-start; Nelder-Mead and the returned value use the full grid.  Both
-integrate with ``grids.integrate`` on their grid.
+(128 x 64 points on the default grid) and only picks the refinement's
+start; the refinement and the returned value use the full grid.  The
+gradient and entropy objectives are smooth in v and carry their exact
+gradient, the moments of g'(q) through the chain rule of
+_SphereFamily.gradient, so BFGS refines them; the L1 objectives, whose
+quadrature gradient has kinks, are refined by Nelder-Mead.  All
+integrate with ``grids.integrate`` and ``grids.moments`` on their grid.
+
+``recenter`` scores its candidate pushes by change of variables on the
+original grid and pushes the field once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,8 +39,8 @@ from .errors import ConvergenceError, DomainError, NormalizationError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
                      radial_from_profile)
 from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
-from .geometry import ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, make_sphere_grid
+from .geometry import _ETA, ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
+from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, make_sphere_grid, moments
 
 __all__ = [
     "PlanarOptimizerParams",
@@ -60,6 +67,7 @@ LOG_S_BOX = 6.0          # searches cover s in [e^-6, e^6]
 RECENTER_TOL = 1e-10     # recenter stops at |barycenter| <= this
 RECENTER_MAX_ITER = 50
 RECENTER_STEP = 1.5      # Newton step t = RECENTER_STEP |b| (capped at 2)
+CIRCLE_MAX_MODES = 65_536  # Poisson kernel modes: r^k < e^-40 holds up to r = 0.99939
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -120,9 +128,14 @@ def sphere_optimizer(p: SphereOptimizerParams, grid: SphereGrid) -> SphereField:
 
 def circle_optimizer(p: CircleOptimizerParams) -> CircleField:
     """log of the normalized Poisson kernel: e^u = (1-r^2)/(1-2r cos(th-a)+r^2),
-    truncated where r^k < e^-40, with 64 to 4096 modes."""
+    truncated where r^k < e^-40, with 64 to CIRCLE_MAX_MODES modes."""
     r, alpha = p.r, p.alpha
-    kmax = 64 if r == 0 else max(64, min(4096, int(np.ceil(-40.0 / np.log(max(r, 1e-12))))))
+    kmax = 64 if r == 0 else max(64, math.ceil(-40.0 / math.log(r)))
+    if kmax > CIRCLE_MAX_MODES:
+        r_max = math.exp(-40.0 / CIRCLE_MAX_MODES)
+        raise DomainError(
+            f"circle_optimizer: r = {r!r} needs {kmax} modes to truncate at r^k < e^-40, "
+            f"more than the cap of {CIRCLE_MAX_MODES} (r <= {r_max:.5f})")
     coeffs = np.zeros(kmax + 1, dtype=complex)
     coeffs[0] = np.log1p(-r * r)
     k = np.arange(1, kmax + 1)
@@ -165,8 +178,10 @@ class SearchDiagnostics:
     the boundary of the parameter box.
 
     ``evaluations`` counts every evaluation; ``scan_evaluations`` those of
-    the coarse scan and ``iterations`` the Nelder-Mead iterations of a
-    manifold search (both 0 for the radial golden-section search).
+    the coarse scan and ``iterations`` the refinement's iterations (BFGS
+    ``nit`` for the smooth sphere objectives, Nelder-Mead ``nit`` for the
+    L1 ones) of a manifold search (both 0 for the radial golden-section
+    search).
     """
 
     evaluations: int = 0
@@ -232,18 +247,32 @@ _CIRCLE_DIRS = np.stack([np.cos(np.pi * np.arange(16) / 8.0),
 _CIRCLE_T_MAX = 2.0 * math.atanh(1.0 - 1e-6)    # caps r = tanh(t/2) at 1 - 1e-6
 
 
+@dataclass(frozen=True)
+class _Smooth:
+    """A manifold objective fun(t, n) that also has its gradient:
+    ``value_and_gradient(t, n)`` is (fun(t, n), d fun / d v) at v = t n."""
+
+    value: Callable[[float, np.ndarray], float]
+    value_and_gradient: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
+
+    def __call__(self, t: float, n: np.ndarray) -> float:
+        return self.value(t, n)
+
+
 def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
-    """Minimize fun(t, n) over [0, t_max] x S^{d-1}: coarse scan + Nelder-Mead.
+    """Minimize fun(t, n) over [0, t_max] x S^{d-1}: coarse scan, then
+    BFGS for a _Smooth ``fun`` and Nelder-Mead otherwise.
 
     ``dirs`` holds the scan's unit axes in R^d.  The scan evaluates t = 0
     once (every axis names the same point there), then each t of
     _COARSE_T on every axis.  It evaluates ``scan`` when given (a cheaper
     objective that only has to pick the start) and ``fun`` otherwise; a
     start picked by ``scan`` is evaluated again by ``fun`` before it is
-    compared with Nelder-Mead's result.  Nelder-Mead refines ``fun`` over
+    compared with the refined result.  The refinement runs over
     v = t n in R^d with t = |v| capped at t_max: the family is smooth in
     v through v = 0, so a search that starts at t = 0 can leave it along
-    any axis.
+    any axis.  Past the cap, BFGS sees the value at the cap and its
+    gradient with the radial part projected out, scaled by t_max / |v|.
 
     Returns (value, t, n, diagnostics); the boundary is t = t_max.
     """
@@ -257,6 +286,17 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
         t = float(np.linalg.norm(v))
         return f(0.0, pole) if t == 0.0 else f(min(t, t_max), v / t)
 
+    def at_with_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:
+        diag.evaluations += 1
+        t = float(np.linalg.norm(v))
+        if t == 0.0:
+            return fun.value_and_gradient(0.0, pole)
+        n = v / t
+        if t <= t_max:
+            return fun.value_and_gradient(t, n)
+        val, grad = fun.value_and_gradient(t_max, n)
+        return val, (t_max / t) * (grad - (grad @ n) * n)
+
     best_v = np.zeros(d)
     best = at(best_v, scan)
     for t in _COARSE_T:
@@ -267,10 +307,15 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
     diag.scan_evaluations = diag.evaluations
     if scan is not fun:
         best = at(best_v)
-    simplex = best_v + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
-    res = minimize(at, best_v, method="Nelder-Mead",
-                   options={"initial_simplex": simplex, "xatol": 1e-9,
-                            "fatol": 1e-14, "maxiter": 2000})
+    if isinstance(fun, _Smooth):
+        search = {"fun": at_with_gradient, "method": "BFGS", "jac": True,
+                  "options": {"gtol": 1e-10}}
+    else:
+        simplex = best_v + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
+        search = {"fun": at, "method": "Nelder-Mead",
+                  "options": {"initial_simplex": simplex, "xatol": 1e-9,
+                              "fatol": 1e-14, "maxiter": 2000}}
+    res = minimize(x0=best_v, **search)
     diag.iterations = int(res.nit)
     if res.fun <= best:
         best, best_v = float(res.fun), res.x
@@ -285,7 +330,7 @@ class _SphereFamily:
 
     That grid, ``self.grid``, has the same Gauss rows and n_phi / step
     columns, whose points are those of the chosen columns.  Every
-    evaluation writes into the same two grid-sized buffers, so an
+    evaluation writes into the same three grid-sized buffers, so an
     objective allocates no temporaries; objectives integrate them with
     ``integrate(values, family.grid)``.
     """
@@ -296,6 +341,7 @@ class _SphereFamily:
         self.points = self.grid.points().reshape(-1, 3)
         self.q = np.empty(self.grid.shape)
         self.work = np.empty(self.grid.shape)
+        self.spare = np.empty(self.grid.shape)
 
     def columns(self, values: np.ndarray) -> np.ndarray:
         """Grid values at this family's columns, as a contiguous array."""
@@ -321,6 +367,19 @@ class _SphereFamily:
         u *= -2.0
         np.square(q, out=q)
         return u, np.reciprocal(q, out=q)
+
+    def gradient(self, t: float, n: np.ndarray, dg: np.ndarray) -> np.ndarray:
+        """d/dv int g(q) dsigma at v = t n, given dg = g'(q) on the grid.
+
+        With q = cosh t + (sinh t / t) v.w the chain rule reads
+        dq/dv = sinh t n + (cosh t - sinh t / t)(n.w) n + (sinh t / t) w,
+        which is w at v = 0; it is taken against the moments [int g',
+        int g' w] of :func:`grids.moments`.
+        """
+        m = moments(dg, self.grid)
+        sinc = math.sinh(t) / t if t > 0.0 else 1.0
+        radial = math.sinh(t) * m[0] + (math.cosh(t) - sinc) * float(n @ m[1:])
+        return radial * n + sinc * m[1:]
 
 
 _SCAN_STEP = 4
@@ -355,8 +414,8 @@ def _check_normalized_exp(u: SphereField, who: str):
             f"{who}: int e^u dsigma = {m!r}, expected 1 within {MASS_TOL}")
 
 
-def _entropy_objective(fam: _SphereFamily, u: np.ndarray):
-    """H(e^u | e^{u_{t,n}}) = int e^u u + 2 int e^u log q."""
+def _entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
+    """H(e^u | e^{u_{t,n}}) = int e^u u + 2 int e^u log q; g'(q) = 2 e^u / q."""
     u = fam.columns(u)
     eu = np.exp(u)
     base = integrate(eu * u, fam.grid)
@@ -367,7 +426,14 @@ def _entropy_objective(fam: _SphereFamily, u: np.ndarray):
         logq *= eu
         return base + 2.0 * integrate(logq, fam.grid)
 
-    return fun
+    def fun_and_grad(t, n):
+        q = fam.base(t, n)
+        logq = np.log(q, out=fam.work)
+        logq *= eu
+        dg = np.divide(eu, q, out=q)
+        return base + 2.0 * integrate(logq, fam.grid), 2.0 * fam.gradient(t, n, dg)
+
+    return _Smooth(fun, fun_and_grad)
 
 
 def nearest_sphere_entropy(u: SphereField):
@@ -376,19 +442,36 @@ def nearest_sphere_entropy(u: SphereField):
     return _sphere_search(_entropy_objective, u.grid, u.values)
 
 
-def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float, ubar: float):
-    """E(u - u_{t,n}) by the cross-term identity of nearest_sphere_gradient."""
+def _optimizer_energy(t: float) -> tuple[float, float]:
+    """E(u_{t,n}) = 8 t coth t - 8 and its t-derivative, by their series
+    8 t^2/3 - 8 t^4/45 and 16 t/3 - 32 t^3/45 below t = 1e-3."""
+    if t < 1e-3:
+        t2 = t * t
+        return 8.0 * t2 * (1.0 / 3.0 - t2 / 45.0), t * (16.0 / 3.0 - 32.0 * t2 / 45.0)
+    return 8.0 * t / math.tanh(t) - 8.0, 8.0 / math.tanh(t) - 8.0 * t / math.sinh(t) ** 2
+
+
+def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float,
+                        ubar: float) -> _Smooth:
+    """E(u - u_{t,n}) by the cross-term identity of nearest_sphere_gradient:
+    int g(q) with g = -4 u q^-2, g'(q) = 8 u q^-3, plus E(u_{t,n})."""
     u = fam.columns(u)
 
     def fun(t, n):
-        if t < 1e-14:
-            return Eu
-        Ev = 8.0 * t / math.tanh(t) - 8.0
         ev = fam.density(t, n)
         ev *= u
-        return Eu + Ev - 4.0 * integrate(ev, fam.grid) + 4.0 * ubar
+        return Eu + _optimizer_energy(t)[0] - 4.0 * integrate(ev, fam.grid) + 4.0 * ubar
 
-    return fun
+    def fun_and_grad(t, n):
+        Ev, dEv = _optimizer_energy(t)
+        r = np.reciprocal(fam.base(t, n), out=fam.q)
+        dg = np.multiply(u, r, out=fam.work)
+        dg *= r
+        val = Eu + Ev - 4.0 * integrate(dg, fam.grid) + 4.0 * ubar
+        dg *= r
+        return val, 8.0 * fam.gradient(t, n, dg) + dEv * n
+
+    return _Smooth(fun, fun_and_grad)
 
 
 def nearest_sphere_gradient(u: SphereField):
@@ -403,8 +486,9 @@ def nearest_sphere_gradient(u: SphereField):
     return params, max(val, 0.0), diag
 
 
-def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
-    """H(e^{u_{t,n}} | e^u) = int e^{u_{t,n}} (u_{t,n} - u)."""
+def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
+    """H(e^{u_{t,n}} | e^u) = int q^-2 A with A = -2 log q - u;
+    g'(q) = -2 q^-3 (A + 1)."""
     u = fam.columns(u)
 
     def fun(t, n):
@@ -413,7 +497,20 @@ def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
         v *= ev
         return integrate(v, fam.grid)
 
-    return fun
+    def fun_and_grad(t, n):
+        q = fam.base(t, n)
+        dg = np.log(q, out=fam.work)
+        dg *= -2.0
+        dg -= u
+        r = np.reciprocal(q, out=q)
+        r2 = np.square(r, out=fam.spare)
+        dg *= r2
+        val = integrate(dg, fam.grid)
+        dg += r2
+        dg *= r
+        return val, -2.0 * fam.gradient(t, n, dg)
+
+    return _Smooth(fun, fun_and_grad)
 
 
 def nearest_sphere_reverse_entropy(u: SphereField):
@@ -474,42 +571,67 @@ class RecenterResult:
     iterations: int = 0
 
 
+def _pushed_barycenter(u: SphereField):
+    """G -> the barycenter of conformal_push(u, G), without the push.
+
+    By change of variables it is int tau_{G^-1}(eta) e^{u(eta)} dsigma(eta)
+    on u's own grid.  With H = G^-1 = eta G^T eta and x = (1, eta),
+    tau_H(eta) = (H x)_{1:3} / (H x)_0, so it is H_{1:4} applied to the
+    moments of e^u / (H x)_0.
+    """
+    eu = np.exp(u.values)
+    points = u.grid.points()
+
+    def barycenter(G: np.ndarray) -> np.ndarray:
+        H = _ETA @ G.T @ _ETA
+        return H[1:] @ moments(eu / (H[0, 0] + points @ H[0, 1:]), u.grid)
+
+    return barycenter
+
+
 def recenter(u: SphereField) -> RecenterResult:
-    """Apply conformal pushes until the sphere barycenter of e^u is within RECENTER_TOL.
+    """Find the conformal push whose image of e^u has its sphere barycenter
+    within RECENTER_TOL, and push u by it once.
 
     Pushing along axis n moves mass toward -n and changes a small
     barycenter b by about -(2/3) t n, so the damped Newton step
     t = 1.5 |b| along n = b/|b| contracts quadratically near the fixed
     point; steps are halved whenever |b| fails to decrease.  The steps
-    compose into one Lorentz matrix G <- G @ boost, and each candidate
-    pushes the original u by its G, so the result is one map deep.
+    compose into one Lorentz matrix G <- G @ boost.  A candidate G is
+    scored without pushing: by change of variables the barycenter of
+    conformal_push(u, G) is int tau_{G^-1}(eta) e^{u(eta)} dsigma(eta),
+    taken on u's own grid.  The accepted G pushes u once, and |b| of the
+    pushed field is checked against RECENTER_TOL.
     """
     _check_normalized_exp(u, who="recenter")
+    barycenter = _pushed_barycenter(u)
     steps: list[ConformalParams] = []
     G = np.eye(4)
-    cur = u
-    b = cur.barycenter()
+    b = barycenter(G)
     bn = float(np.linalg.norm(b))
-    for it in range(RECENTER_MAX_ITER):
-        if bn <= RECENTER_TOL:
-            return RecenterResult(cur, steps, bn, it)
+    while bn > RECENTER_TOL:
+        if len(steps) == RECENTER_MAX_ITER:
+            raise ConvergenceError(
+                f"recenter: |b| = {bn:.3e} > {RECENTER_TOL} after {RECENTER_MAX_ITER} iterations")
         t_step = min(RECENTER_STEP * bn, 2.0)
         axis = tuple(b / bn)
         for _ in range(10):
             params = ConformalParams(t_step, axis)
             G_new = G @ params.matrix
-            cand = conformal_push(u, G_new)
-            b_new = cand.barycenter()
+            b_new = barycenter(G_new)
             bn_new = float(np.linalg.norm(b_new))
             if bn_new < bn or bn_new <= RECENTER_TOL:
                 break
             t_step /= 2.0
         else:
             raise ConvergenceError(
-                f"recenter: barycenter stalled at |b| = {bn:.3e} after {it} iterations")
+                f"recenter: barycenter stalled at |b| = {bn:.3e} after {len(steps)} iterations")
         steps.append(params)
-        G, cur, b, bn = G_new, cand, b_new, bn_new
-    if bn <= RECENTER_TOL:
-        return RecenterResult(cur, steps, bn, RECENTER_MAX_ITER)
-    raise ConvergenceError(
-        f"recenter: |b| = {bn:.3e} > {RECENTER_TOL} after {RECENTER_MAX_ITER} iterations")
+        G, b, bn = G_new, b_new, bn_new
+    pushed = conformal_push(u, G)
+    bn_pushed = float(np.linalg.norm(pushed.barycenter()))
+    if bn_pushed > RECENTER_TOL:
+        raise ConvergenceError(
+            f"recenter: the pushed field has |b| = {bn_pushed:.3e} > {RECENTER_TOL}, "
+            f"where its pull-back gave {bn:.3e}")
+    return RecenterResult(pushed, steps, bn_pushed, len(steps))

@@ -338,15 +338,17 @@ class RunConfig:
                 raise ParseError(f"unknown config key {k!r}")
             if v in ("none", "None", ""):
                 typed[k] = None
-            elif k in ("radial_n", "sphere_nz", "sphere_nphi",
-                       "circle_n", "ks_n", "seed"):
-                typed[k] = int(float(v))
             elif k == "oracle":
                 typed[k] = str(v).lower() in ("1", "true", "yes")
             elif k == "out":
                 typed[k] = str(v)
             else:
-                typed[k] = float(v)
+                try:
+                    x = float(v)
+                    typed[k] = int(x) if k in ("radial_n", "sphere_nz", "sphere_nphi",
+                                               "circle_n", "ks_n", "seed") else x
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(f"RunConfig: {k} = {v!r} is not a valid number") from exc
         return cls(**typed)
 
 

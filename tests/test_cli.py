@@ -150,12 +150,18 @@ def test_ks_sharp_gaussian_command(capsys):
     ("ks", "8pi*optimizer:s=1", "--T", "-1"),
     ("heatflow", "1+0.5*P1", "--T", "0"),
     ("heatflow", "1+0.5*P1", "--T", "-1"),
-], ids=lambda argv: f"{argv[0]} T={argv[-1]}")
+    ("heatflow", "1+0.5*P1", "--dt", "0"),
+    ("heatflow", "1+0.5*P1", "--dt", "-1"),
+    ("heatflow", "1+0.5*P1", "--dt", "nan"),
+], ids=lambda argv: f"{argv[0]} {argv[-2][2:]}={argv[-1]}")
 def test_non_positive_T_is_invalid_input(capsys, argv):
+    """--T and heatflow's --dt take a finite number > 0 (a NaN dt once
+    printed null residuals with exit 0)."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "argument --T: T must be a finite number > 0" in capsys.readouterr().err
+    name = argv[-2][2:]
+    assert f"argument --{name}: {name} must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_heatflow_one_sample_is_T(capsys):
@@ -181,7 +187,9 @@ def test_non_positive_samples_is_invalid_input(capsys, argv):
     ("ks_dt = 1", ("ks", "8pi*optimizer:s=1", "--T", "0.5")),
     ("radial_n = 4", ("eval", "optimizer:s=1")),
     ("", ("eval", "optimizer:s=1", "--grid-n", "4")),
-], ids=["ks_T", "ks_dt", "radial_n", "grid-n"])
+    ("radial_n = abc", ("eval", "optimizer:s=1")),
+    ("ks_T = abc", ("ks", "8pi*optimizer:s=1")),
+], ids=["ks_T", "ks_dt", "radial_n", "grid-n", "radial_n-text", "ks_T-text"])
 def test_invalid_config_is_invalid_input(tmp_path, capsys, line, argv):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")

@@ -111,6 +111,12 @@ def test_heat_positivity_errors():
         dissipation_check(heat_state(np.array([1.0] + [0.0] * 254 + [1e-9])), dt=1e-3)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_dissipation_check_needs_finite_positive_dt(dt):
+    with pytest.raises(DomainError):
+        dissipation_check(heat_state([1.0, 0.5]), dt=dt)
+
+
 # ----------------------------------------------------------------------
 # Keller-Segel
 # ----------------------------------------------------------------------

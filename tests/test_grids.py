@@ -3,7 +3,7 @@ import pytest
 
 from loghls.errors import DimensionMismatchError, DomainError
 from loghls.grids import (integrate, make_circle_grid, make_radial_grid,
-                          make_sphere_grid)
+                          make_sphere_grid, moments)
 
 
 def test_radial_uniform_constant_mass():
@@ -58,6 +58,20 @@ def test_sphere_grid_normalization_and_exactness():
     # Gauss-Legendre exactness up to degree 2*n_z - 1 = 31
     z30 = np.repeat((g.z**30)[:, None], g.n_phi, axis=1)
     assert integrate(z30, g) == pytest.approx(1.0 / 31.0, rel=1e-12)
+
+
+def test_sphere_moments_are_exact_for_low_degrees():
+    """moments weights [1, omega] like integrate: int (1 + a.omega) omega
+    dsigma = a / 3, and the zeroth moment is integrate's value."""
+    g = make_sphere_grid(16, 8)
+    pts = g.points()
+    a = np.array([0.3, -0.2, 0.5])
+    vals = 1.0 + pts @ a
+    m = moments(vals, g)
+    assert m[0] == pytest.approx(integrate(vals, g), abs=1e-15)
+    assert np.max(np.abs(m - np.concatenate([[1.0], a / 3.0]))) <= 1e-14
+    with pytest.raises(DimensionMismatchError):
+        moments(vals[:, :4], g)
 
 
 def test_circle_grid_weights_exact():

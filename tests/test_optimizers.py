@@ -6,10 +6,11 @@ import loghls.optimizers as optimizers
 from loghls.errors import DomainError, NormalizationError
 from loghls.fields import CircleField, SphereField, gaussian_radial
 from loghls.functionals import dirichlet_energy, planar_free_energy
-from loghls.geometry import T_CAP, sphere_optimizer_values
+from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
-from loghls.optimizers import (_SPHERE_DIRS, CircleOptimizerParams, PlanarOptimizerParams,
-                               SphereOptimizerParams, _entropy_objective,
+from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, CircleOptimizerParams,
+                               PlanarOptimizerParams, SphereOptimizerParams,
+                               _entropy_objective, _pushed_barycenter,
                                _gradient_objective, _l1_objective, _manifold_minimize,
                                _reverse_entropy_objective, _SphereFamily, circle_optimizer,
                                golden_section, nearest_circle_L1,
@@ -18,7 +19,8 @@ from loghls.optimizers import (_SPHERE_DIRS, CircleOptimizerParams, PlanarOptimi
                                nearest_sphere_reverse_entropy, planar_optimizer,
                                recenter, sphere_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
-from loghls.stability import onofri_stability_certificates, pass_tolerance
+from loghls.stability import (circle_stability_certificate, onofri_stability_certificates,
+                              pass_tolerance)
 
 GAUSSIAN_NEAREST_DISTANCE = 0.35954192       # frozen from a 10^4-point log-s sweep
 CFG = RunConfig()                              # shared, so its grids are built once
@@ -199,9 +201,10 @@ def test_recenter_band_limited_and_idempotence(sphere_grid):
     assert np.max(np.abs(again.field.values - res.field.values)) <= 1e-8
 
 
-def test_recenter_pushes_the_original_field_once_per_candidate(monkeypatch):
-    """recenter composes its steps into one matrix: each candidate push
-    calls u.fn once, and the result's callable calls it once."""
+def test_recenter_pushes_the_original_field_once(monkeypatch):
+    """recenter scores its candidates by change of variables and composes
+    its steps into one matrix: it pushes the original field once, that
+    push calls u.fn once, and the result's callable calls it once."""
     u0 = realize_sphere(parse_input_spec("band-limited-random:seed=3,L=6,amplitude=0.25"), CFG)
     calls = []
     u = SphereField(u0.grid, u0.values, fn=lambda p: calls.append(1) or u0.fn(p))
@@ -210,13 +213,32 @@ def test_recenter_pushes_the_original_field_once_per_candidate(monkeypatch):
     monkeypatch.setattr(optimizers, "conformal_push",
                         lambda f, g: pushes.append(f) or push(f, g))
     res = recenter(u)
-    assert res.iterations >= 3 and len(pushes) >= res.iterations
-    assert all(f is u for f in pushes)
-    assert len(calls) == len(pushes)
+    assert res.iterations >= 3 and len(res.steps) == res.iterations
+    assert len(pushes) == 1 and pushes[0] is u
+    assert len(calls) == 1
     calls.clear()
     values = res.field.fn(u.grid.points())
     assert len(calls) == 1
     assert np.array_equal(values, res.field.values)
+
+
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), L=st.integers(1, 5), amplitude=st.floats(0.05, 0.25),
+       ta=st.floats(0.0, 1.5), na=_UNIT, tb=st.floats(0.0, 1.5), nb=_UNIT)
+def test_pushed_barycenter_matches_the_push(seed, L, amplitude, ta, na, tb, nb):
+    """The barycenter recenter scores by change of variables, on the
+    original grid, is that of the pushed field, for a boost and for a
+    product of two."""
+    spec = f"band-limited-random:seed={seed},L={L},amplitude={amplitude!r}"
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    barycenter = _pushed_barycenter(u)
+    a = ConformalParams(ta, tuple(np.asarray(na) / np.linalg.norm(na)))
+    b = ConformalParams(tb, tuple(np.asarray(nb) / np.linalg.norm(nb)))
+    for G in (a.matrix, a.matrix @ b.matrix):
+        assert np.max(np.abs(barycenter(G) - conformal_push(u, G).barycenter())) <= 1e-12
 
 
 def test_recenter_stationarity_condition(sphere_grid):
@@ -250,6 +272,16 @@ def test_nearest_circle_recovers_poisson(r):
         assert params.alpha == pytest.approx(2.5, abs=1e-4)
     with pytest.raises(DomainError):
         CircleOptimizerParams(1.0)
+
+
+def test_circle_near_one_certifies():
+    """r = 0.999 needs 39,980 modes to truncate at r^k < e^-40 and is
+    found at distance 0; a kernel past the mode cap is refused by name."""
+    cert = circle_stability_certificate(circle_optimizer(CircleOptimizerParams(0.999, 0.0)))
+    assert cert.passed and cert.distance <= 1e-8
+    r = np.exp(-40.0 / CIRCLE_MAX_MODES) + 1e-5
+    with pytest.raises(DomainError, match="cap"):
+        circle_optimizer(CircleOptimizerParams(r, 0.0))
 
 
 def test_nearest_circle_near_zero_field_oracle():
@@ -348,6 +380,31 @@ def test_sphere_objectives_match_closed_forms(t):
                             (reverse, np.sum(w * ev * (v - uv))),
                             (l1, np.sum(w * np.abs(eu - ev)))):
             assert fun(t, n) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 3.0, 15.0])
+def test_smooth_objective_gradients_match_central_differences(t):
+    """The gradient in v = t n of each smooth objective agrees with
+    central differences (h = 1e-6) in v, within 1e-6 of max(|grad|, 1),
+    on both poles and three other axes; its value is the objective's."""
+    u = realize_sphere(parse_input_spec("band-limited-random:seed=7,L=6,amplitude=0.25"), CFG)
+    fam = _SphereFamily(u.grid)
+    smooth = [objective(fam, *args) for _, _, objective, args in _objectives(u)[:3]]
+    h = 1e-6
+
+    def at(fun, v):
+        s = np.linalg.norm(v)
+        return fun(0.0, np.array([0.0, 0.0, 1.0])) if s == 0.0 else fun(s, v / s)
+
+    for n in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+              [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.48, 0.64, -0.6]):
+        n = np.array(n)
+        for fun in smooth:
+            val, grad = fun.value_and_gradient(t, n)
+            assert val == pytest.approx(fun(t, n), rel=1e-13)
+            fd = [(at(fun, t * n + h * e) - at(fun, t * n - h * e)) / (2.0 * h)
+                  for e in np.eye(3)]
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * max(np.max(np.abs(grad)), 1.0)
 
 
 @pytest.mark.parametrize("spec", ["band-limited-random:seed=21,L=3,amplitude=0.1",
