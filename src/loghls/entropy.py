@@ -69,12 +69,10 @@ class ProbabilityDensity:
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:
-    """x log x with the 0 log 0 = 0 convention."""
+    """x log x with the 0 log 0 = 0 convention; every x <= 0 gives (signed)
+    zero and NaN propagates."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    return x * np.log(np.where(x > 0, x, 1.0))
 
 
 def _unpack(rho1, rho0, nu):

@@ -54,6 +54,7 @@ from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
 from .fields import RadialDensity, SphereField, get_transform
 from .functionals import MASS_TOL, dirichlet_energy
 from .grids import SphereGrid, make_sphere_grid
+from .optimizers import LOG_S_BOX, golden_section, radial_L1_objective
 
 __all__ = [
     "HeatState",
@@ -261,6 +262,8 @@ class KSState:
     ``weights`` are the trapezoid weights 2 pi r^2 dx in x, so that
     sum(weights * rho) = int rho over r_min <= |x| <= r_max, and
     ``inv_2pir2`` is 1 / (2 pi r^2); both depend on the grid alone.
+    ``work`` is a scratch vector of the grid's length, which
+    ``check_invariants`` and ``ks_free_energy`` overwrite.
     """
 
     x: np.ndarray            # log-radius nodes, uniform
@@ -271,19 +274,22 @@ class KSState:
     mass_total: float
     weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
     inv_2pir2: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    work: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.inv_2pir2 = 1.0 / (2.0 * np.pi * self.r**2)
         self.weights = 2.0 * np.pi * self.r**2 * self.dx
         self.weights[0] *= 0.5
         self.weights[-1] *= 0.5
+        self.work = np.empty_like(self.r)
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
     def check_invariants(self) -> None:
-        if np.any(np.diff(self.M) < -MONO_TOL * self.mass_total):
+        dM = np.subtract(self.M[1:], self.M[:-1], out=self.work[:-1])
+        if dM.min() < -MONO_TOL * self.mass_total:
             raise PositivityError(
                 f"KSState: cumulative mass not monotone at t = {self.time:.4f} "
                 "(density went negative)")
@@ -351,13 +357,18 @@ def _stencil_band(n: int, inner: np.ndarray, edge: np.ndarray) -> np.ndarray:
 
 class _KSOperator(NamedTuple):
     """The grid's part of every step matrix, in gbtrf's band layout: -L for
-    L = (d_xx - 2 d_x)/r^2, the derivative D of ``_dx4``, and the matrix
-    row of each band entry (clipped where it lies outside)."""
+    L = (d_xx - 2 d_x)/r^2 and the derivative D of ``_dx4``; and the
+    arrays ``system`` writes: the step band, and V padded by its end
+    values (4 before, 2 after), whose fixed strided view ``v_rows`` holds
+    at each band entry V at that entry's matrix row, clipped where the
+    entry lies outside the matrix."""
 
     minus_L: np.ndarray
     D: np.ndarray
-    rows: np.ndarray
     dx: float
+    band: np.ndarray
+    v_pad: np.ndarray
+    v_rows: np.ndarray
 
     @classmethod
     def build(cls, r: np.ndarray, dx: float) -> "_KSOperator":
@@ -365,11 +376,26 @@ class _KSOperator(NamedTuple):
         rows = np.clip(np.arange(n) + np.arange(-4, 3)[:, None], 0, n - 1)
         D = _stencil_band(n, *_D1) / dx
         minus_L = (2.0 * D - _stencil_band(n, *_D2) / dx**2) / r[rows] ** 2
-        return cls(minus_L, D, rows, dx)
+        v_pad = np.zeros(n + 6)
+        # v_rows[k, j] = v_pad[k + j] = V[j + k - 4]: band entry (k, j) lies in row j + k - 4
+        v_rows = np.lib.stride_tricks.sliding_window_view(v_pad, n)
+        return cls(minus_L, D, dx, np.empty((7, n)), v_pad, v_rows)
 
     def system(self, step: float, a0: float, V: np.ndarray) -> np.ndarray:
-        """a0 I - step (L + diag(V) D) with the boundary-condition rows."""
-        ab = step * (self.minus_L - V[self.rows] * self.D)
+        """a0 I - step (L + diag(V) D) with the boundary-condition rows.
+
+        The band is ``step * (minus_L - V[rows] * D)`` bit for bit, for the
+        clipped row index ``rows`` of each entry, but is built without the
+        (7, n) gather: V goes into the padded vector, and the multiply,
+        subtract and scale write into the operator's own band, so the
+        result is overwritten by the next call.
+        """
+        self.v_pad[4:-2] = V
+        self.v_pad[:4] = V[0]
+        self.v_pad[-2:] = V[-1]
+        ab = np.multiply(self.v_rows, self.D, out=self.band)
+        np.subtract(self.minus_L, ab, out=ab)
+        ab *= step
         ab[4] += a0
         n = ab.shape[1]
         # inner BC: M ~ C e^{2x} near the origin -> M_0 = e^{-2 dx} M_1
@@ -406,13 +432,21 @@ def ks_free_energy(state: KSState) -> float:
     makes rho constant, so with f_0 = M_0 / mass the disc adds the
     entropy f_0 log(f_0 / (pi r_min^2)) and the interaction
     f_0^2 (log r_min - 1/4) exactly.
+
+    The sums are fused: M_x = ``_dx4(M)`` is taken once, the normalized
+    density goes into the state's ``work`` vector, the entropy is the dot
+    of the weights with ``xlogx`` of it (0 where the density is <= 0),
+    and the interaction is one dot of M log r with M_x, less the
+    half-weight ends.
     """
     Mx = _dx4(state.M, state.dx)
     mass = state.mass_total
-    rho = Mx * state.inv_2pir2 / mass
-    ent = float(np.sum(state.weights * xlogx(np.clip(rho, 0.0, None))))
-    g = (2.0 / mass**2) * state.M * state.x * Mx          # 2 M_n log r (M_n)_x
-    inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * state.dx)
+    rho = np.multiply(Mx, state.inv_2pir2, out=state.work)
+    rho /= mass
+    ent = float(state.weights @ xlogx(rho))
+    g = np.multiply(state.M, state.x, out=state.work)     # M log r
+    trapz = g @ Mx - 0.5 * g[0] * Mx[0] - 0.5 * g[-1] * Mx[-1]
+    inter = float((2.0 / mass**2) * trapz * state.dx)      # 2 int M_n log r (M_n)_x dx
     f0 = float(state.M[0]) / mass
     if f0 > 0.0:
         ent += f0 * math.log(f0 / (np.pi * float(state.r[0]) ** 2))
@@ -421,19 +455,18 @@ def ks_free_energy(state: KSState) -> float:
 
 
 def ks_distance(state: KSState) -> tuple[float, float]:
-    """d = inf_s || rho - mass * h_s ||_1 on the flow grid, and the argmin s."""
-    from .optimizers import golden_section
-    rho = state.density() / state.mass_total
-    wq = state.weights
-    r = state.r
+    """d = inf_s || rho - mass * h_s ||_1 on the flow grid, and the argmin s.
 
-    def obj(ls: float) -> float:
-        s = math.exp(ls)
-        g = (1.0 / (np.pi * s * s)) * (1.0 + (r / s) ** 2) ** -2
-        return float(np.sum(wq * np.abs(rho - g)))
-
-    ls, d = golden_section(obj, -6.0, 6.0, tol=1e-9)
-    return d * state.mass_total, math.exp(ls)
+    One golden section over log s in the box [-LOG_S_BOX, LOG_S_BOX] at
+    tol 1e-9, of the radial L1 objective that the planar search also
+    uses (``optimizers.radial_L1_objective``), integrated with the
+    state's trapezoid weights.
+    """
+    rho = state.density()
+    rho /= state.mass_total
+    l1 = radial_L1_objective(rho, state.r, state.weights.dot)
+    ls, d = golden_section(l1, -LOG_S_BOX, LOG_S_BOX, tol=1e-9)
+    return float(d) * state.mass_total, math.exp(ls)
 
 
 def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
@@ -513,7 +546,7 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
                 f"ks_evolve: {steps} steps reach t = {t:.6g} of T = {T} (budget {budget:.0f}); "
                 f"dt_min = {dt_min:.3e}, the aggregate is outrunning the grid")
         target = sample_times[next_sample]
-        h_star = dt if dt is not None else min(DT_CAP, 8.0 * dx / max(float(np.max(V)), 1e-12))
+        h_star = dt if dt is not None else min(DT_CAP, 8.0 * dx / max(float(V.max()), 1e-12))
         dt_min = min(dt_min, h_star)
         if dt is None and next_sample == 1:
             h_star = min(h_star, target / 8.0)

@@ -24,8 +24,9 @@ from .functionals import (MASS_TOL, _circle_grid_for, dirichlet_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report, spherical_free_energy)
 from .grids import CircleGrid, integrate
-from .optimizers import (nearest_circle_L1, nearest_planar_L1, nearest_sphere_L1,
-                         nearest_sphere_gradient, nearest_sphere_reverse_entropy)
+from .optimizers import (LOG_S_BOX, PlanarOptimizerParams, nearest_circle_L1,
+                         nearest_planar_L1, nearest_sphere_L1, nearest_sphere_gradient,
+                         nearest_sphere_reverse_entropy, planar_optimizer_profile)
 
 __all__ = [
     "StabilityCertificate",
@@ -115,9 +116,8 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
 
 
 def _radial_oracle_distance(rho: RadialDensity) -> float:
-    from .optimizers import PlanarOptimizerParams, planar_optimizer_profile
     best = np.inf
-    for ls in np.linspace(-6.0, 6.0, ORACLE_SWEEP):
+    for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, ORACLE_SWEEP):
         prof = planar_optimizer_profile(PlanarOptimizerParams(float(np.exp(ls))))
         d = integrate(np.abs(rho.values - prof(rho.grid.nodes)), rho.grid)
         if d < best:

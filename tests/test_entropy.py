@@ -10,6 +10,30 @@ P = np.array([1.5, 0.5])
 Q = np.array([1.0, 1.0])
 
 
+def xlogx_masked(x):
+    """x log x by a boolean gather and scatter, as xlogx once computed it."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
+
+
+def test_xlogx_propagates_nan_and_matches_the_masked_form():
+    out = ent.xlogx(np.array([np.nan, -1.0, -0.0, 0.0, 1e-300, np.inf]))
+    assert np.isnan(out[0])
+    assert np.all(out[1:4] == 0.0)
+    assert out[4] == pytest.approx(1e-300 * np.log(1e-300), rel=1e-15)
+    assert out[5] == np.inf
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1.0, 3.0, 4096)
+    x[::5] = 0.0
+    assert np.array_equal(ent.xlogx(x), xlogx_masked(x))
+    # on x >= 0 the bits agree too (x <= 0 gives -0.0 where x < 0)
+    x = np.abs(x)
+    assert np.array_equal(ent.xlogx(x).view(np.int64), xlogx_masked(x).view(np.int64))
+
+
 def test_two_point_worked_values():
     H = ent.relative_entropy(P, Q, NU2)
     assert H == pytest.approx(0.75 * np.log(1.5) + 0.25 * np.log(0.5), abs=1e-14)

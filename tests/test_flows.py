@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded as scipy_solve_banded
@@ -13,7 +15,9 @@ from loghls.flows import (KS_MASS, FlowTrajectory, decay_check,
                           ks_free_energy, ks_initial_state, ks_rate_fit,
                           reverse_entropy)
 from loghls.grids import make_radial_grid, make_sphere_grid
+from loghls.optimizers import LOG_S_BOX, radial_L1_objective
 from loghls.sht import legendre_analyze
+from loghls.specs import RunConfig, parse_input_spec, realize_planar
 
 
 def exact_reverse_entropy(a: float) -> float:
@@ -138,6 +142,11 @@ def h8pi_scaled(grid, s):
     return radial_from_profile(grid, lambda r: 8.0 / s**2 * (1.0 + (r / s)**2) ** -2)
 
 
+def perturbed8pi():
+    rho = realize_planar(parse_input_spec("perturbed-optimizer:eps=0.3,mode=1"), RunConfig())
+    return radial_from_profile(rho.grid, lambda r: KS_MASS * rho.profile(r))
+
+
 def test_ks_mass_precondition(ks_grid):
     bad = radial_from_profile(ks_grid, lambda r: np.exp(-r**2 / 2.0) / (2 * np.pi))
     with pytest.raises(NormalizationError):
@@ -207,6 +216,33 @@ def test_ks_sbdf2_band_is_dense_system(omega):
         rhs = rng.uniform(0.0, KS_MASS, n)
         ref = scipy_solve_banded((2, 2), ab[2:], rhs)
         assert np.array_equal(flows.solve_banded(ab.copy(), rhs), ref)
+
+
+def test_ks_system_band_is_the_gather_form():
+    """The band ``system`` builds from the padded V and its strided view is
+    step * (minus_L - V[rows] * D) with the boundary rows, bit for bit,
+    also for the second of two calls that write the operator's one band."""
+    n = 256
+    x = np.linspace(np.log(1e-2), np.log(1e3), n)
+    r, dx = np.exp(x), float(x[1] - x[0])
+    op = flows._KSOperator.build(r, dx)
+    rows = np.clip(np.arange(n) + np.arange(-4, 3)[:, None], 0, n - 1)
+
+    def gather(step, a0, V):
+        ab = step * (op.minus_L - V[rows] * op.D)
+        ab[4] += a0
+        ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, -math.exp(-2.0 * dx), 0.0
+        ab[4, n - 1], ab[5, n - 2], ab[6, n - 3] = 1.0, 0.0, 0.0
+        return ab
+
+    rng = np.random.default_rng(11)
+    calls = [(flows.DT_CAP, 1.0, rng.uniform(0.0, 4.0, n)),
+             (0.37 * flows.DT_CAP, 1.3, rng.uniform(-1.0, 4.0, n))]
+    bands = []
+    for step, a0, V in calls:
+        bands.append(op.system(step, a0, V))
+        assert np.array_equal(bands[-1].view(np.int64), gather(step, a0, V).view(np.int64))
+    assert bands[0] is bands[1]
 
 
 def test_ks_minus_L_band_annihilates_steady_state():
@@ -348,6 +384,67 @@ def test_ks_distance_helper(ks_grid):
     d, s = ks_distance(st)
     assert d <= 1e-3 * KS_MASS
     assert s == pytest.approx(1.0, abs=1e-2)
+
+
+def unfused_ks_free_energy(state):
+    """ks_free_energy with np.sum reductions and the masked x log x."""
+    Mx = flows._dx4(state.M, state.dx)
+    mass = state.mass_total
+    rho = np.clip(Mx * state.inv_2pir2 / mass, 0.0, None)
+    plogp = np.zeros_like(rho)
+    plogp[rho > 0] = rho[rho > 0] * np.log(rho[rho > 0])
+    ent = float(np.sum(state.weights * plogp))
+    g = (2.0 / mass**2) * state.M * state.x * Mx
+    inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * state.dx)
+    f0 = float(state.M[0]) / mass
+    if f0 > 0.0:
+        ent += f0 * math.log(f0 / (np.pi * float(state.r[0]) ** 2))
+    inter += f0**2 * (float(state.x[0]) - 0.25)
+    return ent + 2.0 * inter + 1.0 + math.log(np.pi)
+
+
+def test_ks_free_energy_matches_the_unfused_sums(ks_grid, monkeypatch):
+    """The fused free energy is the np.sum form within 1e-14 at every step
+    of a short run."""
+    gaps = []
+    real_fe = flows.ks_free_energy
+
+    def fe(state):
+        H = real_fe(state)
+        gaps.append(abs(H - unfused_ks_free_energy(state)))
+        return H
+
+    monkeypatch.setattr(flows, "ks_free_energy", fe)
+    traj, _ = ks_evolve(gauss8pi(ks_grid), T=0.5, n=1024, n_samples=4)
+    assert len(gaps) == traj.diagnostics["steps"] + 1
+    assert max(gaps) <= 1e-14
+
+
+def test_ks_radial_L1_objective_matches_the_profile_formula(ks_grid):
+    """On the flow grid, the kernel with the trapezoid weights is
+    sum(weights * |rho - h_s|) at 200 values of log s across the box."""
+    st = ks_initial_state(gauss8pi(ks_grid))
+    rho = st.density() / st.mass_total
+    l1 = radial_L1_objective(rho, st.r, st.weights.dot)
+    for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, 200):
+        s = math.exp(ls)
+        g = (1.0 / (np.pi * s * s)) * (1.0 + (st.r / s) ** 2) ** -2
+        assert abs(l1(ls) - float(np.sum(st.weights * np.abs(rho - g)))) <= 1e-15
+
+
+@pytest.mark.parametrize("start", ["perturbed-optimizer", "gaussian"])
+def test_ks_distance_dense_sweep_oracle(ks_grid, start):
+    """On a state mid-run, ks_distance lies at or below the minimum of a
+    2,001-point sweep of +-0.05 in log s around its s."""
+    rho0 = perturbed8pi() if start == "perturbed-optimizer" else gauss8pi(ks_grid)
+    _traj, st = ks_evolve(rho0, T=0.5, n=1024, n_samples=4)
+    d, s = ks_distance(st)
+    rho = st.density() / st.mass_total
+    best = math.inf
+    for si in np.exp(np.linspace(math.log(s) - 0.05, math.log(s) + 0.05, 2001)):
+        g = (1.0 / (np.pi * si * si)) * (1.0 + (st.r / si) ** 2) ** -2
+        best = min(best, float(np.sum(st.weights * np.abs(rho - g))))
+    assert d <= st.mass_total * best + 1e-12
 
 
 def test_ks_rate_fit_paths(ks_grid):

@@ -8,7 +8,7 @@ from loghls.fields import CircleField, SphereField, gaussian_radial
 from loghls.functionals import dirichlet_energy, planar_free_energy
 from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
-from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, CircleOptimizerParams,
+from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, LOG_S_BOX, CircleOptimizerParams,
                                PlanarOptimizerParams, SphereOptimizerParams,
                                _entropy_objective, _pushed_barycenter,
                                _gradient_objective, _l1_objective, _manifold_minimize,
@@ -17,7 +17,7 @@ from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, CircleOptimizerPa
                                nearest_planar_L1, nearest_sphere_entropy,
                                nearest_sphere_gradient, nearest_sphere_L1,
                                nearest_sphere_reverse_entropy, planar_optimizer,
-                               recenter, sphere_optimizer)
+                               radial_L1_objective, recenter, sphere_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 from loghls.stability import (circle_stability_certificate, onofri_stability_certificates,
                               pass_tolerance)
@@ -66,6 +66,20 @@ def test_nearest_planar_gaussian_oracle(radial_fine):
         best = min(best, float(np.sum(w * np.abs(rho.values - prof))))
     assert dist <= best + 1e-10
     assert abs(dist - best) <= 1e-4
+
+
+def test_radial_L1_objective_matches_the_profile_formula(radial_fine):
+    """The in-place kernel is integrate(|rho - h_s|) with h_s from the
+    profile formula, at 200 values of log s across the search box."""
+    rho = gaussian_radial(radial_fine)
+    values = rho.values.copy()
+    r = radial_fine.nodes
+    l1 = radial_L1_objective(rho.values, r, lambda v: integrate(v, radial_fine))
+    for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, 200):
+        s = np.exp(ls)
+        prof = (1.0 / (np.pi * s * s)) * (1.0 + (r / s) ** 2) ** -2
+        assert abs(l1(ls) - integrate(np.abs(rho.values - prof), radial_fine)) <= 1e-15
+    assert np.array_equal(rho.values, values)
 
 
 def _mixture(weights, scales, offset=(0.0, 0.0)) -> str:
