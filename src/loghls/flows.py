@@ -44,7 +44,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .entropy import xlogx
@@ -53,7 +52,7 @@ from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
                      StepSizeError)
 from .fields import RadialDensity, SphereField, get_transform
 from .functionals import MASS_TOL, dirichlet_energy
-from .grids import SphereGrid, make_sphere_grid
+from .grids import RadialGrid, SphereGrid, integrate, make_radial_grid, make_sphere_grid
 from .optimizers import LOG_S_BOX, golden_section, radial_L1_objective
 
 __all__ = [
@@ -77,6 +76,9 @@ __all__ = [
 ]
 
 KS_MASS = 8.0 * np.pi
+KS_N = 1024             # the Keller-Segel grid's nodes, uniform in log r
+KS_R_MIN = 1e-2         # its inner radius
+KS_R_MAX = 1e3          # its outer radius
 DT_CAP = 2e-2           # the largest Keller-Segel step
 STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP + n_samples steps
 DECAY_SLACK = 1e-8      # slack of the heat flow's entropy decay bound
@@ -259,47 +261,42 @@ def _jsonable(obj):
 class KSState:
     """Cumulative-mass state of the radial Keller-Segel flow.
 
-    ``weights`` are the trapezoid weights 2 pi r^2 dx in x, so that
-    sum(weights * rho) = int rho over r_min <= |x| <= r_max, and
-    ``inv_2pir2`` is 1 / (2 pi r^2); both depend on the grid alone.
-    ``work`` is a scratch vector of the grid's length, which
-    ``check_invariants`` and ``ks_free_energy`` overwrite.
+    ``grid`` is the radial grid of the flow (``grids.make_radial_grid``):
+    M lives at its nodes, uniform in x = log r, and its trapezoid rule in
+    x integrates the state's densities.  ``inv_2pir2`` is 1 / (2 pi r^2)
+    at the nodes, and ``work`` is a scratch vector of the grid's length,
+    which ``check_invariants`` and ``ks_free_energy`` overwrite.
     """
 
-    x: np.ndarray            # log-radius nodes, uniform
-    r: np.ndarray
+    grid: RadialGrid
     M: np.ndarray
     time: float
     dt: float
     mass_total: float
-    weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
     inv_2pir2: np.ndarray = dc_field(init=False, repr=False, compare=False)
     work: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.inv_2pir2 = 1.0 / (2.0 * np.pi * self.r**2)
-        self.weights = 2.0 * np.pi * self.r**2 * self.dx
-        self.weights[0] *= 0.5
-        self.weights[-1] *= 0.5
-        self.work = np.empty_like(self.r)
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        self.inv_2pir2 = 1.0 / (2.0 * np.pi * self.grid.nodes**2)
+        self.work = np.empty(self.grid.shape)
 
     def check_invariants(self) -> None:
+        """Raise unless M is finite, falls by at most MONO_TOL of the mass
+        between nodes and holds the mass at r_max to 1e-8; each test is
+        written so that a NaN fails it."""
         dM = np.subtract(self.M[1:], self.M[:-1], out=self.work[:-1])
-        if dM.min() < -MONO_TOL * self.mass_total:
+        if not dM.min() >= -MONO_TOL * self.mass_total:
             raise PositivityError(
-                f"KSState: cumulative mass not monotone at t = {self.time:.4f} "
-                "(density went negative)")
-        if abs(self.M[-1] - self.mass_total) > 1e-8 * self.mass_total:
+                f"KSState: cumulative mass not finite and monotone at t = {self.time:.4f} "
+                f"(min increment {dM.min()!r}: the density went negative or non-finite)")
+        if not abs(self.M[-1] - self.mass_total) <= 1e-8 * self.mass_total:
             raise MassConservationError(
-                f"KSState: M(r_max) = {self.M[-1]!r} drifted from {self.mass_total!r}")
+                f"KSState: M(r_max) = {self.M[-1]!r} drifted from {self.mass_total!r} "
+                f"at t = {self.time:.4f}")
 
     def density(self) -> np.ndarray:
         """rho = M_x / (2 pi r^2) with fourth-order centered differences."""
-        return _dx4(self.M, self.dx) * self.inv_2pir2
+        return _dx4(self.M, self.grid.dx) * self.inv_2pir2
 
 
 def _dx4(M: np.ndarray, dx: float) -> np.ndarray:
@@ -312,27 +309,18 @@ def _dx4(M: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _cumulative_mass(rho: RadialDensity, r_nodes: np.ndarray) -> np.ndarray:
-    """M(r_i) = int_{|x|<r_i} rho dx, via a fine log-radius spline of the profile."""
-    a = math.log(r_nodes[0]) - 25.0
-    b = math.log(r_nodes[-1])
-    xf = np.linspace(a, b, 8 * r_nodes.size + 1)
-    rf = np.exp(xf)
-    integrand = 2.0 * np.pi * rf**2 * np.asarray(rho.profile(rf), dtype=float)
-    anti = CubicSpline(xf, integrand).antiderivative()
-    return np.asarray(anti(np.log(r_nodes)) - anti(a), dtype=float)
-
-
-def ks_initial_state(rho0: RadialDensity, n: int = 1024, r_min: float = 1e-2,
-                     r_max: float = 1e3) -> KSState:
+def ks_initial_state(rho0: RadialDensity, n: int, r_min: float, r_max: float) -> KSState:
+    """rho0 as the cumulative mass M(r_i) = int_{|x|<r_i} rho0 dx at the
+    nodes of ``make_radial_grid(r_min, r_max, n)``: the mass antiderivative
+    of its profile on a grid eight times finer that starts at r_min e^-25."""
     mass = rho0.mass
     if abs(mass - KS_MASS) > MASS_TOL:
         raise NormalizationError(
             f"ks_initial_state: mass {mass!r} is not the critical 8*pi within {MASS_TOL}")
-    x = np.linspace(math.log(r_min), math.log(r_max), n)
-    r = np.exp(x)
-    M = _cumulative_mass(rho0, r)
-    return KSState(x=x, r=r, M=M, time=0.0, dt=0.0, mass_total=float(M[-1]))
+    grid = make_radial_grid(r_min, r_max, n)
+    fine = make_radial_grid(r_min * math.exp(-25.0), r_max, 8 * n + 1)
+    M = fine.mass_antiderivative(rho0.profile(fine.nodes))(grid.x)
+    return KSState(grid=grid, M=M, time=0.0, dt=0.0, mass_total=float(M[-1]))
 
 
 # (inner 5-point, edge 3-point) stencils of dx d_x (those of _dx4) and dx^2 d_xx
@@ -425,32 +413,32 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def ks_free_energy(state: KSState) -> float:
     """H(rho(t) / mass): entropy + 2*interaction + 1 + log pi, on the flow grid.
 
-    Uses trapezoid weights in x and the cumulative-mass form of the
-    radial interaction (J = 2 int M f log r dr), consistent across steps
-    so the gradient-flow monotonicity is visible at the 1e-8 level.  On
-    the disc |x| < r_min the inner boundary condition M = M_0 (r/r_min)^2
-    makes rho constant, so with f_0 = M_0 / mass the disc adds the
-    entropy f_0 log(f_0 / (pi r_min^2)) and the interaction
-    f_0^2 (log r_min - 1/4) exactly.
+    Both parts integrate on the state's grid, with the cumulative-mass
+    form of the radial interaction (J = 2 int rho M log r dx, as
+    ``functionals.log_interaction``), consistent across steps so the
+    gradient-flow monotonicity is visible at the 1e-8 level.  On the disc
+    |x| < r_min the inner boundary condition M = M_0 (r/r_min)^2 makes rho
+    constant, so with f_0 = M_0 / mass the disc adds the entropy
+    f_0 log(f_0 / (pi r_min^2)) and the interaction f_0^2 (log r_min - 1/4)
+    exactly.
 
-    The sums are fused: M_x = ``_dx4(M)`` is taken once, the normalized
-    density goes into the state's ``work`` vector, the entropy is the dot
-    of the weights with ``xlogx`` of it (0 where the density is <= 0),
-    and the interaction is one dot of M log r with M_x, less the
-    half-weight ends.
+    M_x = ``_dx4(M)`` is taken once; the normalized density goes into the
+    state's ``work`` vector, and M log r, then times the density, into
+    M_x's.  The entropy integrates ``xlogx`` of the density (0 where it is
+    <= 0).
     """
-    Mx = _dx4(state.M, state.dx)
-    mass = state.mass_total
+    grid, mass = state.grid, state.mass_total
+    Mx = _dx4(state.M, grid.dx)
     rho = np.multiply(Mx, state.inv_2pir2, out=state.work)
     rho /= mass
-    ent = float(state.weights @ xlogx(rho))
-    g = np.multiply(state.M, state.x, out=state.work)     # M log r
-    trapz = g @ Mx - 0.5 * g[0] * Mx[0] - 0.5 * g[-1] * Mx[-1]
-    inter = float((2.0 / mass**2) * trapz * state.dx)      # 2 int M_n log r (M_n)_x dx
+    ent = integrate(xlogx(rho), grid)
+    g = np.multiply(state.M, grid.x, out=Mx)           # M log r
+    g *= rho
+    inter = (2.0 / mass) * integrate(g, grid)         # 2 int rho_n M_n log r dx
     f0 = float(state.M[0]) / mass
     if f0 > 0.0:
-        ent += f0 * math.log(f0 / (np.pi * float(state.r[0]) ** 2))
-    inter += f0**2 * (float(state.x[0]) - 0.25)
+        ent += f0 * math.log(f0 / (np.pi * float(grid.nodes[0]) ** 2))
+    inter += f0**2 * (float(grid.x[0]) - 0.25)
     return ent + 2.0 * inter + 1.0 + float(np.log(np.pi))
 
 
@@ -458,19 +446,18 @@ def ks_distance(state: KSState) -> tuple[float, float]:
     """d = inf_s || rho - mass * h_s ||_1 on the flow grid, and the argmin s.
 
     One golden section over log s in the box [-LOG_S_BOX, LOG_S_BOX] at
-    tol 1e-9, of the radial L1 objective that the planar search also
-    uses (``optimizers.radial_L1_objective``), integrated with the
-    state's trapezoid weights.
+    tol 1e-9, of the radial L1 objective on the state's grid that the
+    planar search also uses (``optimizers.radial_L1_objective``).
     """
     rho = state.density()
     rho /= state.mass_total
-    l1 = radial_L1_objective(rho, state.r, state.weights.dot)
+    l1 = radial_L1_objective(rho, state.grid)
     ls, d = golden_section(l1, -LOG_S_BOX, LOG_S_BOX, tol=1e-9)
     return float(d) * state.mass_total, math.exp(ls)
 
 
 def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
-              n: int = 1024, r_min: float = 1e-2, r_max: float = 1e3,
+              n: int = KS_N, r_min: float = KS_R_MIN, r_max: float = KS_R_MAX,
               n_samples: int = 64) -> tuple[FlowTrajectory, KSState]:
     """Run the critical-mass flow to time T with per-step diagnostics.
 
@@ -502,9 +489,9 @@ def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
         raise DomainError(f"ks_evolve: n_samples must be >= 1, got {n_samples}")
     if dt is not None and not 0.0 < dt <= DT_CAP:
         raise StepSizeError(f"ks_evolve: dt = {dt} lies outside (0, DT_CAP = {DT_CAP}]")
-    state = ks_initial_state(rho0, n=n, r_min=r_min, r_max=r_max)
-    dx = state.dx
-    op = _KSOperator.build(state.r, dx)
+    state = ks_initial_state(rho0, n, r_min, r_max)
+    dx = state.grid.dx
+    op = _KSOperator.build(state.grid.nodes, dx)
 
     sample_times = np.unique(np.concatenate((
         [0.0], np.geomspace(max(T * 1e-3, 10 * (dt or 1e-3)), T, n_samples - 1))))

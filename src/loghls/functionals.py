@@ -17,8 +17,8 @@ Interaction kernels
   (1/2pi) int log|x - x'| dtheta = log max(|x|, |x'|), which collapses
   the double integral to J = 2 int f(r) M(r) log r dr with f the radial
   mass density and M its cumulative integral; M is obtained from a
-  spline antiderivative in the quadrature variable, so the evaluation
-  never sees the diagonal kink.
+  spline antiderivative in x = log r, so the evaluation never sees the
+  diagonal kink.
 * Off-center densities are held as their stereographic lift T rho on a
   sphere grid (see ``geometry.planar_from_profile``).  The stereographic
   identities dx = pi (1+|x|^2)^2 dsigma and
@@ -86,19 +86,17 @@ class FreeEnergyReport:
 
 def _radial_interaction(rho: RadialDensity) -> float:
     g, vals = rho.grid, rho.values
-    # Guard against tails the grid cannot represent (divergent log moment).
-    # Only meaningful on the log-uniform scheme, whose top of span stands in
-    # for the large-r tail; compact densities on uniform grids are exempt.
-    if g.scheme == "log-uniform":
-        outer = g.nodes > g.r_max * np.exp(-0.1 * g.span)
-        tail = integrate(np.where(outer, vals, 0.0), g)
-        total = integrate(vals, g)
-        if total > 0 and tail > 1e-2 * total:
-            raise DomainError(
-                "log_interaction: density carries significant mass in the top "
-                "decade of the grid; log moment not converged on this grid")
-    M = g.mass_antiderivative(vals)(g.ref_nodes)
-    return 2.0 * integrate(vals * M * np.log(g.nodes), g)
+    # Guard against tails the grid cannot represent (divergent log moment):
+    # the top tenth of the log-radius window stands in for the large-r tail.
+    outer = g.x > g.x[-1] - 0.1 * (g.x[-1] - g.x[0])
+    tail = integrate(np.where(outer, vals, 0.0), g)
+    total = integrate(vals, g)
+    if total > 0 and tail > 1e-2 * total:
+        raise DomainError(
+            "log_interaction: density carries significant mass in the top "
+            "decade of the grid; log moment not converged on this grid")
+    M = g.mass_antiderivative(vals)(g.x)
+    return 2.0 * integrate(vals * M * g.x, g)
 
 
 def _lift_log_weight(rho: PlanarDensity) -> float:

@@ -10,8 +10,11 @@ repeated calls are bit-identical.
 
 Conventions
 -----------
-* Radial weights absorb the full planar area measure:
-  ``integrate(phi(r), g) ~ int_{R^2} phi(|x|) dx``, as ``values @ weights``.
+* Radial grids are the trapezoid rule in x = log r, whose weights absorb
+  the full planar area measure:
+  ``integrate(phi(r), g) ~ int_{r_min < |x| < r_max} phi(|x|) dx``, the
+  dot of the weights with the values.  The plane's radial densities and
+  the Keller-Segel flow share this one rule.
 * Sphere and circle grids carry the uniform probability measure sigma.
   On the sphere each Gauss row is summed and the row sums are dotted
   with the row weights ``w_z / (2 n_phi)``; on the circle it is the
@@ -21,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,37 +53,35 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Quadrature nodes/weights for radial integrands on the plane.
+    """The trapezoid rule in x = log r for radial integrands on the plane.
 
-    ``nodes`` are strictly increasing radii in ``(0, r_max)`` and
-    ``weights`` include the 2*pi*r area factor.  ``ref_nodes`` and
-    ``ref_weights`` are the underlying Gauss-Legendre rule on [-1, 1] in
-    the mapped variable (linear in r for the "uniform" scheme, linear in
-    log r for "log-uniform"); they are what cumulative-mass evaluations
-    need.
+    ``x`` holds equispaced log radii from log r_min to log r_max, ``nodes``
+    the radii e^x and ``weights`` the trapezoid weights 2 pi r^2 dx, halved
+    at both ends; their dot with the values of phi(|x|) approximates its
+    integral over the annulus r_min <= |x| <= r_max.  On integrands that
+    are smooth in x and decay at both ends the rule converges
+    exponentially in n (Trefethen-Weideman, SIAM Review 2014); it does not
+    integrate constants exactly.
     """
 
+    x: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    r_max: float
-    scheme: str
-    span: float
-    ref_nodes: np.ndarray
-    ref_weights: np.ndarray
 
     def __post_init__(self):
-        w = self.weights
+        r, w, h = self.nodes, self.weights, self.dx
         if np.any(w <= 0):
             raise DomainError("RadialGrid: all quadrature weights must be positive")
-        if np.any(np.diff(self.nodes) <= 0) or self.nodes[0] <= 0:
+        if np.any(np.diff(r) <= 0) or r[0] <= 0:
             raise DomainError("RadialGrid: nodes must be strictly increasing with r_1 > 0")
-        target = np.pi * self.r_max**2
+        # the rule integrates 2 pi e^{2x} to pi (r_max^2 - r_min^2) h coth h
+        target = np.pi * (r[-1] ** 2 - r[0] ** 2) * h / math.tanh(h)
         total = float(np.sum(w))
         if abs(total - target) > 1e-10 * target:
             raise DomainError(
                 "RadialGrid: weights integrate the constant 1 to "
-                f"{total!r}, expected pi*r_max^2 = {target!r} within 1e-10 relative"
-            )
+                f"{total!r}, expected pi (r_max^2 - r_min^2) h coth h = {target!r} "
+                "within 1e-10 relative")
 
     @property
     def n(self) -> int:
@@ -89,58 +91,41 @@ class RadialGrid:
     def shape(self) -> tuple[int]:
         return self.nodes.shape
 
+    @property
+    def dx(self) -> float:
+        """The step h of the rule in x = log r."""
+        return float(self.x[1] - self.x[0])
+
     def mass_antiderivative(self, values: np.ndarray) -> CubicSpline:
-        """The cumulative mass of ``values`` as a function of the reference
-        variable: the spline antiderivative of the mass per unit of it,
-        ``weights * values / ref_weights``, so that its value at xi less its
-        value at -1 is the mass inside the radius that xi maps to."""
-        dm_dxi = self.weights * values / self.ref_weights
-        return CubicSpline(self.ref_nodes, dm_dxi).antiderivative()
+        """The cumulative mass of ``values`` as a function of x = log r: the
+        spline antiderivative of the mass per unit of x, 2 pi r^2 values,
+        which is 0 at x = log r_min."""
+        return CubicSpline(self.x, 2.0 * np.pi * self.nodes**2 * values).antiderivative()
 
 
-_RADIAL_GRIDS: dict[tuple[float, int, str, float], RadialGrid] = {}
+_RADIAL_GRIDS: dict[tuple[float, float, int], RadialGrid] = {}
 
 
-def make_radial_grid(r_max: float, n: int, scheme: str = "log-uniform",
-                     span: float = 25.0) -> RadialGrid:
-    """The one shared, read-only radial quadrature grid of these arguments.
-
-    Parameters
-    ----------
-    r_max : outer radius of the represented disk.
-    n : number of nodes (>= 16).
-    scheme : "uniform" lays the Gauss-Legendre rule out linearly in r on
-        (0, r_max); "log-uniform" lays it out in log r over
-        [log r_max - span, log r_max], which resolves heavy power-law
-        tails (the optimizer profile decays like r^-4) and near-origin
-        structure simultaneously.
-    span : width of the log-radius window for the log-uniform scheme;
-        the innermost node sits near r_max * exp(-span).
+def make_radial_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
+    """The one shared, read-only radial grid: n nodes uniform in log r on
+    [log r_min, log r_max], which resolves heavy power-law tails (the
+    optimizer profile decays like r^-4) and near-origin structure at once.
     """
-    key = (float(r_max), int(n), scheme, float(span))
-    if key in _RADIAL_GRIDS:
-        return _RADIAL_GRIDS[key]
-    if r_max <= 0:
-        raise DomainError(f"make_radial_grid: r_max must be positive, got {r_max}")
-    if n < 16:
-        raise DomainError(f"make_radial_grid: n must be at least 16, got {n}")
-    if span <= 0:
-        raise DomainError(f"make_radial_grid: span must be positive, got {span}")
-    xi, w = roots_legendre(n)
-    if scheme == "uniform":
-        r = (xi + 1.0) * (r_max / 2.0)
-        weights = 2.0 * np.pi * r * (r_max / 2.0) * w
-    elif scheme == "log-uniform":
-        y = (np.log(r_max) - span) + (xi + 1.0) * (span / 2.0)
-        r = np.exp(y)
-        weights = 2.0 * np.pi * r**2 * (span / 2.0) * w
-    else:
-        raise DomainError(f"make_radial_grid: unknown scheme {scheme!r}")
-    _read_only(r, weights, xi, w)
-    grid = RadialGrid(nodes=r, weights=weights, r_max=key[0], scheme=scheme,
-                      span=key[3], ref_nodes=xi, ref_weights=w)
-    _RADIAL_GRIDS[key] = grid
-    return grid
+    key = (float(r_min), float(r_max), int(n))
+    if key not in _RADIAL_GRIDS:
+        if not 0.0 < r_min < r_max < math.inf:
+            raise DomainError(
+                f"make_radial_grid: need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+        if n < 16:
+            raise DomainError(f"make_radial_grid: n must be at least 16, got {n}")
+        x = np.linspace(math.log(r_min), math.log(r_max), n)
+        r = np.exp(x)
+        weights = 2.0 * np.pi * r**2 * float(x[1] - x[0])
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        _read_only(x, r, weights)
+        _RADIAL_GRIDS[key] = RadialGrid(x=x, nodes=r, weights=weights)
+    return _RADIAL_GRIDS[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +244,7 @@ def integrate(values: np.ndarray, grid) -> float:
     if isinstance(grid, SphereGrid):
         return float(v.sum(axis=1) @ (grid.w_z / (2.0 * grid.n_phi)))
     if isinstance(grid, RadialGrid):
-        return float(v @ grid.weights)
+        return float(grid.weights.dot(v))
     return float(np.mean(v))
 
 

@@ -192,18 +192,16 @@ class SearchDiagnostics:
     scan_evaluations: int = 0
 
 
-def radial_L1_objective(values: np.ndarray, nodes: np.ndarray,
-                        integral: Callable[[np.ndarray], float]) -> Callable[[float], float]:
-    """log s -> integral(|values - h_s(nodes)|), for the centered optimizer
-    profile h_s(r) = (1/(pi s^2)) / (1 + r^2/s^2)^2 at radii ``nodes``.
+def radial_L1_objective(values: np.ndarray, grid: RadialGrid) -> Callable[[float], float]:
+    """log s -> integrate(|values - h_s|, grid), for the centered optimizer
+    profile h_s(r) = (1/(pi s^2)) / (1 + r^2/s^2)^2 at the grid's nodes.
 
     r^2 is taken once.  Each evaluation writes h_s, then |values - h_s|,
     into one work buffer by in-place multiply, add, divide, subtract and
-    abs, and hands the buffer to ``integral``: ``grids.integrate`` on a
-    radial grid, the trapezoid weights on the Keller-Segel grid.
+    abs, and integrates the buffer.
     """
     values = np.asarray(values, dtype=float)
-    r2 = np.square(nodes)
+    r2 = np.square(grid.nodes)
     buf = np.empty_like(r2)
 
     def l1(ls: float) -> float:
@@ -214,7 +212,7 @@ def radial_L1_objective(values: np.ndarray, nodes: np.ndarray,
         np.divide(1.0 / (math.pi * s * s), buf, out=buf)
         np.subtract(values, buf, out=buf)
         np.abs(buf, out=buf)
-        return integral(buf)
+        return integrate(buf, grid)
 
     return l1
 
@@ -224,19 +222,17 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
 
     Radial densities pin x0 = 0 and use multistart golden section over
     log s (five starts on [-LOG_S_BOX, LOG_S_BOX] at tol 1e-10, 255
-    evaluations) of ``radial_L1_objective`` integrated by
-    ``grids.integrate``; ties within 1e-12 resolve to the smallest s.  A
-    lifted density is searched on the sphere (T is an L^1 isometry onto
-    the family e^{u_{t,n}}), and the optimizer found there maps back in
-    closed form:
+    evaluations) of ``radial_L1_objective`` on the density's grid; ties
+    within 1e-12 resolve to the smallest s.  A lifted density is searched
+    on the sphere (T is an L^1 isometry onto the family e^{u_{t,n}}), and
+    the optimizer found there maps back in closed form:
     s = 1/(cosh t - n_3 sinh t), center shift - s sinh t (n_1, n_2).
 
     Returns (params, distance, diagnostics).
     """
     if isinstance(rho, RadialDensity):
         diag = SearchDiagnostics()
-        grid = rho.grid
-        l1 = radial_L1_objective(rho.values, grid.nodes, lambda v: integrate(v, grid))
+        l1 = radial_L1_objective(rho.values, rho.grid)
 
         def obj(ls: float) -> float:
             diag.evaluations += 1

@@ -19,6 +19,7 @@ Examples::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields as dc_fields
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .fields import CircleField, SphereField, get_transform, radial_from_profile
-from .flows import DT_CAP
+from .flows import DT_CAP, KS_N, KS_R_MAX, KS_R_MIN
 from .functionals import MASS_TOL
 from .geometry import planar_from_profile
 from .grids import integrate, make_circle_grid, make_radial_grid, make_sphere_grid
@@ -277,9 +278,9 @@ class RunConfig:
     sphere_nz: int = 128
     sphere_nphi: int = 256
     circle_n: int = 512
-    ks_n: int = 1024
-    ks_rmin: float = 1e-2
-    ks_rmax: float = 1e3
+    ks_n: int = KS_N
+    ks_rmin: float = KS_R_MIN
+    ks_rmax: float = KS_R_MAX
     ks_T: float = 50.0
     ks_dt: float | None = None
     oracle: bool = False
@@ -304,7 +305,9 @@ class RunConfig:
 
     # the shared grids of this configuration
     def radial_grid(self):
-        return make_radial_grid(self.radial_rmax, self.radial_n, "log-uniform", self.radial_span)
+        """n = radial_n nodes in log r from radial_rmax e^-radial_span to radial_rmax."""
+        return make_radial_grid(self.radial_rmax * math.exp(-self.radial_span),
+                                self.radial_rmax, self.radial_n)
 
     def sphere_grid(self):
         return make_sphere_grid(self.sphere_nz, self.sphere_nphi)

@@ -1,20 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from loghls.grids import make_radial_grid, make_sphere_grid
+from loghls.specs import RunConfig
 
 EULER_GAMMA = float(np.euler_gamma)
 
 
 @pytest.fixture(scope="session")
 def radial_fine():
-    """Default planar working grid (matches the acceptance settings)."""
-    return make_radial_grid(1e4, 4096)
+    """Default planar working grid (the acceptance settings' grid)."""
+    return RunConfig().radial_grid()
 
 
 @pytest.fixture(scope="session")
 def radial_small():
-    return make_radial_grid(1e4, 1024)
+    return make_radial_grid(1e4 * math.exp(-25.0), 1e4, 1024)
 
 
 @pytest.fixture(scope="session")

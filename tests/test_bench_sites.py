@@ -8,6 +8,7 @@ run must also still call each wrapped ``flows`` name, so that every
 ``flows.*`` metric is reported.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ def test_traced_ks_run_reports_every_flows_metric(monkeypatch):
             monkeypatch.setattr(owner, attr, getattr(owner, attr))   # undone at teardown
     tracer = Tracer()
     tracer.install()
-    rho = radial_from_profile(make_radial_grid(1e4, 1024),
+    rho = radial_from_profile(make_radial_grid(1e4 * math.exp(-25.0), 1e4, 1024),
                               lambda r: 4.0 * np.exp(-r**2 / 2.0))
     traj, _state = loghls.ks_evolve(rho, T=0.05, n=256)
     metrics = tracer.metrics({}, 1)

@@ -7,9 +7,10 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 from loghls import flows
 
 from loghls.errors import (ConvergenceError, DimensionMismatchError, DomainError,
-                           NormalizationError, PositivityError, StepSizeError)
+                           MassConservationError, NormalizationError, PositivityError,
+                           StepSizeError)
 from loghls.fields import radial_from_profile
-from loghls.flows import (KS_MASS, FlowTrajectory, decay_check,
+from loghls.flows import (KS_MASS, KS_R_MAX, KS_R_MIN, FlowTrajectory, decay_check,
                           dissipation_check, entropy_dissipation_rate,
                           heat_evolve, heat_state, ks_distance, ks_evolve,
                           ks_free_energy, ks_initial_state, ks_rate_fit,
@@ -127,7 +128,7 @@ def test_dissipation_check_needs_finite_positive_dt(dt):
 
 @pytest.fixture(scope="module")
 def ks_grid():
-    return make_radial_grid(1e4, 2048)
+    return make_radial_grid(1e4 * math.exp(-25.0), 1e4, 2048)
 
 
 def h8pi(grid):
@@ -142,6 +143,11 @@ def h8pi_scaled(grid, s):
     return radial_from_profile(grid, lambda r: 8.0 / s**2 * (1.0 + (r / s)**2) ** -2)
 
 
+def ks_state(rho0, n=1024):
+    """The Keller-Segel state of rho0 on n nodes of the default flow grid."""
+    return ks_initial_state(rho0, n, KS_R_MIN, KS_R_MAX)
+
+
 def perturbed8pi():
     rho = realize_planar(parse_input_spec("perturbed-optimizer:eps=0.3,mode=1"), RunConfig())
     return radial_from_profile(rho.grid, lambda r: KS_MASS * rho.profile(r))
@@ -150,26 +156,38 @@ def perturbed8pi():
 def test_ks_mass_precondition(ks_grid):
     bad = radial_from_profile(ks_grid, lambda r: np.exp(-r**2 / 2.0) / (2 * np.pi))
     with pytest.raises(NormalizationError):
-        ks_initial_state(bad)
+        ks_state(bad)
 
 
 def test_ks_initial_state_matches_closed_form(ks_grid):
-    st = ks_initial_state(h8pi(ks_grid), n=512)
-    exact = KS_MASS * st.r**2 / (1.0 + st.r**2)
+    st = ks_state(h8pi(ks_grid), n=512)
+    r = st.grid.nodes
+    exact = KS_MASS * r**2 / (1.0 + r**2)
     assert np.max(np.abs(st.M - exact)) <= 1e-7 * KS_MASS
     st.check_invariants()
+
+
+@pytest.mark.parametrize("node", [100, -1])
+def test_ks_check_invariants_rejects_a_nan_mass(ks_grid, node):
+    """A NaN in M, at an interior node or at r_max, fails check_invariants
+    with an error that names t."""
+    st = ks_state(gauss8pi(ks_grid), n=256)
+    st.time = 0.25
+    st.M[node] = np.nan
+    with pytest.raises((PositivityError, MassConservationError), match="t = 0.2500"):
+        st.check_invariants()
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.3, 1.0])
 def test_ks_free_energy_dilation_invariant(ks_grid, s):
     """H(8 pi h_s) = 0 for every s.  At s = 0.05 the disc |x| < r_min
     holds 2e-2 of the mass; leaving it out made H = -0.17."""
-    st = ks_initial_state(h8pi_scaled(ks_grid, s))
+    st = ks_state(h8pi_scaled(ks_grid, s))
     assert abs(ks_free_energy(st)) <= 1e-5
 
 
 def test_ks_free_energy_gaussian_closed_form(ks_grid):
-    st = ks_initial_state(gauss8pi(ks_grid))
+    st = ks_state(gauss8pi(ks_grid))
     assert ks_free_energy(st) == pytest.approx(np.log(2.0) - np.euler_gamma, abs=1e-7)
 
 
@@ -285,7 +303,7 @@ def test_ks_adaptive_steps_follow_step_rule(ks_grid, monkeypatch):
     assert len(solves) == traj.diagnostics["steps"] and len(vmax) == len(solves) + 1
     t = np.asarray(starts)
     steps = np.diff(t)
-    h_star = np.minimum(flows.DT_CAP, 8.0 * state.dx / np.asarray(vmax[:-1]))
+    h_star = np.minimum(flows.DT_CAP, 8.0 * state.grid.dx / np.asarray(vmax[:-1]))
     assert np.any(h_star < flows.DT_CAP)           # the velocity term binds
     assert traj.diagnostics["dt_min"] == np.min(h_star)
     # the sample interval each step ends in, and what was left of it
@@ -300,10 +318,16 @@ def test_ks_adaptive_steps_follow_step_rule(ks_grid, monkeypatch):
 
 def test_ks_stationary_short(ks_grid):
     traj, state = ks_evolve(h8pi(ks_grid), T=1.0, n=512, n_samples=8)
-    rho_eq = 8.0 * (1.0 + state.r**2) ** -2
-    wq = 2.0 * np.pi * state.r**2 * state.dx
+    # the flow's grid is the shared radial grid, with the trapezoid weights 2 pi r^2 dx
+    g = state.grid
+    assert g is make_radial_grid(KS_R_MIN, KS_R_MAX, 512)
+    x = np.linspace(math.log(KS_R_MIN), math.log(KS_R_MAX), 512)
+    r = np.exp(x)
+    wq = 2.0 * np.pi * r**2 * float(x[1] - x[0])
     wq[0] *= 0.5
     wq[-1] *= 0.5
+    assert np.array_equal(g.x, x) and np.array_equal(g.nodes, r) and np.array_equal(g.weights, wq)
+    rho_eq = 8.0 * (1.0 + r**2) ** -2
     drift = float(np.sum(wq * np.abs(state.density() - rho_eq)))
     assert drift <= 1e-4
     assert traj.diagnostics["max_free_energy_increase_per_step"] <= 1e-8
@@ -380,26 +404,28 @@ def test_ks_evolve_rejects_a_bad_sample_count(ks_grid, n_samples):
 
 
 def test_ks_distance_helper(ks_grid):
-    st = ks_initial_state(h8pi(ks_grid), n=512)
+    st = ks_state(h8pi(ks_grid), n=512)
     d, s = ks_distance(st)
     assert d <= 1e-3 * KS_MASS
     assert s == pytest.approx(1.0, abs=1e-2)
 
 
 def unfused_ks_free_energy(state):
-    """ks_free_energy with np.sum reductions and the masked x log x."""
-    Mx = flows._dx4(state.M, state.dx)
+    """ks_free_energy with np.sum reductions, the masked x log x and the
+    interaction as a trapezoid sum of M log r M_x in x."""
+    x, dx = state.grid.x, state.grid.dx
+    Mx = flows._dx4(state.M, dx)
     mass = state.mass_total
     rho = np.clip(Mx * state.inv_2pir2 / mass, 0.0, None)
     plogp = np.zeros_like(rho)
     plogp[rho > 0] = rho[rho > 0] * np.log(rho[rho > 0])
-    ent = float(np.sum(state.weights * plogp))
-    g = (2.0 / mass**2) * state.M * state.x * Mx
-    inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * state.dx)
+    ent = float(np.sum(state.grid.weights * plogp))
+    g = (2.0 / mass**2) * state.M * x * Mx
+    inter = float((np.sum(g) - 0.5 * g[0] - 0.5 * g[-1]) * dx)
     f0 = float(state.M[0]) / mass
     if f0 > 0.0:
-        ent += f0 * math.log(f0 / (np.pi * float(state.r[0]) ** 2))
-    inter += f0**2 * (float(state.x[0]) - 0.25)
+        ent += f0 * math.log(f0 / (np.pi * float(state.grid.nodes[0]) ** 2))
+    inter += f0**2 * (float(x[0]) - 0.25)
     return ent + 2.0 * inter + 1.0 + math.log(np.pi)
 
 
@@ -421,15 +447,16 @@ def test_ks_free_energy_matches_the_unfused_sums(ks_grid, monkeypatch):
 
 
 def test_ks_radial_L1_objective_matches_the_profile_formula(ks_grid):
-    """On the flow grid, the kernel with the trapezoid weights is
-    sum(weights * |rho - h_s|) at 200 values of log s across the box."""
-    st = ks_initial_state(gauss8pi(ks_grid))
+    """On the flow grid, the kernel is sum(weights * |rho - h_s|) at 200
+    values of log s across the box."""
+    st = ks_state(gauss8pi(ks_grid))
     rho = st.density() / st.mass_total
-    l1 = radial_L1_objective(rho, st.r, st.weights.dot)
+    r, w = st.grid.nodes, st.grid.weights
+    l1 = radial_L1_objective(rho, st.grid)
     for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, 200):
         s = math.exp(ls)
-        g = (1.0 / (np.pi * s * s)) * (1.0 + (st.r / s) ** 2) ** -2
-        assert abs(l1(ls) - float(np.sum(st.weights * np.abs(rho - g)))) <= 1e-15
+        g = (1.0 / (np.pi * s * s)) * (1.0 + (r / s) ** 2) ** -2
+        assert abs(l1(ls) - float(np.sum(w * np.abs(rho - g)))) <= 1e-15
 
 
 @pytest.mark.parametrize("start", ["perturbed-optimizer", "gaussian"])
@@ -440,10 +467,11 @@ def test_ks_distance_dense_sweep_oracle(ks_grid, start):
     _traj, st = ks_evolve(rho0, T=0.5, n=1024, n_samples=4)
     d, s = ks_distance(st)
     rho = st.density() / st.mass_total
+    r, w = st.grid.nodes, st.grid.weights
     best = math.inf
     for si in np.exp(np.linspace(math.log(s) - 0.05, math.log(s) + 0.05, 2001)):
-        g = (1.0 / (np.pi * si * si)) * (1.0 + (st.r / si) ** 2) ** -2
-        best = min(best, float(np.sum(st.weights * np.abs(rho - g))))
+        g = (1.0 / (np.pi * si * si)) * (1.0 + (r / si) ** 2) ** -2
+        best = min(best, float(np.sum(w * np.abs(rho - g))))
     assert d <= st.mass_total * best + 1e-12
 
 

@@ -216,7 +216,7 @@ def test_plane_sphere_onofri_correspondence():
     # u(z) = 0.3 P_1 + 0.1 P_2
     U = lambda z: 0.3 * z + 0.1 * 0.5 * (3 * z**2 - 1)
     Up = lambda z: 0.3 + 0.3 * z
-    g = make_radial_grid(1e3, 2048, scheme="log-uniform", span=20.0)
+    g = make_radial_grid(1e3 * np.exp(-20.0), 1e3, 2048)
     r = g.nodes
     z = (1.0 - r**2) / (1.0 + r**2)
     zp = -4.0 * r / (1.0 + r**2) ** 2

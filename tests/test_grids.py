@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,47 +8,64 @@ from loghls.grids import (integrate, make_circle_grid, make_radial_grid,
                           make_sphere_grid, moments)
 
 
+def trapezoid_constant_mass(g):
+    """What the trapezoid rule in x = log r gives for the constant 1:
+    pi (r_max^2 - r_min^2) h coth h, with h the step in x."""
+    h = g.dx
+    return np.pi * (g.nodes[-1] ** 2 - g.nodes[0] ** 2) * h / math.tanh(h)
+
+
 def test_radial_uniform_constant_mass():
-    g = make_radial_grid(10.0, 256, scheme="uniform")
+    g = make_radial_grid(1e-2, 10.0, 256)
     total = integrate(np.ones(g.n), g)
-    assert abs(total - 100.0 * np.pi) <= 1e-8
+    assert abs(total - trapezoid_constant_mass(g)) <= 1e-8
+    # the rule is not exact for constants: h coth h = 1 + h^2/3 + ...
+    assert total - np.pi * (100.0 - 1e-4) > 1e-4
 
 
-@pytest.mark.parametrize("scheme", ["uniform", "log-uniform"])
-def test_radial_invariants(scheme):
-    g = make_radial_grid(50.0, 512, scheme=scheme)
+def test_radial_invariants():
+    g = make_radial_grid(1e-2, 50.0, 512)
     assert np.all(g.weights > 0)
     assert np.all(np.diff(g.nodes) > 0) and g.nodes[0] > 0
+    assert np.all(np.diff(g.x) > 0) and np.allclose(np.diff(g.x), g.dx, rtol=1e-12, atol=0.0)
+    assert np.allclose(g.nodes, np.exp(g.x), rtol=1e-15, atol=0.0)
     total = integrate(np.ones(g.n), g)
-    assert abs(total - np.pi * 50.0**2) <= 1e-10 * np.pi * 50.0**2
+    target = trapezoid_constant_mass(g)
+    assert abs(total - target) <= 1e-10 * target
 
 
 def test_radial_log_uniform_inner_node():
-    g = make_radial_grid(1000.0, 4096, scheme="log-uniform", span=25.0)
-    # first node sits near r_max * exp(-span)
-    assert g.nodes[0] == pytest.approx(1000.0 * np.exp(-25.0), rel=0.05)
+    r_min = 1000.0 * np.exp(-25.0)
+    g = make_radial_grid(r_min, 1000.0, 4096)
+    # the nodes run from r_min to r_max
+    assert g.nodes[0] == pytest.approx(r_min, rel=1e-15)
+    assert g.nodes[-1] == pytest.approx(1000.0, rel=1e-15)
 
 
 def test_radial_gaussian_integral():
-    g = make_radial_grid(8.0, 256, scheme="uniform")
+    g = make_radial_grid(1e-6, 8.0, 256)
     val = integrate(np.exp(-g.nodes**2), g)
-    assert abs(val - np.pi) <= 1e-8
+    # int of e^{-r^2} over 1e-6 < |x| < 8: pi (e^{-1e-12} - e^{-64})
+    assert abs(val - np.pi * (np.exp(-1e-12) - np.exp(-64.0))) <= 1e-13
 
 
 def test_optimizer_profile_mass_at_rmax_1e3():
-    g = make_radial_grid(1000.0, 4096, scheme="log-uniform")
+    g = make_radial_grid(1000.0 * np.exp(-25.0), 1000.0, 4096)
     h = (1.0 / np.pi) * (1.0 + g.nodes**2) ** -2
     mass = integrate(h, g)
-    assert abs(mass - 1.0) <= 1e-6
+    # h's mass inside r_max is 1 - 1/(1 + r_max^2); the inner disc holds 2e-16
+    assert abs(mass - (1.0 - 1.0 / (1.0 + 1000.0**2))) <= 1e-10
 
 
 def test_radial_preconditions():
     with pytest.raises(DomainError):
-        make_radial_grid(10.0, 8, scheme="uniform")
+        make_radial_grid(1e-2, 10.0, 8)
     with pytest.raises(DomainError):
-        make_radial_grid(-1.0, 256)
+        make_radial_grid(-1.0, 10.0, 256)
     with pytest.raises(DomainError):
-        make_radial_grid(10.0, 256, scheme="chebyshev")
+        make_radial_grid(10.0, 10.0, 256)
+    with pytest.raises(DomainError):
+        make_radial_grid(1e-2, np.inf, 256)
 
 
 def test_sphere_grid_normalization_and_exactness():
@@ -81,7 +100,7 @@ def test_circle_grid_weights_exact():
 
 
 def test_integrate_is_bit_deterministic():
-    g = make_radial_grid(30.0, 512)
+    g = make_radial_grid(1e-3, 30.0, 512)
     rng = np.random.default_rng(3)
     vals = rng.normal(size=g.n)
     a = integrate(vals, g)
@@ -90,7 +109,7 @@ def test_integrate_is_bit_deterministic():
 
 
 def test_integrate_shape_errors():
-    g = make_radial_grid(10.0, 64, scheme="uniform")
+    g = make_radial_grid(1e-2, 10.0, 64)
     with pytest.raises(DimensionMismatchError):
         integrate(np.ones(65), g)
     sg = make_sphere_grid(8, 8)
@@ -99,12 +118,12 @@ def test_integrate_shape_errors():
 
 
 def test_shared_grids_are_read_only():
-    g = make_radial_grid(20.0, 128, scheme="uniform", span=25.0)
-    assert make_radial_grid(20.0, 128, "uniform", 25.0) is g
-    assert make_radial_grid(20.0, 128, scheme="log-uniform") is not g
+    g = make_radial_grid(1e-2, 20.0, 128)
+    assert make_radial_grid(1e-2, 20.0, 128) is g
+    assert make_radial_grid(2e-2, 20.0, 128) is not g
     c = make_circle_grid(96)
     assert make_circle_grid(96) is c
-    for a in (g.nodes, g.weights, g.ref_nodes, g.ref_weights):
+    for a in (g.x, g.nodes, g.weights):
         with pytest.raises(ValueError):
             a[0] = 1.0
     with pytest.raises(ValueError):

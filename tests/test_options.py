@@ -26,9 +26,6 @@ DEFAULTED = {
     "fields.SphereField.from_fn(axisymmetric)",
     "flows.heat_state(grid)",
     "flows.dissipation_check(dt)",
-    "flows.ks_initial_state(n)",
-    "flows.ks_initial_state(r_min)",
-    "flows.ks_initial_state(r_max)",
     "flows.ks_evolve(dt)",
     "flows.ks_evolve(T)",
     "flows.ks_evolve(n)",
@@ -38,8 +35,6 @@ DEFAULTED = {
     "functionals._circle_grid_for(grid)",
     "functionals.lebedev_milin_functional(grid)",
     "geometry.lift_T(grid)",
-    "grids.make_radial_grid(scheme)",
-    "grids.make_radial_grid(span)",
     "grids.make_sphere_grid(n_z)",
     "grids.make_sphere_grid(n_phi)",
     "grids.make_circle_grid(n)",
