@@ -44,7 +44,7 @@ def get_transform(grid: SphereGrid, lmax: int | None = None) -> SphereTransform:
 
 @dataclass(eq=False)
 class RadialDensity:
-    """Nonnegative radial density rho(|x|) sampled on a RadialGrid.
+    """Finite, nonnegative radial density rho(|x|) sampled on a RadialGrid.
 
     ``profile`` is the exact radial function r -> rho(r), whose values on
     the grid are ``values``; operations that need off-grid values (the
@@ -60,6 +60,8 @@ class RadialDensity:
         if self.values.shape != self.grid.nodes.shape:
             raise DimensionMismatchError(
                 f"RadialDensity: {self.values.shape} values on {self.grid.nodes.shape} nodes")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("RadialDensity: values must be finite")
         if np.any(self.values < 0):
             raise DomainError("RadialDensity: values must be nonnegative")
 

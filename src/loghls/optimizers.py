@@ -4,12 +4,13 @@ The planar manifold is { s^-2 h(x/s - x0) } with h the squared Cauchy
 profile, the sphere manifold is { u_{t,n} = -2 log(cosh t + sinh t n.w) },
 and the circle family is { e^v = (cosh t + sinh t n.w)^-1 } on S^1, the
 normalized Poisson kernels of radius tanh(t/2).  Searches are
-deterministic and return (params, value, SearchDiagnostics): golden
-section over log s with a fixed multistart pattern for radial densities
-(on ``radial_L1_objective``, which the Keller-Segel distance shares),
-and one coarse scan + refinement over v = t n in R^3 or R^2 for the
-sphere and circle families.  Off-center planar densities are searched on
-the sphere through their lift, where the planar family is e^{u_{t,n}}.
+deterministic and return (params, value, SearchDiagnostics): for radial
+densities a fixed 16-point scan in log s, then golden section on the
+brackets where it finds a local minimum (on ``radial_L1_objective``,
+which the Keller-Segel distance shares), and one coarse scan +
+refinement over v = t n in R^3 or R^2 for the sphere and circle
+families.  Off-center planar densities are searched on the sphere
+through their lift, where the planar family is e^{u_{t,n}}.
 
 A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
 q = cosh t + sinh t n.w (no exp; the two entropy forms take one log
@@ -179,11 +180,11 @@ class SearchDiagnostics:
     """Objective evaluations of a search, and whether its optimum lies on
     the boundary of the parameter box.
 
-    ``evaluations`` counts every evaluation; ``scan_evaluations`` those of
-    the coarse scan and ``iterations`` the refinement's iterations (BFGS
+    ``evaluations`` counts every distinct evaluation; ``scan_evaluations``
+    those of the coarse scan (the radial search's 16 samples, a manifold
+    search's scan) and ``iterations`` the refinement's iterations (BFGS
     ``nit`` for the smooth sphere objectives, Nelder-Mead ``nit`` for the
-    L1 ones) of a manifold search (both 0 for the radial golden-section
-    search).
+    L1 ones) of a manifold search (0 for the radial golden-section search).
     """
 
     evaluations: int = 0
@@ -220,12 +221,23 @@ def radial_L1_objective(values: np.ndarray, grid: RadialGrid) -> Callable[[float
 def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
     """Minimize ||rho - h_{s,x0}||_1 over the optimizer manifold.
 
-    Radial densities pin x0 = 0 and use multistart golden section over
-    log s (five starts on [-LOG_S_BOX, LOG_S_BOX] at tol 1e-10, 255
-    evaluations) of ``radial_L1_objective`` on the density's grid; ties
-    within 1e-12 resolve to the smallest s.  A lifted density is searched
-    on the sphere (T is an L^1 isometry onto the family e^{u_{t,n}}), and
-    the optimizer found there maps back in closed form:
+    Radial densities pin x0 = 0 and search log s in [-LOG_S_BOX, LOG_S_BOX],
+    split into five brackets, on ``radial_L1_objective`` over the density's
+    grid.  A scan samples the six bracket edges and each bracket's golden
+    first pair (16 evaluations); golden section at tol 1e-10 then refines
+    only the brackets that hold a sampled local minimum (a sample <= both
+    its neighbours: an interior sample marks its bracket, an edge the
+    brackets beside it), reusing their first pairs.  That is 65 evaluations
+    for one bracket, 114 for two (a minimum sampled on an edge), and 49
+    more for each further bracket of a multimodal density.  The other
+    brackets' samples are monotone, so their golden sections would end at
+    an edge and lose: the tests check that refining all five brackets
+    (255 evaluations) gives the same result bit for bit.  Ties within
+    1e-12 resolve to the smallest s.
+
+    A lifted density is searched on the sphere (T is an L^1 isometry
+    onto the family e^{u_{t,n}}), and the optimizer found there maps back
+    in closed form:
     s = 1/(cosh t - n_3 sinh t), center shift - s sinh t (n_1, n_2).
 
     Returns (params, distance, diagnostics).
@@ -233,13 +245,31 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
     if isinstance(rho, RadialDensity):
         diag = SearchDiagnostics()
         l1 = radial_L1_objective(rho.values, rho.grid)
+        memo: dict[float, float] = {}
 
         def obj(ls: float) -> float:
-            diag.evaluations += 1
-            return l1(ls)
+            if ls not in memo:
+                memo[ls] = l1(ls)
+            return memo[ls]
 
-        edges = np.linspace(-LOG_S_BOX, LOG_S_BOX, 6)      # five starts
-        candidates = [golden_section(obj, a, b) for a, b in zip(edges[:-1], edges[1:])]
+        edges = np.linspace(-LOG_S_BOX, LOG_S_BOX, 6)      # five brackets
+        brackets = list(zip(edges[:-1], edges[1:]))
+        # samples in order: the edges and, between them, golden_section's first pair
+        xs = [edges[0]]
+        for a, b in brackets:
+            h = b - a
+            xs += [a + _INV_PHI2 * h, a + _INV_PHI * h, b]
+        ys = [obj(x) for x in xs]
+        diag.scan_evaluations = len(memo)
+        keep = set()
+        for i, y in enumerate(ys):       # refine the brackets that hold a sampled minimum
+            if (i == 0 or y <= ys[i - 1]) and (i == len(ys) - 1 or y <= ys[i + 1]):
+                k = i // 3
+                # samples 3k + 1 and 3k + 2 lie in bracket k; edge 3k borders k - 1 and k
+                keep.update((k,) if i % 3 else (k - 1, k))
+        keep &= set(range(len(brackets)))
+        candidates = [golden_section(obj, *brackets[k]) for k in sorted(keep)]
+        diag.evaluations = len(memo)
         best = min(c[1] for c in candidates)
         ls, val = min((c for c in candidates if c[1] <= best + 1e-12),
                       key=lambda c: c[0])

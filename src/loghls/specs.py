@@ -197,8 +197,12 @@ def parse_input_spec(text: str) -> InputSpec:
 
 def _validate_spec(kind: str, p: dict) -> None:
     def need_pos(key):
-        if not (isinstance(p[key], (int, float)) and p[key] > 0):
-            raise ParseError(f"{kind}: {key} must be a positive number, got {p[key]!r}")
+        # a scale enters its profile as 1/x^2 and its tail as x^2: both must be finite
+        x = p[key]
+        if not (isinstance(x, (int, float)) and x > 0 and 0 < x * x < math.inf
+                and 0 < 1 / (x * x) < math.inf):
+            raise ParseError(f"{kind}: {key} must be a positive number with x^2 and x^-2 "
+                             f"finite and nonzero, got {x!r}")
 
     if kind == "gaussian":
         need_pos("sigma")

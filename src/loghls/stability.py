@@ -24,9 +24,9 @@ from .functionals import (MASS_TOL, _circle_grid_for, dirichlet_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report, spherical_free_energy)
 from .grids import CircleGrid, integrate
-from .optimizers import (LOG_S_BOX, PlanarOptimizerParams, nearest_circle_L1,
-                         nearest_planar_L1, nearest_sphere_L1, nearest_sphere_gradient,
-                         nearest_sphere_reverse_entropy, planar_optimizer_profile)
+from .optimizers import (LOG_S_BOX, nearest_circle_L1, nearest_planar_L1, nearest_sphere_L1,
+                         nearest_sphere_gradient, nearest_sphere_reverse_entropy,
+                         radial_L1_objective)
 
 __all__ = [
     "StabilityCertificate",
@@ -116,13 +116,9 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
 
 
 def _radial_oracle_distance(rho: RadialDensity) -> float:
-    best = np.inf
-    for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, ORACLE_SWEEP):
-        prof = planar_optimizer_profile(PlanarOptimizerParams(float(np.exp(ls))))
-        d = integrate(np.abs(rho.values - prof(rho.grid.nodes)), rho.grid)
-        if d < best:
-            best = d
-    return best
+    """min of the search's objective over ORACLE_SWEEP equispaced log s."""
+    l1 = radial_L1_objective(rho.values, rho.grid)
+    return min(l1(ls) for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, ORACLE_SWEEP))
 
 
 def spherical_stability_certificate(f: SphereField) -> StabilityCertificate:

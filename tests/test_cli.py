@@ -34,6 +34,23 @@ def test_eval_bad_spec_exit_2(capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("stability", "optimizer:s=inf"),
+    ("stability", "gaussian:sigma=inf"),
+    ("stability", "gaussian:sigma=nan"),
+    ("stability", "optimizer:s=1e-200"),
+    ("stability", "perturbed-optimizer:eps=0.1,mode=1,s=1e-200"),
+    ("ks", "8pi*optimizer:s=1e-200"),
+    ("stability", "gaussian:sigma=1e-300"),
+], ids=lambda argv: f"{argv[0]} {argv[1]}")
+def test_unrepresentable_scale_is_invalid_input(capsys, argv):
+    """A scale whose square or inverse square overflows or underflows is
+    rejected by the parser (each once ended in a traceback with exit 1)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "x^2 and x^-2 finite and nonzero" in err
+
+
 def test_eval_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "eval", "band-limited-random:seed=4,L=4,amplitude=0.2",
                          "--grid-n", "512")

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import loghls.optimizers as optimizers
 from loghls.errors import DomainError, NormalizationError
-from loghls.fields import CircleField, SphereField, gaussian_radial
+from loghls.fields import CircleField, RadialDensity, SphereField, gaussian_radial
 from loghls.functionals import dirichlet_energy, planar_free_energy
 from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
@@ -102,6 +102,58 @@ def _mixture(weights, scales, offset=(0.0, 0.0)) -> str:
     comps = "|".join(f"optimizer:s={s!r},x0=({offset[0] / s!r},{offset[1] / s!r})"
                      for s in scales)
     return f"mixture:weights=({','.join(repr(w) for w in weights)}),components=({comps})"
+
+
+def _five_bracket_search(rho):
+    """The reference rule: golden section on all five brackets of the box
+    (255 evaluations), ties within 1e-12 to the smallest s.  Returns
+    (s, distance, boundary_hit)."""
+    l1 = radial_L1_objective(rho.values, rho.grid)
+    edges = np.linspace(-LOG_S_BOX, LOG_S_BOX, 6)
+    candidates = [golden_section(l1, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    best = min(c[1] for c in candidates)
+    ls, val = min((c for c in candidates if c[1] <= best + 1e-12), key=lambda c: c[0])
+    return float(np.exp(ls)), float(val), abs(abs(ls) - LOG_S_BOX) < 1e-6
+
+
+def _assert_matches_five_brackets(rho):
+    params, dist, diag = nearest_planar_L1(rho)
+    assert (params.s, dist, diag.boundary_hit) == _five_bracket_search(rho)
+    assert diag.scan_evaluations == 16
+    assert (diag.evaluations - 16) % 49 == 0          # 49 more per refined bracket
+    return diag
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-5.0, 5.0)),
+                min_size=1, max_size=3))
+def test_planar_search_matches_the_five_bracket_rule(components):
+    """Refining only the brackets that hold a sampled minimum gives the
+    five-bracket rule's s, distance and boundary flag bit for bit."""
+    total = sum(w for w, _ in components)
+    weights = [w / total for w, _ in components]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    scales = [float(np.exp(ls)) for _, ls in components]
+    _assert_matches_five_brackets(realize_planar(parse_input_spec(_mixture(weights, scales)), CFG))
+
+
+@pytest.mark.parametrize("spec,evaluations", [
+    ("optimizer:s=1.7", 65),                     # log s = 0.53 inside bracket [-1.2, 1.2]
+    ("gaussian:sigma=1", 114),                   # and the box's end e^6: mass lost past r_max
+    (_mixture((0.5, 0.5), (0.05, 20.0)), 114),   # two minima, one bracket each
+    (_mixture((0.5, 0.5), (0.2, 5.0)), 163),     # minima on two edges: three brackets
+], ids=["optimizer", "gaussian", "bimodal-0.05-20", "bimodal-0.2-5"])
+def test_planar_search_refines_the_brackets_of_sampled_minima(spec, evaluations):
+    diag = _assert_matches_five_brackets(realize_planar(parse_input_spec(spec), CFG))
+    assert diag.evaluations == evaluations
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_radial_density_rejects_non_finite_values(radial_small, bad):
+    values = np.ones(radial_small.n)
+    values[100] = bad
+    with pytest.raises(DomainError, match="finite"):
+        RadialDensity(radial_small, values, profile=lambda r: np.ones_like(r))
 
 
 def test_nearest_planar_bimodal_lift():

@@ -7,10 +7,12 @@ from loghls.functionals import (dirichlet_energy, onofri_functional,
                                 sphere_log_interaction, spherical_free_energy)
 from loghls.geometry import lift_T, sphere_optimizer_values
 from loghls.grids import integrate
-from loghls.optimizers import (PlanarOptimizerParams, SphereOptimizerParams,
-                               planar_optimizer, recenter, sphere_optimizer)
-from loghls.specs import RunConfig, parse_input_spec, realize_circle, realize_sphere
-from loghls.stability import (ConvexPairSpec, circle_stability_certificate,
+from loghls.optimizers import (LOG_S_BOX, PlanarOptimizerParams, SphereOptimizerParams,
+                               planar_optimizer, planar_optimizer_profile, recenter,
+                               sphere_optimizer)
+from loghls.specs import (RunConfig, parse_input_spec, realize_circle, realize_planar,
+                          realize_sphere)
+from loghls.stability import (ORACLE_SWEEP, ConvexPairSpec, circle_stability_certificate,
                               constrained_onofri_gap,
                               onofri_stability_certificates,
                               planar_stability_certificate,
@@ -46,6 +48,20 @@ def test_planar_certificate_oracle_agrees(radial_small):
     cert = planar_stability_certificate(rho, oracle=True)
     assert cert.passed
     assert cert.search["oracle_distance"] == pytest.approx(cert.distance, abs=1e-4)
+
+
+def test_radial_oracle_is_the_profile_sweep():
+    """The oracle sweeps the search's objective over ORACLE_SWEEP log s;
+    it equals a sweep of the optimizer profile, and the search's distance
+    lies at or below it."""
+    rho = realize_planar(parse_input_spec(
+        "mixture:weights=(0.5,0.5),components=(optimizer:s=0.2|optimizer:s=5)"), RunConfig())
+    cert = planar_stability_certificate(rho, oracle=True)
+    sweep = min(integrate(np.abs(rho.values - planar_optimizer_profile(
+                    PlanarOptimizerParams(float(np.exp(ls))))(rho.grid.nodes)), rho.grid)
+                for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, ORACLE_SWEEP))
+    assert abs(cert.search["oracle_distance"] - sweep) <= 1e-14 * sweep
+    assert cert.distance <= cert.search["oracle_distance"] + 1e-12
 
 
 def test_spherical_certificate_matches_planar(radial_fine):
