@@ -25,8 +25,8 @@ from .grids import (CircleGrid, RadialGrid, SphereGrid, integrate,
                     make_circle_grid, make_radial_grid, make_sphere_grid)
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          SearchDiagnostics, SphereOptimizerParams, circle_optimizer,
-                         nearest_planar_L1, nearest_sphere_entropy,
-                         planar_optimizer, recenter, sphere_optimizer)
+                         nearest_planar_L1, planar_optimizer, recenter,
+                         sphere_optimizer)
 from .specs import RunConfig, format_input_spec, parse_input_spec
 from .stability import (ConvexPairSpec, StabilityCertificate,
                         circle_stability_certificate, constrained_onofri_gap,

@@ -2,15 +2,17 @@
 
 Commands
 --------
-eval          evaluate the functionals of a density/field spec
-stability     stability certificate(s) for a spec
-onofri        Onofri functional report for a sphere spec
+eval          evaluate the functionals of a plane, sphere or circle spec
+              (on a sphere spec: the Onofri functional and its parts)
+stability     stability certificate(s) for a spec (on a sphere spec: the
+              three Onofri certificates and the spherical log-HLS one)
 heatflow      heat semigroup run with entropy diagnostics (flow heat)
 ks            critical-mass Keller-Segel run (flow ks)
 duality-demo  finite-dimensional duality transfer demonstration
 suite         run the acceptance matrix
 
-Exit codes: 0 success, 1 computation failure, 2 invalid input.
+Exit codes: 0 success, 1 computation failure, 2 invalid input (a spec
+of the wrong domain for its command included).
 """
 
 from __future__ import annotations
@@ -134,27 +136,12 @@ def cmd_stability(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_onofri(args) -> int:
-    cfg = _config_from_args(args)
-    spec = parse_input_spec(args.spec)
-    if spec_domain(spec) != "sphere":
-        raise ParseError("onofri: spec must describe a sphere field")
-    u = realize_sphere(spec, cfg)
-    out = {**_meta(cfg, spec),
-           "onofri": onofri_functional(u),
-           "dirichlet_energy": dirichlet_energy(u),
-           "mean_u": u.mean(),
-           "exp_integral": u.exp_integral(),
-           "barycenter": list(u.barycenter())}
-    if args.certify:
-        out["certificates"] = [c.to_json() for c in onofri_stability_certificates(u)]
-    _emit(out, cfg)
-    return 0
-
-
 def cmd_heatflow(args) -> int:
     cfg = _config_from_args(args)
     spec = parse_input_spec(args.spec)
+    if spec_domain(spec) != "heat":
+        raise ParseError(f"heatflow: spec {format_input_spec(spec)} is not heat initial data "
+                         "(expected legendre:c0=1,... or 1+a*P1+...)")
     coeffs = realize_heat_coeffs(spec)
     state0 = heat_state(coeffs)
     T = args.T
@@ -192,6 +179,8 @@ def cmd_ks(args) -> int:
         raise ParseError("ks: spec must be of the form 8pi*<planar spec> "
                          "(the flow runs at the critical mass)")
     spec = parse_input_spec(text[len("8pi*"):])
+    if spec_domain(spec) != "plane":
+        raise ParseError(f"ks: spec {format_input_spec(spec)} is not a planar density")
     rho = realize_planar(spec, cfg)
     if not isinstance(rho, RadialDensity):
         raise ParseError("ks: only radial initial data is supported")
@@ -300,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec")
     common(sp)
     sp.set_defaults(fn=cmd_stability)
-
-    sp = sub.add_parser("onofri", help="Onofri report for a sphere spec")
-    sp.add_argument("spec")
-    sp.add_argument("--certify", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_onofri)
 
     sp = sub.add_parser("heatflow", help="heat semigroup run (flow heat)")
     sp.add_argument("spec", help='e.g. "1+0.5*P1" or legendre:c0=1,c1=0.5')

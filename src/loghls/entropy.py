@@ -2,14 +2,14 @@
 the strong Young inequality and the small-set absolute-continuity bound.
 
 All operations work on a finite (or quadrature-discretized) probability
-space described by a weight vector ``nu`` with ``sum(nu) == 1``.  The
+space described by a weight vector ``nu`` with ``sum(nu) == 1``.  Every
+function of densities or potentials takes ``nu`` as its last argument,
+and the densities and potentials as arrays of its shape.  The
 convention 0*log 0 = 0 is applied throughout, and relative entropy is
 +inf when the first density charges the null set of the second.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -17,7 +17,6 @@ from scipy.special import logsumexp
 from .errors import DomainError, NormalizationError
 
 __all__ = [
-    "ProbabilityDensity",
     "xlogx",
     "relative_entropy",
     "l1_distance",
@@ -55,19 +54,6 @@ def _check_density(rho, nu, name: str) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class ProbabilityDensity:
-    """A density against a normalized reference measure nu."""
-
-    values: np.ndarray
-    nu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu", _as_measure(self.nu))
-        object.__setattr__(self, "values",
-                           _check_density(self.values, self.nu, "ProbabilityDensity"))
-
-
 def xlogx(x: np.ndarray) -> np.ndarray:
     """x log x with the 0 log 0 = 0 convention; every x <= 0 gives (signed)
     zero and NaN propagates."""
@@ -76,21 +62,12 @@ def xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def _unpack(rho1, rho0, nu):
-    if isinstance(rho1, ProbabilityDensity):
-        nu = rho1.nu
-        rho1 = rho1.values
-    if isinstance(rho0, ProbabilityDensity):
-        if nu is None:
-            nu = rho0.nu
-        rho0 = rho0.values
-    if nu is None:
-        raise DomainError("a reference measure is required for array inputs")
     nu = _as_measure(nu)
     return (_check_density(rho1, nu, "relative_entropy(rho1)"),
             _check_density(rho0, nu, "relative_entropy(rho0)"), nu)
 
 
-def relative_entropy(rho1, rho0, nu=None) -> float:
+def relative_entropy(rho1, rho0, nu) -> float:
     """H(rho1 | rho0) = int rho1 (log rho1 - log rho0) dnu, in [0, +inf].
 
     Returns +inf when rho1 puts mass where rho0 vanishes.
@@ -103,12 +80,12 @@ def relative_entropy(rho1, rho0, nu=None) -> float:
     return float(np.sum(nu[sup] * r1[sup] * (np.log(r1[sup]) - np.log(r0[sup]))))
 
 
-def l1_distance(rho1, rho0, nu=None) -> float:
+def l1_distance(rho1, rho0, nu) -> float:
     r1, r0, nu = _unpack(rho1, rho0, nu)
     return float(np.sum(np.abs(r1 - r0) * nu))
 
 
-def pinsker_gap(rho1, rho0, nu=None) -> float:
+def pinsker_gap(rho1, rho0, nu) -> float:
     """H(rho1|rho0) - (1/2) ||rho1 - rho0||_1^2, nonnegative by Pinsker."""
     H = relative_entropy(rho1, rho0, nu)
     if np.isinf(H):
@@ -133,17 +110,12 @@ def gibbs_density(phi, nu) -> np.ndarray:
     return np.exp(phi - log_partition(phi, nu))
 
 
-def strong_young_gap(rho, phi, nu=None) -> float:
+def strong_young_gap(rho, phi, nu) -> float:
     """H(rho) + H*(phi) - <phi, rho> - (1/2) ||rho - grad H*(phi)||_1^2.
 
     Nonnegative for every density/potential pair; zero exactly at
     rho = gibbs(phi) where Young's inequality saturates.
     """
-    if isinstance(rho, ProbabilityDensity):
-        nu = rho.nu
-        rho = rho.values
-    if nu is None:
-        raise DomainError("strong_young_gap: a reference measure is required")
     nu = _as_measure(nu)
     rho = _check_density(rho, nu, "strong_young_gap(rho)")
     H = float(np.sum(nu * xlogx(rho)))
@@ -153,7 +125,7 @@ def strong_young_gap(rho, phi, nu=None) -> float:
     return H + Hstar - pairing - 0.5 * float(np.sum(np.abs(rho - g) * nu)) ** 2
 
 
-def half_convexity_gap(rho1, rho0, nu=None) -> float:
+def half_convexity_gap(rho1, rho0, nu) -> float:
     """Gap in the 1/2-convexity of H along the chord rho0 -> rho1:
 
         H(rho1) - H(rho0) - int (rho1-rho0) log rho0 dnu

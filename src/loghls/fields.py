@@ -129,8 +129,9 @@ def gaussian_radial(grid: RadialGrid, sigma: float = 1.0) -> RadialDensity:
 class SphereField:
     """Real function on S^2: grid values and an optional exact callable.
 
-    ``axisymmetric`` marks a field that depends on omega_3 alone; only the
-    independent zonal cross-check reads it.
+    ``axisymmetric`` marks a field that depends on omega_3 alone.  No
+    library code reads it; only the zonal cross-check of the interaction
+    in the tests does.
     """
 
     grid: SphereGrid

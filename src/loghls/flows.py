@@ -119,11 +119,9 @@ class HeatState:
         return tr.synthesize(c, np.zeros_like(c))[:, 0]
 
 
-def heat_state(coeffs, grid: SphereGrid | None = None) -> HeatState:
-    """A heat state at t = 0; the default grid is max(256, len(coeffs)) x 8."""
-    if grid is None:
-        grid = make_sphere_grid(max(256, len(coeffs)), 8)
-    return HeatState(grid, coeffs)
+def heat_state(coeffs) -> HeatState:
+    """A heat state at t = 0 on the max(256, len(coeffs)) x 8 sphere grid."""
+    return HeatState(make_sphere_grid(max(256, len(coeffs)), 8), coeffs)
 
 
 def _evolved_coeffs(coeffs: np.ndarray, t: float) -> np.ndarray:

@@ -27,9 +27,9 @@ Interaction kernels
   H(rho) = H_S(T rho - 1), with no tail cut off.
 * Sphere fields, zonal or not, use the harmonic coefficients of their
   grid's one transform: log|w - w'| acts on mean-zero fields as
-  -(1/2) / (l(l+1)) per degree; the azimuthal mean identity
-  (1/2pi) int log|w-w'| dphi' = (1/2) log[(1+max z)(1-min z)] gives an
-  independent axisymmetric route used for cross-checks.
+  -(1/2) / (l(l+1)) per degree.  The tests cross-check it on zonal
+  fields against the azimuthal mean identity
+  (1/2pi) int log|w-w'| dphi' = (1/2) log[(1+max z)(1-min z)].
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .entropy import xlogx
 from .errors import (DomainError, NormalizationError, PositivityError,
@@ -53,7 +52,6 @@ __all__ = [
     "planar_free_energy",
     "planar_free_energy_report",
     "sphere_log_interaction",
-    "sphere_log_interaction_zkernel",
     "spherical_free_energy",
     "sphere_green_apply",
     "dirichlet_energy",
@@ -67,6 +65,7 @@ __all__ = [
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
 MASS_TOL = 1e-6          # unit-mass (and critical-mass) preconditions, absolute
+GRID_MASS_SHARE = 1e-2   # mass share a radial grid may miss, or hold in its top tenth
 MEAN_TOL = 1e-8          # mean-zero preconditions of the sphere functionals
 
 
@@ -91,7 +90,7 @@ def _radial_interaction(rho: RadialDensity) -> float:
     outer = g.x > g.x[-1] - 0.1 * (g.x[-1] - g.x[0])
     tail = integrate(np.where(outer, vals, 0.0), g)
     total = integrate(vals, g)
-    if total > 0 and tail > 1e-2 * total:
+    if total > 0 and tail > GRID_MASS_SHARE * total:
         raise DomainError(
             "log_interaction: density carries significant mass in the top "
             "decade of the grid; log moment not converged on this grid")
@@ -183,23 +182,6 @@ def sphere_log_interaction(f: SphereField) -> float:
     tr = get_transform(f.grid)
     c, s = f.coeffs()
     return tr.log_kernel_quadratic(c, s)
-
-
-def sphere_log_interaction_zkernel(f: SphereField) -> float:
-    """Axisymmetric interaction through the azimuthal mean identity.
-
-    Independent of the harmonic-coefficient route; used as a cross-check.
-    """
-    if not f.axisymmetric:
-        raise DomainError("sphere_log_interaction_zkernel: field must be axisymmetric")
-    if abs(f.mean()) > MEAN_TOL:
-        raise PreconditionError("sphere_log_interaction_zkernel: field mean is not zero")
-    g = f.grid
-    vals = f.values[:, 0]
-    F = CubicSpline(g.z, vals / 2.0).antiderivative()(g.z)
-    G = CubicSpline(g.z, vals * np.log1p(-g.z) / 2.0).antiderivative()(g.z)
-    zonal = vals * (np.log1p(g.z) * F + G)
-    return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
 
 
 def spherical_free_energy(f: SphereField):

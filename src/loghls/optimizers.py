@@ -13,15 +13,15 @@ families.  Off-center planar densities are searched on the sphere
 through their lift, where the planar family is e^{u_{t,n}}.
 
 A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
-q = cosh t + sinh t n.w (no exp; the two entropy forms take one log
-for u_{t,n} = -2 log q), written into three buffers built once per
-search.  Its scan runs on the sphere grid of every 4th azimuth column
-(128 x 64 points on the default grid) and only picks the refinement's
-start; the refinement and the returned value use the full grid.  The
-gradient and entropy objectives are smooth in v and carry their exact
-gradient, the moments of g'(q) through the chain rule of
-_SphereFamily.gradient, so BFGS refines them; the L1 objectives, whose
-quadrature gradient has kinks, are refined by Nelder-Mead.  All
+q = cosh t + sinh t n.w (no exp; the reverse-entropy objective takes
+one log for u_{t,n} = -2 log q), written into three buffers built once
+per search.  Its scan runs on the sphere grid of every 4th azimuth
+column (128 x 64 points on the default grid) and only picks the
+refinement's start; the refinement and the returned value use the full
+grid.  The gradient and reverse-entropy objectives are smooth in v and
+carry their exact gradient, the moments of g'(q) through the chain rule
+of _SphereFamily.gradient, so BFGS refines them; the L1 objectives,
+whose quadrature gradient has kinks, are refined by Nelder-Mead.  All
 integrate with ``grids.integrate`` and ``grids.moments`` on their grid.
 
 ``recenter`` scores its candidate pushes by change of variables on the
@@ -55,7 +55,6 @@ __all__ = [
     "golden_section",
     "radial_L1_objective",
     "nearest_planar_L1",
-    "nearest_sphere_entropy",
     "nearest_sphere_gradient",
     "nearest_sphere_reverse_entropy",
     "nearest_sphere_L1",
@@ -473,34 +472,6 @@ def _check_normalized_exp(u: SphereField, who: str):
             f"{who}: int e^u dsigma = {m!r}, expected 1 within {MASS_TOL}")
 
 
-def _entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
-    """H(e^u | e^{u_{t,n}}) = int e^u u + 2 int e^u log q; g'(q) = 2 e^u / q."""
-    u = fam.columns(u)
-    eu = np.exp(u)
-    base = integrate(eu * u, fam.grid)
-
-    def fun(t, n):
-        q = fam.base(t, n)
-        logq = np.log(q, out=q)
-        logq *= eu
-        return base + 2.0 * integrate(logq, fam.grid)
-
-    def fun_and_grad(t, n):
-        q = fam.base(t, n)
-        logq = np.log(q, out=fam.work)
-        logq *= eu
-        dg = np.divide(eu, q, out=q)
-        return base + 2.0 * integrate(logq, fam.grid), 2.0 * fam.gradient(t, n, dg)
-
-    return _Smooth(fun, fun_and_grad)
-
-
-def nearest_sphere_entropy(u: SphereField):
-    """Minimize H(e^u | e^{u_{t,n}}) = int e^u (u - u_{t,n}) dsigma."""
-    _check_normalized_exp(u, who="nearest_sphere_entropy")
-    return _sphere_search(_entropy_objective, u.grid, u.values)
-
-
 def _optimizer_energy(t: float) -> tuple[float, float]:
     """E(u_{t,n}) = 8 t coth t - 8 and its t-derivative, by their series
     8 t^2/3 - 8 t^4/45 and 16 t/3 - 32 t^3/45 below t = 1e-3."""
@@ -575,8 +546,9 @@ def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
 def nearest_sphere_reverse_entropy(u: SphereField):
     """Minimize H(e^{u_{t,n}} | e^u) = int e^{u_{t,n}} (u_{t,n} - u) dsigma.
 
-    This is the direction appearing in the entropy-form stability bound;
-    note it differs from :func:`nearest_sphere_entropy`.
+    The optimizer comes first: this is the direction of the entropy form
+    of the Onofri stability bound, the only sphere entropy search.
+    Requires int e^u dsigma = 1.
     """
     _check_normalized_exp(u, who="nearest_sphere_reverse_entropy")
     return _sphere_search(_reverse_entropy_objective, u.grid, u.values)

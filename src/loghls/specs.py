@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .fields import CircleField, SphereField, get_transform, radial_from_profile
 from .flows import DT_CAP, KS_N, KS_R_MAX, KS_R_MIN
-from .functionals import MASS_TOL
+from .functionals import GRID_MASS_SHARE, MASS_TOL
 from .geometry import planar_from_profile
 from .grids import integrate, make_circle_grid, make_radial_grid, make_sphere_grid
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
@@ -81,11 +81,12 @@ class InputSpec:
     kind: str
     params: tuple          # tuple of (key, value) pairs, canonical order
 
-    def get(self, key, default=None):
+    def get(self, key):
+        """The value of ``key``; None when the spec has no such key."""
         for k, v in self.params:
             if k == key:
                 return v
-        return default
+        return None
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -150,6 +151,7 @@ def _parse_legendre_shorthand(text: str) -> "InputSpec | None":
     if not coeffs:
         return None
     params = tuple((f"c{k}", coeffs[k]) for k in sorted(coeffs))
+    _validate_spec("legendre", dict(params))
     return InputSpec("legendre", params)
 
 
@@ -243,6 +245,12 @@ def _validate_spec(kind: str, p: dict) -> None:
     elif kind == "circle-cos":
         if not (0 <= float(p["eps"]) <= 2.0):
             raise ParseError(f"circle-cos: eps must lie in [0, 2], got {p['eps']!r}")
+    elif kind == "legendre":
+        if not all(isinstance(v, float) and math.isfinite(v) for v in p.values()):
+            raise ParseError(f"legendre: coefficients must be finite numbers, got {p!r}")
+        c0 = p.get("c0", 0.0)
+        if abs(c0 - 1.0) > 1e-12:        # HeatState's unit-mass test, as invalid input
+            raise ParseError(f"legendre: unit mass requires c0 = 1, got c0 = {c0!r}")
 
 
 def _fmt_value(v) -> str:
@@ -447,15 +455,25 @@ def realize_planar(spec: InputSpec, config: RunConfig):
     first moment and lifted onto the sphere grid (``PlanarDensity``); the
     free energy and the distance to the optimizer family are translation
     invariant, and a single optimizer lifts to the constant 1.  Raises
-    DomainError when the grid does not resolve the lift (components far
-    apart relative to their scales).
+    ParseError when a centered spec's scale puts more than GRID_MASS_SHARE
+    of its mass outside the radial grid, and DomainError when the sphere
+    grid does not resolve the lift (components far apart relative to
+    their scales).
     """
     if spec_domain(spec) != "plane":
         raise DomainError(f"spec {spec.kind!r} is not a planar density")
     prof = _planar_profile_radial(spec)
     if prof is not None:
-        rho = radial_from_profile(config.radial_grid(), prof)
-        return rho if abs(rho.mass - 1.0) <= 1e-9 else rho.normalized()
+        grid = config.radial_grid()
+        rho = radial_from_profile(grid, prof)
+        mass = rho.mass
+        if not abs(mass - 1.0) <= GRID_MASS_SHARE:
+            r_min, r_max = grid.nodes[0], grid.nodes[-1]
+            raise ParseError(
+                f"realize_planar: {format_input_spec(spec)} has mass {mass!r} on the radial "
+                f"grid [{r_min:.6g}, {r_max:.6g}], not 1 within {GRID_MASS_SHARE}; its scale "
+                "puts its mass outside the grid")
+        return rho if abs(mass - 1.0) <= 1e-9 else rho.normalized()
     rho = planar_from_profile(config.sphere_grid(), _planar_profile_xy(spec),
                               tuple(_planar_center(spec)))
     # every planar spec has unit mass, so a lift that misses it is under-resolved

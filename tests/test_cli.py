@@ -51,6 +51,43 @@ def test_unrepresentable_scale_is_invalid_input(capsys, argv):
     assert "invalid input" in err and "x^2 and x^-2 finite and nonzero" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("stability", "optimizer:s=1e-150"),
+    ("stability", "gaussian:sigma=1e-150"),
+    ("stability", "optimizer:s=1e154"),
+    ("stability", "gaussian:sigma=1e150"),
+    ("eval", "optimizer:s=1e5"),
+    ("eval", "gaussian:sigma=1e4"),
+    ("ks", "8pi*optimizer:s=1e-150"),
+], ids=lambda argv: f"{argv[0]} {argv[1]}")
+def test_scale_outside_the_radial_grid_is_invalid_input(capsys, argv):
+    """A centered spec whose scale puts its mass outside the radial grid
+    is invalid input that names the grid's range (each once exited 1, at
+    a zero mass or at the interaction's top-decade guard)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "on the radial grid [1.38879e-07, 10000]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("heatflow", "gaussian:sigma=1"),
+    ("heatflow", "legendre:c1=0.5"),
+    ("heatflow", "0.5*P1"),
+    ("heatflow", "legendre:c0=2"),
+    ("heatflow", "legendre:c0=1,c1=nan"),
+    ("heatflow", "legendre:c0=1,c1=(1,2)"),
+    ("ks", "8pi*sphere-optimizer:t=1"),
+    ("ks", "8pi*circle-cos:eps=0.3"),
+], ids=lambda argv: f"{argv[0]} {argv[1]}")
+def test_wrong_domain_is_invalid_input(capsys, argv):
+    """heatflow takes unit-mass Legendre data and ks a planar density;
+    anything else exits 2, as eval and stability do (each once exited 1
+    or ended in a traceback)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid input" in err
+
+
 def test_eval_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "eval", "band-limited-random:seed=4,L=4,amplitude=0.2",
                          "--grid-n", "512")
@@ -71,7 +108,8 @@ def test_stability_sphere_deterministic_output(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("onofri", "band-limited-random:seed=5,L=4,amplitude=0.2", "--certify"),
+    ("eval", "band-limited-random:seed=5,L=4,amplitude=0.2"),
+    ("stability", "band-limited-random:seed=5,L=4,amplitude=0.2"),
     ("heatflow", "1+0.5*P1", "--T", "1"),
     ("ks", "8pi*optimizer:s=1", "--T", "0.5", "--samples", "6"),
     ("duality-demo",),
@@ -115,10 +153,11 @@ def test_stability_circle_uses_config_grid(tmp_path, capsys):
     assert json.loads(out)["certificate"]["grid"] == "circle n=720"
 
 
-def test_onofri_command(capsys):
-    code, out, _ = run_cli(capsys, "onofri", "sphere-optimizer:t=1,n=(0,0,1)")
+def test_eval_sphere_optimizer(capsys):
+    code, out, _ = run_cli(capsys, "eval", "sphere-optimizer:t=1,n=(0,0,1)")
     assert code == 0
     data = json.loads(out)
+    assert data["domain"] == "sphere"
     assert abs(data["onofri"]) <= 1e-6
     assert data["mean_u"] == pytest.approx(-0.626063, abs=1e-5)
 

@@ -159,10 +159,3 @@ def test_small_set_property_sweep():
             sel = [(mask >> i) & 1 == 1 for i in range(k)]
             if q_mass[sel].sum() <= delta:
                 assert p_mass[sel].sum() <= eps + 1e-12
-
-
-def test_probability_density_class():
-    d = ent.ProbabilityDensity(np.array([1.0, 1.0]), NU2)
-    assert ent.relative_entropy(d, d) == 0.0
-    with pytest.raises(NormalizationError):
-        ent.ProbabilityDensity(np.array([1.0, 2.0]), NU2)

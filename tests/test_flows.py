@@ -10,8 +10,8 @@ from loghls.errors import (ConvergenceError, DimensionMismatchError, DomainError
                            MassConservationError, NormalizationError, PositivityError,
                            StepSizeError)
 from loghls.fields import radial_from_profile
-from loghls.flows import (KS_MASS, KS_R_MAX, KS_R_MIN, FlowTrajectory, decay_check,
-                          dissipation_check, entropy_dissipation_rate,
+from loghls.flows import (KS_MASS, KS_R_MAX, KS_R_MIN, FlowTrajectory, HeatState,
+                          decay_check, dissipation_check, entropy_dissipation_rate,
                           heat_evolve, heat_state, ks_distance, ks_evolve,
                           ks_free_energy, ks_initial_state, ks_rate_fit,
                           reverse_entropy)
@@ -85,14 +85,14 @@ def test_dissipation_equality_on_optimizers(sphere_grid):
     vals = (np.cosh(t) + np.sinh(t) * sphere_grid.z) ** -2.0
     coeffs = legendre_analyze(vals, sphere_grid, min(256, sphere_grid.n_z - 1))
     coeffs[0] = 1.0      # unit mass holds to quadrature accuracy already
-    st = heat_state(coeffs, grid=sphere_grid)
+    st = HeatState(sphere_grid, coeffs)
     assert entropy_dissipation_rate(st) == pytest.approx(
         4.0 * reverse_entropy(st), abs=1e-6)
 
 
 def test_heat_grid_holds_the_coefficients():
-    """The default grid grows to one z node per coefficient; an explicit
-    grid with fewer nodes is refused."""
+    """heat_state's grid grows to one z node per coefficient; a grid with
+    fewer nodes is refused."""
     a = np.zeros(301)
     a[:2] = 1.0, 0.3
     a[300] = 1e-3
@@ -101,7 +101,7 @@ def test_heat_grid_holds_the_coefficients():
     assert np.max(np.abs(st.density_values() - np.polynomial.legendre.legval(st.grid.z, a))) <= 1e-13
     assert heat_state([1.0, 0.5]).grid.shape == (256, 8)
     with pytest.raises(DimensionMismatchError):
-        heat_state(np.r_[1.0, np.zeros(39)], grid=make_sphere_grid(32, 8))
+        HeatState(make_sphere_grid(32, 8), np.r_[1.0, np.zeros(39)])
 
 
 def test_heat_positivity_errors():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.special import i0
 
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
@@ -12,11 +13,9 @@ from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 log_interaction, onofri_entropy_form_gap,
                                 onofri_functional, planar_free_energy,
                                 planar_free_energy_report, sphere_green_apply,
-                                sphere_log_interaction,
-                                sphere_log_interaction_zkernel,
-                                spherical_free_energy)
+                                sphere_log_interaction, spherical_free_energy)
 from loghls.geometry import lift_T, planar_from_profile, sphere_optimizer_values
-from loghls.grids import make_circle_grid
+from loghls.grids import integrate, make_circle_grid
 from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                                circle_optimizer, planar_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar
@@ -162,6 +161,20 @@ def test_spherical_free_energy_tilted_optimizer(sphere_grid):
     vals = np.exp(sphere_optimizer_values(1.0, n, sphere_grid.points()))
     f = SphereField(sphere_grid, vals - 1.0)
     assert abs(spherical_free_energy(f).total) <= 1e-4
+
+
+def sphere_log_interaction_zkernel(f: SphereField) -> float:
+    """The interaction of an axisymmetric mean-zero field through the
+    azimuthal mean identity (1/2pi) int log|w-w'| dphi' =
+    (1/2) log[(1+max z)(1-min z)]: an independent reference for the
+    harmonic-coefficient route of ``sphere_log_interaction``."""
+    assert f.axisymmetric and abs(f.mean()) <= 1e-8
+    g = f.grid
+    vals = f.values[:, 0]
+    F = CubicSpline(g.z, vals / 2.0).antiderivative()(g.z)
+    G = CubicSpline(g.z, vals * np.log1p(-g.z) / 2.0).antiderivative()(g.z)
+    zonal = vals * (np.log1p(g.z) * F + G)
+    return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
 
 
 def test_sphere_interaction_zkernel_cross_check(sphere_grid, radial_fine):

@@ -10,12 +10,10 @@ from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optim
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
 from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, LOG_S_BOX, CircleOptimizerParams,
                                PlanarOptimizerParams, SphereOptimizerParams,
-                               _entropy_objective, _pushed_barycenter,
-                               _gradient_objective, _l1_objective, _manifold_minimize,
-                               _reverse_entropy_objective, _SphereFamily, circle_optimizer,
-                               golden_section, nearest_circle_L1,
-                               nearest_planar_L1, nearest_sphere_entropy,
-                               nearest_sphere_gradient, nearest_sphere_L1,
+                               _pushed_barycenter, _gradient_objective, _l1_objective,
+                               _manifold_minimize, _reverse_entropy_objective, _SphereFamily,
+                               circle_optimizer, golden_section, nearest_circle_L1,
+                               nearest_planar_L1, nearest_sphere_gradient, nearest_sphere_L1,
                                nearest_sphere_reverse_entropy, planar_optimizer,
                                radial_L1_objective, recenter, sphere_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
@@ -215,9 +213,11 @@ def test_sphere_optimizer_basics(sphere_grid):
 
 
 def test_nearest_sphere_entropy_recovers_member(sphere_grid):
+    """The entropy search (H(e^{u_{t,n}} | e^u), the reverse direction)
+    finds a member of the family at zero entropy."""
     n = np.array([0.0, 0.6, 0.8])
     u = sphere_optimizer(SphereOptimizerParams(0.8, tuple(n)), sphere_grid)
-    params, H, diag = nearest_sphere_entropy(u)
+    params, H, diag = nearest_sphere_reverse_entropy(u)
     assert H <= 1e-8
     assert params.t == pytest.approx(0.8, abs=1e-3)
     assert np.dot(params.axis, n) == pytest.approx(1.0, abs=1e-4)
@@ -229,7 +229,7 @@ def test_nearest_sphere_entropy_recovers_member(sphere_grid):
 def test_nearest_sphere_entropy_constant_field(sphere_grid):
     zero = SphereField(sphere_grid, np.zeros(sphere_grid.shape),
                        fn=lambda p: np.zeros(p.shape[:-1]), axisymmetric=True)
-    params, H, _ = nearest_sphere_entropy(zero)
+    params, H, _ = nearest_sphere_reverse_entropy(zero)
     assert abs(H) <= 1e-12
     assert params.t <= 1e-4
 
@@ -238,15 +238,13 @@ def test_nearest_sphere_entropy_vs_grid_oracle(sphere_grid):
     # normalized small zonal perturbation: minimizer is axisymmetric
     base = SphereField.from_zonal(sphere_grid, lambda z: 0.3 * z)
     u = base.shifted(-float(np.log(base.exp_integral())))
-    params, H, _ = nearest_sphere_entropy(u)
-    w = sphere_grid.weights * np.exp(u.values)
-    pts = sphere_grid.points()
-    base_term = float(np.sum(w * u.values))
+    params, H, _ = nearest_sphere_reverse_entropy(u)
+    w, pts = sphere_grid.weights, sphere_grid.points()
     best = np.inf
     for t in np.linspace(0.0, 0.5, 501):
         for n in (np.array([0, 0, 1.0]), np.array([0, 0, -1.0])):
-            val = base_term - float(np.sum(w * sphere_optimizer_values(t, n, pts)))
-            best = min(best, val)
+            v = sphere_optimizer_values(t, n, pts)
+            best = min(best, float(np.sum(w * np.exp(v) * (v - u.values))))
     assert H <= best + 1e-10
     assert abs(H - best) <= 1e-3
 
@@ -254,7 +252,7 @@ def test_nearest_sphere_entropy_vs_grid_oracle(sphere_grid):
 def test_nearest_sphere_requires_normalization(sphere_grid):
     u = SphereField.from_zonal(sphere_grid, lambda z: 0.5 * z)   # int e^u != 1
     with pytest.raises(NormalizationError):
-        nearest_sphere_entropy(u)
+        nearest_sphere_reverse_entropy(u)
 
 
 def test_recenter_fixed_point(sphere_grid):
@@ -429,7 +427,6 @@ def _objectives(u: SphereField):
     """(search, objective builder, its arguments) for each sphere search."""
     eu = np.exp(u.values)
     return [
-        (nearest_sphere_entropy, (u,), _entropy_objective, (u.values,)),
         (nearest_sphere_gradient, (u,), _gradient_objective,
          (u.values, dirichlet_energy(u), u.mean())),
         (nearest_sphere_reverse_entropy, (u,), _reverse_entropy_objective, (u.values,)),
@@ -447,8 +444,7 @@ def test_sphere_objectives_match_closed_forms(t):
     w, pts, eu = g.weights, g.points(), np.exp(u.values)
     Eu = dirichlet_energy(u)
     fam = _SphereFamily(g)
-    entropy, gradient, reverse, l1 = (objective(fam, *args)
-                                      for _, _, objective, args in _objectives(u))
+    gradient, reverse, l1 = (objective(fam, *args) for _, _, objective, args in _objectives(u))
     for n in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
               [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.48, 0.64, -0.6]):
         n = np.array(n)
@@ -456,8 +452,7 @@ def test_sphere_objectives_match_closed_forms(t):
         ev = np.exp(v)
         grad = Eu if t == 0.0 else (Eu + 8.0 * t / np.tanh(t) - 8.0
                                     - 4.0 * np.sum(w * uv * ev) + 4.0 * u.mean())
-        for fun, closed in ((entropy, np.sum(w * eu * (uv - v))),
-                            (gradient, grad),
+        for fun, closed in ((gradient, grad),
                             (reverse, np.sum(w * ev * (v - uv))),
                             (l1, np.sum(w * np.abs(eu - ev)))):
             assert fun(t, n) == pytest.approx(closed, rel=1e-12, abs=0.0)
@@ -470,7 +465,7 @@ def test_smooth_objective_gradients_match_central_differences(t):
     on both poles and three other axes; its value is the objective's."""
     u = realize_sphere(parse_input_spec("band-limited-random:seed=7,L=6,amplitude=0.25"), CFG)
     fam = _SphereFamily(u.grid)
-    smooth = [objective(fam, *args) for _, _, objective, args in _objectives(u)[:3]]
+    smooth = [objective(fam, *args) for _, _, objective, args in _objectives(u)[:2]]
     h = 1e-6
 
     def at(fun, v):

@@ -16,15 +16,9 @@ SRC = Path(loghls.__file__).parent
 DEFAULTED = {
     "cli._meta(spec)",
     "cli.main(argv)",
-    "entropy.relative_entropy(nu)",
-    "entropy.l1_distance(nu)",
-    "entropy.pinsker_gap(nu)",
-    "entropy.strong_young_gap(nu)",
-    "entropy.half_convexity_gap(nu)",
     "fields.get_transform(lmax)",
     "fields.gaussian_radial(sigma)",
     "fields.SphereField.from_fn(axisymmetric)",
-    "flows.heat_state(grid)",
     "flows.dissipation_check(dt)",
     "flows.ks_evolve(dt)",
     "flows.ks_evolve(T)",
@@ -43,7 +37,6 @@ DEFAULTED = {
     "optimizers._SphereFamily.__init__(step)",
     "optimizers.nearest_circle_L1(grid)",
     "sht.SphereTransform.__init__(lmax)",
-    "specs.InputSpec.get(default)",
     "stability.planar_stability_certificate(oracle)",
     "stability.circle_stability_certificate(grid)",
     "suite.run_all(ids)",
