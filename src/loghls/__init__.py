@@ -9,7 +9,7 @@ from .entropy import (gibbs_density, half_convexity_gap, log_partition,
                       strong_young_gap)
 from .errors import LogHLSError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
-                     gaussian_radial, radial_from_profile)
+                     radial_from_profile)
 from .flows import (HeatState, KSState, FlowTrajectory, decay_check,
                     dissipation_check, heat_evolve, heat_state, ks_evolve,
                     ks_rate_fit, reverse_entropy)

@@ -20,14 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import DomainError, LogHLSError, ParseError
 from .fields import RadialDensity, SphereField
-from .flows import (FlowTrajectory, KS_MASS, _jsonable, decay_check,
-                    dissipation_check, entropy_dissipation_rate, heat_evolve,
-                    heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
+from .flows import (DISTANCE_SLACK, FE_STEP_TOL, FlowTrajectory, KS_MASS, _jsonable,
+                    decay_check, dissipation_check, entropy_dissipation_rate,
+                    heat_evolve, heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
 from .functionals import (dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report)
@@ -35,11 +36,10 @@ from .grids import integrate
 from .specs import (RunConfig, format_input_spec, parse_input_spec,
                     realize_circle, realize_heat_coeffs, realize_planar,
                     realize_sphere, spec_domain)
-from .stability import (circle_stability_certificate,
+from .stability import (DEMO_PAIRS, circle_stability_certificate,
                         onofri_stability_certificates,
                         planar_stability_certificate,
-                        spherical_stability_certificate, ConvexPairSpec,
-                        toy_duality_demo)
+                        spherical_stability_certificate, toy_duality_demo)
 from .suite import run_all
 
 
@@ -190,35 +190,22 @@ def cmd_ks(args) -> int:
                             n=cfg.ks_n, r_min=cfg.ks_rmin, r_max=cfg.ks_rmax,
                             n_samples=args.samples)
     fit = ks_rate_fit(traj)
-    bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + 1e-4
+    bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + DISTANCE_SLACK
     bound_ok = bool(np.all(traj.distance_L1 <= bound))
     inc = traj.diagnostics["max_free_energy_increase_per_step"]
     out = {**_meta(cfg, spec), "trajectory": traj.to_json(),
-           "rate_fit": {"slope_free_energy": fit.slope_free_energy,
-                        "slope_distance": fit.slope_distance,
-                        "bound_flag_free_energy": fit.bound_flag_free_energy,
-                        "bound_flag_distance": fit.bound_flag_distance,
-                        "defined": fit.defined},
+           "rate_fit": {k: v for k, v in asdict(fit).items() if k != "window"},
            "distance_bound_pass": bound_ok,
            "max_free_energy_increase_per_step": inc}
     if args.csv:
         traj.write_csv(args.csv)
     _emit(out, cfg)
-    return 0 if (bound_ok and inc <= 1e-8) else 1
+    return 0 if (bound_ok and inc <= FE_STEP_TOL) else 1
 
 
 def cmd_duality_demo(args) -> int:
     cfg = _config_from_args(args)
-    if args.dim == 1:
-        spec = ConvexPairSpec(dim=1, E=lambda x: (x**2).sum(axis=1),
-                              F=lambda x: 2.0 * (x**2).sum(axis=1),
-                              C=1.0, lam=0.25, name="1d quadratic pair")
-    else:
-        spec = ConvexPairSpec(dim=2,
-                              E=lambda x: x[:, 0]**2 + 2.0 * x[:, 1]**2,
-                              F=lambda x: 2.0 * x[:, 0]**2 + 3.0 * x[:, 1]**2,
-                              C=1.0, lam=0.125, name="2d anisotropic pair")
-    rep = toy_duality_demo(spec)
+    rep = toy_duality_demo(DEMO_PAIRS[args.dim])
     _emit({**_meta(cfg), "report": rep.to_json()}, cfg)
     return 0 if rep.passed else 1
 

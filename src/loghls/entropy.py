@@ -31,13 +31,13 @@ __all__ = [
 _MASS_TOL = 1e-8
 
 
-def _as_measure(nu) -> np.ndarray:
+def _as_measure(nu, name: str) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0):
-        raise DomainError("reference measure must be nonnegative")
+        raise DomainError(f"{name}: reference measure must be nonnegative")
     if abs(nu.sum() - 1.0) > _MASS_TOL:
         raise NormalizationError(
-            f"reference measure has total {nu.sum()!r}, expected 1 within {_MASS_TOL}")
+            f"{name}: reference measure has total {nu.sum()!r}, expected 1 within {_MASS_TOL}")
     return nu
 
 
@@ -61,10 +61,11 @@ def xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x > 0, x, 1.0))
 
 
-def _unpack(rho1, rho0, nu):
-    nu = _as_measure(nu)
-    return (_check_density(rho1, nu, "relative_entropy(rho1)"),
-            _check_density(rho0, nu, "relative_entropy(rho0)"), nu)
+def _unpack(rho1, rho0, nu, name: str):
+    """rho1, rho0 and nu, checked; errors name the operation ``name``."""
+    nu = _as_measure(nu, name)
+    return (_check_density(rho1, nu, f"{name}(rho1)"),
+            _check_density(rho0, nu, f"{name}(rho0)"), nu)
 
 
 def relative_entropy(rho1, rho0, nu) -> float:
@@ -72,7 +73,7 @@ def relative_entropy(rho1, rho0, nu) -> float:
 
     Returns +inf when rho1 puts mass where rho0 vanishes.
     """
-    r1, r0, nu = _unpack(rho1, rho0, nu)
+    r1, r0, nu = _unpack(rho1, rho0, nu, "relative_entropy")
     bad = (r0 == 0) & (r1 * nu > 0)
     if np.any(bad):
         return float("inf")
@@ -81,7 +82,7 @@ def relative_entropy(rho1, rho0, nu) -> float:
 
 
 def l1_distance(rho1, rho0, nu) -> float:
-    r1, r0, nu = _unpack(rho1, rho0, nu)
+    r1, r0, nu = _unpack(rho1, rho0, nu, "l1_distance")
     return float(np.sum(np.abs(r1 - r0) * nu))
 
 
@@ -95,7 +96,7 @@ def pinsker_gap(rho1, rho0, nu) -> float:
 
 def log_partition(phi, nu) -> float:
     """H*(phi) = log int e^phi dnu for bounded phi."""
-    nu = _as_measure(nu)
+    nu = _as_measure(nu, "log_partition")
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise DomainError("log_partition: potential must be finite (L^inf)")
@@ -105,7 +106,7 @@ def log_partition(phi, nu) -> float:
 
 def gibbs_density(phi, nu) -> np.ndarray:
     """grad H*(phi) = e^phi / int e^phi dnu, a probability density."""
-    nu = _as_measure(nu)
+    nu = _as_measure(nu, "gibbs_density")
     phi = np.asarray(phi, dtype=float)
     return np.exp(phi - log_partition(phi, nu))
 
@@ -116,7 +117,7 @@ def strong_young_gap(rho, phi, nu) -> float:
     Nonnegative for every density/potential pair; zero exactly at
     rho = gibbs(phi) where Young's inequality saturates.
     """
-    nu = _as_measure(nu)
+    nu = _as_measure(nu, "strong_young_gap")
     rho = _check_density(rho, nu, "strong_young_gap(rho)")
     H = float(np.sum(nu * xlogx(rho)))
     Hstar = log_partition(phi, nu)
@@ -133,7 +134,7 @@ def half_convexity_gap(rho1, rho0, nu) -> float:
 
     Requires rho0 > 0 wherever nu does.
     """
-    r1, r0, nu = _unpack(rho1, rho0, nu)
+    r1, r0, nu = _unpack(rho1, rho0, nu, "half_convexity_gap")
     if np.any((r0 <= 0) & (nu > 0)):
         raise DomainError("half_convexity_gap: rho0 must be strictly positive")
     H1 = float(np.sum(nu * xlogx(r1)))

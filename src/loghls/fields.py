@@ -25,7 +25,6 @@ __all__ = [
     "SphereField",
     "CircleField",
     "get_transform",
-    "gaussian_radial",
     "radial_from_profile",
 ]
 
@@ -111,18 +110,6 @@ class PlanarDensity:
 
 def radial_from_profile(grid: RadialGrid, fn: Callable) -> RadialDensity:
     return RadialDensity(grid, fn(grid.nodes), profile=fn)
-
-
-def gaussian_radial(grid: RadialGrid, sigma: float = 1.0) -> RadialDensity:
-    """Unit-mass centered Gaussian with scale sigma."""
-    if sigma <= 0:
-        raise DomainError(f"gaussian_radial: sigma must be positive, got {sigma}")
-    s2 = sigma * sigma
-
-    def fn(r):
-        return np.exp(-np.asarray(r) ** 2 / (2 * s2)) / (2 * np.pi * s2)
-
-    return radial_from_profile(grid, fn)
 
 
 @dataclass(eq=False)
@@ -233,3 +220,9 @@ class CircleField:
 
     def mean(self) -> float:
         return float(self.coeffs[0].real)
+
+    def normalized(self, grid: CircleGrid) -> "CircleField":
+        """u - log int e^u dsigma, with the integral taken on ``grid``."""
+        coeffs = self.coeffs.copy()
+        coeffs[0] -= np.log(integrate(np.exp(self.values(grid)), grid))
+        return CircleField(coeffs)

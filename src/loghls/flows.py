@@ -85,6 +85,9 @@ DECAY_SLACK = 1e-8      # slack of the heat flow's entropy decay bound
 MONO_TOL = 1e-10        # largest decrease of M between nodes, relative to the mass
 RATE_T_MIN = 1.0        # the rate fit's window starts here
 RATE_HEADROOM = 1.05    # growth of H t^{1/8} and d t^{1/16} the rate fit's flags allow
+# acceptance bounds of a Keller-Segel run, for the CLI and the suite:
+DISTANCE_SLACK = 1e-4   # d(t) <= 8 pi sqrt(8 H(t)) + DISTANCE_SLACK at every sample
+FE_STEP_TOL = 1e-8      # the largest increase of H over one step
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +159,7 @@ def entropy_dissipation_rate(state: HeatState) -> float:
     return dirichlet_energy(_log_density(state, "entropy_dissipation_rate"))
 
 
-def dissipation_check(state: HeatState, dt: float = 1e-3) -> tuple[float, float, float]:
+def dissipation_check(state: HeatState, dt: float) -> tuple[float, float, float]:
     """Entropy-production identity along the heat flow.
 
     lhs: centered difference of H(1||rho(t)) over dt,
@@ -454,10 +457,10 @@ def ks_distance(state: KSState) -> tuple[float, float]:
     return float(d) * state.mass_total, math.exp(ls)
 
 
-def ks_evolve(rho0: RadialDensity, dt: float | None = None, T: float = 50.0,
-              n: int = KS_N, r_min: float = KS_R_MIN, r_max: float = KS_R_MAX,
-              n_samples: int = 64) -> tuple[FlowTrajectory, KSState]:
-    """Run the critical-mass flow to time T with per-step diagnostics.
+def ks_evolve(rho0: RadialDensity, *, T: float, n: int, r_min: float, r_max: float,
+              n_samples: int, dt: float | None = None) -> tuple[FlowTrajectory, KSState]:
+    """Run the critical-mass flow to time T with per-step diagnostics, on
+    ``make_radial_grid(r_min, r_max, n)``.
 
     Each step is linearly-implicit, variable-step SBDF2: with w = h_n /
     h_{n-1}, a0 = (1 + 2w)/(1 + w) and V* = (1 + w) V^n - w V^{n-1},

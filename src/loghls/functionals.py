@@ -42,7 +42,7 @@ from .entropy import xlogx
 from .errors import (DomainError, NormalizationError, PositivityError,
                      PreconditionError)
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField, get_transform
-from .grids import CircleGrid, integrate, make_circle_grid
+from .grids import CIRCLE_N, CircleGrid, integrate, make_circle_grid
 from .sht import legendre_analyze  # noqa: F401  perfbench wraps this name here until ROADMAP 3(b)
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "onofri_entropy_form_gap",
     "half_laplacian_energy",
     "lebedev_milin_functional",
+    "radial_grid_misfit",
     "LOG_PI",
 ]
 
@@ -83,17 +84,30 @@ class FreeEnergyReport:
 # planar interaction
 # ----------------------------------------------------------------------
 
-def _radial_interaction(rho: RadialDensity) -> float:
+def radial_grid_misfit(rho: RadialDensity, mass: float) -> str | None:
+    """Why the radial density ``rho`` of true mass ``mass`` does not fit its
+    grid, or None: the grid must hold all but GRID_MASS_SHARE of the mass,
+    and at most that share in the top tenth of its log radii, which stands
+    in for the large-r tail whose log moment the grid cannot represent."""
     g, vals = rho.grid, rho.values
-    # Guard against tails the grid cannot represent (divergent log moment):
-    # the top tenth of the log-radius window stands in for the large-r tail.
+    where = f"on the radial grid [{g.nodes[0]:.6g}, {g.nodes[-1]:.6g}]"
+    held = integrate(vals, g)
+    if not abs(held - mass) <= GRID_MASS_SHARE * mass:
+        return f"has mass {held!r} {where}, not {mass!r} within {GRID_MASS_SHARE} of it"
     outer = g.x > g.x[-1] - 0.1 * (g.x[-1] - g.x[0])
     tail = integrate(np.where(outer, vals, 0.0), g)
-    total = integrate(vals, g)
-    if total > 0 and tail > GRID_MASS_SHARE * total:
+    if tail > GRID_MASS_SHARE * held:
+        return (f"holds {tail!r} of its mass {held!r} in the top tenth of the log radii "
+                f"{where}, more than {GRID_MASS_SHARE} of it")
+    return None
+
+
+def _radial_interaction(rho: RadialDensity) -> float:
+    g, vals = rho.grid, rho.values
+    misfit = radial_grid_misfit(rho, rho.mass)
+    if misfit is not None:
         raise DomainError(
-            "log_interaction: density carries significant mass in the top "
-            "decade of the grid; log moment not converged on this grid")
+            f"log_interaction: the density {misfit}; its log moment is not converged there")
     M = g.mass_antiderivative(vals)(g.x)
     return 2.0 * integrate(vals * M * g.x, g)
 
@@ -255,15 +269,16 @@ def half_laplacian_energy(u: CircleField) -> float:
     return float(2.0 * np.sum(k * np.abs(u.coeffs[1:]) ** 2))
 
 
-def _circle_grid_for(u: CircleField, grid: CircleGrid | None = None) -> CircleGrid:
+def _circle_grid_for(u: CircleField, grid: CircleGrid) -> CircleGrid:
     """``grid`` when it has at least 4 points per mode of u, or else the
-    circle grid that resolves u: 512 points or 4 per mode."""
+    circle grid that resolves u: CIRCLE_N points or 4 per mode."""
     need = 4 * max(u.kmax, 1)
-    return grid if grid is not None and grid.n >= need else make_circle_grid(max(512, need))
+    return grid if grid.n >= need else make_circle_grid(max(CIRCLE_N, need))
 
 
-def lebedev_milin_functional(u: CircleField, grid: CircleGrid | None = None) -> float:
-    """LM(u) = (1/2) sum |k||u_hat|^2 - log int e^u dsigma + int u dsigma."""
+def lebedev_milin_functional(u: CircleField, grid: CircleGrid) -> float:
+    """LM(u) = (1/2) sum |k||u_hat|^2 - log int e^u dsigma + int u dsigma,
+    on ``grid`` or else the circle grid that resolves u."""
     grid = _circle_grid_for(u, grid)
     vals = u.values(grid) - u.mean()       # exact mean via the Fourier coefficient
     log_int = float(np.log(integrate(np.exp(vals), grid)))

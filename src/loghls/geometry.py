@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import PlanarDensity, RadialDensity, SphereField
-from .grids import SphereGrid, make_sphere_grid
+from .grids import SPHERE_NPHI, SPHERE_NZ, SphereGrid, make_sphere_grid
 
 __all__ = [
     "ConformalParams",
@@ -155,8 +155,8 @@ def lift_T(rho: RadialDensity | PlanarDensity, grid: SphereGrid | None = None) -
     T rho (omega) = pi * rho(S(omega)) * (1 + |S(omega)|^2)^2, so mass and
     sign are preserved: int |T rho| dsigma = int |rho| dx and the
     optimizer profile lifts to the constant density 1.  A radial density
-    is lifted onto ``grid`` (the default ``make_sphere_grid()`` when none
-    is given) through its exact profile, so the lift never interpolates;
+    is lifted onto ``grid`` (the default SPHERE_NZ x SPHERE_NPHI grid when
+    none is given) through its exact profile, so the lift never interpolates;
     a planar density already holds its lift (of the density translated by
     -rho.shift) on its own grid.
     """
@@ -170,7 +170,7 @@ def lift_T(rho: RadialDensity | PlanarDensity, grid: SphereGrid | None = None) -
             r = _radius_from_z(z)
             return 4.0 * np.pi * _p(r) / (1.0 + np.clip(z, -1.0 + 1e-300, 1.0))**2
 
-        grid = make_sphere_grid() if grid is None else grid
+        grid = make_sphere_grid(SPHERE_NZ, SPHERE_NPHI) if grid is None else grid
         return SphereField.from_fn(grid, fn, axisymmetric=True)
     raise DomainError(f"lift_T: unsupported density type {type(rho).__name__}")
 

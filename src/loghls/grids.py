@@ -45,6 +45,10 @@ __all__ = [
     "moments",
 ]
 
+SPHERE_NZ = 128          # Gauss rows of the default sphere grid
+SPHERE_NPHI = 256        # its azimuth columns
+CIRCLE_N = 512           # points of the default circle grid
+
 
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
@@ -184,7 +188,7 @@ class SphereGrid:
 _SPHERE_GRIDS: dict[tuple[int, int], SphereGrid] = {}
 
 
-def make_sphere_grid(n_z: int = 128, n_phi: int = 256) -> SphereGrid:
+def make_sphere_grid(n_z: int, n_phi: int) -> SphereGrid:
     """The one shared, read-only grid of each shape, so its transform
     tables (``fields.get_transform``) are built once."""
     key = (int(n_z), int(n_phi))
@@ -217,7 +221,7 @@ class CircleGrid:
 _CIRCLE_GRIDS: dict[int, CircleGrid] = {}
 
 
-def make_circle_grid(n: int = 512) -> CircleGrid:
+def make_circle_grid(n: int) -> CircleGrid:
     """The one shared, read-only circle grid of ``n`` points."""
     n = int(n)
     if n not in _CIRCLE_GRIDS:

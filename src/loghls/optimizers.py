@@ -224,15 +224,19 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
     split into five brackets, on ``radial_L1_objective`` over the density's
     grid.  A scan samples the six bracket edges and each bracket's golden
     first pair (16 evaluations); golden section at tol 1e-10 then refines
-    only the brackets that hold a sampled local minimum (a sample <= both
-    its neighbours: an interior sample marks its bracket, an edge the
-    brackets beside it), reusing their first pairs.  That is 65 evaluations
-    for one bracket, 114 for two (a minimum sampled on an edge), and 49
-    more for each further bracket of a multimodal density.  The other
-    brackets' samples are monotone, so their golden sections would end at
-    an edge and lose: the tests check that refining all five brackets
-    (255 evaluations) gives the same result bit for bit.  Ties within
-    1e-12 resolve to the smallest s.
+    the brackets that hold a sampled local minimum (a sample <= both its
+    neighbours: an interior sample marks its bracket, an edge the brackets
+    beside it), reusing their first pairs.  It also refines any other
+    bracket whose samples do not bound its minimum above the best of
+    those: on the grid the objective changes by at most
+    1 + 8 dx / (3 sqrt 3) per unit of log s (the trapezoid sum of
+    int |d h_s / d log s| dx = 1, whose integrand in x has total variation
+    8 / (3 sqrt 3)), which bounds it below between neighbouring samples.
+    That is 65 evaluations for one bracket, 114 for two (a minimum sampled
+    on an edge), and 49 more for each further bracket.  The skipped
+    brackets cannot hold the result, so refining all five brackets
+    (255 evaluations) gives the same result bit for bit, as the tests
+    check.  Ties within 1e-12 resolve to the smallest s.
 
     A lifted density is searched on the sphere (T is an L^1 isometry
     onto the family e^{u_{t,n}}), and the optimizer found there maps back
@@ -268,6 +272,14 @@ def nearest_planar_L1(rho: RadialDensity | PlanarDensity):
                 keep.update((k,) if i % 3 else (k - 1, k))
         keep &= set(range(len(brackets)))
         candidates = [golden_section(obj, *brackets[k]) for k in sorted(keep)]
+        # and the others whose samples do not bound their minimum above the best
+        best = min(c[1] for c in candidates)
+        slope = 1.0 + 8.0 * rho.grid.dx / (3.0 * math.sqrt(3.0))
+        for k in sorted(set(range(len(brackets))) - keep):
+            floor = min(ys[i] + ys[i + 1] - slope * (xs[i + 1] - xs[i])
+                        for i in range(3 * k, 3 * k + 3)) / 2.0
+            if floor <= best + 1e-12:
+                candidates.append(golden_section(obj, *brackets[k]))
         diag.evaluations = len(memo)
         best = min(c[1] for c in candidates)
         ls, val = min((c for c in candidates if c[1] <= best + 1e-12),
@@ -571,8 +583,9 @@ def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid):
     return _sphere_search(_l1_objective, grid, f_plus_1)
 
 
-def nearest_circle_L1(u: CircleField, grid: CircleGrid | None = None):
-    """Minimize ||e^u - e^{v_{r,alpha}}||_1 over normalized Poisson kernels.
+def nearest_circle_L1(u: CircleField, grid: CircleGrid):
+    """Minimize ||e^u - e^{v_{r,alpha}}||_1 over normalized Poisson kernels,
+    on ``grid`` or else the circle grid that resolves u.
 
     The kernel is e^v = (cosh t + sinh t n.w)^-1 with r = tanh(t/2) and
     n = -(cos alpha, sin alpha), searched over v = t n with r <= 1 - 1e-6.

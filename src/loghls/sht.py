@@ -100,9 +100,7 @@ class SphereTransform:
     m >= 1); their columns m > max_m stay 0.
     """
 
-    def __init__(self, grid: SphereGrid, lmax: int | None = None):
-        if lmax is None:
-            lmax = grid.n_z - 1
+    def __init__(self, grid: SphereGrid, lmax: int):
         if lmax > grid.n_z - 1:
             raise DimensionMismatchError(
                 f"SphereTransform: lmax {lmax} exceeds n_z-1 = {grid.n_z - 1}")

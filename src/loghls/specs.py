@@ -28,9 +28,10 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .fields import CircleField, SphereField, get_transform, radial_from_profile
 from .flows import DT_CAP, KS_N, KS_R_MAX, KS_R_MIN
-from .functionals import GRID_MASS_SHARE, MASS_TOL
+from .functionals import MASS_TOL, radial_grid_misfit
 from .geometry import planar_from_profile
-from .grids import integrate, make_circle_grid, make_radial_grid, make_sphere_grid
+from .grids import (CIRCLE_N, SPHERE_NPHI, SPHERE_NZ, make_circle_grid, make_radial_grid,
+                    make_sphere_grid)
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          SphereOptimizerParams, circle_optimizer,
                          planar_optimizer_profile, sphere_optimizer)
@@ -287,9 +288,9 @@ class RunConfig:
     radial_n: int = 4096
     radial_rmax: float = 1e4
     radial_span: float = 25.0
-    sphere_nz: int = 128
-    sphere_nphi: int = 256
-    circle_n: int = 512
+    sphere_nz: int = SPHERE_NZ
+    sphere_nphi: int = SPHERE_NPHI
+    circle_n: int = CIRCLE_N
     ks_n: int = KS_N
     ks_rmin: float = KS_R_MIN
     ks_rmax: float = KS_R_MAX
@@ -347,9 +348,9 @@ class RunConfig:
     @classmethod
     def from_strings(cls, kwargs: dict) -> "RunConfig":
         typed = {}
-        valid = {f.name for f in dc_fields(cls)}
+        types = {f.name: f.type for f in dc_fields(cls)}
         for k, v in kwargs.items():
-            if k not in valid:
+            if k not in types:
                 raise ParseError(f"unknown config key {k!r}")
             if v in ("none", "None", ""):
                 typed[k] = None
@@ -360,8 +361,7 @@ class RunConfig:
             else:
                 try:
                     x = float(v)
-                    typed[k] = int(x) if k in ("radial_n", "sphere_nz", "sphere_nphi",
-                                               "circle_n", "ks_n", "seed") else x
+                    typed[k] = int(x) if types[k] == "int" else x
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(f"RunConfig: {k} = {v!r} is not a valid number") from exc
         return cls(**typed)
@@ -455,8 +455,8 @@ def realize_planar(spec: InputSpec, config: RunConfig):
     first moment and lifted onto the sphere grid (``PlanarDensity``); the
     free energy and the distance to the optimizer family are translation
     invariant, and a single optimizer lifts to the constant 1.  Raises
-    ParseError when a centered spec's scale puts more than GRID_MASS_SHARE
-    of its mass outside the radial grid, and DomainError when the sphere
+    ParseError when a centered spec's scale does not fit the radial grid
+    (``functionals.radial_grid_misfit``), and DomainError when the sphere
     grid does not resolve the lift (components far apart relative to
     their scales).
     """
@@ -464,16 +464,12 @@ def realize_planar(spec: InputSpec, config: RunConfig):
         raise DomainError(f"spec {spec.kind!r} is not a planar density")
     prof = _planar_profile_radial(spec)
     if prof is not None:
-        grid = config.radial_grid()
-        rho = radial_from_profile(grid, prof)
-        mass = rho.mass
-        if not abs(mass - 1.0) <= GRID_MASS_SHARE:
-            r_min, r_max = grid.nodes[0], grid.nodes[-1]
-            raise ParseError(
-                f"realize_planar: {format_input_spec(spec)} has mass {mass!r} on the radial "
-                f"grid [{r_min:.6g}, {r_max:.6g}], not 1 within {GRID_MASS_SHARE}; its scale "
-                "puts its mass outside the grid")
-        return rho if abs(mass - 1.0) <= 1e-9 else rho.normalized()
+        rho = radial_from_profile(config.radial_grid(), prof)
+        misfit = radial_grid_misfit(rho, 1.0)
+        if misfit is not None:
+            raise ParseError(f"realize_planar: {format_input_spec(spec)} {misfit}; "
+                             "its scale does not fit the grid")
+        return rho if abs(rho.mass - 1.0) <= 1e-9 else rho.normalized()
     rho = planar_from_profile(config.sphere_grid(), _planar_profile_xy(spec),
                               tuple(_planar_center(spec)))
     # every planar spec has unit mass, so a lift that misses it is under-resolved
@@ -522,15 +518,9 @@ def realize_circle(spec: InputSpec, config: RunConfig) -> CircleField:
         return circle_optimizer(
             CircleOptimizerParams(float(spec.get("r")), float(spec.get("alpha"))))
     if spec.kind == "circle-cos":
-        eps = float(spec.get("eps"))
-        kmax = 64
-        coeffs = np.zeros(kmax + 1, dtype=complex)
-        coeffs[1] = eps / 2.0
-        u = CircleField(coeffs)
-        grid = config.circle_grid()
-        shift = float(np.log(integrate(np.exp(u.values(grid)), grid)))
-        coeffs[0] = -shift
-        return CircleField(coeffs)
+        coeffs = np.zeros(65, dtype=complex)          # modes 0..64
+        coeffs[1] = float(spec.get("eps")) / 2.0
+        return CircleField(coeffs).normalized(config.circle_grid())
     raise DomainError(f"spec {spec.kind!r} is not a circle field")
 
 

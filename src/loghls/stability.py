@@ -37,6 +37,7 @@ __all__ = [
     "constrained_onofri_gap",
     "circle_stability_certificate",
     "ConvexPairSpec",
+    "DEMO_PAIRS",
     "DualityReport",
     "toy_duality_demo",
 ]
@@ -67,17 +68,10 @@ class StabilityCertificate:
     search: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "value": self.value,
-            "constant": self.constant,
-            "distance": self.distance,
-            "gap": self.gap,
-            "pass": self.passed,
-            "tol": self.tol,
-            "grid": self.grid,
-            "search": self.search,
-        }
+        """The fields by name, ``passed`` as "pass"."""
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
 
 def _certificate(name: str, value: float, constant: float, distance: float,
@@ -178,8 +172,7 @@ def constrained_onofri_gap(u: SphereField) -> float:
 # circle certificate
 # ----------------------------------------------------------------------
 
-def circle_stability_certificate(u: CircleField,
-                                 grid: CircleGrid | None = None) -> StabilityCertificate:
+def circle_stability_certificate(u: CircleField, grid: CircleGrid) -> StabilityCertificate:
     """LM(u) >= (1/4) inf ||e^u - e^v||_1^2 over normalized Poisson kernels,
     on ``grid`` or else the circle grid that resolves u."""
     grid = _circle_grid_for(u, grid)
@@ -218,6 +211,15 @@ class ConvexPairSpec:
             self.n_axis = {1: 401, 2: 101, 3: 41}[self.dim]
         if self.C <= 0 or self.lam <= 0:
             raise DomainError("ConvexPairSpec: C and lam must be positive")
+
+
+DEMO_PAIRS = {    # the pairs of ``loghls duality-demo --dim`` (and A07's 1d pair)
+    1: ConvexPairSpec(dim=1, E=lambda x: (x**2).sum(axis=1), F=lambda x: 2.0 * (x**2).sum(axis=1),
+                      C=1.0, lam=0.25, name="1d quadratic pair"),
+    2: ConvexPairSpec(dim=2, E=lambda x: x[:, 0]**2 + 2.0 * x[:, 1]**2,
+                      F=lambda x: 2.0 * x[:, 0]**2 + 3.0 * x[:, 1]**2,
+                      C=1.0, lam=0.125, name="2d anisotropic pair"),
+}
 
 
 @dataclass

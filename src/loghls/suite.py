@@ -15,18 +15,17 @@ import numpy as np
 from . import entropy as ent
 from .errors import LogHLSError
 from .fields import CircleField, SphereField, radial_from_profile
-from .flows import (KS_MASS, decay_check, dissipation_check, heat_state,
-                    ks_evolve, ks_rate_fit, reverse_entropy)
+from .flows import (DISTANCE_SLACK, FE_STEP_TOL, KS_MASS, decay_check, dissipation_check,
+                    heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
 from .functionals import (half_laplacian_energy, lebedev_milin_functional,
                           onofri_functional, planar_free_energy,
                           sphere_green_apply, spherical_free_energy)
 from .geometry import lift_T
-from .grids import integrate, make_circle_grid
+from .grids import integrate
 from .optimizers import (CircleOptimizerParams, SphereOptimizerParams,
                          circle_optimizer, recenter, sphere_optimizer)
 from .specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
-from .stability import (ConvexPairSpec,
-                        circle_stability_certificate,
+from .stability import (DEMO_PAIRS, circle_stability_certificate,
                         onofri_stability_certificates,
                         planar_stability_certificate, toy_duality_demo)
 from .sht import normalized_assoc_legendre
@@ -50,6 +49,11 @@ class CriterionResult:
         return f"[{self.cid}] {status}  {self.name}  ({self.runtime:.1f}s / budget {self.budget:.0f}s)"
 
 
+def _power_of_ten(x: float) -> str:
+    """A bound such as 1e-4 as written in the report: "1e-4"."""
+    return f"1e{round(np.log10(x))}"
+
+
 def _run(cid, name, budget, fn, config) -> CriterionResult:
     t0 = time.time()
     try:
@@ -66,18 +70,13 @@ def _run(cid, name, budget, fn, config) -> CriterionResult:
 
 def _c01_planar_equality(config: RunConfig):
     lines, ok = [], True
-    for s in (0.5, 1.0, 2.0):
-        rho = realize_planar(parse_input_spec(f"optimizer:s={s}"), config)
-        H = planar_free_energy(rho)
+    cases = [(f"optimizer:s={s}", f"radial s={s}") for s in (0.5, 1.0, 2.0)]
+    cases += [(f"optimizer:s=1,x0={x0}", f"lift s=1 x0={x0}") for x0 in ("(1,-1)", "(30,0)")]
+    for text, label in cases:
+        H = planar_free_energy(realize_planar(parse_input_spec(text), config))
         good = abs(H) <= 1e-6
         ok &= good
-        lines.append(f"radial s={s}: H = {H:+.3e} (|.| <= 1e-6: {good})")
-    for x0 in ("(1,-1)", "(30,0)"):
-        rho = realize_planar(parse_input_spec(f"optimizer:s=1,x0={x0}"), config)
-        H = planar_free_energy(rho)
-        good = abs(H) <= 1e-6
-        ok &= good
-        lines.append(f"lift s=1 x0={x0}: H = {H:+.3e} (|.| <= 1e-6: {good})")
+        lines.append(f"{label}: H = {H:+.3e} (|.| <= 1e-6: {good})")
     return ok, lines, {}
 
 
@@ -227,10 +226,7 @@ def _c06_entropy_suite(config: RunConfig):
 
 def _c07_duality(config: RunConfig):
     lines = []
-    spec = ConvexPairSpec(dim=1, E=lambda x: (x**2).sum(axis=1),
-                          F=lambda x: 2.0 * (x**2).sum(axis=1),
-                          C=1.0, lam=0.25, name="1d quadratic pair")
-    rep = toy_duality_demo(spec)
+    rep = toy_duality_demo(DEMO_PAIRS[1])
     Y = rep.details["Y"][:, 0]
     est_err = float(np.max(np.abs(rep.details["Estar"] - Y**2 / 4.0)))
     fst_err = float(np.max(np.abs(rep.details["Fstar"] - Y**2 / 8.0)))
@@ -330,13 +326,14 @@ def _c11_keller_segel(config: RunConfig):
     ok &= good
     lines.append(f"gaussian start: max mass error = {mass_err:.2e} (<= 1e-6: {good})")
     inc = traj.diagnostics["max_free_energy_increase_per_step"]
-    good = inc <= 1e-8
+    good = inc <= FE_STEP_TOL
     ok &= good
-    lines.append(f"free energy max per-step increase = {inc:.2e} (<= 1e-8: {good})")
-    bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + 1e-4
+    lines.append(f"free energy max per-step increase = {inc:.2e} "
+                 f"(<= {_power_of_ten(FE_STEP_TOL)}: {good})")
+    bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + DISTANCE_SLACK
     good = bool(np.all(traj.distance_L1 <= bound))
     ok &= good
-    lines.append(f"d(t) <= 8pi sqrt(8 H) + 1e-4 at every sample: {good}")
+    lines.append(f"d(t) <= 8pi sqrt(8 H) + {_power_of_ten(DISTANCE_SLACK)} at every sample: {good}")
     fit = ks_rate_fit(traj)
     good = fit.defined and fit.bound_flag_free_energy and fit.bound_flag_distance
     ok &= good
@@ -348,14 +345,15 @@ def _c11_keller_segel(config: RunConfig):
 
 def _c12_circle(config: RunConfig):
     lines, ok = [], True
+    grid = config.circle_grid()
     for r in (0.2, 0.5, 0.8):
         u = circle_optimizer(CircleOptimizerParams(r, 0.9))
-        lm = lebedev_milin_functional(u)
+        lm = lebedev_milin_functional(u, grid)
         good = abs(lm) <= 1e-8
         ok &= good
         lines.append(f"Poisson r={r}: LM = {lm:+.2e} (|.| <= 1e-8: {good})")
     for r in (0.01, 0.2, 0.5, 0.8):
-        cert = circle_stability_certificate(circle_optimizer(CircleOptimizerParams(r, 0.9)))
+        cert = circle_stability_certificate(circle_optimizer(CircleOptimizerParams(r, 0.9)), grid)
         good = cert.passed and cert.distance <= 1e-8
         ok &= good
         lines.append(f"Poisson r={r}: certificate d = {cert.distance:.1e}, "
@@ -365,19 +363,14 @@ def _c12_circle(config: RunConfig):
     ok &= good
     lines.append(f"r=1/2 half-Laplacian energy = {e_half:.8f} (within 1e-6 of 0.575364: {good})")
 
-    grid_c = make_circle_grid(config.circle_n)
     worst = np.inf
     rng = np.random.default_rng(config.seed)
     for i in range(10):
-        kmax = 64
-        coeffs = np.zeros(kmax + 1, dtype=complex)
+        coeffs = np.zeros(65, dtype=complex)          # modes 0..64
         eps = 0.1 + 0.04 * i
         coeffs[1] = eps / 2.0
         coeffs[2] = (0.3 * eps) * np.exp(1j * rng.uniform(0, 2 * np.pi)) / 2.0
-        base = CircleField(coeffs)
-        shift = float(np.log(integrate(np.exp(base.values(grid_c)), grid_c)))
-        coeffs[0] = -shift
-        cert = circle_stability_certificate(CircleField(coeffs))
+        cert = circle_stability_certificate(CircleField(coeffs).normalized(grid), grid)
         ok &= cert.passed
         worst = min(worst, cert.gap)
     lines.append(f"10 perturbed fields, constant 1/4: all pass, worst gap = {worst:+.3e}")
@@ -407,10 +400,7 @@ def run_criterion(cid: str, config: RunConfig) -> CriterionResult:
     raise KeyError(f"unknown criterion {cid!r}")
 
 
-def run_all(config: RunConfig, ids=None) -> list[CriterionResult]:
-    results = []
-    for cid, name, budget, fn in CRITERIA:
-        if ids is not None and cid not in ids:
-            continue
-        results.append(_run(cid, name, budget, fn, config))
-    return results
+def run_all(config: RunConfig, ids) -> list[CriterionResult]:
+    """The criteria of ``ids`` in matrix order, or all of them for None."""
+    return [_run(cid, name, budget, fn, config) for cid, name, budget, fn in CRITERIA
+            if ids is None or cid in ids]

@@ -17,6 +17,7 @@ import pytest
 
 import loghls
 from loghls.fields import radial_from_profile
+from loghls.flows import KS_R_MAX, KS_R_MIN
 from loghls.grids import make_radial_grid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,7 +45,8 @@ def test_traced_ks_run_reports_every_flows_metric(monkeypatch):
     tracer.install()
     rho = radial_from_profile(make_radial_grid(1e4 * math.exp(-25.0), 1e4, 1024),
                               lambda r: 4.0 * np.exp(-r**2 / 2.0))
-    traj, _state = loghls.ks_evolve(rho, T=0.05, n=256)
+    traj, _state = loghls.ks_evolve(rho, T=0.05, n=256, r_min=KS_R_MIN, r_max=KS_R_MAX,
+                                    n_samples=64)
     metrics = tracer.metrics({}, 1)
     names = [name for name in PER_ITEM if name.startswith("flows.")] + [KS_OTHER[0]]
     assert [name for name in names if name not in metrics] == []

@@ -59,11 +59,13 @@ def test_unrepresentable_scale_is_invalid_input(capsys, argv):
     ("eval", "optimizer:s=1e5"),
     ("eval", "gaussian:sigma=1e4"),
     ("ks", "8pi*optimizer:s=1e-150"),
+    ("stability", "optimizer:s=1e3"),
 ], ids=lambda argv: f"{argv[0]} {argv[1]}")
 def test_scale_outside_the_radial_grid_is_invalid_input(capsys, argv):
-    """A centered spec whose scale puts its mass outside the radial grid
-    is invalid input that names the grid's range (each once exited 1, at
-    a zero mass or at the interaction's top-decade guard)."""
+    """A centered spec whose scale puts its mass outside the radial grid,
+    or more than 1% of it in the grid's top tenth, is invalid input that
+    names the grid's range (each once exited 1, at a zero mass or at the
+    interaction's top-decade guard)."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "invalid input" in err and "on the radial grid [1.38879e-07, 10000]" in err

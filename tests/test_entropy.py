@@ -53,6 +53,19 @@ def test_relative_entropy_basics():
         ent.relative_entropy([-1.0, 3.0], Q, NU2)
 
 
+@pytest.mark.parametrize("name", ["relative_entropy", "l1_distance", "half_convexity_gap"])
+def test_density_errors_name_the_operation(name):
+    """Each check names the function that was called, for the density,
+    its partner and the measure."""
+    fn = getattr(ent, name)
+    with pytest.raises(NormalizationError, match=rf"^{name}\(rho1\): density has mass 2\.0"):
+        fn([2.0, 2.0], Q, NU2)
+    with pytest.raises(DomainError, match=rf"^{name}\(rho0\): density must be nonnegative"):
+        fn(Q, [-1.0, 3.0], NU2)
+    with pytest.raises(DomainError, match=rf"^{name}: reference measure must be nonnegative"):
+        fn(Q, Q, [-0.5, 1.5])
+
+
 def test_log_partition_and_gibbs():
     nu = NU2
     assert ent.log_partition(np.zeros(2), nu) == pytest.approx(0.0, abs=1e-15)

@@ -148,6 +148,11 @@ def ks_state(rho0, n=1024):
     return ks_initial_state(rho0, n, KS_R_MIN, KS_R_MAX)
 
 
+def evolve(rho0, **settings):
+    """ks_evolve on the radial range of the default flow grid."""
+    return ks_evolve(rho0, r_min=KS_R_MIN, r_max=KS_R_MAX, **settings)
+
+
 def perturbed8pi():
     rho = realize_planar(parse_input_spec("perturbed-optimizer:eps=0.3,mode=1"), RunConfig())
     return radial_from_profile(rho.grid, lambda r: KS_MASS * rho.profile(r))
@@ -299,7 +304,7 @@ def test_ks_adaptive_steps_follow_step_rule(ks_grid, monkeypatch):
     monkeypatch.setattr(flows, "ks_free_energy", fe)
     monkeypatch.setattr(flows, "solve_banded", solve)
     sharp = radial_from_profile(ks_grid, lambda r: 16.0 * np.exp(-2.0 * r**2))
-    traj, state = ks_evolve(sharp, T=2.0, n=1024, n_samples=8)
+    traj, state = evolve(sharp, T=2.0, n=1024, n_samples=8)
     assert len(solves) == traj.diagnostics["steps"] and len(vmax) == len(solves) + 1
     t = np.asarray(starts)
     steps = np.diff(t)
@@ -317,7 +322,7 @@ def test_ks_adaptive_steps_follow_step_rule(ks_grid, monkeypatch):
 
 
 def test_ks_stationary_short(ks_grid):
-    traj, state = ks_evolve(h8pi(ks_grid), T=1.0, n=512, n_samples=8)
+    traj, state = evolve(h8pi(ks_grid), T=1.0, n=512, n_samples=8)
     # the flow's grid is the shared radial grid, with the trapezoid weights 2 pi r^2 dx
     g = state.grid
     assert g is make_radial_grid(KS_R_MIN, KS_R_MAX, 512)
@@ -340,7 +345,7 @@ def test_ks_stationary_short(ks_grid):
 
 
 def test_ks_gaussian_short(ks_grid):
-    traj, state = ks_evolve(gauss8pi(ks_grid), T=2.0, n=512, n_samples=12)
+    traj, state = evolve(gauss8pi(ks_grid), T=2.0, n=512, n_samples=12)
     assert np.all(np.diff(traj.free_energy) <= 1e-8)
     bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + 1e-4
     assert np.all(traj.distance_L1 <= bound)
@@ -353,8 +358,8 @@ def test_ks_refinement_consistency(ks_grid):
     """Halving dt and doubling the spatial resolution moves the sampled
     free energies by < 1e-3 relative."""
     t_cmp = 1.0
-    traj1, s1 = ks_evolve(gauss8pi(ks_grid), dt=8e-4, T=t_cmp, n=512, n_samples=4)
-    traj2, s2 = ks_evolve(gauss8pi(ks_grid), dt=4e-4, T=t_cmp, n=1024, n_samples=4)
+    traj1, s1 = evolve(gauss8pi(ks_grid), dt=8e-4, T=t_cmp, n=512, n_samples=4)
+    traj2, s2 = evolve(gauss8pi(ks_grid), dt=4e-4, T=t_cmp, n=1024, n_samples=4)
     f1, f2 = ks_free_energy(s1), ks_free_energy(s2)
     assert abs(f1 - f2) <= 1e-3 * abs(f2)
 
@@ -363,8 +368,8 @@ def test_ks_explicit_dt_cfl_error(ks_grid):
     """An explicit dt above the step cap DT_CAP raises StepSizeError, as one
     above the explicit-transport CFL bound did."""
     with pytest.raises(StepSizeError, match="DT_CAP"):
-        ks_evolve(h8pi(ks_grid), dt=1.0, T=2.0, n=512)
-    traj, _ = ks_evolve(h8pi(ks_grid), dt=1e-3, T=0.1, n=512, n_samples=4)
+        evolve(h8pi(ks_grid), dt=1.0, T=2.0, n=512, n_samples=4)
+    traj, _ = evolve(h8pi(ks_grid), dt=1e-3, T=0.1, n=512, n_samples=4)
     assert traj.diagnostics["dt_min"] == 1e-3
     # the sample intervals (0, 0.01], (0.01, 10^-1.5] and (10^-1.5, 0.1]
     # split evenly into 10, 22 and 69 steps
@@ -375,7 +380,7 @@ def test_ks_second_order_in_time(ks_grid):
     """Halving an explicit dt cuts the error of the final free energy by
     about 4 (SBDF2), not by 2 (first order)."""
     def H_end(dt):
-        traj, _ = ks_evolve(gauss8pi(ks_grid), dt=dt, T=1.0, n=512, n_samples=4)
+        traj, _ = evolve(gauss8pi(ks_grid), dt=dt, T=1.0, n=512, n_samples=4)
         return traj.free_energy[-1]
 
     ref = H_end(1.25e-3)
@@ -388,19 +393,19 @@ def test_ks_step_budget(ks_grid, monkeypatch):
     naming T, t and dt_min, instead of stepping on."""
     monkeypatch.setattr(flows, "STEP_BUDGET", 0.1)
     with pytest.raises(ConvergenceError, match=r"t = .* of T = 1\.0.*dt_min = "):
-        ks_evolve(gauss8pi(ks_grid), T=1.0, n=256, n_samples=8)
+        evolve(gauss8pi(ks_grid), T=1.0, n=256, n_samples=8)
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
 def test_ks_evolve_rejects_a_bad_T(ks_grid, T):
     with pytest.raises(DomainError, match="T must be a finite number > 0"):
-        ks_evolve(gauss8pi(ks_grid), T=T, n=256, n_samples=8)
+        evolve(gauss8pi(ks_grid), T=T, n=256, n_samples=8)
 
 
 @pytest.mark.parametrize("n_samples", [0, -2])
 def test_ks_evolve_rejects_a_bad_sample_count(ks_grid, n_samples):
     with pytest.raises(DomainError, match="n_samples must be >= 1"):
-        ks_evolve(gauss8pi(ks_grid), T=1.0, n=256, n_samples=n_samples)
+        evolve(gauss8pi(ks_grid), T=1.0, n=256, n_samples=n_samples)
 
 
 def test_ks_distance_helper(ks_grid):
@@ -441,7 +446,7 @@ def test_ks_free_energy_matches_the_unfused_sums(ks_grid, monkeypatch):
         return H
 
     monkeypatch.setattr(flows, "ks_free_energy", fe)
-    traj, _ = ks_evolve(gauss8pi(ks_grid), T=0.5, n=1024, n_samples=4)
+    traj, _ = evolve(gauss8pi(ks_grid), T=0.5, n=1024, n_samples=4)
     assert len(gaps) == traj.diagnostics["steps"] + 1
     assert max(gaps) <= 1e-14
 
@@ -464,7 +469,7 @@ def test_ks_distance_dense_sweep_oracle(ks_grid, start):
     """On a state mid-run, ks_distance lies at or below the minimum of a
     2,001-point sweep of +-0.05 in log s around its s."""
     rho0 = perturbed8pi() if start == "perturbed-optimizer" else gauss8pi(ks_grid)
-    _traj, st = ks_evolve(rho0, T=0.5, n=1024, n_samples=4)
+    _traj, st = evolve(rho0, T=0.5, n=1024, n_samples=4)
     d, s = ks_distance(st)
     rho = st.density() / st.mass_total
     r, w = st.grid.nodes, st.grid.weights
@@ -478,7 +483,7 @@ def test_ks_distance_dense_sweep_oracle(ks_grid, start):
 def test_ks_rate_fit_paths(ks_grid):
     # a stationary run is flagged undefined: its samples in [1.39, 10]
     # hold H within 1e-6 relative of each other
-    traj, _ = ks_evolve(h8pi(ks_grid), T=10.0, n=256, n_samples=16)
+    traj, _ = evolve(h8pi(ks_grid), T=10.0, n=256, n_samples=16)
     assert np.sum(traj.times >= 1.0) >= 4
     fit = ks_rate_fit(traj)
     assert not fit.defined

@@ -6,8 +6,7 @@ from scipy.special import i0
 
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
                            PreconditionError)
-from loghls.fields import (CircleField, PlanarDensity, SphereField,
-                           gaussian_radial, radial_from_profile)
+from loghls.fields import CircleField, PlanarDensity, SphereField, radial_from_profile
 from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 half_laplacian_energy, lebedev_milin_functional,
                                 log_interaction, onofri_entropy_form_gap,
@@ -21,6 +20,12 @@ from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
 from loghls.specs import RunConfig, parse_input_spec, realize_planar
 
 EULER_GAMMA = float(np.euler_gamma)
+CFG = RunConfig()
+
+
+def _gaussian(sigma: float):
+    """The unit-mass Gaussian of scale sigma on the run's radial grid."""
+    return realize_planar(parse_input_spec(f"gaussian:sigma={sigma!r}"), CFG)
 
 
 # ----------------------------------------------------------------------
@@ -40,8 +45,8 @@ def test_angular_mean_identity_oracle():
         assert abs(mean - np.log(max(r1, r2))) <= 1e-8
 
 
-def test_gaussian_values(radial_fine):
-    rho = gaussian_radial(radial_fine)
+def test_gaussian_values():
+    rho = _gaussian(1.0)
     inter = log_interaction(rho)
     assert inter == pytest.approx(np.log(2.0) - EULER_GAMMA / 2.0, abs=1e-8)
     rep = planar_free_energy_report(rho)
@@ -49,11 +54,11 @@ def test_gaussian_values(radial_fine):
     assert rep.total == pytest.approx(np.log(2.0) - EULER_GAMMA, abs=1e-6)
 
 
-def test_gaussian_dilation_invariance(radial_fine):
+def test_gaussian_dilation_invariance():
     """H(gaussian) does not depend on sigma: the log-r trapezoid rule
     converges exponentially on these integrands (spread 1.3e-13 over 41
     values of sigma in [0.3, 3])."""
-    vals = [planar_free_energy(gaussian_radial(radial_fine, s)) for s in np.geomspace(0.3, 3.0, 9)]
+    vals = [planar_free_energy(_gaussian(float(s))) for s in np.geomspace(0.3, 3.0, 9)]
     assert max(vals) - min(vals) <= 1e-12
 
 
@@ -72,8 +77,8 @@ def test_lift_free_energy_offcenter(x0):
     assert abs(planar_free_energy(rho)) <= 1e-6
 
 
-def test_lift_matches_radial_for_gaussian(radial_fine, sphere_grid):
-    rho_r = gaussian_radial(radial_fine)
+def test_lift_matches_radial_for_gaussian(sphere_grid):
+    rho_r = _gaussian(1.0)
     for shift in ((0.0, 0.0), (0.3, -0.2)):
         rho_l = planar_from_profile(
             sphere_grid, lambda x, y: np.exp(-(x**2 + y**2) / 2) / (2 * np.pi),
@@ -106,7 +111,7 @@ def test_radial_interaction_consistent_with_double_sum(radial_fine):
     """The cumulative-mass evaluation agrees with the plain product-rule
     double sum built from the same angular-mean identity (the double sum
     itself carries an O(n^-2) diagonal-kink error, hence the tolerance)."""
-    rho = gaussian_radial(radial_fine)
+    rho = _gaussian(1.0)
     m = radial_fine.weights * rho.values
     logr = np.log(radial_fine.nodes)
     S1 = np.cumsum(m)
@@ -177,8 +182,8 @@ def sphere_log_interaction_zkernel(f: SphereField) -> float:
     return integrate(np.broadcast_to(zonal[:, None], g.shape), g)
 
 
-def test_sphere_interaction_zkernel_cross_check(sphere_grid, radial_fine):
-    lifted = lift_T(gaussian_radial(radial_fine))
+def test_sphere_interaction_zkernel_cross_check(sphere_grid):
+    lifted = lift_T(_gaussian(1.0))
     f = SphereField(lifted.grid, lifted.values - lifted.mean(), axisymmetric=True)
     a = sphere_log_interaction(f)
     b = sphere_log_interaction_zkernel(f)
@@ -272,7 +277,7 @@ def test_circle_values_match_the_dense_sum(kmax, n):
 def test_circle_zero_field():
     u = CircleField(np.zeros(8, dtype=complex))
     assert half_laplacian_energy(u) == 0.0
-    assert lebedev_milin_functional(u) == pytest.approx(0.0, abs=1e-15)
+    assert lebedev_milin_functional(u, CFG.circle_grid()) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
@@ -280,7 +285,7 @@ def test_poisson_kernel_values(r):
     u = circle_optimizer(CircleOptimizerParams(r, 0.3))
     assert half_laplacian_energy(u) == pytest.approx(-2.0 * np.log1p(-r * r), abs=1e-12)
     assert u.mean() == pytest.approx(np.log1p(-r * r), abs=1e-15)
-    assert abs(lebedev_milin_functional(u)) <= 1e-8
+    assert abs(lebedev_milin_functional(u, CFG.circle_grid())) <= 1e-8
 
 
 def test_poisson_half_energy_value():
@@ -295,5 +300,5 @@ def test_cos_field_energy_and_lm():
         coeffs[1] = eps / 2.0
         u = CircleField(coeffs)
         assert half_laplacian_energy(u) == pytest.approx(eps**2 / 2.0, abs=1e-15)
-        lm = lebedev_milin_functional(u)
+        lm = lebedev_milin_functional(u, CFG.circle_grid())
         assert lm == pytest.approx(eps**2 / 4.0 - np.log(i0(eps)), abs=1e-10)

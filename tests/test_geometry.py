@@ -5,7 +5,7 @@ from scipy.spatial.transform import Rotation
 
 import loghls.suite as suite
 from loghls.errors import DomainError
-from loghls.fields import SphereField, gaussian_radial, radial_from_profile
+from loghls.fields import SphereField, radial_from_profile
 from loghls.functionals import dirichlet_energy, onofri_functional
 from loghls.geometry import (ConformalParams, chordal_identity_check,
                              conformal_push, lift_T, rotate_field,
@@ -60,16 +60,18 @@ def test_lift_T_maps_optimizer_to_one(radial_fine):
     assert np.max(np.abs(lift_T(h2).values - 2.0)) <= 1e-12
 
 
-def test_lift_T_preserves_mass(radial_fine):
-    rho = gaussian_radial(radial_fine, sigma=1.2)
+def test_lift_T_preserves_mass():
+    rho = realize_planar(parse_input_spec("gaussian:sigma=1.2"), RunConfig())
     lifted = lift_T(rho)
     assert abs(lifted.mean() - rho.mass) <= 1e-6
 
 
-def test_lift_T_default_grid_is_the_run_grid(radial_fine):
+def test_lift_T_default_grid_is_the_run_grid():
     """One grid per shape: the default lift shares the run's grid, and so
     its transform tables."""
-    assert lift_T(gaussian_radial(radial_fine)).grid is RunConfig().sphere_grid()
+    cfg = RunConfig()
+    rho = realize_planar(parse_input_spec("gaussian:sigma=1"), cfg)
+    assert lift_T(rho).grid is cfg.sphere_grid()
 
 
 def test_transfer_identity_follows_the_config_grid(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import loghls.optimizers as optimizers
 from loghls.errors import DomainError, NormalizationError
-from loghls.fields import CircleField, RadialDensity, SphereField, gaussian_radial
+from loghls.fields import CircleField, RadialDensity, SphereField, radial_from_profile
 from loghls.functionals import dirichlet_energy, planar_free_energy
 from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
@@ -15,6 +15,7 @@ from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, LOG_S_BOX, Circle
                                circle_optimizer, golden_section, nearest_circle_L1,
                                nearest_planar_L1, nearest_sphere_gradient, nearest_sphere_L1,
                                nearest_sphere_reverse_entropy, planar_optimizer,
+                               planar_optimizer_profile,
                                radial_L1_objective, recenter, sphere_optimizer)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 from loghls.stability import (circle_stability_certificate, onofri_stability_certificates,
@@ -52,7 +53,7 @@ def test_nearest_planar_recovers_member(radial_fine):
 
 
 def test_nearest_planar_gaussian_oracle(radial_fine):
-    rho = gaussian_radial(radial_fine)
+    rho = realize_planar(parse_input_spec("gaussian:sigma=1"), CFG)
     params, dist, _ = nearest_planar_L1(rho)
     assert dist == pytest.approx(GAUSSIAN_NEAREST_DISTANCE, abs=1e-4)
     # dense-sweep oracle on the same grid, 2001 points around the optimum
@@ -84,7 +85,7 @@ def test_centered_planar_distance_is_dilation_invariant(spec, scale):
 def test_radial_L1_objective_matches_the_profile_formula(radial_fine):
     """The in-place kernel is integrate(|rho - h_s|) with h_s from the
     profile formula, at 200 values of log s across the search box."""
-    rho = gaussian_radial(radial_fine)
+    rho = realize_planar(parse_input_spec("gaussian:sigma=1"), CFG)
     values = rho.values.copy()
     r = radial_fine.nodes
     l1 = radial_L1_objective(rho.values, radial_fine)
@@ -100,6 +101,17 @@ def _mixture(weights, scales, offset=(0.0, 0.0)) -> str:
     comps = "|".join(f"optimizer:s={s!r},x0=({offset[0] / s!r},{offset[1] / s!r})"
                      for s in scales)
     return f"mixture:weights=({','.join(repr(w) for w in weights)}),components=({comps})"
+
+
+def _radial_mixture(weights, scales):
+    """The unit-mass mixture of centered optimizers on the run's radial
+    grid, built as realize_planar builds it, also at scales near e^5 that
+    hold more than 1% of their mass in the grid's top tenth (which
+    realize_planar refuses as invalid input)."""
+    profiles = [planar_optimizer_profile(PlanarOptimizerParams(s)) for s in scales]
+    rho = radial_from_profile(CFG.radial_grid(),
+                              lambda r: sum(w * p(r) for w, p in zip(weights, profiles)))
+    return rho if abs(rho.mass - 1.0) <= 1e-9 else rho.normalized()
 
 
 def _five_bracket_search(rho):
@@ -132,15 +144,17 @@ def test_planar_search_matches_the_five_bracket_rule(components):
     weights = [w / total for w, _ in components]
     weights[-1] = 1.0 - sum(weights[:-1])
     scales = [float(np.exp(ls)) for _, ls in components]
-    _assert_matches_five_brackets(realize_planar(parse_input_spec(_mixture(weights, scales)), CFG))
+    _assert_matches_five_brackets(_radial_mixture(weights, scales))
 
 
 @pytest.mark.parametrize("spec,evaluations", [
     ("optimizer:s=1.7", 65),                     # log s = 0.53 inside bracket [-1.2, 1.2]
     ("gaussian:sigma=1", 114),                   # and the box's end e^6: mass lost past r_max
-    (_mixture((0.5, 0.5), (0.05, 20.0)), 114),   # two minima, one bracket each
+    (_mixture((0.5, 0.5), (0.05, 20.0)), 212),   # two minima, one bracket each, and the
+                                                 # outer brackets their samples do not bound
     (_mixture((0.5, 0.5), (0.2, 5.0)), 163),     # minima on two edges: three brackets
-], ids=["optimizer", "gaussian", "bimodal-0.05-20", "bimodal-0.2-5"])
+    (_mixture((0.5, 0.5), (20.09, 1.284)), 114), # a minimum between samples that fall
+], ids=["optimizer", "gaussian", "bimodal-0.05-20", "bimodal-0.2-5", "hidden-minimum"])
 def test_planar_search_refines_the_brackets_of_sampled_minima(spec, evaluations):
     diag = _assert_matches_five_brackets(realize_planar(parse_input_spec(spec), CFG))
     assert diag.evaluations == evaluations
@@ -342,7 +356,7 @@ def test_nearest_circle_recovers_poisson(r):
     """Every Poisson kernel is found at distance 0, including one whose
     coarse scan is best at r = 0 (r = 0.01)."""
     u = circle_optimizer(CircleOptimizerParams(r, 2.5))
-    params, dist, diag = nearest_circle_L1(u)
+    params, dist, diag = nearest_circle_L1(u, CFG.circle_grid())
     assert dist <= 1e-8
     assert not diag.boundary_hit
     assert diag.scan_evaluations == 1 + 8 * 16 and diag.iterations > 0
@@ -356,7 +370,8 @@ def test_nearest_circle_recovers_poisson(r):
 def test_circle_near_one_certifies():
     """r = 0.999 needs 39,980 modes to truncate at r^k < e^-40 and is
     found at distance 0; a kernel past the mode cap is refused by name."""
-    cert = circle_stability_certificate(circle_optimizer(CircleOptimizerParams(0.999, 0.0)))
+    cert = circle_stability_certificate(circle_optimizer(CircleOptimizerParams(0.999, 0.0)),
+                                        CFG.circle_grid())
     assert cert.passed and cert.distance <= 1e-8
     r = np.exp(-40.0 / CIRCLE_MAX_MODES) + 1e-5
     with pytest.raises(DomainError, match="cap"):
@@ -400,7 +415,8 @@ def test_nearest_planar_rotation_symmetry():
 def test_nearest_planar_boundary_warning(radial_small):
     """A density far narrower than the search box pins the minimizer to
     the boundary of [e^-6, e^6] and sets the warning flag."""
-    rho = gaussian_radial(radial_small, 5e-4)
+    s2 = 5e-4**2
+    rho = radial_from_profile(radial_small, lambda r: np.exp(-r**2 / (2 * s2)) / (2 * np.pi * s2))
     params, dist, diag = nearest_planar_L1(rho)
     assert diag.boundary_hit
     assert params.s == pytest.approx(np.exp(-6.0), rel=1e-4)

@@ -17,29 +17,13 @@ DEFAULTED = {
     "cli._meta(spec)",
     "cli.main(argv)",
     "fields.get_transform(lmax)",
-    "fields.gaussian_radial(sigma)",
     "fields.SphereField.from_fn(axisymmetric)",
-    "flows.dissipation_check(dt)",
     "flows.ks_evolve(dt)",
-    "flows.ks_evolve(T)",
-    "flows.ks_evolve(n)",
-    "flows.ks_evolve(r_min)",
-    "flows.ks_evolve(r_max)",
-    "flows.ks_evolve(n_samples)",
-    "functionals._circle_grid_for(grid)",
-    "functionals.lebedev_milin_functional(grid)",
     "geometry.lift_T(grid)",
-    "grids.make_sphere_grid(n_z)",
-    "grids.make_sphere_grid(n_phi)",
-    "grids.make_circle_grid(n)",
     "optimizers.golden_section(tol)",
     "optimizers._manifold_minimize(scan)",
     "optimizers._SphereFamily.__init__(step)",
-    "optimizers.nearest_circle_L1(grid)",
-    "sht.SphereTransform.__init__(lmax)",
     "stability.planar_stability_certificate(oracle)",
-    "stability.circle_stability_certificate(grid)",
-    "suite.run_all(ids)",
 }
 
 

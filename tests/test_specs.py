@@ -3,7 +3,8 @@ import pytest
 
 from loghls.errors import DomainError, ParseError
 from loghls.fields import PlanarDensity, RadialDensity
-from loghls.grids import integrate, make_circle_grid
+from loghls.grids import (CIRCLE_N, SPHERE_NPHI, SPHERE_NZ, integrate, make_circle_grid,
+                          make_sphere_grid)
 from loghls.specs import (RunConfig, format_input_spec, parse_input_spec,
                           realize_circle, realize_heat_coeffs, realize_planar,
                           realize_sphere, spec_domain)
@@ -123,6 +124,12 @@ def test_realize_circle_normalized(cfg):
     u = realize_circle(parse_input_spec("circle-cos:eps=0.3"), cfg)
     grid = make_circle_grid(512)
     assert abs(integrate(np.exp(u.values(grid)), grid) - 1.0) <= 1e-12
+
+
+def test_runconfig_default_grids_are_the_grid_constants():
+    cfg = RunConfig()
+    assert cfg.sphere_grid() is make_sphere_grid(SPHERE_NZ, SPHERE_NPHI)
+    assert cfg.circle_grid() is make_circle_grid(CIRCLE_N)
 
 
 def test_runconfig_validation_and_file(tmp_path):

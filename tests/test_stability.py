@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from loghls.errors import DomainError, PreconditionError
-from loghls.fields import SphereField, gaussian_radial
+from loghls import suite
+from loghls.fields import SphereField
 from loghls.functionals import (dirichlet_energy, onofri_functional,
                                 sphere_log_interaction, spherical_free_energy)
 from loghls.geometry import lift_T, sphere_optimizer_values
@@ -21,6 +22,11 @@ from loghls.stability import (ORACLE_SWEEP, ConvexPairSpec, circle_stability_cer
 EULER_GAMMA = float(np.euler_gamma)
 
 
+def _gaussian():
+    """The unit-mass Gaussian of scale 1 on the run's radial grid."""
+    return realize_planar(parse_input_spec("gaussian:sigma=1"), RunConfig())
+
+
 def test_planar_certificate_on_manifold(radial_fine):
     rho = planar_optimizer(PlanarOptimizerParams(1.3), radial_fine)
     cert = planar_stability_certificate(rho)
@@ -31,8 +37,8 @@ def test_planar_certificate_on_manifold(radial_fine):
     assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
 
 
-def test_planar_certificate_gaussian(radial_fine):
-    cert = planar_stability_certificate(gaussian_radial(radial_fine))
+def test_planar_certificate_gaussian():
+    cert = planar_stability_certificate(_gaussian())
     assert cert.passed
     assert cert.value == pytest.approx(np.log(2.0) - EULER_GAMMA, abs=1e-6)
     assert cert.gap == pytest.approx(cert.value - cert.distance**2 / 8.0, abs=1e-15)
@@ -64,8 +70,8 @@ def test_radial_oracle_is_the_profile_sweep():
     assert cert.distance <= cert.search["oracle_distance"] + 1e-12
 
 
-def test_spherical_certificate_matches_planar(radial_fine):
-    rho = gaussian_radial(radial_fine)
+def test_spherical_certificate_matches_planar():
+    rho = _gaussian()
     pc = planar_stability_certificate(rho)
     lifted = lift_T(rho)
     f = SphereField(lifted.grid, lifted.values - lifted.mean(), axisymmetric=True)
@@ -142,15 +148,37 @@ def test_constrained_gap_on_recentered_fields():
         assert constrained_onofri_gap(res.field) >= -1e-9
 
 
-def test_circle_certificate(sphere_grid):
+def test_circle_certificate():
+    cfg = RunConfig()
     cert = circle_stability_certificate(
-        realize_circle(parse_input_spec("circle-poisson:r=0.5,alpha=1"), RunConfig()))
+        realize_circle(parse_input_spec("circle-poisson:r=0.5,alpha=1"), cfg), cfg.circle_grid())
     assert cert.passed and abs(cert.gap) <= 1e-10
     assert cert.search["evaluations"] > 0 and not cert.search["boundary_hit"]
-    pert = realize_circle(parse_input_spec("circle-cos:eps=0.3"), RunConfig())
-    cert = circle_stability_certificate(pert)
+    pert = realize_circle(parse_input_spec("circle-cos:eps=0.3"), cfg)
+    cert = circle_stability_certificate(pert, cfg.circle_grid())
     assert cert.passed and cert.gap > 0.0
     assert cert.constant == 0.25
+    assert cert.grid == "circle n=512"
+
+
+def test_circle_functions_use_the_run_circle_grid(monkeypatch):
+    """A circle grid finer than the default reaches the certificate and
+    every circle call of A12."""
+    cfg = RunConfig(circle_n=1024)
+    u = realize_circle(parse_input_spec("circle-cos:eps=0.3"), cfg)
+    assert circle_stability_certificate(u, cfg.circle_grid()).grid == "circle n=1024"
+    seen = []
+
+    def spy(fn):
+        def call(u, grid):
+            seen.append(grid.n)
+            return fn(u, grid)
+        return call
+
+    for name in ("lebedev_milin_functional", "circle_stability_certificate"):
+        monkeypatch.setattr(suite, name, spy(getattr(suite, name)))
+    assert suite.run_criterion("A12", cfg).passed
+    assert seen == [1024] * (3 + 4 + 10)
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +237,10 @@ def test_duality_premise_violation():
 # transfer proof chain, term by term
 # ----------------------------------------------------------------------
 
-def test_transfer_proof_chain(radial_fine, sphere_grid):
+def test_transfer_proof_chain():
     """The three-line derivation of the spherical stability bound holds
     numerically term by term for a lifted Gaussian."""
-    lifted = lift_T(gaussian_radial(radial_fine))
+    lifted = lift_T(_gaussian())
     f = SphereField(lifted.grid, lifted.values - lifted.mean(), axisymmetric=True)
     grid = f.grid
     # a competitor u on the manifold (not the optimal one)
