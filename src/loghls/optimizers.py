@@ -7,22 +7,31 @@ normalized Poisson kernels of radius tanh(t/2).  Searches are
 deterministic and return (params, value, SearchDiagnostics): for radial
 densities a fixed 16-point scan in log s, then golden section on the
 brackets where it finds a local minimum (on ``radial_L1_objective``,
-which the Keller-Segel distance shares), and one coarse scan +
-refinement over v = t n in R^3 or R^2 for the sphere and circle
+which the Keller-Segel distance shares), and one scan of fixed starts
++ refinement over v = t n in R^3 or R^2 for the sphere and circle
 families.  Off-center planar densities are searched on the sphere
 through their lift, where the planar family is e^{u_{t,n}}.
 
 A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
 q = cosh t + sinh t n.w (no exp; the reverse-entropy objective takes
 one log for u_{t,n} = -2 log q), written into three buffers built once
-per search.  Its scan runs on the sphere grid of every 4th azimuth
-column (128 x 64 points on the default grid) and only picks the
-refinement's start; the refinement and the returned value use the full
-grid.  The gradient and reverse-entropy objectives are smooth in v and
-carry their exact gradient, the moments of g'(q) through the chain rule
-of _SphereFamily.gradient, so BFGS refines them; the L1 objectives,
+per search.  The gradient and reverse-entropy objectives are smooth in v
+and carry their exact gradient, the moments of g'(q) through the chain
+rule of _SphereFamily.gradient, so BFGS refines them; the L1 objectives,
 whose quadrature gradient has kinks, are refined by Nelder-Mead.  All
 integrate with ``grids.integrate`` and ``grids.moments`` on their grid.
+
+A sphere search's scan is not evaluated on the grid.  Each of its 273
+start values needs C(t, n) = int f e^{u_{t,n}} dsigma for one field f,
+and by the Funk-Hecke formula C(t, .) is sum_l kappa_l(t) f_l, with f_l
+the degree-l part of f and kappa_l(t) = (1/2) int P_l(z)
+(cosh t + sinh t z)^-2 dz.  So the whole table is one product of f's
+harmonic coefficients with tables built once per transform shape
+(_FunkHecke): the smooth objectives' tables are exact, and the L1
+searches rank their starts by the L2 distance to the family, which needs
+no log.  The scan only picks the start: that start is evaluated again on
+the grid, and the refinement and the returned value use the grid.  The
+circle search evaluates its objective at each start.
 
 ``recenter`` scores its candidate pushes by change of variables on the
 original grid and pushes the field once.
@@ -38,11 +47,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
+from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField, get_transform,
                      radial_from_profile)
 from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
 from .geometry import _ETA, ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, make_sphere_grid, moments
+from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, moments
+from .sht import legendre_rows
 
 __all__ = [
     "PlanarOptimizerParams",
@@ -180,10 +190,11 @@ class SearchDiagnostics:
     the boundary of the parameter box.
 
     ``evaluations`` counts every distinct evaluation; ``scan_evaluations``
-    those of the coarse scan (the radial search's 16 samples, a manifold
-    search's scan) and ``iterations`` the refinement's iterations (BFGS
-    ``nit`` for the smooth sphere objectives, Nelder-Mead ``nit`` for the
-    L1 ones) of a manifold search (0 for the radial golden-section search).
+    those of the scan (the radial search's 16 samples, the entries of a
+    manifold search's start table) and ``iterations`` the refinement's
+    iterations (BFGS ``nit`` for the smooth sphere objectives, Nelder-Mead
+    ``nit`` for the L1 ones) of a manifold search (0 for the radial
+    golden-section search).
     """
 
     evaluations: int = 0
@@ -317,6 +328,28 @@ _CIRCLE_DIRS = np.stack([np.cos(np.pi * np.arange(16) / 8.0),
 _CIRCLE_T_MAX = 2.0 * math.atanh(1.0 - 1e-6)    # caps r = tanh(t/2) at 1 - 1e-6
 
 
+def _scan_starts(dirs: np.ndarray) -> np.ndarray:
+    """The scan's start points v = t n in table order: v = 0 once (every
+    axis names the same point there), then each t of _COARSE_T on every
+    axis of ``dirs``; shape (1 + 8 len(dirs), d)."""
+    d = dirs.shape[1]
+    t = np.array(_COARSE_T)[:, None, None]
+    return np.vstack([np.zeros((1, d)), (t * dirs).reshape(-1, d)])
+
+
+def _per_start(fn: Callable[[float], float]) -> np.ndarray:
+    """fn(t) at each start of the sphere scan, in table order."""
+    counts = [1] + [len(_SPHERE_DIRS)] * len(_COARSE_T)
+    return np.repeat([fn(t) for t in (0.0,) + _COARSE_T], counts)
+
+
+def _at_v(fun, v: np.ndarray, t_max: float) -> float:
+    """fun(t, n) at v = t n: t = |v| capped at t_max, n = v / |v|, and the
+    last axis at v = 0."""
+    t = float(np.linalg.norm(v))
+    return fun(0.0, np.eye(v.size)[-1]) if t == 0.0 else fun(min(t, t_max), v / t)
+
+
 @dataclass(frozen=True)
 class _Smooth:
     """A manifold objective fun(t, n) that also has its gradient:
@@ -329,32 +362,31 @@ class _Smooth:
         return self.value(t, n)
 
 
-def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
-    """Minimize fun(t, n) over [0, t_max] x S^{d-1}: coarse scan, then
-    BFGS for a _Smooth ``fun`` and Nelder-Mead otherwise.
+def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, table: np.ndarray):
+    """Minimize fun(t, n) over [0, t_max] x S^{d-1}: the best start of a
+    scan, then BFGS for a _Smooth ``fun`` and Nelder-Mead otherwise.
 
-    ``dirs`` holds the scan's unit axes in R^d.  The scan evaluates t = 0
-    once (every axis names the same point there), then each t of
-    _COARSE_T on every axis.  It evaluates ``scan`` when given (a cheaper
-    objective that only has to pick the start) and ``fun`` otherwise; a
-    start picked by ``scan`` is evaluated again by ``fun`` before it is
-    compared with the refined result.  The refinement runs over
-    v = t n in R^d with t = |v| capped at t_max: the family is smooth in
-    v through v = 0, so a search that starts at t = 0 can leave it along
-    any axis.  Past the cap, BFGS sees the value at the cap and its
-    gradient with the radial part projected out, scaled by t_max / |v|.
+    ``table`` holds one value for each start of _scan_starts(dirs).  It
+    only has to rank the starts, so it may be ``fun``'s own values or a
+    cheaper stand-in.  Its least entry (the first, on ties) picks the
+    start, which ``fun`` evaluates again before it is compared with the
+    refined result.  The refinement runs over v = t n in R^d with
+    t = |v| capped at t_max: the family is smooth in v through v = 0, so
+    a search that starts at t = 0 can leave it along any axis.  Past the
+    cap, BFGS sees the value at the cap and its gradient with the radial
+    part projected out, scaled by t_max / |v|.
 
     Returns (value, t, n, diagnostics); the boundary is t = t_max.
+    ``scan_evaluations`` counts the table's entries, and ``evaluations``
+    those and every evaluation of ``fun``.
     """
     d = dirs.shape[1]
     pole = np.eye(d)[-1]
-    diag = SearchDiagnostics()
-    scan = fun if scan is None else scan
+    diag = SearchDiagnostics(evaluations=len(table), scan_evaluations=len(table))
 
-    def at(v: np.ndarray, f=fun) -> float:
+    def at(v: np.ndarray) -> float:
         diag.evaluations += 1
-        t = float(np.linalg.norm(v))
-        return f(0.0, pole) if t == 0.0 else f(min(t, t_max), v / t)
+        return _at_v(fun, v, t_max)
 
     def at_with_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:
         diag.evaluations += 1
@@ -367,16 +399,8 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
         val, grad = fun.value_and_gradient(t_max, n)
         return val, (t_max / t) * (grad - (grad @ n) * n)
 
-    best_v = np.zeros(d)
-    best = at(best_v, scan)
-    for t in _COARSE_T:
-        for n in dirs:
-            val = at(t * n, scan)
-            if val < best:
-                best, best_v = val, t * n
-    diag.scan_evaluations = diag.evaluations
-    if scan is not fun:
-        best = at(best_v)
+    best_v = _scan_starts(dirs)[int(np.argmin(table))]
+    best = at(best_v)
     if isinstance(fun, _Smooth):
         search = {"fun": at_with_gradient, "method": "BFGS", "jac": True,
                   "options": {"gtol": 1e-10}}
@@ -394,28 +418,107 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, scan=None):
     return float(best), min(t, t_max), (best_v / t if t > 0.0 else pole), diag
 
 
-class _SphereFamily:
-    """The family e^{u_{t,n}} = q^-2, q = cosh t + sinh t n.w, on the
-    sphere grid of every ``step``-th azimuth column of ``grid``.
+def _kappa(lmax: int) -> np.ndarray:
+    """kappa_l(t) = (1/2) int_{-1}^{1} P_l(z) (cosh t + sinh t z)^-2 dz for
+    each t of _COARSE_T and l <= lmax; shape (8, lmax + 1).
 
-    That grid, ``self.grid``, has the same Gauss rows and n_phi / step
-    columns, whose points are those of the chosen columns.  Every
-    evaluation writes into the same three grid-sized buffers, so an
+    With x = coth t the kernel is sinh^-2 t (x + z)^-2, and the Legendre
+    function of the second kind, Q_l(x) = (1/2) int P_l(z) / (x - z) dz,
+    gives kappa_l = (-1)^{l+1} Q_l'(x) / sinh^2 t.  Since
+    (x^2 - 1) Q_l' = l (x Q_l - Q_{l-1}) and (x^2 - 1) sinh^2 t = 1, that is
+    kappa_l = (-1)^{l+1} l (x Q_l - Q_{l-1}) for l >= 1, and kappa_0 = 1.
+    Q_0(x) = artanh(1/x) = t.  Q_l decays like coth(t/2)^-l, the minimal
+    solution of its three-term recurrence, so its ratios
+    r_l = Q_l / Q_{l-1} = l / ((2l + 1) x - (l + 1) r_{l+1}) are run
+    downward from r = 0, far enough above lmax that the start's error,
+    which shrinks by coth(t/2)^-2 a step, is below e^-40.
+    """
+    kappa = np.ones((len(_COARSE_T), lmax + 1))
+    l = np.arange(1, lmax + 1)
+    sign = np.where(l % 2 == 1, 1.0, -1.0)
+    for i, t in enumerate(_COARSE_T):
+        x = 1.0 / math.tanh(t)
+        r, q = 0.0, np.empty(lmax + 1)
+        for k in range(lmax + math.ceil(20.0 / math.log(1.0 / math.tanh(0.5 * t))), 0, -1):
+            r = k / ((2 * k + 1) * x - (k + 1) * r)
+            if k <= lmax:
+                q[k] = r
+        q[0] = t
+        q = np.cumprod(q)
+        kappa[i, 1:] = sign * l * (x * q[1:] - q[:-1])
+    return kappa
+
+
+class _FunkHecke:
+    """The scan's integrals C(t, n) = int f(w) K_t(n.w) dsigma(w) of a
+    sphere field f against the family's densities K_t(z) =
+    (cosh t + sinh t z)^-2, at every start of _scan_starts(_SPHERE_DIRS),
+    from f's harmonic coefficients.
+
+    By the Funk-Hecke formula, int Ytilde_lm(w) K(n.w) dsigma(w) =
+    kappa_l Ytilde_lm(n), so C(t, n) = sum_l kappa_l(t) sum_m f_lm
+    Ytilde_lm(n) (:func:`_kappa`).  The tables belong to one transform
+    shape (lmax, max_m): ``Q[m]`` holds Q_lm, l = m..lmax, at the 34 axes,
+    and ``cos`` and ``sin`` the azimuthal factors of Ytilde_lm there.  The
+    sum runs one order m at a time, one matrix product for all 8 x 34
+    starts each, which keeps the tables at half the size of a table of
+    Ytilde_lm itself.
+    """
+
+    def __init__(self, lmax: int, max_m: int):
+        dirs = _SPHERE_DIRS
+        orders = np.arange(max_m + 1)
+        # the rows l = m..lmax of each order m, one block after another
+        start = np.concatenate([[0], np.cumsum(lmax + 1 - orders)])
+        packed = np.empty((start[-1], len(dirs)))
+        for l, row in enumerate(legendre_rows(lmax, max_m, dirs[:, 2])):
+            k = row.shape[0]
+            packed[start[:k] + l - orders[:k]] = row
+        self.Q = [packed[start[m]:start[m + 1]] for m in orders]
+        mphi = orders[:, None] * np.arctan2(dirs[:, 1], dirs[:, 0])
+        self.cos, self.sin = np.cos(mphi), math.sqrt(2.0) * np.sin(mphi)
+        self.cos[1:] *= math.sqrt(2.0)
+        self.kappa = _kappa(lmax)
+
+    def integrals(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """C at each start, in table order; C = f_00 = int f at t = 0."""
+        C = np.zeros((len(_COARSE_T), len(_SPHERE_DIRS)))
+        cs = np.stack([c, s])[:, None]
+        for m, q in enumerate(self.Q):
+            # sum_l kappa_l(t) (c_lm, s_lm) Q_lm at every axis: shape (2, 8, 34)
+            parts = (cs[:, :, m:, m] * self.kappa[:, m:]) @ q
+            C += parts[0] * self.cos[m] + parts[1] * self.sin[m]
+        return np.concatenate([[c[0, 0]], C.ravel()])
+
+
+_FUNK_HECKE: dict[tuple[int, int], _FunkHecke] = {}
+
+
+def _scan_integrals(grid: SphereGrid, coeffs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """_FunkHecke.integrals of the coefficients of a field on ``grid``; the
+    tables are built on the first search on a transform of their shape."""
+    tr = get_transform(grid)
+    key = (tr.lmax, tr.max_m)
+    if key not in _FUNK_HECKE:
+        _FUNK_HECKE[key] = _FunkHecke(*key)
+    return _FUNK_HECKE[key].integrals(*coeffs)
+
+
+class _SphereFamily:
+    """The family e^{u_{t,n}} = q^-2, q = cosh t + sinh t n.w, on a sphere
+    grid.
+
+    Every evaluation writes into the same three grid-sized buffers, so an
     objective allocates no temporaries; objectives integrate them with
     ``integrate(values, family.grid)``.
     """
 
-    def __init__(self, grid: SphereGrid, step: int = 1):
-        self.step = step
-        self.grid = make_sphere_grid(grid.n_z, grid.n_phi // step)
-        self.points = self.grid.points().reshape(-1, 3)
-        self.q = np.empty(self.grid.shape)
-        self.work = np.empty(self.grid.shape)
-        self.spare = np.empty(self.grid.shape)
-
-    def columns(self, values: np.ndarray) -> np.ndarray:
-        """Grid values at this family's columns, as a contiguous array."""
-        return np.ascontiguousarray(values[:, ::self.step])
+    def __init__(self, grid: SphereGrid):
+        self.grid = grid
+        self.points = grid.points().reshape(-1, 3)
+        self.q = np.empty(grid.shape)
+        self.work = np.empty(grid.shape)
+        self.spare = np.empty(grid.shape)
 
     def base(self, t: float, n: np.ndarray) -> np.ndarray:
         """q = cosh t + sinh t n.w, in the first buffer."""
@@ -452,28 +555,10 @@ class _SphereFamily:
         return radial * n + sinc * m[1:]
 
 
-_SCAN_STEP = 4
-
-
-def _scan_step(grid: SphereGrid) -> int:
-    """Azimuth stride of the sphere scan: 4 on grids of at least 128
-    columns in a multiple of 4, where the scan grid stays exact for
-    azimuthal modes below n_phi / 4 >= 32; the full grid otherwise."""
-    fits = grid.n_phi % _SCAN_STEP == 0 and grid.n_phi >= 128
-    return _SCAN_STEP if fits else 1
-
-
-def _sphere_search(objective, grid: SphereGrid, *args):
-    """Search the sphere family: (params, value, diagnostics).
-
-    ``objective(family, *args)`` returns fun(t, n) on a _SphereFamily.
-    The scan runs it on every _scan_step(grid)-th azimuth column;
-    Nelder-Mead and the returned value use the full grid.
-    """
-    fun = objective(_SphereFamily(grid), *args)
-    step = _scan_step(grid)
-    scan = objective(_SphereFamily(grid, step), *args) if step > 1 else None
-    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, scan)
+def _sphere_search(fun, table: np.ndarray):
+    """Search the sphere family from the start ``table`` picks:
+    (params, value, diagnostics)."""
+    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table)
     return SphereOptimizerParams(t, tuple(n)), val, diag
 
 
@@ -497,7 +582,6 @@ def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float,
                         ubar: float) -> _Smooth:
     """E(u - u_{t,n}) by the cross-term identity of nearest_sphere_gradient:
     int g(q) with g = -4 u q^-2, g'(q) = 8 u q^-3, plus E(u_{t,n})."""
-    u = fam.columns(u)
 
     def fun(t, n):
         ev = fam.density(t, n)
@@ -521,17 +605,21 @@ def nearest_sphere_gradient(u: SphereField):
 
     Uses -Delta u_{t,n} = 2 (e^{u_{t,n}} - 1) to evaluate the cross term
     by plain quadrature:
-        E(u - v) = E(u) + E(v) - 4 int u e^v dsigma + 4 int u dsigma.
+        E(u - v) = E(u) + E(v) - 4 int u e^v dsigma + 4 int u dsigma,
+    with E(v) = 8 t coth t - 8.  The scan table is the same identity with
+    int u e^v dsigma from u's coefficients (_FunkHecke).
     """
-    params, val, diag = _sphere_search(_gradient_objective, u.grid, u.values,
-                                       dirichlet_energy(u), u.mean())
+    Eu, ubar = dirichlet_energy(u), u.mean()
+    fun = _gradient_objective(_SphereFamily(u.grid), u.values, Eu, ubar)
+    table = (Eu + 4.0 * ubar + _per_start(lambda t: _optimizer_energy(t)[0])
+             - 4.0 * _scan_integrals(u.grid, u.coeffs()))
+    params, val, diag = _sphere_search(fun, table)
     return params, max(val, 0.0), diag
 
 
 def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
     """H(e^{u_{t,n}} | e^u) = int q^-2 A with A = -2 log q - u;
     g'(q) = -2 q^-3 (A + 1)."""
-    u = fam.columns(u)
 
     def fun(t, n):
         v, ev = fam.optimizer(t, n)
@@ -560,27 +648,44 @@ def nearest_sphere_reverse_entropy(u: SphereField):
 
     The optimizer comes first: this is the direction of the entropy form
     of the Onofri stability bound, the only sphere entropy search.
-    Requires int e^u dsigma = 1.
+    Requires int e^u dsigma = 1.  The scan table is
+    int e^v v dsigma - int u e^v dsigma, where int e^v v dsigma =
+    2 t coth t - 2 = E(u_{t,n}) / 4 and the last integral comes from u's
+    coefficients (_FunkHecke).
     """
     _check_normalized_exp(u, who="nearest_sphere_reverse_entropy")
-    return _sphere_search(_reverse_entropy_objective, u.grid, u.values)
+    fun = _reverse_entropy_objective(_SphereFamily(u.grid), u.values)
+    table = (_per_start(lambda t: 0.25 * _optimizer_energy(t)[0])
+             - _scan_integrals(u.grid, u.coeffs()))
+    return _sphere_search(fun, table)
 
 
 def _l1_objective(fam: _SphereFamily, f_plus_1: np.ndarray):
     """||(f+1) - e^{u_{t,n}}||_1."""
-    f = fam.columns(f_plus_1)
 
     def fun(t, n):
         ev = fam.density(t, n)
-        np.subtract(f, ev, out=ev)
+        np.subtract(f_plus_1, ev, out=ev)
         return integrate(np.abs(ev, out=ev), fam.grid)
 
     return fun
 
 
 def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid):
-    """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold."""
-    return _sphere_search(_l1_objective, grid, f_plus_1)
+    """Minimize ||(f+1) - e^{u_{t,n}}||_1 over the manifold.
+
+    The scan ranks its starts by the L2 distance instead, from one
+    analysis of rho = f + 1: ||rho - e^v||_2^2 = ||rho||_2^2
+    - 2 int rho e^v dsigma + sinh 3t / (3 sinh t), with the integral from
+    rho's coefficients (_FunkHecke) and the constant ||rho||_2^2 dropped.
+    It takes no log, so densities with zeros are scanned too.
+    """
+    rho = np.asarray(f_plus_1, dtype=float)
+    fun = _l1_objective(_SphereFamily(grid), rho)
+    # int e^{2v} dsigma = sinh 3t / (3 sinh t) = 1 + (4/3) sinh^2 t
+    table = (_per_start(lambda t: 1.0 + 4.0 / 3.0 * math.sinh(t) ** 2)
+             - 2.0 * _scan_integrals(grid, get_transform(grid).analyze(rho)))
+    return _sphere_search(fun, table)
 
 
 def nearest_circle_L1(u: CircleField, grid: CircleGrid):
@@ -598,7 +703,8 @@ def nearest_circle_L1(u: CircleField, grid: CircleGrid):
         pk = 1.0 / (math.cosh(t) + math.sinh(t) * (pts @ n))
         return integrate(np.abs(eu - pk), grid)
 
-    val, t, n, diag = _manifold_minimize(fun, _CIRCLE_DIRS, _CIRCLE_T_MAX)
+    table = np.array([_at_v(fun, v, _CIRCLE_T_MAX) for v in _scan_starts(_CIRCLE_DIRS)])
+    val, t, n, diag = _manifold_minimize(fun, _CIRCLE_DIRS, _CIRCLE_T_MAX, table)
     alpha = math.atan2(-n[1], -n[0]) % (2.0 * math.pi)
     return CircleOptimizerParams(math.tanh(0.5 * t), alpha), val, diag
 

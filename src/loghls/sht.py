@@ -20,6 +20,8 @@ directly, a reference for that shortcut.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
@@ -27,6 +29,7 @@ from .errors import DimensionMismatchError
 from .grids import SphereGrid
 
 __all__ = [
+    "legendre_rows",
     "normalized_assoc_legendre",
     "legendre_analyze",
     "SphereTransform",
@@ -58,18 +61,50 @@ def assoc_legendre_single_m(lmax: int, m: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalized_assoc_legendre(lmax: int, z: np.ndarray) -> np.ndarray:
+def legendre_rows(lmax: int, max_m: int, z: np.ndarray) -> Iterator[np.ndarray]:
+    """Q_{l,m}(z) for m <= min(l, max_m), one degree l = 0..lmax at a time.
+
+    Each row block has shape (min(l, max_m) + 1, len(z)).  The recurrence
+    is :func:`assoc_legendre_single_m`'s, run for all orders at once: the
+    three-term step in l for m <= l - 2, Q_{l,l-1} from the sectoral
+    Q_{l-1,l-1}, and the sectoral Q_{l,l}.  Every entry takes the same
+    floating-point operations in the same order, so the values are
+    bit-identical to the per-order rows.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    # the three-term coefficients for every (l, m), read where m <= l - 2
+    d, m = np.arange(lmax + 1)[:, None], np.arange(max_m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * d * d - 1.0) / ((d - m) * (d + m)))[:, :, None]
+        b = np.sqrt((2.0 * d + 1.0) * (d + m - 1.0) * (d - m - 1.0)
+                    / ((2.0 * d - 3.0) * (d - m) * (d + m)))[:, :, None]
+    prev, row = None, np.ones((1, z.size))
+    yield row
+    for l in range(1, lmax + 1):
+        k = min(l - 2, max_m) + 1
+        parts = [a[l, :k] * z * row[:k] - b[l, :k] * prev[:k]] if k > 0 else []
+        if l - 1 <= max_m:
+            parts.append(np.sqrt(2 * (l - 1) + 3.0) * z * row[l - 1:l])
+        if l <= max_m:
+            parts.append(np.sqrt((2 * l + 1) / (2.0 * l)) * s * row[l - 1:l])
+        prev, row = row, np.concatenate(parts)
+        yield row
+
+
+def normalized_assoc_legendre(lmax: int, max_m: int, z: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre functions Q[l, m] at points z.
 
     Normalization: (1/2) * int_{-1}^1 Q_{l,m}(z)^2 dz = 1 (no
     Condon-Shortley phase).  Returned array has shape
-    (lmax+1, lmax+1, len(z)); entries with m > l are zero.  Each column m
-    holds the rows of :func:`assoc_legendre_single_m`.
+    (lmax+1, max_m+1, len(z)); entries with m > l are zero.  Each column m
+    holds the rows of :func:`assoc_legendre_single_m`, bit for bit
+    (:func:`legendre_rows`).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    Q = np.zeros((lmax + 1, lmax + 1, z.size))
-    for m in range(lmax + 1):
-        Q[m:, m] = assoc_legendre_single_m(lmax, m, z)
+    Q = np.zeros((lmax + 1, max_m + 1, z.size))
+    for l, row in enumerate(legendre_rows(lmax, max_m, z)):
+        Q[l, :row.shape[0]] = row
     return Q
 
 
@@ -108,9 +143,7 @@ class SphereTransform:
         self.grid = grid
         self.lmax = int(lmax)
         self.max_m = int(max_m)
-        self.Q = np.zeros((lmax + 1, max_m + 1, grid.n_z))
-        for m in range(max_m + 1):
-            self.Q[m:, m] = assoc_legendre_single_m(lmax, m, grid.z)
+        self.Q = normalized_assoc_legendre(lmax, max_m, grid.z)
         ell = np.arange(lmax + 1)
         self.eigs = ell * (ell + 1.0)
 

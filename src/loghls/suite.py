@@ -244,7 +244,7 @@ def _c07_duality(config: RunConfig):
 def _c08_green(config: RunConfig):
     lines, ok = [], True
     grid = config.sphere_grid()
-    Q = normalized_assoc_legendre(3, grid.z)
+    Q = normalized_assoc_legendre(3, 3, grid.z)
     cases = []
     for ell in (1, 2, 3):
         zonal = SphereField.from_zonal(grid, lambda z, _l=ell: np.polynomial.legendre.legval(

@@ -9,9 +9,10 @@ from loghls.functionals import dirichlet_energy, planar_free_energy
 from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
 from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, LOG_S_BOX, CircleOptimizerParams,
-                               PlanarOptimizerParams, SphereOptimizerParams,
+                               PlanarOptimizerParams, SphereOptimizerParams, _at_v,
                                _pushed_barycenter, _gradient_objective, _l1_objective,
-                               _manifold_minimize, _reverse_entropy_objective, _SphereFamily,
+                               _manifold_minimize, _reverse_entropy_objective, _scan_starts,
+                               _SphereFamily,
                                circle_optimizer, golden_section, nearest_circle_L1,
                                nearest_planar_L1, nearest_sphere_gradient, nearest_sphere_L1,
                                nearest_sphere_reverse_entropy, planar_optimizer,
@@ -499,19 +500,100 @@ def test_smooth_objective_gradients_match_central_differences(t):
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(np.max(np.abs(grad)), 1.0)
 
 
-@pytest.mark.parametrize("spec", ["band-limited-random:seed=21,L=3,amplitude=0.1",
-                                  "band-limited-random:seed=2,L=5,amplitude=0.25"])
-def test_coarse_scan_matches_full_grid_scan(spec):
-    """The scan on every 4th azimuth column picks a start from which
-    every search reaches the optimum that a full-grid scan reaches."""
+SCAN_FIELDS = ["band-limited-random:seed=21,L=3,amplitude=0.1",
+               "band-limited-random:seed=2,L=5,amplitude=0.25"]
+
+
+def _direct_table(fun):
+    """fun itself at every start of the sphere scan: the direct scan."""
+    return np.array([_at_v(fun, v, T_CAP) for v in _scan_starts(_SPHERE_DIRS)])
+
+
+def _search_tables(monkeypatch, u: SphereField):
+    """The scan table that each search of _objectives(u) hands to
+    _manifold_minimize, and the searches' results."""
+    tables = []
+
+    def spy(fun, dirs, t_max, table, _real=optimizers._manifold_minimize):
+        tables.append(table)
+        return _real(fun, dirs, t_max, table)
+
+    monkeypatch.setattr(optimizers, "_manifold_minimize", spy)
+    results = [search(*args) for search, args, _, _ in _objectives(u)]
+    return tables, results
+
+
+@pytest.mark.parametrize("spec", SCAN_FIELDS)
+def test_spectral_scan_reaches_the_direct_optimum(spec):
+    """Every search, started from its spectral scan, reaches the optimum
+    that the same search reaches from the direct scan on the full grid."""
     u = realize_sphere(parse_input_spec(spec), CFG)
     for search, search_args, objective, args in _objectives(u):
         params, val, diag = search(*search_args)
         full = objective(_SphereFamily(u.grid), *args)
-        ref, t, _, ref_diag = _manifold_minimize(full, _SPHERE_DIRS, T_CAP, scan=full)
+        ref, t, _, ref_diag = _manifold_minimize(full, _SPHERE_DIRS, T_CAP, _direct_table(full))
         assert val == pytest.approx(max(ref, 0.0), rel=1e-10)
         assert params.t == pytest.approx(t, abs=1e-6)
         assert diag.scan_evaluations == ref_diag.scan_evaluations == 1 + 8 * 34
+
+
+def test_kappa_closed_forms():
+    """kappa_0 = 1 and kappa_1 = t / sinh^2 t - coth t; every kappa_l,
+    l <= 127, agrees with Gauss quadrature of (1/2) int P_l K_t dz in
+    s = log q (400 nodes, where the integrand has no pole)."""
+    t = np.array(optimizers._COARSE_T)
+    kappa = optimizers._kappa(127)
+    assert np.max(np.abs(kappa[:, 0] - 1.0)) <= 1e-12
+    assert np.max(np.abs(kappa[:, 1] - (t / np.sinh(t) ** 2 - 1.0 / np.tanh(t)))) <= 1e-12
+    x, w = np.polynomial.legendre.leggauss(400)
+    s = t[:, None] * x                             # q = e^s, dz = q ds / sinh t
+    z = np.clip((np.exp(s) - np.cosh(t)[:, None]) / np.sinh(t)[:, None], -1.0, 1.0)
+    P = np.polynomial.legendre.legvander(z, 127)
+    quad = np.einsum("tn,tnl->tl", w * t[:, None] * np.exp(-s) / (2.0 * np.sinh(t)[:, None]), P)
+    assert np.max(np.abs(kappa - quad)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", SCAN_FIELDS + ["band-limited-random:seed=7,L=8,amplitude=0.3"])
+def test_spectral_integrals_match_quadrature(spec):
+    """C(t, n) = int u q^-2 dsigma from u's coefficients agrees with
+    quadrature at all 273 starts: within 1e-11 of max |C| against a
+    256 x 512 grid, where the quadrature has converged.  On the search's
+    own 128 x 256 grid the quadrature itself errs by up to about 7e-11 at
+    t = 3."""
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    C = optimizers._scan_integrals(u.grid, u.coeffs())
+    fine = make_sphere_grid(256, 512)
+    fam, values = _SphereFamily(fine), u.fn(fine.points())
+    quad = np.array([integrate(_at_v(lambda t, n: fam.density(t, n) * values, v, T_CAP), fine)
+                     for v in _scan_starts(_SPHERE_DIRS)])
+    assert C.shape == (1 + 8 * 34,)
+    assert np.max(np.abs(C - quad)) <= 1e-11 * np.max(np.abs(quad))
+
+
+@pytest.mark.parametrize("spec", SCAN_FIELDS)
+def test_smooth_scan_tables_match_their_objectives(spec, monkeypatch):
+    """The gradient- and entropy-form scan tables equal their objectives
+    at all 273 starts within 1e-10 relative, on a 256 x 512 grid where
+    the quadrature has converged.  (On the search's own 128 x 256 grid,
+    quadrature of int e^v v errs by up to 6.1e-9 at t = 3.)"""
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    tables, _ = _search_tables(monkeypatch, u)
+    fine = make_sphere_grid(256, 512)
+    values = u.fn(fine.points())
+    objectives = [_gradient_objective(_SphereFamily(fine), values, dirichlet_energy(u), u.mean()),
+                  _reverse_entropy_objective(_SphereFamily(fine), values)]
+    for table, objective in zip(tables[:2], objectives):
+        assert table == pytest.approx(_direct_table(objective), rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", SCAN_FIELDS + ["band-limited-random:seed=7,L=8,amplitude=0.3"])
+def test_smooth_searches_end_at_or_below_their_scan(spec, monkeypatch):
+    """The oracle of the spectral scan: a smooth search's value is at most
+    the least value of its scan table, plus 1e-10."""
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    tables, results = _search_tables(monkeypatch, u)
+    for table, (_, val, _) in zip(tables[:2], results[:2]):
+        assert val <= np.min(table) + 1e-10
 
 
 def _small_grid_target():
@@ -521,24 +603,26 @@ def _small_grid_target():
 
 
 def test_small_grid_scans_on_full_grid():
-    """A 16x32 grid has no coarse scan: the search is the full-grid
+    """A 16x32 grid gets its own degree-15 tables, and the L1 search's L2
+    scan picks the direct scan's start: the search is the direct-scan
     search, evaluation for evaluation."""
     g, f = _small_grid_target()
     params, val, diag = nearest_sphere_L1(f, g)
-    ref, t, n, ref_diag = _manifold_minimize(_l1_objective(_SphereFamily(g), f),
-                                             _SPHERE_DIRS, T_CAP)
+    fun = _l1_objective(_SphereFamily(g), f)
+    ref, t, n, ref_diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, _direct_table(fun))
     assert (val, params.t, params.n) == (ref, t, tuple(n))
     assert diag == ref_diag
 
 
 def test_scan_only_picks_the_start():
-    """A scan that reads 1 below the objective picks the same start; the
+    """A table that reads 1 below the objective picks the same start; the
     start is evaluated again, and the search returns the objective's own
-    minimum."""
+    minimum after the same evaluations."""
     g, f = _small_grid_target()
     fun = _l1_objective(_SphereFamily(g), f)
-    ref = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP)
-    low = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, scan=lambda t, n: fun(t, n) - 1.0)
-    assert low[:2] == ref[:2]
-    assert low[3].evaluations == ref[3].evaluations + 1
-    assert low[3].scan_evaluations == ref[3].scan_evaluations
+    table = _direct_table(fun)
+    ref = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table)
+    low = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table - 1.0)
+    assert low[:2] == ref[:2] and np.array_equal(low[2], ref[2])
+    assert low[3] == ref[3]
+    assert low[3].scan_evaluations == 1 + 8 * 34

@@ -21,8 +21,6 @@ DEFAULTED = {
     "flows.ks_evolve(dt)",
     "geometry.lift_T(grid)",
     "optimizers.golden_section(tol)",
-    "optimizers._manifold_minimize(scan)",
-    "optimizers._SphereFamily.__init__(step)",
     "stability.planar_stability_certificate(oracle)",
 }
 

@@ -11,7 +11,7 @@ from loghls.sht import (SphereTransform, assoc_legendre_single_m,
 
 def test_normalized_assoc_legendre_orthonormal():
     z, w = roots_legendre(64)
-    Q = normalized_assoc_legendre(40, z)
+    Q = normalized_assoc_legendre(40, 40, z)
     for m in range(0, 9):
         B = Q[m:41, m, :]
         G = (B * (w / 2.0)) @ B.T
@@ -19,11 +19,15 @@ def test_normalized_assoc_legendre_orthonormal():
 
 
 def test_single_m_matches_table():
+    """The table, run for all orders at once, holds the per-order rows
+    bit for bit, also when it stops at max_m < lmax; its rows m > l are 0."""
     z = np.linspace(-0.99, 0.99, 37)
-    Q = normalized_assoc_legendre(20, z)
-    for m in (0, 1, 5, 17):
-        rows = assoc_legendre_single_m(20, m, z)
-        assert np.max(np.abs(rows - Q[m:, m, :])) <= 1e-13
+    for max_m in (20, 6):
+        Q = normalized_assoc_legendre(20, max_m, z)
+        assert Q.shape == (21, max_m + 1, 37)
+        for m in range(max_m + 1):
+            assert np.array_equal(Q[m:, m, :], assoc_legendre_single_m(20, m, z))
+            assert not Q[:m, m, :].any()
 
 
 def test_transform_roundtrip_band_limited():
@@ -52,7 +56,9 @@ def test_table_holds_the_orders_the_grid_resolves():
     grid = make_sphere_grid(256, 8)
     tr = SphereTransform(grid, 255)
     assert tr.max_m == 3 and tr.Q.shape == (256, 4, 256)
-    assert np.array_equal(tr.Q, normalized_assoc_legendre(255, grid.z)[:, :4])
+    for m in range(4):
+        assert np.array_equal(tr.Q[m:, m], assoc_legendre_single_m(255, m, grid.z))
+        assert not tr.Q[:m, m].any()
     rng = np.random.default_rng(5)
     c = np.zeros((256, 256))
     s = np.zeros((256, 256))
@@ -68,9 +74,13 @@ def test_table_holds_the_orders_the_grid_resolves():
 
 def test_full_table_on_the_default_grid(sphere_grid):
     """On 128 x 256 every order is resolved: the shared transform's table
-    is the full degree-127 table."""
+    is the full degree-127 table, each order's rows those of
+    assoc_legendre_single_m bit for bit."""
     Q = get_transform(sphere_grid).Q
-    assert np.array_equal(Q, normalized_assoc_legendre(127, sphere_grid.z))
+    assert Q.shape == (128, 128, 128)
+    for m in range(128):
+        assert np.array_equal(Q[m:, m], assoc_legendre_single_m(127, m, sphere_grid.z))
+        assert not Q[:m, m].any()
 
 
 def test_dirichlet_energy_eigenvalues():
