@@ -19,7 +19,8 @@ Conventions
   On the sphere each Gauss row is summed and the row sums are dotted
   with the row weights ``w_z / (2 n_phi)``; on the circle it is the
   plain mean.  :func:`moments` weights a sphere grid's values against
-  [1, omega] by the same row weights.
+  [1, omega] by the same row weights, and its dual :func:`affine_values`
+  writes a0 + a.omega at a sphere grid's nodes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "make_circle_grid",
     "integrate",
     "moments",
+    "affine_values",
 ]
 
 SPHERE_NZ = 128          # Gauss rows of the default sphere grid
@@ -184,6 +186,15 @@ class SphereGrid:
         _read_only(azimuth, rows)
         return azimuth, rows
 
+    @cached_property
+    def affine_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of :func:`affine_values`: [z, sin theta] by row
+        (n_z x 2) and [cos phi, sin phi] by column (2 x n_phi)."""
+        rows = np.stack([self.z, np.sqrt(np.clip(1.0 - self.z**2, 0.0, None))], axis=1)
+        azimuth = np.stack([np.cos(self.phi), np.sin(self.phi)])
+        _read_only(rows, azimuth)
+        return rows, azimuth
+
 
 _SPHERE_GRIDS: dict[tuple[int, int], SphereGrid] = {}
 
@@ -266,3 +277,21 @@ def moments(values: np.ndarray, grid: SphereGrid) -> np.ndarray:
     azimuth, rows = grid.moment_tables
     sums = v @ azimuth
     return np.einsum("ij,ij->j", sums[:, [0, 1, 2, 0]], rows)
+
+
+def affine_values(a0: float, a: np.ndarray, grid: SphereGrid, out: np.ndarray) -> np.ndarray:
+    """a0 + a.omega at every node of a sphere grid, written into ``out``
+    (the grid's shape) and returned.
+
+    At the node (sin theta_j cos phi_k, sin theta_j sin phi_k, z_j) it is
+    A_j + B_j C_k, with A = a0 + a_3 z and B = sin theta by row and
+    C = a_1 cos phi + a_2 sin phi by column, so the whole grid is one
+    (n_z x 2) @ (2 x n_phi) product of [A, B] with [1, C].
+    """
+    rows, azimuth = grid.affine_tables
+    left = rows * (a[2], 1.0)              # [a_3 z, sin theta]
+    left[:, 0] += a0
+    right = np.empty((2, grid.n_phi))      # [1, a_1 cos phi + a_2 sin phi]
+    right[0] = 1.0
+    np.dot(a[:2], azimuth, out=right[1])
+    return np.matmul(left, right, out=out)

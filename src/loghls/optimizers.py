@@ -15,10 +15,14 @@ through their lift, where the planar family is e^{u_{t,n}}.
 A sphere objective takes e^{u_{t,n}} in closed form as q^-2 with
 q = cosh t + sinh t n.w (no exp; the reverse-entropy objective takes
 one log for u_{t,n} = -2 log q), written into three buffers built once
-per search.  The gradient and reverse-entropy objectives are smooth in v
-and carry their exact gradient, the moments of g'(q) through the chain
-rule of _SphereFamily.gradient, so BFGS refines them; the L1 objectives,
-whose quadrature gradient has kinks, are refined by Nelder-Mead.  All
+per search.  On the Gauss x azimuth grid q is A_j + B_j C_k, with
+A = cosh t + sinh t n_3 z and B = sin theta by row and
+C = sinh t (n_1 cos phi + n_2 sin phi) by column, so it is one rank-2
+product of tables cached on the grid (``grids.affine_values``).  The
+gradient and reverse-entropy objectives are smooth in v and carry their
+exact gradient, the moments of g'(q) through the chain rule of
+_SphereFamily.gradient, so BFGS refines them; the L1 objectives, whose
+quadrature gradient has kinks, are refined by Nelder-Mead.  All
 integrate with ``grids.integrate`` and ``grids.moments`` on their grid.
 
 A sphere search's scan is not evaluated on the grid.  Each of its 273
@@ -34,7 +38,8 @@ the grid, and the refinement and the returned value use the grid.  The
 circle search evaluates its objective at each start.
 
 ``recenter`` scores its candidate pushes by change of variables on the
-original grid and pushes the field once.
+original grid, whose weight 1 / (H_00 + H_{0,1:4}.w) takes the same
+product, and pushes the field once.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField, get
                      radial_from_profile)
 from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
 from .geometry import _ETA, ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CircleGrid, RadialGrid, SphereGrid, integrate, moments
+from .grids import CircleGrid, RadialGrid, SphereGrid, affine_values, integrate, moments
 from .sht import legendre_rows
 
 __all__ = [
@@ -508,24 +513,24 @@ class _SphereFamily:
     """The family e^{u_{t,n}} = q^-2, q = cosh t + sinh t n.w, on a sphere
     grid.
 
+    q is one rank-2 product of the grid's row and column tables
+    (:func:`grids.affine_values`): cosh t + sinh t n_3 z and sin theta by
+    row, against 1 and sinh t (n_1 cos phi + n_2 sin phi) by column.
     Every evaluation writes into the same three grid-sized buffers, so an
-    objective allocates no temporaries; objectives integrate them with
-    ``integrate(values, family.grid)``.
+    objective allocates no grid-sized temporaries; objectives integrate
+    them with ``integrate(values, family.grid)``.
     """
 
     def __init__(self, grid: SphereGrid):
         self.grid = grid
-        self.points = grid.points().reshape(-1, 3)
         self.q = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
         self.spare = np.empty(grid.shape)
 
     def base(self, t: float, n: np.ndarray) -> np.ndarray:
-        """q = cosh t + sinh t n.w, in the first buffer."""
-        np.matmul(self.points, n, out=self.q.reshape(-1))
-        self.q *= np.sinh(t)
-        self.q += np.cosh(t)
-        return self.q
+        """q = cosh t + sinh t n.w, in the first buffer
+        (:func:`grids.affine_values`)."""
+        return affine_values(np.cosh(t), np.sinh(t) * n, self.grid, self.q)
 
     def density(self, t: float, n: np.ndarray) -> np.ndarray:
         """e^{u_{t,n}} = q^-2, in the first buffer."""
@@ -727,14 +732,16 @@ def _pushed_barycenter(u: SphereField):
     By change of variables it is int tau_{G^-1}(eta) e^{u(eta)} dsigma(eta)
     on u's own grid.  With H = G^-1 = eta G^T eta and x = (1, eta),
     tau_H(eta) = (H x)_{1:3} / (H x)_0, so it is H_{1:4} applied to the
-    moments of e^u / (H x)_0.
+    moments of e^u / (H x)_0, where (H x)_0 = H_00 + H_{0,1:4}.eta is one
+    :func:`grids.affine_values` product into a buffer built once.
     """
     eu = np.exp(u.values)
-    points = u.grid.points()
+    buf = np.empty(u.grid.shape)
 
     def barycenter(G: np.ndarray) -> np.ndarray:
         H = _ETA @ G.T @ _ETA
-        return H[1:] @ moments(eu / (H[0, 0] + points @ H[0, 1:]), u.grid)
+        x0 = affine_values(H[0, 0], H[0, 1:], u.grid, buf)
+        return H[1:] @ moments(np.divide(eu, x0, out=x0), u.grid)
 
     return barycenter
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loghls.errors import DimensionMismatchError, DomainError
-from loghls.grids import (integrate, make_circle_grid, make_radial_grid,
+from loghls.geometry import T_CAP
+from loghls.grids import (affine_values, integrate, make_circle_grid, make_radial_grid,
                           make_sphere_grid, moments)
 
 
@@ -91,6 +93,30 @@ def test_sphere_moments_are_exact_for_low_degrees():
     assert np.max(np.abs(m - np.concatenate([[1.0], a / 3.0]))) <= 1e-14
     with pytest.raises(DimensionMismatchError):
         moments(vals[:, :4], g)
+
+
+_POLES = st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+_AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(shape=st.sampled_from([(16, 32), (128, 256), (20, 60)]),
+       t=st.sampled_from([0.0, 1e-3, 3.0, T_CAP]), axis=st.one_of(_POLES, _AXES))
+def test_affine_values_match_the_node_product(shape, t, axis):
+    """affine_values(cosh t, sinh t n) writes a0 + a.omega into its buffer:
+    within 4 ulps of |a0| + |a| of a0 + points() @ a, bit for bit on the
+    zonal rows of a pole, and exactly 1 at t = 0."""
+    g = make_sphere_grid(*shape)
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    a0, a = np.cosh(t), np.sinh(t) * n
+    out = np.empty(g.shape)
+    assert affine_values(a0, a, g, out) is out
+    ref = a0 + g.points() @ a
+    assert np.max(np.abs(out - ref)) <= 4.0 * np.finfo(float).eps * (a0 + np.linalg.norm(a))
+    if n[0] == n[1] == 0.0:
+        assert np.array_equal(out, np.broadcast_to((a0 + a[2] * g.z)[:, None], g.shape))
+    if t == 0.0:
+        assert np.all(out == 1.0)
 
 
 def test_circle_grid_weights_exact():

@@ -295,6 +295,24 @@ def test_recenter_band_limited_and_idempotence(sphere_grid):
     assert np.max(np.abs(again.field.values - res.field.values)) <= 1e-8
 
 
+# six band-limited probe fields and the Newton iterations recenter takes on each
+RECENTER_PROBES = [("band-limited-random:seed=7,L=6,amplitude=0.25", 5),
+                   ("band-limited-random:seed=1,L=3,amplitude=1", 8),
+                   ("band-limited-random:seed=21,L=3,amplitude=0.1", 5),
+                   ("band-limited-random:seed=2,L=5,amplitude=0.25", 6),
+                   ("band-limited-random:seed=3,L=5,amplitude=0.3", 6),
+                   ("band-limited-random:seed=7,L=8,amplitude=0.3", 5)]
+
+
+@pytest.mark.parametrize("spec, iterations", RECENTER_PROBES)
+def test_recenter_iteration_counts(spec, iterations):
+    """recenter takes a fixed number of Newton iterations on each probe
+    field and ends within RECENTER_TOL."""
+    res = recenter(realize_sphere(parse_input_spec(spec), CFG))
+    assert res.iterations == iterations
+    assert res.barycenter_norm <= optimizers.RECENTER_TOL
+
+
 def test_recenter_pushes_the_original_field_once(monkeypatch):
     """recenter scores its candidates by change of variables and composes
     its steps into one matrix: it pushes the original field once, that
@@ -453,26 +471,44 @@ def _objectives(u: SphereField):
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 3.0, 15.0])
 def test_sphere_objectives_match_closed_forms(t):
-    """Each in-place objective agrees with its closed form through
-    sphere_optimizer_values, np.exp and np.sum, on both poles and three
-    other axes."""
+    """Each in-place objective agrees with its closed form on both poles
+    and three other axes.  Up to t = 3 the closed form goes through
+    sphere_optimizer_values, np.exp and np.sum, within 1e-12 relative.
+
+    At t = 15, q = cosh t + sinh t n.w cancels to about e^-15 near -n, so
+    a float64 reference only pins one rounding of q.  There the reference
+    is q = (e^t |n+w|^2 + e^-t |n-w|^2) / 4 in long double, which does not
+    cancel.  Against it the reverse entropy errs by up to 2.1e-12 relative
+    with q from the point matmul, and by up to 2.9e-12 with q from the
+    rank-2 product of grids.affine_values; the bound is 5e-12.
+    """
     u = realize_sphere(parse_input_spec("band-limited-random:seed=3,L=5,amplitude=0.3"), CFG)
-    g, uv = u.grid, u.values
-    w, pts, eu = g.weights, g.points(), np.exp(u.values)
+    g = u.grid
+    cancels = t > 3.0
+    real = np.longdouble if cancels else float
+    w, pts, uv = (a.astype(real) for a in (g.weights, g.points(), u.values))
+    eu = np.exp(uv)
     Eu = dirichlet_energy(u)
     fam = _SphereFamily(g)
     gradient, reverse, l1 = (objective(fam, *args) for _, _, objective, args in _objectives(u))
     for n in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
               [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.48, 0.64, -0.6]):
         n = np.array(n)
-        v = sphere_optimizer_values(t, n, pts)
+        if cancels:
+            tl = real(t)
+            q = (np.exp(tl) * np.sum((n + pts) ** 2, axis=-1)
+                 + np.exp(-tl) * np.sum((n - pts) ** 2, axis=-1)) / 4.0
+            v = -2.0 * np.log(q)
+        else:
+            v = sphere_optimizer_values(t, n, pts)
         ev = np.exp(v)
         grad = Eu if t == 0.0 else (Eu + 8.0 * t / np.tanh(t) - 8.0
                                     - 4.0 * np.sum(w * uv * ev) + 4.0 * u.mean())
         for fun, closed in ((gradient, grad),
                             (reverse, np.sum(w * ev * (v - uv))),
                             (l1, np.sum(w * np.abs(eu - ev)))):
-            assert fun(t, n) == pytest.approx(closed, rel=1e-12, abs=0.0)
+            assert fun(t, n) == pytest.approx(float(closed), rel=5e-12 if cancels else 1e-12,
+                                              abs=0.0)
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 3.0, 15.0])
