@@ -19,10 +19,11 @@ per search.  On the Gauss x azimuth grid q is A_j + B_j C_k, with
 A = cosh t + sinh t n_3 z and B = sin theta by row and
 C = sinh t (n_1 cos phi + n_2 sin phi) by column, so it is one rank-2
 product of tables cached on the grid (``grids.affine_values``).  The
-gradient and reverse-entropy objectives are smooth in v and carry their
-exact gradient, the moments of g'(q) through the chain rule of
-_SphereFamily.gradient, so BFGS refines them; the L1 objectives, whose
-quadrature gradient has kinks, are refined by Nelder-Mead.  All
+gradient and reverse-entropy objectives are smooth in v and return their
+value with its exact gradient, the moments of g'(q) through the chain
+rule of _SphereFamily.gradient, so BFGS refines them; the L1
+objectives, whose quadrature gradient has kinks, return their value and
+are refined by Nelder-Mead.  All
 integrate with ``grids.integrate`` and ``grids.moments`` on their grid.
 
 A sphere search's scan is not evaluated on the grid.  Each of its 273
@@ -33,9 +34,10 @@ the degree-l part of f and kappa_l(t) = (1/2) int P_l(z)
 harmonic coefficients with tables built once per transform shape
 (_FunkHecke): the smooth objectives' tables are exact, and the L1
 searches rank their starts by the L2 distance to the family, which needs
-no log.  The scan only picks the start: that start is evaluated again on
-the grid, and the refinement and the returned value use the grid.  The
-circle search evaluates its objective at each start.
+no log.  The scan only picks the start: the refinement evaluates it on
+the grid first and never returns a larger value, so a search costs the
+table's entries plus the refiner's evaluations.  The circle search
+evaluates its objective at each start.
 
 ``recenter`` scores its candidate pushes by change of variables on the
 original grid, whose weight 1 / (H_00 + H_{0,1:4}.w) takes the same
@@ -199,7 +201,9 @@ class SearchDiagnostics:
     manifold search's start table) and ``iterations`` the refinement's
     iterations (BFGS ``nit`` for the smooth sphere objectives, Nelder-Mead
     ``nit`` for the L1 ones) of a manifold search (0 for the radial
-    golden-section search).
+    golden-section search).  A manifold search's ``evaluations`` is its
+    ``scan_evaluations`` plus the refiner's ``nfev``: the refiner's first
+    evaluation is the scan's start.
     """
 
     evaluations: int = 0
@@ -348,79 +352,58 @@ def _per_start(fn: Callable[[float], float]) -> np.ndarray:
     return np.repeat([fn(t) for t in (0.0,) + _COARSE_T], counts)
 
 
-def _at_v(fun, v: np.ndarray, t_max: float) -> float:
+def _at_v(fun, v: np.ndarray, t_max: float):
     """fun(t, n) at v = t n: t = |v| capped at t_max, n = v / |v|, and the
     last axis at v = 0."""
     t = float(np.linalg.norm(v))
     return fun(0.0, np.eye(v.size)[-1]) if t == 0.0 else fun(min(t, t_max), v / t)
 
 
-@dataclass(frozen=True)
-class _Smooth:
-    """A manifold objective fun(t, n) that also has its gradient:
-    ``value_and_gradient(t, n)`` is (fun(t, n), d fun / d v) at v = t n."""
-
-    value: Callable[[float, np.ndarray], float]
-    value_and_gradient: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
-
-    def __call__(self, t: float, n: np.ndarray) -> float:
-        return self.value(t, n)
-
-
-def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, table: np.ndarray):
+def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, table: np.ndarray, smooth: bool):
     """Minimize fun(t, n) over [0, t_max] x S^{d-1}: the best start of a
-    scan, then BFGS for a _Smooth ``fun`` and Nelder-Mead otherwise.
+    scan, then BFGS if ``smooth`` and Nelder-Mead otherwise.  A smooth
+    ``fun`` returns (value, d fun / d v) at v = t n, any other the value.
 
     ``table`` holds one value for each start of _scan_starts(dirs).  It
     only has to rank the starts, so it may be ``fun``'s own values or a
-    cheaper stand-in.  Its least entry (the first, on ties) picks the
-    start, which ``fun`` evaluates again before it is compared with the
-    refined result.  The refinement runs over v = t n in R^d with
-    t = |v| capped at t_max: the family is smooth in v through v = 0, so
-    a search that starts at t = 0 can leave it along any axis.  Past the
-    cap, BFGS sees the value at the cap and its gradient with the radial
-    part projected out, scaled by t_max / |v|.
+    cheaper stand-in.  Its least entry (the first, on ties) is the start.
+    Both refiners evaluate the start first and never return a larger
+    value (it is a vertex of Nelder-Mead's initial simplex, and BFGS only
+    accepts steps that lower the value), so their result is the search's.
+    The refinement runs over v = t n in R^d with t = |v| capped at t_max:
+    the family is smooth in v through v = 0, so a search that starts at
+    t = 0 can leave it along any axis.  Past the cap, BFGS sees the value
+    at the cap and its gradient with the radial part projected out,
+    scaled by t_max / |v|.
 
     Returns (value, t, n, diagnostics); the boundary is t = t_max.
     ``scan_evaluations`` counts the table's entries, and ``evaluations``
-    those and every evaluation of ``fun``.
+    those and the refiner's evaluations of ``fun`` (its ``nfev``).
     """
     d = dirs.shape[1]
-    pole = np.eye(d)[-1]
-    diag = SearchDiagnostics(evaluations=len(table), scan_evaluations=len(table))
 
-    def at(v: np.ndarray) -> float:
-        diag.evaluations += 1
-        return _at_v(fun, v, t_max)
-
-    def at_with_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:
-        diag.evaluations += 1
+    def at(v: np.ndarray):
         t = float(np.linalg.norm(v))
-        if t == 0.0:
-            return fun.value_and_gradient(0.0, pole)
+        if not smooth or t <= t_max:
+            return _at_v(fun, v, t_max)
         n = v / t
-        if t <= t_max:
-            return fun.value_and_gradient(t, n)
-        val, grad = fun.value_and_gradient(t_max, n)
+        val, grad = fun(t_max, n)
         return val, (t_max / t) * (grad - (grad @ n) * n)
 
-    best_v = _scan_starts(dirs)[int(np.argmin(table))]
-    best = at(best_v)
-    if isinstance(fun, _Smooth):
-        search = {"fun": at_with_gradient, "method": "BFGS", "jac": True,
-                  "options": {"gtol": 1e-10}}
+    start = _scan_starts(dirs)[int(np.argmin(table))]
+    if smooth:
+        search = {"method": "BFGS", "jac": True, "options": {"gtol": 1e-10}}
     else:
-        simplex = best_v + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
-        search = {"fun": at, "method": "Nelder-Mead",
+        simplex = start + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
+        search = {"method": "Nelder-Mead",
                   "options": {"initial_simplex": simplex, "xatol": 1e-9,
                               "fatol": 1e-14, "maxiter": 2000}}
-    res = minimize(x0=best_v, **search)
-    diag.iterations = int(res.nit)
-    if res.fun <= best:
-        best, best_v = float(res.fun), res.x
-    t = float(np.linalg.norm(best_v))
-    diag.boundary_hit = t >= t_max - 1e-6
-    return float(best), min(t, t_max), (best_v / t if t > 0.0 else pole), diag
+    res = minimize(at, start, **search)
+    t = float(np.linalg.norm(res.x))
+    diag = SearchDiagnostics(evaluations=len(table) + int(res.nfev),
+                             boundary_hit=t >= t_max - 1e-6, iterations=int(res.nit),
+                             scan_evaluations=len(table))
+    return float(res.fun), min(t, t_max), (res.x / t if t > 0.0 else np.eye(d)[-1]), diag
 
 
 def _kappa(lmax: int) -> np.ndarray:
@@ -538,14 +521,6 @@ class _SphereFamily:
         np.square(q, out=q)
         return np.reciprocal(q, out=q)
 
-    def optimizer(self, t: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u_{t,n}, e^{u_{t,n}}) = (-2 log q, q^-2), in the second and first buffers."""
-        q = self.base(t, n)
-        u = np.log(q, out=self.work)
-        u *= -2.0
-        np.square(q, out=q)
-        return u, np.reciprocal(q, out=q)
-
     def gradient(self, t: float, n: np.ndarray, dg: np.ndarray) -> np.ndarray:
         """d/dv int g(q) dsigma at v = t n, given dg = g'(q) on the grid.
 
@@ -560,10 +535,10 @@ class _SphereFamily:
         return radial * n + sinc * m[1:]
 
 
-def _sphere_search(fun, table: np.ndarray):
+def _sphere_search(fun, table: np.ndarray, smooth: bool):
     """Search the sphere family from the start ``table`` picks:
     (params, value, diagnostics)."""
-    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table)
+    val, t, n, diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table, smooth)
     return SphereOptimizerParams(t, tuple(n)), val, diag
 
 
@@ -583,17 +558,12 @@ def _optimizer_energy(t: float) -> tuple[float, float]:
     return 8.0 * t / math.tanh(t) - 8.0, 8.0 / math.tanh(t) - 8.0 * t / math.sinh(t) ** 2
 
 
-def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float,
-                        ubar: float) -> _Smooth:
-    """E(u - u_{t,n}) by the cross-term identity of nearest_sphere_gradient:
-    int g(q) with g = -4 u q^-2, g'(q) = 8 u q^-3, plus E(u_{t,n})."""
+def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float, ubar: float):
+    """(t, n) -> (E(u - u_{t,n}), its gradient in v = t n), by the cross-term
+    identity of nearest_sphere_gradient: int g(q) with g = -4 u q^-2,
+    g'(q) = 8 u q^-3, plus E(u_{t,n})."""
 
     def fun(t, n):
-        ev = fam.density(t, n)
-        ev *= u
-        return Eu + _optimizer_energy(t)[0] - 4.0 * integrate(ev, fam.grid) + 4.0 * ubar
-
-    def fun_and_grad(t, n):
         Ev, dEv = _optimizer_energy(t)
         r = np.reciprocal(fam.base(t, n), out=fam.q)
         dg = np.multiply(u, r, out=fam.work)
@@ -602,7 +572,7 @@ def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float,
         dg *= r
         return val, 8.0 * fam.gradient(t, n, dg) + dEv * n
 
-    return _Smooth(fun, fun_and_grad)
+    return fun
 
 
 def nearest_sphere_gradient(u: SphereField):
@@ -618,21 +588,15 @@ def nearest_sphere_gradient(u: SphereField):
     fun = _gradient_objective(_SphereFamily(u.grid), u.values, Eu, ubar)
     table = (Eu + 4.0 * ubar + _per_start(lambda t: _optimizer_energy(t)[0])
              - 4.0 * _scan_integrals(u.grid, u.coeffs()))
-    params, val, diag = _sphere_search(fun, table)
+    params, val, diag = _sphere_search(fun, table, smooth=True)
     return params, max(val, 0.0), diag
 
 
-def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
-    """H(e^{u_{t,n}} | e^u) = int q^-2 A with A = -2 log q - u;
-    g'(q) = -2 q^-3 (A + 1)."""
+def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
+    """(t, n) -> (H(e^{u_{t,n}} | e^u), its gradient in v = t n):
+    H = int q^-2 A with A = -2 log q - u, g'(q) = -2 q^-3 (A + 1)."""
 
     def fun(t, n):
-        v, ev = fam.optimizer(t, n)
-        v -= u
-        v *= ev
-        return integrate(v, fam.grid)
-
-    def fun_and_grad(t, n):
         q = fam.base(t, n)
         dg = np.log(q, out=fam.work)
         dg *= -2.0
@@ -645,7 +609,7 @@ def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray) -> _Smooth:
         dg *= r
         return val, -2.0 * fam.gradient(t, n, dg)
 
-    return _Smooth(fun, fun_and_grad)
+    return fun
 
 
 def nearest_sphere_reverse_entropy(u: SphereField):
@@ -662,7 +626,7 @@ def nearest_sphere_reverse_entropy(u: SphereField):
     fun = _reverse_entropy_objective(_SphereFamily(u.grid), u.values)
     table = (_per_start(lambda t: 0.25 * _optimizer_energy(t)[0])
              - _scan_integrals(u.grid, u.coeffs()))
-    return _sphere_search(fun, table)
+    return _sphere_search(fun, table, smooth=True)
 
 
 def _l1_objective(fam: _SphereFamily, f_plus_1: np.ndarray):
@@ -690,7 +654,7 @@ def nearest_sphere_L1(f_plus_1: np.ndarray, grid: SphereGrid):
     # int e^{2v} dsigma = sinh 3t / (3 sinh t) = 1 + (4/3) sinh^2 t
     table = (_per_start(lambda t: 1.0 + 4.0 / 3.0 * math.sinh(t) ** 2)
              - 2.0 * _scan_integrals(grid, get_transform(grid).analyze(rho)))
-    return _sphere_search(fun, table)
+    return _sphere_search(fun, table, smooth=False)
 
 
 def nearest_circle_L1(u: CircleField, grid: CircleGrid):
@@ -709,7 +673,7 @@ def nearest_circle_L1(u: CircleField, grid: CircleGrid):
         return integrate(np.abs(eu - pk), grid)
 
     table = np.array([_at_v(fun, v, _CIRCLE_T_MAX) for v in _scan_starts(_CIRCLE_DIRS)])
-    val, t, n, diag = _manifold_minimize(fun, _CIRCLE_DIRS, _CIRCLE_T_MAX, table)
+    val, t, n, diag = _manifold_minimize(fun, _CIRCLE_DIRS, _CIRCLE_T_MAX, table, smooth=False)
     alpha = math.atan2(-n[1], -n[0]) % (2.0 * math.pi)
     return CircleOptimizerParams(math.tanh(0.5 * t), alpha), val, diag
 

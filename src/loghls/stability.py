@@ -96,9 +96,21 @@ def _search(params, diag) -> dict:
 
 def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
                                  oracle: bool = False) -> StabilityCertificate:
-    """H(rho) >= (1/8) inf_g ||rho - g||_1^2 over the planar manifold."""
+    """H(rho) >= (1/8) inf_g ||rho - g||_1^2 over the planar manifold.
+
+    A radial search whose optimum lies on the edge of its range
+    s in [e^-LOG_S_BOX, e^LOG_S_BOX] has not found the infimum, only the
+    nearest member in the range, so it raises DomainError instead of
+    certifying that distance.
+    """
     report = planar_free_energy_report(rho)
     params, dist, diag = nearest_planar_L1(rho)
+    if isinstance(rho, RadialDensity) and diag.boundary_hit:
+        raise DomainError(
+            f"planar_stability_certificate: the search's best s = {params.s:.6g} lies on "
+            f"the edge of the searched range s in [e^-{LOG_S_BOX:g}, e^{LOG_S_BOX:g}] = "
+            f"[{np.exp(-LOG_S_BOX):.6g}, {np.exp(LOG_S_BOX):.6g}], so the nearest optimizer "
+            f"may lie beyond it")
     search = _search(params, diag)
     if oracle and isinstance(rho, RadialDensity):
         search["oracle_distance"] = _radial_oracle_distance(rho)

@@ -18,7 +18,8 @@ from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, LOG_S_BOX, Circle
                                nearest_sphere_reverse_entropy, planar_optimizer,
                                planar_optimizer_profile,
                                radial_L1_objective, recenter, sphere_optimizer)
-from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
+from loghls.specs import (RunConfig, parse_input_spec, realize_circle, realize_planar,
+                          realize_sphere)
 from loghls.stability import (circle_stability_certificate, onofri_stability_certificates,
                               pass_tolerance)
 
@@ -459,13 +460,14 @@ def test_sphere_search_leaves_t_zero(spec, distance):
 
 
 def _objectives(u: SphereField):
-    """(search, objective builder, its arguments) for each sphere search."""
+    """(search, its arguments, objective builder, its arguments, smooth) for
+    each sphere search; a smooth objective returns (value, gradient)."""
     eu = np.exp(u.values)
     return [
         (nearest_sphere_gradient, (u,), _gradient_objective,
-         (u.values, dirichlet_energy(u), u.mean())),
-        (nearest_sphere_reverse_entropy, (u,), _reverse_entropy_objective, (u.values,)),
-        (nearest_sphere_L1, (eu, u.grid), _l1_objective, (eu,)),
+         (u.values, dirichlet_energy(u), u.mean()), True),
+        (nearest_sphere_reverse_entropy, (u,), _reverse_entropy_objective, (u.values,), True),
+        (nearest_sphere_L1, (eu, u.grid), _l1_objective, (eu,), False),
     ]
 
 
@@ -490,7 +492,8 @@ def test_sphere_objectives_match_closed_forms(t):
     eu = np.exp(uv)
     Eu = dirichlet_energy(u)
     fam = _SphereFamily(g)
-    gradient, reverse, l1 = (objective(fam, *args) for _, _, objective, args in _objectives(u))
+    gradient, reverse, l1 = (objective(fam, *args)
+                             for _, _, objective, args, _ in _objectives(u))
     for n in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
               [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.48, 0.64, -0.6]):
         n = np.array(n)
@@ -504,33 +507,30 @@ def test_sphere_objectives_match_closed_forms(t):
         ev = np.exp(v)
         grad = Eu if t == 0.0 else (Eu + 8.0 * t / np.tanh(t) - 8.0
                                     - 4.0 * np.sum(w * uv * ev) + 4.0 * u.mean())
-        for fun, closed in ((gradient, grad),
-                            (reverse, np.sum(w * ev * (v - uv))),
-                            (l1, np.sum(w * np.abs(eu - ev)))):
-            assert fun(t, n) == pytest.approx(float(closed), rel=5e-12 if cancels else 1e-12,
-                                              abs=0.0)
+        for val, closed in ((gradient(t, n)[0], grad),
+                            (reverse(t, n)[0], np.sum(w * ev * (v - uv))),
+                            (l1(t, n), np.sum(w * np.abs(eu - ev)))):
+            assert val == pytest.approx(float(closed), rel=5e-12 if cancels else 1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 3.0, 15.0])
 def test_smooth_objective_gradients_match_central_differences(t):
     """The gradient in v = t n of each smooth objective agrees with
     central differences (h = 1e-6) in v, within 1e-6 of max(|grad|, 1),
-    on both poles and three other axes; its value is the objective's."""
+    on both poles and three other axes."""
     u = realize_sphere(parse_input_spec("band-limited-random:seed=7,L=6,amplitude=0.25"), CFG)
     fam = _SphereFamily(u.grid)
-    smooth = [objective(fam, *args) for _, _, objective, args in _objectives(u)[:2]]
+    smooth = [objective(fam, *args) for _, _, objective, args, _ in _objectives(u)[:2]]
     h = 1e-6
 
     def at(fun, v):
-        s = np.linalg.norm(v)
-        return fun(0.0, np.array([0.0, 0.0, 1.0])) if s == 0.0 else fun(s, v / s)
+        return _at_v(fun, v, np.inf)[0]
 
     for n in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
               [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.48, 0.64, -0.6]):
         n = np.array(n)
         for fun in smooth:
-            val, grad = fun.value_and_gradient(t, n)
-            assert val == pytest.approx(fun(t, n), rel=1e-13)
+            _, grad = fun(t, n)
             fd = [(at(fun, t * n + h * e) - at(fun, t * n - h * e)) / (2.0 * h)
                   for e in np.eye(3)]
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(np.max(np.abs(grad)), 1.0)
@@ -540,9 +540,10 @@ SCAN_FIELDS = ["band-limited-random:seed=21,L=3,amplitude=0.1",
                "band-limited-random:seed=2,L=5,amplitude=0.25"]
 
 
-def _direct_table(fun):
-    """fun itself at every start of the sphere scan: the direct scan."""
-    return np.array([_at_v(fun, v, T_CAP) for v in _scan_starts(_SPHERE_DIRS)])
+def _direct_table(fun, smooth: bool):
+    """fun's value at every start of the sphere scan: the direct scan."""
+    values = [_at_v(fun, v, T_CAP) for v in _scan_starts(_SPHERE_DIRS)]
+    return np.array([val[0] for val in values] if smooth else values)
 
 
 def _search_tables(monkeypatch, u: SphereField):
@@ -550,12 +551,12 @@ def _search_tables(monkeypatch, u: SphereField):
     _manifold_minimize, and the searches' results."""
     tables = []
 
-    def spy(fun, dirs, t_max, table, _real=optimizers._manifold_minimize):
+    def spy(fun, dirs, t_max, table, smooth, _real=optimizers._manifold_minimize):
         tables.append(table)
-        return _real(fun, dirs, t_max, table)
+        return _real(fun, dirs, t_max, table, smooth)
 
     monkeypatch.setattr(optimizers, "_manifold_minimize", spy)
-    results = [search(*args) for search, args, _, _ in _objectives(u)]
+    results = [search(*args) for search, args, _, _, _ in _objectives(u)]
     return tables, results
 
 
@@ -564,10 +565,11 @@ def test_spectral_scan_reaches_the_direct_optimum(spec):
     """Every search, started from its spectral scan, reaches the optimum
     that the same search reaches from the direct scan on the full grid."""
     u = realize_sphere(parse_input_spec(spec), CFG)
-    for search, search_args, objective, args in _objectives(u):
+    for search, search_args, objective, args, smooth in _objectives(u):
         params, val, diag = search(*search_args)
         full = objective(_SphereFamily(u.grid), *args)
-        ref, t, _, ref_diag = _manifold_minimize(full, _SPHERE_DIRS, T_CAP, _direct_table(full))
+        ref, t, _, ref_diag = _manifold_minimize(full, _SPHERE_DIRS, T_CAP,
+                                                 _direct_table(full, smooth), smooth)
         assert val == pytest.approx(max(ref, 0.0), rel=1e-10)
         assert params.t == pytest.approx(t, abs=1e-6)
         assert diag.scan_evaluations == ref_diag.scan_evaluations == 1 + 8 * 34
@@ -619,7 +621,7 @@ def test_smooth_scan_tables_match_their_objectives(spec, monkeypatch):
     objectives = [_gradient_objective(_SphereFamily(fine), values, dirichlet_energy(u), u.mean()),
                   _reverse_entropy_objective(_SphereFamily(fine), values)]
     for table, objective in zip(tables[:2], objectives):
-        assert table == pytest.approx(_direct_table(objective), rel=1e-10)
+        assert table == pytest.approx(_direct_table(objective, True), rel=1e-10)
 
 
 @pytest.mark.parametrize("spec", SCAN_FIELDS + ["band-limited-random:seed=7,L=8,amplitude=0.3"])
@@ -630,6 +632,40 @@ def test_smooth_searches_end_at_or_below_their_scan(spec, monkeypatch):
     tables, results = _search_tables(monkeypatch, u)
     for table, (_, val, _) in zip(tables[:2], results[:2]):
         assert val <= np.min(table) + 1e-10
+
+
+@pytest.mark.parametrize("spec", SCAN_FIELDS)
+def test_searches_count_the_scan_and_one_refinement(spec, monkeypatch):
+    """The three sphere searches and the circle search each make one
+    minimize call.  Its nfev counts every call of the objective, and the
+    search's evaluations are its scan's entries plus that nfev.  The
+    search returns no more than the objective at the scan's start."""
+    calls = []
+
+    def spy(fun, x0, _real=optimizers.minimize, **options):
+        count = [0]
+
+        def counted(v):
+            count[0] += 1
+            return fun(v)
+
+        res = _real(counted, x0, **options)
+        start = fun(x0)
+        calls.append((res, count[0], start[0] if options.get("jac") else start))
+        return res
+
+    monkeypatch.setattr(optimizers, "minimize", spy)
+    u = realize_sphere(parse_input_spec(spec), CFG)
+    searches = [(search, args) for search, args, _, _, _ in _objectives(u)]
+    circle = realize_circle(parse_input_spec("circle-cos:eps=0.3"), CFG)
+    searches.append((nearest_circle_L1, (circle, CFG.circle_grid())))
+    for search, args in searches:
+        _, val, diag = search(*args)
+        (res, count, start), = calls
+        calls.clear()
+        assert res.nfev == count
+        assert diag.evaluations == diag.scan_evaluations + res.nfev
+        assert val <= start
 
 
 def _small_grid_target():
@@ -645,20 +681,21 @@ def test_small_grid_scans_on_full_grid():
     g, f = _small_grid_target()
     params, val, diag = nearest_sphere_L1(f, g)
     fun = _l1_objective(_SphereFamily(g), f)
-    ref, t, n, ref_diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, _direct_table(fun))
+    ref, t, n, ref_diag = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP,
+                                             _direct_table(fun, False), False)
     assert (val, params.t, params.n) == (ref, t, tuple(n))
     assert diag == ref_diag
 
 
 def test_scan_only_picks_the_start():
     """A table that reads 1 below the objective picks the same start; the
-    start is evaluated again, and the search returns the objective's own
-    minimum after the same evaluations."""
+    refinement evaluates it on the grid, and the search returns the
+    objective's own minimum after the same evaluations."""
     g, f = _small_grid_target()
     fun = _l1_objective(_SphereFamily(g), f)
-    table = _direct_table(fun)
-    ref = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table)
-    low = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table - 1.0)
+    table = _direct_table(fun, False)
+    ref = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table, False)
+    low = _manifold_minimize(fun, _SPHERE_DIRS, T_CAP, table - 1.0, False)
     assert low[:2] == ref[:2] and np.array_equal(low[2], ref[2])
     assert low[3] == ref[3]
     assert low[3].scan_evaluations == 1 + 8 * 34

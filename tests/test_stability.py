@@ -70,6 +70,19 @@ def test_radial_oracle_is_the_profile_sweep():
     assert cert.distance <= cert.search["oracle_distance"] + 1e-12
 
 
+@pytest.mark.parametrize("spec", ["optimizer:s=1e-3", "optimizer:s=2e-3", "gaussian:sigma=1e-3",
+                                  "optimizer:s=1e-5"])
+def test_planar_certificate_refuses_an_optimum_on_the_box_edge(spec):
+    """Centered densities narrower than the searched range s >= e^-6 fit the
+    radial grid, but their search stops on the range's edge (distance 0.85
+    and gap -0.090 for s = 1e-3, distance 0.944 for sigma = 1e-3 against
+    0.3595 at sigma = 3e-3).  They raise, naming the range, instead of
+    certifying."""
+    rho = realize_planar(parse_input_spec(spec), RunConfig())
+    with pytest.raises(DomainError, match=r"searched range s in \[e\^-6, e\^6\]"):
+        planar_stability_certificate(rho)
+
+
 def test_spherical_certificate_matches_planar():
     rho = _gaussian()
     pc = planar_stability_certificate(rho)
