@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import DomainError, LogHLSError, ParseError
-from .fields import RadialDensity, SphereField
+from .fields import RadialDensity
 from .flows import (DISTANCE_SLACK, FE_STEP_TOL, FlowTrajectory, KS_MASS, _jsonable,
                     decay_check, dissipation_check, entropy_dissipation_rate,
                     heat_evolve, heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
@@ -37,9 +37,8 @@ from .specs import (RunConfig, format_input_spec, parse_input_spec,
                     realize_circle, realize_heat_coeffs, realize_planar,
                     realize_sphere, spec_domain)
 from .stability import (DEMO_PAIRS, circle_stability_certificate,
-                        onofri_stability_certificates,
                         planar_stability_certificate,
-                        spherical_stability_certificate, toy_duality_demo)
+                        sphere_stability_certificates, toy_duality_demo)
 from .suite import run_all
 
 
@@ -117,12 +116,7 @@ def cmd_stability(args) -> int:
         out["certificate"] = cert.to_json()
         ok = cert.passed
     elif domain == "sphere":
-        u = realize_sphere(spec, cfg)
-        certs = onofri_stability_certificates(u)
-        # density form: f = e^u - 1, mean-adjusted so int f dsigma is 0 in quadrature
-        fvals = np.exp(u.values)
-        fvals = fvals - integrate(fvals, u.grid)
-        scert = spherical_stability_certificate(SphereField(u.grid, fvals))
+        *certs, scert = sphere_stability_certificates(realize_sphere(spec, cfg))
         out["onofri_certificates"] = [c.to_json() for c in certs]
         out["spherical_certificate"] = scert.to_json()
         ok = all(c.passed for c in certs) and scert.passed

@@ -24,9 +24,9 @@ from .functionals import (MASS_TOL, _circle_grid_for, dirichlet_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report, spherical_free_energy)
 from .grids import CircleGrid, integrate
-from .optimizers import (LOG_S_BOX, nearest_circle_L1, nearest_planar_L1, nearest_sphere_L1,
-                         nearest_sphere_gradient, nearest_sphere_reverse_entropy,
-                         radial_L1_objective)
+from .optimizers import (LOG_S_BOX, _l1_objective, _SphereFamily, nearest_circle_L1,
+                         nearest_planar_L1, nearest_sphere_L1, nearest_sphere_gradient,
+                         nearest_sphere_reverse_entropy, radial_L1_objective)
 
 __all__ = [
     "StabilityCertificate",
@@ -34,6 +34,7 @@ __all__ = [
     "planar_stability_certificate",
     "spherical_stability_certificate",
     "onofri_stability_certificates",
+    "sphere_stability_certificates",
     "constrained_onofri_gap",
     "circle_stability_certificate",
     "ConvexPairSpec",
@@ -164,6 +165,23 @@ def onofri_stability_certificates(u: SphereField) -> tuple[StabilityCertificate,
     pl, dist, diag_l = nearest_sphere_L1(np.exp(u.values), u.grid)
     cert_c = _certificate("Onofri L1 form", J, 0.25, dist, gridname, _search(pl, diag_l))
     return cert_a, cert_b, cert_c
+
+
+def sphere_stability_certificates(u: SphereField) -> tuple[StabilityCertificate, ...]:
+    """The Onofri certificates of u and the log-HLS certificate of f = e^u - int e^u.
+
+    Both L1 certificates measure the distance of e^u to the manifold, so
+    the log-HLS distance ||(f+1) - e^{u_{t,n}}||_1 is taken at the Onofri L1
+    search's (t, n), and that search is its ``search``: an upper bound of
+    the infimum, equal to the search's value when int e^u = 1 to rounding.
+    """
+    *onofri, l1 = onofri_stability_certificates(u)
+    f = np.exp(u.values)
+    f -= integrate(f, u.grid)
+    dist = _l1_objective(_SphereFamily(u.grid), f + 1.0)(l1.search["t"], np.array(l1.search["n"]))
+    H = spherical_free_energy(SphereField(u.grid, f)).total
+    return (*onofri, l1,
+            _certificate("log-HLS (sphere)", H, 0.125, dist, l1.grid, dict(l1.search)))
 
 
 def constrained_onofri_gap(u: SphereField) -> float:

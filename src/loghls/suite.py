@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy as ent
-from .errors import LogHLSError
+from .errors import LogHLSError, ParseError
 from .fields import CircleField, SphereField, radial_from_profile
 from .flows import (DISTANCE_SLACK, FE_STEP_TOL, KS_MASS, decay_check, dissipation_check,
                     heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
@@ -393,14 +393,11 @@ CRITERIA = (
 )
 
 
-def run_criterion(cid: str, config: RunConfig) -> CriterionResult:
-    for c, name, budget, fn in CRITERIA:
-        if c == cid:
-            return _run(c, name, budget, fn, config)
-    raise KeyError(f"unknown criterion {cid!r}")
-
-
 def run_all(config: RunConfig, ids) -> list[CriterionResult]:
-    """The criteria of ``ids`` in matrix order, or all of them for None."""
+    """The criteria of ``ids`` in matrix order, or all of them for None;
+    an id that names no criterion is invalid input."""
+    unknown = sorted(set(ids or ()) - {c[0] for c in CRITERIA})
+    if unknown:
+        raise ParseError(f"suite: unknown criterion ids {', '.join(unknown)}")
     return [_run(cid, name, budget, fn, config) for cid, name, budget, fn in CRITERIA
             if ids is None or cid in ids]

@@ -7,7 +7,7 @@ criterion; the same checks back the ``loghls suite`` command.
 import pytest
 
 from loghls.specs import RunConfig
-from loghls.suite import CRITERIA, run_criterion
+from loghls.suite import CRITERIA, run_all
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def config():
 
 @pytest.mark.parametrize("cid", [c[0] for c in CRITERIA])
 def test_acceptance_criterion(cid, config):
-    result = run_criterion(cid, config)
+    [result] = run_all(config, [cid])
     print()
     print(result.summary())
     for line in result.lines:

@@ -294,6 +294,14 @@ def test_suite_subset(capsys):
     assert [c["id"] for c in data["criteria"]] == ["A06", "A07"]
 
 
+def test_suite_unknown_id_is_invalid_input(capsys):
+    """An id that names no criterion (A5 for A05) is refused, not run as
+    an empty matrix that passes."""
+    code, out, err = run_cli(capsys, "suite", "--ids", "A04,A5")
+    assert code == 2
+    assert out == "" and "unknown criterion ids A5" in err
+
+
 def test_suite_coarse_grid_fails(tmp_path, capsys):
     """A deliberately coarse grid makes the equality-case criterion fail
     with a nonzero exit (designed failure mode)."""

@@ -81,7 +81,7 @@ def test_transfer_identity_follows_the_config_grid(monkeypatch):
     monkeypatch.setattr(suite, "lift_T",
                         lambda rho, grid=None: grids.append(grid) or real(rho, grid))
     cfg = RunConfig(sphere_nz=64, sphere_nphi=128)
-    result = suite.run_criterion("A10", cfg)
+    [result] = suite.run_all(cfg, ["A10"])
     assert result.passed, "\n".join(result.lines)
     assert len(grids) == 5 and all(g is cfg.sphere_grid() and g.n_z == 64 for g in grids)
 

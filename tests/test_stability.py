@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from loghls.errors import DomainError, PreconditionError
-from loghls import suite
+from loghls import stability, suite
 from loghls.fields import SphereField
 from loghls.functionals import (dirichlet_energy, onofri_functional,
                                 sphere_log_interaction, spherical_free_energy)
@@ -16,7 +18,7 @@ from loghls.specs import (RunConfig, parse_input_spec, realize_circle, realize_p
 from loghls.stability import (ORACLE_SWEEP, ConvexPairSpec, circle_stability_certificate,
                               constrained_onofri_gap,
                               onofri_stability_certificates,
-                              planar_stability_certificate,
+                              planar_stability_certificate, sphere_stability_certificates,
                               spherical_stability_certificate, toy_duality_demo)
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -136,6 +138,67 @@ def test_onofri_certificates_need_normalization(sphere_grid):
         onofri_stability_certificates(u)
 
 
+# the sphere specs of the CI's package step
+CI_SPHERE_SPECS = ("band-limited-random:seed=21,L=3,amplitude=0.1",
+                   "band-limited-random:seed=7,L=6,amplitude=0.25")
+
+
+@pytest.mark.parametrize("spec", CI_SPHERE_SPECS)
+def test_sphere_certificates_share_one_L1_search(spec, monkeypatch):
+    """The joint pass returns the Onofri certificates unchanged and the
+    log-HLS certificate of f = e^u - int e^u from the same L1 search."""
+    u = realize_sphere(parse_input_spec(spec), RunConfig())
+    calls, real = [], stability.nearest_sphere_L1
+    monkeypatch.setattr(stability, "nearest_sphere_L1",
+                        lambda *args: calls.append(args) or real(*args))
+    *onofri, cert = sphere_stability_certificates(u)
+    assert len(calls) == 1
+    assert tuple(onofri) == onofri_stability_certificates(u)
+    fvals = np.exp(u.values)
+    fvals -= integrate(fvals, u.grid)
+    alone = spherical_stability_certificate(SphereField(u.grid, fvals))
+    assert cert.value == alone.value
+    assert cert.distance == pytest.approx(alone.distance, rel=1e-14, abs=0.0)
+    assert cert.search == onofri[2].search
+    assert cert.gap == cert.value - 0.125 * cert.distance**2
+
+
+def test_sphere_certificates_take_the_log_hls_distance_of_f_plus_1(sphere_grid):
+    """With int e^u = 1 + 5e-7, inside MASS_TOL, the log-HLS distance is
+    ||(f+1) - e^{u_{t,n}}||_1 at the shared (t, n), not the Onofri one."""
+    base = SphereField.from_zonal(sphere_grid, lambda z: 0.3 * z + 0.2 * z**2)
+    u = base.shifted(math.log(1.0 + 5e-7) - math.log(base.exp_integral()))
+    *_, l1, cert = sphere_stability_certificates(u)
+    t, n = cert.search["t"], np.array(cert.search["n"])
+    ev = np.exp(sphere_optimizer_values(t, n, sphere_grid.points()))
+    f_plus_1 = np.exp(u.values) - integrate(np.exp(u.values), sphere_grid) + 1.0
+    dist = integrate(np.abs(f_plus_1 - ev), sphere_grid)
+    assert cert.distance == pytest.approx(dist, rel=1e-13, abs=0.0)
+    assert l1.distance != pytest.approx(dist, rel=1e-9, abs=0.0)    # 2e-6 apart
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_sphere_certificates_near_the_manifold(sphere_grid, eps):
+    """u = eps P_2, normalized: the second-order closed forms J/eps^2 -> 1/5,
+    E_inf/eps^2 -> 6/5, H_inf/eps^2 -> 1/10, H_S/eps^2 -> 1/15 and both L1
+    distances / eps -> ||P_2||_1 = 2/(3 sqrt 3), each to O(eps).
+
+    The measured departures are 0.0095 eps in the values, 2e-13 in E_inf,
+    and 0.095 eps + 9.5e-5 relative in the distances; the last is the
+    quadrature error of ||P_2||_1, whose |.| kinks at z = +-1/sqrt 3."""
+    p2 = SphereField.from_zonal(sphere_grid, lambda z: eps * 0.5 * (3.0 * z * z - 1.0))
+    u = p2.shifted(-math.log(p2.exp_integral()))
+    grad, entropy, l1, log_hls = sphere_stability_certificates(u)
+    e2, value_tol = eps**2, 0.02 * eps + 1e-12
+    assert grad.value / e2 == pytest.approx(1 / 5, abs=value_tol)
+    assert grad.distance**2 / e2 == pytest.approx(6 / 5, abs=value_tol)
+    assert entropy.distance**2 / e2 == pytest.approx(1 / 10, abs=value_tol)
+    assert log_hls.value / e2 == pytest.approx(1 / 15, abs=value_tol)
+    for cert in (l1, log_hls):
+        assert cert.distance / eps == pytest.approx(2 / (3 * math.sqrt(3)),
+                                                    rel=0.2 * eps + 2e-4)
+
+
 def test_constrained_onofri_gap(sphere_grid):
     zero = SphereField(sphere_grid, np.zeros(sphere_grid.shape), axisymmetric=True)
     assert constrained_onofri_gap(zero) == pytest.approx(0.0, abs=1e-12)
@@ -190,7 +253,7 @@ def test_circle_functions_use_the_run_circle_grid(monkeypatch):
 
     for name in ("lebedev_milin_functional", "circle_stability_certificate"):
         monkeypatch.setattr(suite, name, spy(getattr(suite, name)))
-    assert suite.run_criterion("A12", cfg).passed
+    assert suite.run_all(cfg, ["A12"])[0].passed
     assert seen == [1024] * (3 + 4 + 10)
 
 
