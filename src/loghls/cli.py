@@ -46,20 +46,23 @@ def _config_from_args(args) -> RunConfig:
     """The run's configuration; one that fails validation is invalid input."""
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.grid_n:
-            cfg.radial_n = args.grid_n
-        if args.rmax:
-            cfg.radial_rmax = args.rmax
+        for key in ("radial_n", "radial_rmax", "ks_n", "ks_rmax", "seed"):   # if given
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
         if args.oracle:
             cfg.oracle = True
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.out:
             cfg.out = args.out
         cfg.validate()
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     return cfg
+
+
+def _check_grid_flags(args, domain: str) -> None:
+    if domain != "plane" and (args.radial_n is not None or args.radial_rmax is not None):
+        raise ParseError(f"{args.command}: --grid-n and --rmax size the radial grid of plane "
+                         f"specs, which a {domain} spec does not use")
 
 
 def _emit(obj, cfg: RunConfig) -> None:
@@ -82,6 +85,7 @@ def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
     spec = parse_input_spec(args.spec)
     domain = spec_domain(spec)
+    _check_grid_flags(args, domain)
     out = {"domain": domain, **_meta(cfg, spec)}
     if domain == "plane":
         rho = realize_planar(spec, cfg)
@@ -110,6 +114,7 @@ def cmd_stability(args) -> int:
     cfg = _config_from_args(args)
     spec = parse_input_spec(args.spec)
     domain = spec_domain(spec)
+    _check_grid_flags(args, domain)
     out = {"domain": domain, **_meta(cfg, spec)}
     if domain == "plane":
         cert = planar_stability_certificate(realize_planar(spec, cfg), oracle=cfg.oracle)
@@ -253,22 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, grid=None):    # grid: (RunConfig key prefix, name) for --grid-n, --rmax
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--grid-n", type=int, dest="grid_n", help="radial grid size")
-        sp.add_argument("--rmax", type=float, help="radial outer radius")
+        if grid is not None:
+            prefix, name = grid
+            sp.add_argument("--grid-n", type=int, dest=f"{prefix}_n", help=f"nodes in the {name}")
+            sp.add_argument("--rmax", type=_finite_positive("rmax"), dest=f"{prefix}_rmax",
+                            help=f"outer radius of the {name}")
         sp.add_argument("--oracle", action="store_true", help="enable dense-grid oracles")
         sp.add_argument("--seed", type=int, help="seed for randomized inputs")
         sp.add_argument("--out", help="write the JSON report to this path")
 
     sp = sub.add_parser("eval", help="evaluate functionals of a spec")
     sp.add_argument("spec")
-    common(sp)
+    common(sp, ("radial", "radial grid of plane specs"))
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("stability", help="stability certificate for a spec")
     sp.add_argument("spec")
-    common(sp)
+    common(sp, ("radial", "radial grid of plane specs"))
     sp.set_defaults(fn=cmd_stability)
 
     sp = sub.add_parser("heatflow", help="heat semigroup run (flow heat)")
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=_finite_positive("T"), default=None)
     sp.add_argument("--samples", type=_positive_count, default=64)
     sp.add_argument("--csv", help="write the trajectory CSV here")
-    common(sp)
+    common(sp, ("ks", "Keller-Segel flow grid"))
     sp.set_defaults(fn=cmd_ks)
 
     sp = sub.add_parser("duality-demo", help="convex duality transfer demo")
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run the acceptance matrix")
     sp.add_argument("--ids", help="comma-separated criterion ids, e.g. A01,A06")
     sp.add_argument("--json", action="store_true", help="machine-readable summary")
-    common(sp)
+    common(sp, ("radial", "radial grid of the planar criteria"))
     sp.set_defaults(fn=cmd_suite)
     return p
 

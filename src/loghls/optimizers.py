@@ -19,12 +19,13 @@ per search.  On the Gauss x azimuth grid q is A_j + B_j C_k, with
 A = cosh t + sinh t n_3 z and B = sin theta by row and
 C = sinh t (n_1 cos phi + n_2 sin phi) by column, so it is one rank-2
 product of tables cached on the grid (``grids.affine_values``).  The
-gradient and reverse-entropy objectives are smooth in v and return their
-value with its exact gradient, the moments of g'(q) through the chain
-rule of _SphereFamily.gradient, so BFGS refines them; the L1
-objectives, whose quadrature gradient has kinks, return their value and
-are refined by Nelder-Mead.  All
-integrate with ``grids.integrate`` and ``grids.moments`` on their grid.
+reverse-entropy objective is smooth in v and returns its value with its
+exact gradient, the moments of g'(q) through the chain rule of
+_SphereFamily.gradient, so BFGS refines it; the L1 objectives, whose
+quadrature gradient has kinks, return their value and are refined by
+Nelder-Mead.  All integrate with ``grids.integrate`` and
+``grids.moments`` on their grid.  The gradient form is taken at the
+reverse-entropy optimum (nearest_sphere_gradient).
 
 A sphere search's scan is not evaluated on the grid.  Each of its 273
 start values needs C(t, n) = int f e^{u_{t,n}} dsigma for one field f,
@@ -32,7 +33,7 @@ and by the Funk-Hecke formula C(t, .) is sum_l kappa_l(t) f_l, with f_l
 the degree-l part of f and kappa_l(t) = (1/2) int P_l(z)
 (cosh t + sinh t z)^-2 dz.  So the whole table is one product of f's
 harmonic coefficients with tables built once per transform shape
-(_FunkHecke): the smooth objectives' tables are exact, and the L1
+(_FunkHecke): the reverse entropy's table is exact, and the L1
 searches rank their starts by the L2 distance to the family, which needs
 no log.  The scan only picks the start: the refinement evaluates it on
 the grid first and never returns a larger value, so a search costs the
@@ -199,7 +200,7 @@ class SearchDiagnostics:
     ``evaluations`` counts every distinct evaluation; ``scan_evaluations``
     those of the scan (the radial search's 16 samples, the entries of a
     manifold search's start table) and ``iterations`` the refinement's
-    iterations (BFGS ``nit`` for the smooth sphere objectives, Nelder-Mead
+    iterations (BFGS ``nit`` for the reverse-entropy objective, Nelder-Mead
     ``nit`` for the L1 ones) of a manifold search (0 for the radial
     golden-section search).  A manifold search's ``evaluations`` is its
     ``scan_evaluations`` plus the refiner's ``nfev``: the refiner's first
@@ -549,49 +550,6 @@ def _check_normalized_exp(u: SphereField, who: str):
             f"{who}: int e^u dsigma = {m!r}, expected 1 within {MASS_TOL}")
 
 
-def _optimizer_energy(t: float) -> tuple[float, float]:
-    """E(u_{t,n}) = 8 t coth t - 8 and its t-derivative, by their series
-    8 t^2/3 - 8 t^4/45 and 16 t/3 - 32 t^3/45 below t = 1e-3."""
-    if t < 1e-3:
-        t2 = t * t
-        return 8.0 * t2 * (1.0 / 3.0 - t2 / 45.0), t * (16.0 / 3.0 - 32.0 * t2 / 45.0)
-    return 8.0 * t / math.tanh(t) - 8.0, 8.0 / math.tanh(t) - 8.0 * t / math.sinh(t) ** 2
-
-
-def _gradient_objective(fam: _SphereFamily, u: np.ndarray, Eu: float, ubar: float):
-    """(t, n) -> (E(u - u_{t,n}), its gradient in v = t n), by the cross-term
-    identity of nearest_sphere_gradient: int g(q) with g = -4 u q^-2,
-    g'(q) = 8 u q^-3, plus E(u_{t,n})."""
-
-    def fun(t, n):
-        Ev, dEv = _optimizer_energy(t)
-        r = np.reciprocal(fam.base(t, n), out=fam.q)
-        dg = np.multiply(u, r, out=fam.work)
-        dg *= r
-        val = Eu + Ev - 4.0 * integrate(dg, fam.grid) + 4.0 * ubar
-        dg *= r
-        return val, 8.0 * fam.gradient(t, n, dg) + dEv * n
-
-    return fun
-
-
-def nearest_sphere_gradient(u: SphereField):
-    """Minimize int |grad u - grad u_{t,n}|^2 dsigma over the manifold.
-
-    Uses -Delta u_{t,n} = 2 (e^{u_{t,n}} - 1) to evaluate the cross term
-    by plain quadrature:
-        E(u - v) = E(u) + E(v) - 4 int u e^v dsigma + 4 int u dsigma,
-    with E(v) = 8 t coth t - 8.  The scan table is the same identity with
-    int u e^v dsigma from u's coefficients (_FunkHecke).
-    """
-    Eu, ubar = dirichlet_energy(u), u.mean()
-    fun = _gradient_objective(_SphereFamily(u.grid), u.values, Eu, ubar)
-    table = (Eu + 4.0 * ubar + _per_start(lambda t: _optimizer_energy(t)[0])
-             - 4.0 * _scan_integrals(u.grid, u.coeffs()))
-    params, val, diag = _sphere_search(fun, table, smooth=True)
-    return params, max(val, 0.0), diag
-
-
 def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
     """(t, n) -> (H(e^{u_{t,n}} | e^u), its gradient in v = t n):
     H = int q^-2 A with A = -2 log q - u, g'(q) = -2 q^-3 (A + 1)."""
@@ -619,14 +577,31 @@ def nearest_sphere_reverse_entropy(u: SphereField):
     of the Onofri stability bound, the only sphere entropy search.
     Requires int e^u dsigma = 1.  The scan table is
     int e^v v dsigma - int u e^v dsigma, where int e^v v dsigma =
-    2 t coth t - 2 = E(u_{t,n}) / 4 and the last integral comes from u's
-    coefficients (_FunkHecke).
+    2 t coth t - 2 = E(u_{t,n}) / 4 (0 at t = 0) and the last integral
+    comes from u's coefficients (_FunkHecke).
     """
     _check_normalized_exp(u, who="nearest_sphere_reverse_entropy")
     fun = _reverse_entropy_objective(_SphereFamily(u.grid), u.values)
-    table = (_per_start(lambda t: 0.25 * _optimizer_energy(t)[0])
+    table = (_per_start(lambda t: 2.0 * t / math.tanh(t) - 2.0 if t > 0.0 else 0.0)
              - _scan_integrals(u.grid, u.coeffs()))
     return _sphere_search(fun, table, smooth=True)
+
+
+def _gradient_energy(u: SphereField, params: SphereOptimizerParams) -> float:
+    """E(u - u_{t,n}) = int |grad u - grad u_{t,n}|^2 dsigma, by its definition."""
+    return dirichlet_energy(SphereField(u.grid, u.values - sphere_optimizer(params, u.grid).values))
+
+
+def nearest_sphere_gradient(u: SphereField):
+    """Minimize E(u - u_{t,n}) = int |grad u - grad u_{t,n}|^2 dsigma.
+
+    By -Delta u_{t,n} = 2 (e^{u_{t,n}} - 1) and int e^v v dsigma = E(v) / 4,
+    E(u - u_{t,n}) = E(u) + 4 int u dsigma + 4 H(e^{u_{t,n}} | e^u), so this
+    is the reverse-entropy search (int e^u dsigma = 1 required), with E
+    taken at its optimum by its definition: the identity's terms cancel
+    to about 1e-11 near the manifold."""
+    params, _, diag = nearest_sphere_reverse_entropy(u)
+    return params, _gradient_energy(u, params), diag
 
 
 def _l1_objective(fam: _SphereFamily, f_plus_1: np.ndarray):

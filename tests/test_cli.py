@@ -211,10 +211,14 @@ def test_ks_sharp_gaussian_command(capsys):
     ("heatflow", "1+0.5*P1", "--dt", "0"),
     ("heatflow", "1+0.5*P1", "--dt", "-1"),
     ("heatflow", "1+0.5*P1", "--dt", "nan"),
+    ("eval", "gaussian:sigma=1", "--rmax", "0"),
+    ("eval", "gaussian:sigma=1", "--rmax", "nan"),
+    ("eval", "gaussian:sigma=1", "--rmax", "inf"),
 ], ids=lambda argv: f"{argv[0]} {argv[-2][2:]}={argv[-1]}")
 def test_non_positive_T_is_invalid_input(capsys, argv):
-    """--T and heatflow's --dt take a finite number > 0 (a NaN dt once
-    printed null residuals with exit 0)."""
+    """--T, heatflow's --dt and --rmax take a finite number > 0 (a NaN dt
+    once printed null residuals with exit 0, and --rmax 0 ran the default
+    grid)."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -245,15 +249,52 @@ def test_non_positive_samples_is_invalid_input(capsys, argv):
     ("ks_dt = 1", ("ks", "8pi*optimizer:s=1", "--T", "0.5")),
     ("radial_n = 4", ("eval", "optimizer:s=1")),
     ("", ("eval", "optimizer:s=1", "--grid-n", "4")),
+    ("", ("eval", "gaussian:sigma=1", "--grid-n", "0")),
+    ("", ("ks", "8pi*optimizer:s=1", "--grid-n", "32")),
     ("radial_n = abc", ("eval", "optimizer:s=1")),
     ("ks_T = abc", ("ks", "8pi*optimizer:s=1")),
-], ids=["ks_T", "ks_dt", "radial_n", "grid-n", "radial_n-text", "ks_T-text"])
+], ids=["ks_T", "ks_dt", "radial_n", "grid-n", "grid-n-zero", "ks-grid-n", "radial_n-text",
+        "ks_T-text"])
 def test_invalid_config_is_invalid_input(tmp_path, capsys, line, argv):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 2 and out == ""
     assert "invalid input" in err and "RunConfig" in err
+
+
+def test_ks_grid_flags_size_the_flow_grid(capsys):
+    """On ks, --grid-n and --rmax set ks_n and ks_rmax, the flow grid; the
+    radial grid of the initial data keeps its default."""
+    code, out, _ = run_cli(capsys, "ks", "8pi*gaussian:sigma=1", "--T", "0.5", "--samples", "4",
+                           "--grid-n", "2048", "--rmax", "1e5")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["config"]["ks_n"], data["config"]["ks_rmax"]) == (2048, 1e5)
+    assert data["config"]["radial_rmax"] == 1e4
+    diagnostics = data["trajectory"]["diagnostics"]
+    assert (diagnostics["n"], diagnostics["r_max"]) == (2048, 1e5)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "sphere-optimizer:t=1,n=(0,0,1)", "--grid-n", "2048"),
+    ("stability", "circle-cos:eps=0.3", "--rmax", "1e3"),
+], ids=["eval-sphere", "stability-circle"])
+def test_grid_flags_on_a_spec_without_a_radial_grid_are_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--grid-n and --rmax size the radial grid of plane specs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("heatflow", "1+0.5*P1", "--grid-n", "2048"),
+    ("duality-demo", "--rmax", "1e3"),
+])
+def test_commands_without_a_sized_grid_take_no_grid_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_heatflow_short_T_samples_end_at_T(capsys):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loghls.errors import DomainError, PreconditionError
-from loghls import stability, suite
-from loghls.fields import SphereField
+from loghls import optimizers, stability, suite
+from loghls.fields import SphereField, get_transform
 from loghls.functionals import (dirichlet_energy, onofri_functional,
                                 sphere_log_interaction, spherical_free_energy)
 from loghls.geometry import lift_T, sphere_optimizer_values
-from loghls.grids import integrate
+from loghls.grids import integrate, make_sphere_grid
 from loghls.optimizers import (LOG_S_BOX, PlanarOptimizerParams, SphereOptimizerParams,
                                planar_optimizer, planar_optimizer_profile, recenter,
                                sphere_optimizer)
@@ -163,6 +164,25 @@ def test_sphere_certificates_share_one_L1_search(spec, monkeypatch):
     assert cert.gap == cert.value - 0.125 * cert.distance**2
 
 
+@pytest.mark.parametrize("spec", CI_SPHERE_SPECS)
+def test_onofri_certificates_share_one_smooth_search(spec, monkeypatch):
+    """The gradient and entropy forms come from one reverse-entropy search:
+    the Onofri certificates make 2 minimize calls (it and the L1 search),
+    the joint pass with the log-HLS certificate 2 as well, and the
+    gradient form's ``search`` is the entropy form's."""
+    u = realize_sphere(parse_input_spec(spec), RunConfig())
+    calls, real = [], optimizers.minimize
+    monkeypatch.setattr(optimizers, "minimize",
+                        lambda *args, **kw: calls.append(kw["method"]) or real(*args, **kw))
+    grad, entropy, _ = onofri_stability_certificates(u)
+    assert calls == ["BFGS", "Nelder-Mead"]
+    calls.clear()
+    sphere_stability_certificates(u)
+    assert calls == ["BFGS", "Nelder-Mead"]
+    assert grad.search == entropy.search
+    assert grad.gap >= 0.0 and entropy.gap >= 0.0
+
+
 def test_sphere_certificates_take_the_log_hls_distance_of_f_plus_1(sphere_grid):
     """With int e^u = 1 + 5e-7, inside MASS_TOL, the log-HLS distance is
     ||(f+1) - e^{u_{t,n}}||_1 at the shared (t, n), not the Onofri one."""
@@ -197,6 +217,47 @@ def test_sphere_certificates_near_the_manifold(sphere_grid, eps):
     for cert in (l1, log_hls):
         assert cert.distance / eps == pytest.approx(2 / (3 * math.sqrt(3)),
                                                     rel=0.2 * eps + 2e-4)
+
+
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=14, max_size=14).filter(
+    lambda a: sum(x * x for x in a) >= 1.0))
+def test_sphere_certificates_near_the_manifold_on_even_fields(sphere_grid, coeffs):
+    """u = eps f, normalized, with f of degrees 2 and 4 and random
+    coefficients: each certificate matches its second-order closed form
+    (ROADMAP 15), with ||f_l|| the L2 norm of f's degree-l part:
+    J/eps^2 -> sum (l(l+1)/4 - 1/2) ||f_l||^2, E_inf/eps^2 ->
+    sum l(l+1) ||f_l||^2, H_inf/eps^2 -> sum ||f_l||^2 / 2, H_S/eps^2 ->
+    sum (1/2 - 1/(l(l+1))) ||f_l||^2, and both L1 distances / eps ->
+    ||f||_1, taken on a 256 x 512 grid.
+
+    On these draws the values depart by at most 1.13 eps relative and the
+    distances by 0.79 eps, which holds the L1 quadrature error (up to
+    3.1e-5 at 128 x 256 on 20 other such fields).  An even f makes the
+    reverse entropy even in v, so its search stays at its t = 0 start,
+    and E_inf is E(u) within 8.7e-14."""
+    c, s = np.zeros((5, 5)), np.zeros((5, 5))
+    c[2, :3], s[2, 1:3], c[4, :], s[4, 1:] = np.split(np.array(coeffs), [3, 5, 10])
+    norms = {l: float(c[l] @ c[l] + s[l] @ s[l]) for l in (2, 4)}
+    l1 = integrate(np.abs(get_transform(_FINE, lmax=4).synthesize(c, s)), _FINE)
+    f = get_transform(sphere_grid, lmax=4).synthesize(c, s)
+    for eps in (1e-1, 1e-2, 1e-3):
+        u = SphereField(sphere_grid, eps * f)
+        u = u.shifted(-math.log(u.exp_integral()))
+        grad, entropy, l1_cert, log_hls = sphere_stability_certificates(u)
+        e2, tol = eps**2, 3.0 * eps
+        assert grad.value / e2 == pytest.approx(
+            sum((0.25 * l * (l + 1) - 0.5) * n for l, n in norms.items()), rel=tol)
+        assert grad.distance**2 / e2 == pytest.approx(
+            sum(l * (l + 1) * n for l, n in norms.items()), rel=1e-12)
+        assert entropy.distance**2 / e2 == pytest.approx(0.5 * sum(norms.values()), rel=tol)
+        assert log_hls.value / e2 == pytest.approx(
+            sum((0.5 - 1.0 / (l * (l + 1))) * n for l, n in norms.items()), rel=tol)
+        for cert in (l1_cert, log_hls):
+            assert cert.distance / eps == pytest.approx(l1, rel=1.5 * eps + 1e-4)
+
+
+_FINE = make_sphere_grid(256, 512)
 
 
 def test_constrained_onofri_gap(sphere_grid):
