@@ -116,9 +116,9 @@ def radial_from_profile(grid: RadialGrid, fn: Callable) -> RadialDensity:
 class SphereField:
     """Real function on S^2: grid values and an optional exact callable.
 
-    ``axisymmetric`` marks a field that depends on omega_3 alone.  No
-    library code reads it; only the zonal cross-check of the interaction
-    in the tests does.
+    ``axisymmetric`` marks a field that depends on omega_3 alone.
+    :meth:`from_fn` reads it to evaluate the callable once per Gauss row;
+    the zonal cross-check of the interaction in the tests reads it too.
     """
 
     grid: SphereGrid
@@ -137,7 +137,14 @@ class SphereField:
     @classmethod
     def from_fn(cls, grid: SphereGrid, fn: Callable,
                 axisymmetric: bool = False) -> "SphereField":
-        return cls(grid, fn(grid.points()), fn=fn, axisymmetric=axisymmetric)
+        """The field fn(omega) at the grid's nodes.  An axisymmetric ``fn``
+        (one that reads omega_3 alone) is evaluated on one node per Gauss
+        row and repeated across the azimuth, which gives the same values."""
+        if axisymmetric:
+            values = np.repeat(fn(grid.points()[:, :1]), grid.n_phi, axis=1)
+        else:
+            values = fn(grid.points())
+        return cls(grid, values, fn=fn, axisymmetric=axisymmetric)
 
     @classmethod
     def from_zonal(cls, grid: SphereGrid, zfn: Callable) -> "SphereField":

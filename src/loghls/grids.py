@@ -165,13 +165,19 @@ class SphereGrid:
         return np.repeat(self.w_z[:, None] / (2.0 * self.n_phi), self.n_phi, axis=1)
 
     def points(self) -> np.ndarray:
-        """Cartesian coordinates of the grid nodes, shape (n_z, n_phi, 3)."""
+        """Cartesian coordinates of the grid nodes, shape (n_z, n_phi, 3),
+        built once per grid and read-only."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
         s = np.sqrt(np.clip(1.0 - self.z**2, 0.0, None))
         cp, sp = np.cos(self.phi), np.sin(self.phi)
         pts = np.empty((self.n_z, self.n_phi, 3))
         pts[:, :, 0] = s[:, None] * cp[None, :]
         pts[:, :, 1] = s[:, None] * sp[None, :]
         pts[:, :, 2] = self.z[:, None]
+        _read_only(pts)
         return pts
 
     @cached_property

@@ -141,7 +141,7 @@ def planar_optimizer(p: PlanarOptimizerParams, grid: RadialGrid) -> RadialDensit
 def sphere_optimizer(p: SphereOptimizerParams, grid: SphereGrid) -> SphereField:
     """u_{t,n} as a SphereField with exact callable; int e^u dsigma = 1."""
     n = p.axis
-    axi = abs(n[0]) < 1e-15 and abs(n[1]) < 1e-15
+    axi = n[0] == 0.0 and n[1] == 0.0
     fn = lambda pts, _t=p.t, _n=p.axis: sphere_optimizer_values(_t, _n, pts)
     return SphereField.from_fn(grid, fn, axisymmetric=axi)
 

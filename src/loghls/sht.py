@@ -11,7 +11,11 @@ where Q_{l,m} are normalized associated Legendre functions with
 (1/2) int_{-1}^{1} Q_{l,m}^2 dz = 1.  The Laplace-Beltrami operator acts
 as multiplication by -l(l+1), which is all the energy functionals need.
 
-A transform tabulates only the orders its grid resolves.  Zonal input
+A transform tabulates only the orders its grid resolves, order by order
+(``SphereTransform.Qm``), so analysis is one real FFT along each Gauss
+row and one stacked matrix product of every order's table block with
+that order's Fourier column; synthesis is the transposed product and one
+inverse FFT.  Zonal input
 (every grid row constant) fills the m = 0 column alone, the plain
 Legendre a_l of u(z) = sum a_l P_l(z) times 1/sqrt(2l+1), in which the
 heat flow keeps its states; ``legendre_analyze`` computes the a_l
@@ -97,15 +101,16 @@ def normalized_assoc_legendre(lmax: int, max_m: int, z: np.ndarray) -> np.ndarra
 
     Normalization: (1/2) * int_{-1}^1 Q_{l,m}(z)^2 dz = 1 (no
     Condon-Shortley phase).  Returned array has shape
-    (lmax+1, max_m+1, len(z)); entries with m > l are zero.  Each column m
-    holds the rows of :func:`assoc_legendre_single_m`, bit for bit
-    (:func:`legendre_rows`).
+    (lmax+1, max_m+1, len(z)); entries with m > l are zero.  It is the
+    transposed view of an order-major (max_m+1, lmax+1, len(z)) array, in
+    which each order's block is contiguous.  Each column m holds the rows
+    of :func:`assoc_legendre_single_m`, bit for bit (:func:`legendre_rows`).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    Q = np.zeros((lmax + 1, max_m + 1, z.size))
+    Qm = np.zeros((max_m + 1, lmax + 1, z.size))
     for l, row in enumerate(legendre_rows(lmax, max_m, z)):
-        Q[l, :row.shape[0]] = row
-    return Q
+        Qm[:row.shape[0], l] = row
+    return Qm.transpose(1, 0, 2)
 
 
 def legendre_analyze(values_z: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarray:
@@ -128,11 +133,15 @@ class SphereTransform:
     """Forward/inverse real spherical-harmonic transform on one grid.
 
     The transform object precomputes the normalized associated Legendre
-    table ``Q`` at the grid's z nodes, for the orders m <= max_m = min(lmax,
+    table at the grid's z nodes, for the orders m <= max_m = min(lmax,
     n_phi/2 - 1) that the grid resolves, and is reused by every field bound
-    to that grid.  Coefficients are stored as a pair of (lmax+1, lmax+1)
-    arrays ``c`` (m=0 column plus cosine modes) and ``s`` (sine modes,
-    m >= 1); their columns m > max_m stay 0.
+    to that grid.  The table is stored order-major, ``Qm[m, l] = Q_{l,m}``
+    of shape (max_m+1, lmax+1, n_z), so analysis and synthesis are each one
+    FFT and one stacked matrix product over all orders; ``Q`` is the
+    (lmax+1, max_m+1, n_z) view of the same storage.  Coefficients are
+    stored as a pair of (lmax+1, lmax+1) arrays ``c`` (m=0 column plus
+    cosine modes) and ``s`` (sine modes, m >= 1); their columns m > max_m
+    stay 0.
     """
 
     def __init__(self, grid: SphereGrid, lmax: int):
@@ -144,50 +153,55 @@ class SphereTransform:
         self.lmax = int(lmax)
         self.max_m = int(max_m)
         self.Q = normalized_assoc_legendre(lmax, max_m, grid.z)
+        self.Qm = self.Q.transpose(1, 0, 2)
         ell = np.arange(lmax + 1)
         self.eigs = ell * (ell + 1.0)
 
     def analyze(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid values (n_z, n_phi) -> coefficient arrays (c, s).
 
-        Zonal values (every row constant) fill the m = 0 column alone,
-        with no FFT; the other columns are then exactly 0.
+        The cosine and sine parts of each order's Fourier column, weighted
+        by the Gauss rows, are the two right-hand columns of that order's
+        product with its table block.  Zonal values (every row constant)
+        fill the m = 0 column alone, with no FFT; the other columns are
+        then exactly 0.
         """
         g = self.grid
         v = np.asarray(values, dtype=float)
         if v.shape != g.shape:
             raise DimensionMismatchError(
                 f"SphereTransform.analyze: got {v.shape}, expected {g.shape}")
-        L = self.lmax
+        L, M = self.lmax, self.max_m
         c = np.zeros((L + 1, L + 1))
         s = np.zeros((L + 1, L + 1))
         wh = g.w_z / 2.0
         if np.all(v == v[:, :1]):
             c[:, 0] = self.Q[:, 0, :] @ (wh * v[:, 0])
             return c, s
-        F = np.fft.rfft(v, axis=1)
-        nphi = g.n_phi
-        c[:, 0] = self.Q[:, 0, :] @ (wh * (F[:, 0].real / nphi))
-        for m in range(1, self.max_m + 1):
-            Am = 2.0 * F[:, m].real / nphi
-            Bm = -2.0 * F[:, m].imag / nphi
-            qm = self.Q[m:, m, :]
-            c[m:, m] = (qm @ (wh * Am)) / np.sqrt(2.0)
-            s[m:, m] = (qm @ (wh * Bm)) / np.sqrt(2.0)
+        # (M+1, n_z, 2): each order's Fourier column as (real, imag) pairs
+        F = np.fft.rfft(v, axis=1).view(float).reshape(g.n_z, -1, 2)[:, :M + 1]
+        rhs = F.transpose(1, 0, 2) / g.n_phi
+        rhs[1:] *= 2.0
+        rhs *= wh[:, None]
+        out = np.matmul(self.Qm, rhs)                     # (M+1, L+1, 2)
+        out[1:] /= np.sqrt(2.0)
+        c[:, :M + 1] = out[:, :, 0].T
+        s[:, 1:M + 1] = -out[1:, :, 1].T
         return c, s
 
     def synthesize(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Coefficients -> grid values (n_z, n_phi)."""
         g = self.grid
-        nphi = g.n_phi
-        F = np.zeros((g.n_z, nphi // 2 + 1), dtype=complex)
-        A0 = self.Q[:, 0, :].T @ c[:, 0]
-        F[:, 0] = A0 * nphi
-        for m in range(1, self.max_m + 1):
-            Am = np.sqrt(2.0) * (self.Q[m:, m, :].T @ c[m:, m])
-            Bm = np.sqrt(2.0) * (self.Q[m:, m, :].T @ s[m:, m])
-            F[:, m] = (Am - 1j * Bm) * (nphi / 2.0)
-        return np.fft.irfft(F, n=nphi, axis=1)
+        M, nphi = self.max_m, g.n_phi
+        cs = np.stack([c[:, :M + 1].T, -s[:, :M + 1].T], axis=2)  # (M+1, L+1, 2)
+        A = np.matmul(self.Qm.transpose(0, 2, 1), cs)             # (M+1, n_z, 2)
+        A[0] *= nphi
+        A[1:] *= np.sqrt(2.0) * (nphi / 2.0)
+        # the rfft half spectrum as (real, imag) pairs, orders above M left 0;
+        # irfft discards the imaginary part at m = 0, where s has no mode
+        F = np.zeros((g.n_z, nphi // 2 + 1, 2))
+        F[:, :M + 1] = A.transpose(1, 0, 2)
+        return np.fft.irfft(F.view(complex)[:, :, 0], n=nphi, axis=1)
 
     def evaluate(self, c: np.ndarray, s: np.ndarray,
                  z: np.ndarray, phi: np.ndarray) -> np.ndarray:

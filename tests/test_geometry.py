@@ -12,6 +12,7 @@ from loghls.geometry import (ConformalParams, chordal_identity_check,
                              rotation_to_pole, sphere_optimizer_values,
                              stereo_forward, stereo_inverse, stereonorm_residual)
 from loghls.grids import integrate, make_radial_grid
+from loghls.optimizers import sphere_optimizer
 from loghls.sht import SphereTransform
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 
@@ -72,6 +73,27 @@ def test_lift_T_default_grid_is_the_run_grid():
     cfg = RunConfig()
     rho = realize_planar(parse_input_spec("gaussian:sigma=1"), cfg)
     assert lift_T(rho).grid is cfg.sphere_grid()
+
+
+def test_zonal_fields_take_one_node_per_row(sphere_grid):
+    """An axisymmetric field (radial lifts, a zonal profile, the optimizer
+    on the pole axis) is evaluated on one node per Gauss row and repeated
+    across the azimuth: the values are those of its callable at every
+    node, bit for bit.  An axis off the pole, by however little, is not
+    axisymmetric, because its values vary across the row."""
+    cfg = RunConfig()
+    zonal = [lift_T(realize_planar(parse_input_spec(spec), cfg), sphere_grid)
+             for spec in ("gaussian:sigma=1", "optimizer:s=2",
+                          "mixture:weights=(0.3,0.7),components=(optimizer:s=0.5|gaussian:sigma=3)")]
+    zonal += [SphereField.from_zonal(sphere_grid, lambda z: np.exp(0.7 * z) * (1.0 - z * z)),
+              sphere_optimizer(ConformalParams(1.3), sphere_grid)]
+    for f in zonal:
+        assert f.axisymmetric
+        assert np.array_equal(f.values, f.fn(sphere_grid.points()))
+    tilted = sphere_optimizer(ConformalParams(1.3, (1e-17, 0.0, 1.0)), sphere_grid)
+    assert not tilted.axisymmetric
+    assert np.array_equal(tilted.values, tilted.fn(sphere_grid.points()))
+    assert np.any(tilted.values != tilted.values[:, :1])
 
 
 def test_transfer_identity_follows_the_config_grid(monkeypatch):

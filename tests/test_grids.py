@@ -158,6 +158,15 @@ def test_shared_grids_are_read_only():
         make_sphere_grid(8, 8).w_z[0] = 1.0
 
 
+def test_sphere_points_are_built_once_and_read_only():
+    g = make_sphere_grid(8, 16)
+    pts = g.points()
+    assert g.points() is pts and pts.shape == (8, 16, 3)
+    assert np.allclose(np.linalg.norm(pts, axis=2), 1.0, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 1.0
+
+
 def test_sphere_zonal_rows_integrate_without_copy():
     g = make_sphere_grid(16, 8)
     z2 = np.broadcast_to((g.z**2)[:, None], g.shape)
