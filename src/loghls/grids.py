@@ -28,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.special import roots_legendre
 
 from .errors import DimensionMismatchError, DomainError
@@ -102,11 +103,60 @@ class RadialGrid:
         """The step h of the rule in x = log r."""
         return float(self.x[1] - self.x[0])
 
-    def mass_antiderivative(self, values: np.ndarray) -> CubicSpline:
-        """The cumulative mass of ``values`` as a function of x = log r: the
-        spline antiderivative of the mass per unit of x, 2 pi r^2 values,
-        which is 0 at x = log r_min."""
-        return CubicSpline(self.x, 2.0 * np.pi * self.nodes**2 * values).antiderivative()
+    def mass_antiderivative(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The cumulative mass of ``values`` as a function of x = log r,
+        defined on [log r_min, log r_max] and 0 at x = log r_min.
+
+        It is the antiderivative of the not-a-knot cubic spline through the
+        mass per unit of x, y = 2 pi r^2 values, at the grid's x: what
+        ``scipy.interpolate.CubicSpline(x, y).antiderivative()`` returns,
+        built in numpy.  The knot slopes solve scipy's tridiagonal system
+        by the LAPACK routine it calls, ``dgtsv``, and each interval's
+        quartic starts from the summed integrals of the intervals before
+        it, summed in scipy's order.
+        """
+        x = self.x
+        y = 2.0 * np.pi * self.nodes**2 * values
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        # rows 1..n-2 match the first derivatives of neighbouring cubics;
+        # rows 0 and n-1 match the third derivatives at x_1 and x_{n-2}
+        diag = np.empty(x.size)
+        diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+        diag[0], diag[-1] = h[1], h[-2]
+        upper = np.concatenate(([x[2] - x[0]], h[:-1]))
+        lower = np.concatenate((h[1:], [x[-1] - x[-3]]))
+        rhs = np.empty(x.size)
+        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        d = x[2] - x[0]
+        rhs[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
+        *_, dydx, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+        if info != 0:
+            raise DomainError(f"mass_antiderivative: the spline system is singular (info {info})")
+        # on [x_i, x_{i+1}] the spline is y_i + dydx_i s + b_i s^2 + a_i s^3 with
+        # s = x - x_i, and q holds its antiderivative's coefficients of s^4 .. s
+        t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
+        a, b = t / h, (slope - dydx[:-1]) / h - t
+        q = (a / 4.0, b / 3.0, dydx[:-1] / 2.0, y[:-1])
+
+        def terms(i, s: np.ndarray) -> tuple[np.ndarray, ...]:
+            """The quartic's terms on interval i at s, lowest power first:
+            the order in which scipy's PPoly adds them to the constant."""
+            s2 = s * s
+            return q[3][i] * s, q[2][i] * s2, q[1][i] * (s2 * s), q[0][i] * (s2 * s * s)
+
+        # one sequential sum runs through the four terms of each interval in turn
+        running = np.cumsum(np.stack(terms(slice(None), h), axis=1))
+        start = np.concatenate(([0.0], running[3::4][:-1]))
+
+        def mass(xq: np.ndarray) -> np.ndarray:
+            i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+            t1, t2, t3, t4 = terms(i, xq - x[i])
+            return start[i] + t1 + t2 + t3 + t4
+
+        return mass
 
 
 _RADIAL_GRIDS: dict[tuple[float, float, int], RadialGrid] = {}

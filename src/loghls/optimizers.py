@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField, get_transform,
@@ -87,7 +86,9 @@ LOG_S_BOX = 6.0          # searches cover s in [e^-6, e^6]
 RECENTER_TOL = 1e-10     # recenter stops at |barycenter| <= this
 RECENTER_MAX_ITER = 50
 RECENTER_STEP = 1.5      # Newton step t = RECENTER_STEP |b| (capped at 2)
-CIRCLE_MAX_MODES = 65_536  # Poisson kernel modes: r^k < e^-40 holds up to r = 0.99939
+CIRCLE_MAX_MODES = 65_536  # Poisson kernel modes: r^k < e^-40 holds up to r = e^(-40/65536)
+# that bound rounded down to the 7 digits messages print: 0.9993898
+CIRCLE_MAX_R = math.floor(math.exp(-40.0 / CIRCLE_MAX_MODES) * 1e7) / 1e7
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -152,10 +153,9 @@ def circle_optimizer(p: CircleOptimizerParams) -> CircleField:
     r, alpha = p.r, p.alpha
     kmax = 64 if r == 0 else max(64, math.ceil(-40.0 / math.log(r)))
     if kmax > CIRCLE_MAX_MODES:
-        r_max = math.exp(-40.0 / CIRCLE_MAX_MODES)
         raise DomainError(
             f"circle_optimizer: r = {r!r} needs {kmax} modes to truncate at r^k < e^-40, "
-            f"more than the cap of {CIRCLE_MAX_MODES} (r <= {r_max:.5f})")
+            f"more than the cap of {CIRCLE_MAX_MODES} (r <= {CIRCLE_MAX_R!r})")
     coeffs = np.zeros(kmax + 1, dtype=complex)
     coeffs[0] = np.log1p(-r * r)
     k = np.arange(1, kmax + 1)
@@ -351,6 +351,15 @@ def _per_start(fn: Callable[[float], float]) -> np.ndarray:
     """fn(t) at each start of the sphere scan, in table order."""
     counts = [1] + [len(_SPHERE_DIRS)] * len(_COARSE_T)
     return np.repeat([fn(t) for t in (0.0,) + _COARSE_T], counts)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call.  Only the
+    manifold searches refine with it, and importing scipy.optimize costs
+    about 0.1 s, so commands that run no such search never load it.
+    _manifold_minimize calls it by this module-global name."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _at_v(fun, v: np.ndarray, t_max: float):

@@ -515,8 +515,11 @@ def realize_sphere(spec: InputSpec, config: RunConfig) -> SphereField:
 def realize_circle(spec: InputSpec, config: RunConfig) -> CircleField:
     """Build a circle field with int e^u dsigma = 1."""
     if spec.kind == "circle-poisson":
-        return circle_optimizer(
-            CircleOptimizerParams(float(spec.get("r")), float(spec.get("alpha"))))
+        try:        # the spec's range is checked, so this is a radius past the mode cap
+            return circle_optimizer(
+                CircleOptimizerParams(float(spec.get("r")), float(spec.get("alpha"))))
+        except DomainError as exc:
+            raise ParseError(str(exc)) from exc
     if spec.kind == "circle-cos":
         coeffs = np.zeros(65, dtype=complex)          # modes 0..64
         coeffs[1] = float(spec.get("eps")) / 2.0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,22 @@ def test_stability_circle(capsys):
     code, out, _ = run_cli(capsys, "stability", "circle-poisson:r=0.01,alpha=2.5")
     assert code == 0
     assert json.loads(out)["certificate"]["distance"] <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["eval", "stability"])
+def test_circle_radius_past_the_mode_cap_is_invalid_input(capsys, command):
+    """A Poisson kernel past the mode cap is invalid input (it once exited
+    1 on circle_optimizer's DomainError), and the bound the message prints
+    is one that r itself may take: r = 0.99939 was refused "(r <= 0.99939)"
+    when the cap is e^(-40/65536) = 0.99938981."""
+    for r in ("0.9995", "0.99939"):
+        code, out, err = run_cli(capsys, command, f"circle-poisson:r={r}")
+        assert code == 2 and out == ""
+        assert "invalid input" in err and "cap of 65536" in err
+        bound = re.search(r"r <= ([0-9.]+)\)", err).group(1)
+        assert float(bound) < float(r)
+    code, out, _ = run_cli(capsys, "eval", f"circle-poisson:r={bound}")
+    assert code == 0 and json.loads(out)["domain"] == "circle"
 
 
 def test_stability_circle_uses_config_grid(tmp_path, capsys):

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from loghls.errors import DimensionMismatchError, DomainError
+from loghls.fields import radial_from_profile
+from loghls.flows import KS_N, KS_R_MAX, KS_R_MIN, ks_initial_state
 from loghls.geometry import T_CAP
 from loghls.grids import (affine_values, integrate, make_circle_grid, make_radial_grid,
                           make_sphere_grid, moments)
+from loghls.specs import RunConfig, parse_input_spec, realize_planar
 
 
 def trapezoid_constant_mass(g):
@@ -68,6 +72,51 @@ def test_radial_preconditions():
         make_radial_grid(10.0, 10.0, 256)
     with pytest.raises(DomainError):
         make_radial_grid(1e-2, np.inf, 256)
+
+
+# Equal bit for bit with scipy 1.17.1 on the inputs below; summed in any
+# other order, the interval constants would differ by up to 4.6e-15.
+SPLINE_TOL = 1e-14
+
+
+def assert_matches_scipy_spline(g, values, xq):
+    """g.mass_antiderivative(values) against CubicSpline's antiderivative,
+    the same not-a-knot spline: at xq relative to the total mass, and on
+    the first interval, whose masses are 1e-13 of it or less, relative to
+    its own.  Returns the reference."""
+    M = g.mass_antiderivative(values)
+    ref = CubicSpline(g.x, 2.0 * np.pi * g.nodes**2 * values).antiderivative()
+    assert M(g.x[:1])[0] == 0.0
+    err = np.max(np.abs(M(xq) - ref(xq)))
+    assert err <= SPLINE_TOL * ref(g.x[-1]), err / ref(g.x[-1])
+    first = np.linspace(g.x[0], g.x[1], 9)
+    err = np.max(np.abs(M(first) - ref(first)))
+    assert err <= SPLINE_TOL * ref(g.x[1]), err / ref(g.x[1])
+    return ref
+
+
+@pytest.mark.parametrize("text", [
+    "gaussian:sigma=1",
+    "optimizer:s=2",
+    "mixture:weights=(0.5,0.5),components=(optimizer:s=0.05|optimizer:s=20)",
+])
+def test_mass_antiderivative_is_scipy_not_a_knot_spline(text):
+    """At the knots, halfway between them, and across the last interval."""
+    rho = realize_planar(parse_input_spec(text), RunConfig())
+    g = rho.grid
+    xq = np.concatenate([g.x, 0.5 * (g.x[1:] + g.x[:-1]), np.linspace(g.x[-2], g.x[-1], 9)])
+    assert_matches_scipy_spline(g, rho.values, xq)
+
+
+def test_ks_initial_mass_is_scipy_not_a_knot_spline():
+    """ks_initial_state reads its fine grid's mass antiderivative at the
+    flow grid's x, which fall between the fine grid's knots."""
+    fine = make_radial_grid(KS_R_MIN * math.exp(-25.0), KS_R_MAX, 8 * KS_N + 1)
+    rho0 = radial_from_profile(fine, lambda r: 4.0 * np.exp(-r**2 / 2.0))   # 8 pi, sigma = 1
+    flow_x = make_radial_grid(KS_R_MIN, KS_R_MAX, KS_N).x
+    ref = assert_matches_scipy_spline(fine, rho0.values, flow_x)
+    state = ks_initial_state(rho0, KS_N, KS_R_MIN, KS_R_MAX)
+    assert np.max(np.abs(state.M - ref(flow_x))) <= SPLINE_TOL * ref(fine.x[-1])
 
 
 def test_sphere_grid_normalization_and_exactness():

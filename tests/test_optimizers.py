@@ -8,8 +8,9 @@ from loghls.fields import CircleField, RadialDensity, SphereField, radial_from_p
 from loghls.functionals import dirichlet_energy, planar_free_energy
 from loghls.geometry import T_CAP, ConformalParams, conformal_push, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid, make_sphere_grid
-from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, LOG_S_BOX, CircleOptimizerParams,
-                               PlanarOptimizerParams, SphereOptimizerParams, _at_v,
+from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, CIRCLE_MAX_R, LOG_S_BOX,
+                               CircleOptimizerParams, PlanarOptimizerParams,
+                               SphereOptimizerParams, _at_v,
                                _gradient_energy, _l1_objective, _manifold_minimize,
                                _pushed_barycenter, _reverse_entropy_objective, _scan_starts,
                                _SphereFamily,
@@ -428,6 +429,10 @@ def test_circle_near_one_certifies():
     r = np.exp(-40.0 / CIRCLE_MAX_MODES) + 1e-5
     with pytest.raises(DomainError, match="cap"):
         circle_optimizer(CircleOptimizerParams(r, 0.0))
+    # the bound the message names is within the cap, and the next 7-digit r is not
+    circle_optimizer(CircleOptimizerParams(CIRCLE_MAX_R, 0.0))
+    with pytest.raises(DomainError, match=f"r <= {CIRCLE_MAX_R}"):
+        circle_optimizer(CircleOptimizerParams(CIRCLE_MAX_R + 1e-7, 0.0))
 
 
 def test_nearest_circle_near_zero_field_oracle():
