@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, LogHLSError, ParseError
 from .fields import RadialDensity
-from .flows import (DISTANCE_SLACK, FE_STEP_TOL, FlowTrajectory, KS_MASS, _jsonable,
-                    decay_check, dissipation_check, entropy_dissipation_rate,
+from .flows import (DISSIPATION_DT, DISTANCE_SLACK, FE_STEP_TOL, FlowTrajectory, KS_MASS,
+                    _jsonable, decay_check, dissipation_check, entropy_dissipation_rate,
                     heat_evolve, heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
 from .functionals import (dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, onofri_functional,
@@ -46,11 +46,9 @@ def _config_from_args(args) -> RunConfig:
     """The run's configuration; one that fails validation is invalid input."""
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        for key in ("radial_n", "radial_rmax", "ks_n", "ks_rmax", "seed"):   # if given
+        for key in ("radial_n", "radial_rmax", "ks_n", "ks_rmax"):   # if given
             if getattr(args, key, None) is not None:
                 setattr(cfg, key, getattr(args, key))
-        if args.oracle:
-            cfg.oracle = True
         if args.out:
             cfg.out = args.out
         cfg.validate()
@@ -63,6 +61,12 @@ def _check_grid_flags(args, domain: str) -> None:
     if domain != "plane" and (args.radial_n is not None or args.radial_rmax is not None):
         raise ParseError(f"{args.command}: --grid-n and --rmax size the radial grid of plane "
                          f"specs, which a {domain} spec does not use")
+
+
+def _check_oracle_flag(args, what: str) -> None:
+    if args.oracle:
+        raise ParseError(f"stability: --oracle sweeps the radial search of a centered plane "
+                         f"spec, which {what} does not have")
 
 
 def _emit(obj, cfg: RunConfig) -> None:
@@ -115,9 +119,14 @@ def cmd_stability(args) -> int:
     spec = parse_input_spec(args.spec)
     domain = spec_domain(spec)
     _check_grid_flags(args, domain)
+    if domain != "plane":
+        _check_oracle_flag(args, f"a {domain} spec")
     out = {"domain": domain, **_meta(cfg, spec)}
     if domain == "plane":
-        cert = planar_stability_certificate(realize_planar(spec, cfg), oracle=cfg.oracle)
+        rho = realize_planar(spec, cfg)
+        if not isinstance(rho, RadialDensity):
+            _check_oracle_flag(args, "an off-center plane spec")
+        cert = planar_stability_certificate(rho, oracle=args.oracle)
         out["certificate"] = cert.to_json()
         ok = cert.passed
     elif domain == "sphere":
@@ -148,20 +157,19 @@ def cmd_heatflow(args) -> int:
     if args.samples == 1:
         first = T                 # the one sample after t = 0 is T
     times = np.concatenate(([0.0], np.geomspace(first, T, args.samples)))
+    decay = decay_check(state0, times[1:])
     H0 = reverse_entropy(state0)
     rows = []
-    for t in times:
+    for t, H in zip(times, np.concatenate(([H0], decay.entropies))):
         st = heat_evolve(state0, float(t))
         rho = st.density_values()
-        H = reverse_entropy(st)
         dist = integrate(np.broadcast_to(np.abs(rho - 1.0)[:, None], st.grid.shape), st.grid)
         rows.append((float(t), H, dist, entropy_dissipation_rate(st), 0.0))
     # columns t, free_energy, distance_L1, dissipation, mass_error
     traj = FlowTrajectory(*np.array(rows).T,
                           diagnostics={"kind": "heat", "H0": H0,
                                        "spec": format_input_spec(spec)})
-    decay = decay_check(state0, times[1:])
-    lhs, rhs, res = dissipation_check(state0, dt=args.dt)
+    lhs, rhs, res = dissipation_check(state0, dt=DISSIPATION_DT)
     out = {**_meta(cfg, spec), "trajectory": traj.to_json(),
            "decay_pass": decay.passed,
            "dissipation": {"lhs": lhs, "rhs": rhs, "residual": res}}
@@ -265,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--grid-n", type=int, dest=f"{prefix}_n", help=f"nodes in the {name}")
             sp.add_argument("--rmax", type=_finite_positive("rmax"), dest=f"{prefix}_rmax",
                             help=f"outer radius of the {name}")
-        sp.add_argument("--oracle", action="store_true", help="enable dense-grid oracles")
-        sp.add_argument("--seed", type=int, help="seed for randomized inputs")
         sp.add_argument("--out", help="write the JSON report to this path")
 
     sp = sub.add_parser("eval", help="evaluate functionals of a spec")
@@ -276,13 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stability", help="stability certificate for a spec")
     sp.add_argument("spec")
+    sp.add_argument("--oracle", action="store_true",
+                    help="on a centered plane spec, add the dense-sweep distance "
+                         "oracle_distance to the certificate's search")
     common(sp, ("radial", "radial grid of plane specs"))
     sp.set_defaults(fn=cmd_stability)
 
     sp = sub.add_parser("heatflow", help="heat semigroup run (flow heat)")
     sp.add_argument("spec", help='e.g. "1+0.5*P1" or legendre:c0=1,c1=0.5')
     sp.add_argument("--T", type=_finite_positive("T"), default=1.0)
-    sp.add_argument("--dt", type=_finite_positive("dt"), default=1e-3)
     sp.add_argument("--samples", type=_positive_count, default=33)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp)

@@ -82,6 +82,7 @@ KS_R_MAX = 1e3          # its outer radius
 DT_CAP = 2e-2           # the largest Keller-Segel step
 STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP + n_samples steps
 DECAY_SLACK = 1e-8      # slack of the heat flow's entropy decay bound
+DISSIPATION_DT = 1e-3   # the step of the heat flow's dissipation check in heatflow and A09
 MONO_TOL = 1e-10        # largest decrease of M between nodes, relative to the mass
 RATE_T_MIN = 1.0        # the rate fit's window starts here
 RATE_HEADROOM = 1.05    # growth of H t^{1/8} and d t^{1/16} the rate fit's flags allow

@@ -40,40 +40,16 @@ __all__ = ["InputSpec", "parse_input_spec", "format_input_spec", "RunConfig",
            "realize_planar", "realize_sphere", "realize_circle", "realize_heat_coeffs",
            "spec_domain"]
 
-_CANONICAL_KEYS = {
-    "gaussian": ("sigma",),
-    "optimizer": ("s", "x0"),
-    "mixture": ("weights", "components"),
-    "perturbed-optimizer": ("eps", "mode", "s"),
-    "sphere-optimizer": ("t", "n"),
-    "band-limited-random": ("seed", "L", "amplitude"),
-    "circle-poisson": ("r", "alpha"),
-    "circle-cos": ("eps",),
-    "legendre": None,          # c0, c1, ... in index order
-}
-
-_DOMAIN = {
-    "gaussian": "plane",
-    "optimizer": "plane",
-    "mixture": "plane",
-    "perturbed-optimizer": "plane",
-    "sphere-optimizer": "sphere",
-    "band-limited-random": "sphere",
-    "circle-poisson": "circle",
-    "circle-cos": "circle",
-    "legendre": "heat",
-}
-
-_DEFAULTS = {
-    "gaussian": {"sigma": 1.0},
-    "optimizer": {"s": 1.0, "x0": (0.0, 0.0)},
-    "mixture": {},
-    "perturbed-optimizer": {"eps": 0.1, "mode": 1, "s": 1.0},
-    "sphere-optimizer": {"t": 1.0, "n": (0.0, 0.0, 1.0)},
-    "band-limited-random": {"seed": 0, "L": 6, "amplitude": 0.3},
-    "circle-poisson": {"r": 0.5, "alpha": 0.0},
-    "circle-cos": {"eps": 0.3},
-    "legendre": {},
+_KINDS = {      # kind: (domain, its keys in canonical order with their defaults)
+    "gaussian": ("plane", {"sigma": 1.0}),
+    "optimizer": ("plane", {"s": 1.0, "x0": (0.0, 0.0)}),
+    "mixture": ("plane", {"weights": None, "components": None}),    # None: required
+    "perturbed-optimizer": ("plane", {"eps": 0.1, "mode": 1, "s": 1.0}),
+    "sphere-optimizer": ("sphere", {"t": 1.0, "n": (0.0, 0.0, 1.0)}),
+    "band-limited-random": ("sphere", {"seed": 0, "L": 6, "amplitude": 0.3}),
+    "circle-poisson": ("circle", {"r": 0.5, "alpha": 0.0}),
+    "circle-cos": ("circle", {"eps": 0.3}),
+    "legendre": ("heat", None),         # c0, c1, ... in index order
 }
 
 
@@ -166,7 +142,7 @@ def parse_input_spec(text: str) -> InputSpec:
         raise ParseError(f"spec {text!r} has no kind tag (expected 'kind:key=value,...')")
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in _CANONICAL_KEYS:
+    if kind not in _KINDS:
         raise ParseError(f"unknown spec kind {kind!r} in {text!r}")
     raw: dict[str, object] = {}
     if rest.strip():
@@ -178,9 +154,9 @@ def parse_input_spec(text: str) -> InputSpec:
             if k in raw:
                 raise ParseError(f"duplicate key {k!r} in {text!r}")
             raw[k] = _parse_value(v)
-    params = dict(_DEFAULTS[kind])
-    canonical = _CANONICAL_KEYS[kind]
-    if canonical is None:        # legendre: c0, c1, ...
+    keys = _KINDS[kind][1]
+    if keys is None:             # legendre: c0, c1, ...
+        params = {}
         for k, v in raw.items():
             if not re.fullmatch(r"c\d+", k):
                 raise ParseError(f"legendre spec keys must be c0, c1, ...; got {k!r}")
@@ -190,10 +166,11 @@ def parse_input_spec(text: str) -> InputSpec:
         order = sorted(params, key=lambda k: int(k[1:]))
     else:
         for k in raw:
-            if k not in canonical:
+            if k not in keys:
                 raise ParseError(f"unknown key {k!r} for kind {kind!r}")
+        params = {k: v for k, v in keys.items() if v is not None}
         params.update(raw)
-        order = [k for k in canonical if k in params]
+        order = [k for k in keys if k in params]
     _validate_spec(kind, params)
     return InputSpec(kind, tuple((k, params[k]) for k in order))
 
@@ -274,7 +251,7 @@ def format_input_spec(spec: InputSpec) -> str:
 
 
 def spec_domain(spec: InputSpec) -> str:
-    return _DOMAIN[spec.kind]
+    return _KINDS[spec.kind][0]
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +260,7 @@ def spec_domain(spec: InputSpec) -> str:
 
 @dataclass
 class RunConfig:
-    """Grid sizes, Keller-Segel run settings, switches and the output path."""
+    """Grid sizes, Keller-Segel run settings and the output path."""
 
     radial_n: int = 4096
     radial_rmax: float = 1e4
@@ -296,8 +273,6 @@ class RunConfig:
     ks_rmax: float = KS_R_MAX
     ks_T: float = 50.0
     ks_dt: float | None = None
-    oracle: bool = False
-    seed: int = 0
     out: str | None = None
 
     def __post_init__(self):
@@ -354,8 +329,6 @@ class RunConfig:
                 raise ParseError(f"unknown config key {k!r}")
             if v in ("none", "None", ""):
                 typed[k] = None
-            elif k == "oracle":
-                typed[k] = str(v).lower() in ("1", "true", "yes")
             elif k == "out":
                 typed[k] = str(v)
             else:
@@ -371,81 +344,56 @@ class RunConfig:
 # realization of specs on grids
 # ----------------------------------------------------------------------
 
-def _planar_profile_radial(spec: InputSpec):
-    """Radial profile for centered planar specs, or None if off-center."""
+def _planar_parts(spec: InputSpec):
+    """(radial profile, None when off-center; profile (x, y) -> rho; first
+    moment) of a planar spec; optimizer:s,x0 is centered at s * x0."""
     kind = spec.kind
+    if kind == "mixture":
+        w = [float(x) for x in spec.get("weights")]
+        parts = [_planar_parts(c) for c in spec.get("components")]
+        rads, xys = [p[0] for p in parts], [p[1] for p in parts]
+        radial = None
+        if all(p is not None for p in rads):
+            def radial(r, _w=w, _p=rads):
+                return sum(wi * pi(r) for wi, pi in zip(_w, _p))
+
+        def xy(x, y, _w=w, _p=xys):
+            return sum(wi * pi(x, y) for wi, pi in zip(_w, _p))
+
+        return radial, xy, sum(wi * p[2] for wi, p in zip(w, parts))
+    if kind == "optimizer":
+        s = float(spec.get("s"))
+        a, b = (float(v) for v in spec.get("x0"))
+
+        def xy(x, y, _s=s, _a=a, _b=b):
+            q = (np.asarray(x) / _s - _a) ** 2 + (np.asarray(y) / _s - _b) ** 2
+            return (1.0 / (np.pi * _s * _s)) * (1.0 + q) ** -2
+
+        centered = tuple(spec.get("x0")) == (0.0, 0.0)
+        radial = planar_optimizer_profile(PlanarOptimizerParams(s)) if centered else None
+        return radial, xy, s * np.asarray(spec.get("x0"), dtype=float)
     if kind == "gaussian":
         sig = float(spec.get("sigma"))
 
-        def prof(r, _s=sig):
+        def radial(r, _s=sig):
             return np.exp(-np.asarray(r) ** 2 / (2 * _s * _s)) / (2 * np.pi * _s * _s)
-
-        return prof
-    if kind == "optimizer":
-        if tuple(spec.get("x0")) != (0.0, 0.0):
-            return None
-        return planar_optimizer_profile(PlanarOptimizerParams(float(spec.get("s"))))
-    if kind == "perturbed-optimizer":
+    elif kind == "perturbed-optimizer":
         eps = float(spec.get("eps"))
         s = float(spec.get("s"))
-        mode = int(spec.get("mode"))
         base = planar_optimizer_profile(PlanarOptimizerParams(s))
-        if mode == 1:
-            def raw(r, _b=base, _e=eps, _s=s):
+        if int(spec.get("mode")) == 1:
+            def radial(r, _b=base, _e=eps, _s=s):
                 q = (np.asarray(r) / _s) ** 2
                 return _b(r) * (1.0 + _e * (1.0 - q) / (1.0 + q))
         else:
             alt = planar_optimizer_profile(PlanarOptimizerParams(2.0 * s))
 
-            def raw(r, _b=base, _a=alt, _e=eps):
+            def radial(r, _b=base, _a=alt, _e=eps):
                 return (1.0 - _e) * _b(r) + _e * _a(r)
-        return raw
-    if kind == "mixture":
-        comps = spec.get("components")
-        profs = [_planar_profile_radial(c) for c in comps]
-        if any(p is None for p in profs):
-            return None
-        w = [float(x) for x in spec.get("weights")]
-
-        def prof(r, _w=w, _p=profs):
-            return sum(wi * pi(r) for wi, pi in zip(_w, _p))
-
-        return prof
-    raise DomainError(f"spec kind {kind!r} is not a planar density")
-
-
-def _planar_profile_xy(spec: InputSpec):
-    """Profile (x, y) -> rho of any planar spec."""
-    kind = spec.kind
-    if kind == "optimizer":
-        s = float(spec.get("s"))
-        a, b = (float(v) for v in spec.get("x0"))
-
-        def prof(x, y, _s=s, _a=a, _b=b):
-            q = (np.asarray(x) / _s - _a) ** 2 + (np.asarray(y) / _s - _b) ** 2
-            return (1.0 / (np.pi * _s * _s)) * (1.0 + q) ** -2
-
-        return prof
-    if kind == "mixture":
-        w = [float(x) for x in spec.get("weights")]
-        profs = [_planar_profile_xy(c) for c in spec.get("components")]
-
-        def prof(x, y, _w=w, _p=profs):
-            return sum(wi * pi(x, y) for wi, pi in zip(_w, _p))
-
-        return prof
-    rad = _planar_profile_radial(spec)
-    return lambda x, y, _p=rad: _p(np.sqrt(np.asarray(x)**2 + np.asarray(y)**2))
-
-
-def _planar_center(spec: InputSpec) -> np.ndarray:
-    """First moment of a planar spec; optimizer:s,x0 is centered at s * x0."""
-    if spec.kind == "optimizer":
-        return float(spec.get("s")) * np.asarray(spec.get("x0"), dtype=float)
-    if spec.kind == "mixture":
-        return sum(float(w) * _planar_center(c)
-                   for w, c in zip(spec.get("weights"), spec.get("components")))
-    return np.zeros(2)
+    else:
+        raise DomainError(f"spec kind {kind!r} is not a planar density")
+    return (radial, lambda x, y, _p=radial: _p(np.sqrt(np.asarray(x)**2 + np.asarray(y)**2)),
+            np.zeros(2))
 
 
 def realize_planar(spec: InputSpec, config: RunConfig):
@@ -462,16 +410,15 @@ def realize_planar(spec: InputSpec, config: RunConfig):
     """
     if spec_domain(spec) != "plane":
         raise DomainError(f"spec {spec.kind!r} is not a planar density")
-    prof = _planar_profile_radial(spec)
-    if prof is not None:
-        rho = radial_from_profile(config.radial_grid(), prof)
+    radial, xy, center = _planar_parts(spec)
+    if radial is not None:
+        rho = radial_from_profile(config.radial_grid(), radial)
         misfit = radial_grid_misfit(rho, 1.0)
         if misfit is not None:
             raise ParseError(f"realize_planar: {format_input_spec(spec)} {misfit}; "
                              "its scale does not fit the grid")
         return rho if abs(rho.mass - 1.0) <= 1e-9 else rho.normalized()
-    rho = planar_from_profile(config.sphere_grid(), _planar_profile_xy(spec),
-                              tuple(_planar_center(spec)))
+    rho = planar_from_profile(config.sphere_grid(), xy, tuple(center))
     # every planar spec has unit mass, so a lift that misses it is under-resolved
     if abs(rho.mass - 1.0) > MASS_TOL:
         raise DomainError(

@@ -51,6 +51,8 @@ BARY_TOL = 1e-8          # the barycenter precondition of constrained_onofri_gap
 ORACLE_SWEEP = 10_000    # log s values of the radial oracle's dense sweep
 DUALITY_SLACK = 2e-2     # toy_duality_demo's slack on each of its checks
 DUALITY_EQ_TOL = 1e-9    # toy_duality_demo's tolerance for equality
+DUALITY_BOX = 3.0        # toy_duality_demo's primal and dual boxes are [-3, 3]^dim
+DUALITY_N_AXIS = {1: 401, 2: 101}    # its grid points per axis, by dimension
 
 
 def pass_tolerance(value: float) -> float:
@@ -232,15 +234,11 @@ class ConvexPairSpec:
     F: Callable[[np.ndarray], np.ndarray]
     C: float
     lam: float
-    box: float = 3.0
-    n_axis: int | None = None
     name: str = "pair"
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise DomainError(f"ConvexPairSpec: dim must be 1..3, got {self.dim}")
-        if self.n_axis is None:
-            self.n_axis = {1: 401, 2: 101, 3: 41}[self.dim]
+        if self.dim not in DUALITY_N_AXIS:
+            raise DomainError(f"ConvexPairSpec: dim must be 1 or 2, got {self.dim}")
         if self.C <= 0 or self.lam <= 0:
             raise DomainError("ConvexPairSpec: C and lam must be positive")
 
@@ -276,8 +274,8 @@ class DualityReport:
         return d
 
 
-def _grid_points(box: float, n_axis: int, dim: int) -> np.ndarray:
-    axis = np.linspace(-box, box, n_axis)
+def _grid_points(n_axis: int, dim: int) -> np.ndarray:
+    axis = np.linspace(-DUALITY_BOX, DUALITY_BOX, n_axis)
     if dim == 1:
         return axis[:, None]
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
@@ -309,8 +307,8 @@ def toy_duality_demo(spec: ConvexPairSpec) -> DualityReport:
             with mu = min(4 C lam, 1),
       (v)   the gradient of E* is Lipschitz with constant 1/(2 lam).
     """
-    X = _grid_points(spec.box, spec.n_axis, spec.dim)
-    Y = _grid_points(spec.box, spec.n_axis, spec.dim)
+    n_axis = DUALITY_N_AXIS[spec.dim]
+    X = Y = _grid_points(n_axis, spec.dim)     # the primal and the dual grid
     Ev = np.asarray(spec.E(X), dtype=float).ravel()
     Fv = np.asarray(spec.F(X), dtype=float).ravel()
 
@@ -332,7 +330,7 @@ def toy_duality_demo(spec: ConvexPairSpec) -> DualityReport:
         raise DomainError("toy_duality_demo: empty equality set on the grid")
 
     # forward map: grad E (finite differences) of E0 should land in E0*
-    hfd = 1e-6 * spec.box
+    hfd = 1e-6 * DUALITY_BOX
 
     def gradE(x):
         g = np.empty(spec.dim)
@@ -347,7 +345,7 @@ def toy_duality_demo(spec: ConvexPairSpec) -> DualityReport:
     fwd = 0.0
     for x in E0:
         gx = gradE(x)
-        if np.max(np.abs(gx)) > spec.box:
+        if np.max(np.abs(gx)) > DUALITY_BOX:
             continue            # subgradient leaves the dual box; untestable here
         fwd = max(fwd, float(np.min(np.linalg.norm(E0star - gx[None, :], axis=1))))
     # backward map: grad E*(y) (brute argmax) of E0* should land in E0
@@ -366,7 +364,7 @@ def toy_duality_demo(spec: ConvexPairSpec) -> DualityReport:
     transfer_slack = float(np.min((Estar - Fstar) - 0.5 * spec.lam * mu * d2))
 
     # Young's inequality on grid pairs; equality only at subgradients
-    h_axis = 2.0 * spec.box / (spec.n_axis - 1)
+    h_axis = 2.0 * DUALITY_BOX / (n_axis - 1)
     young_min = np.inf
     young_eq_ok = True
     for start in range(0, Y.shape[0], 1024):

@@ -225,17 +225,13 @@ def test_ks_sharp_gaussian_command(capsys):
     ("ks", "8pi*optimizer:s=1", "--T", "-1"),
     ("heatflow", "1+0.5*P1", "--T", "0"),
     ("heatflow", "1+0.5*P1", "--T", "-1"),
-    ("heatflow", "1+0.5*P1", "--dt", "0"),
-    ("heatflow", "1+0.5*P1", "--dt", "-1"),
-    ("heatflow", "1+0.5*P1", "--dt", "nan"),
     ("eval", "gaussian:sigma=1", "--rmax", "0"),
     ("eval", "gaussian:sigma=1", "--rmax", "nan"),
     ("eval", "gaussian:sigma=1", "--rmax", "inf"),
 ], ids=lambda argv: f"{argv[0]} {argv[-2][2:]}={argv[-1]}")
 def test_non_positive_T_is_invalid_input(capsys, argv):
-    """--T, heatflow's --dt and --rmax take a finite number > 0 (a NaN dt
-    once printed null residuals with exit 0, and --rmax 0 ran the default
-    grid)."""
+    """--T and --rmax take a finite number > 0 (--rmax 0 once ran the
+    default grid)."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -314,6 +310,51 @@ def test_commands_without_a_sized_grid_take_no_grid_flags(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+COMMAND_ARGS = {
+    "eval": ("gaussian:sigma=1",),
+    "stability": ("gaussian:sigma=1",),
+    "heatflow": ("1+0.5*P1",),
+    "ks": ("8pi*optimizer:s=1",),
+    "duality-demo": (),
+    "suite": ("--ids", "A06"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, flag, id=f"{command} {flag.split()[0]}")
+    for command in COMMAND_ARGS for flag in ("--seed 1", "--oracle", "--dt 1e-3")
+    if (command, flag) != ("stability", "--oracle")])
+def test_removed_options_are_unrecognized(capsys, command, flag):
+    """--seed changed no command's output, --oracle only stability's and
+    heatflow's --dt had one value in use: each is now an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMAND_ARGS[command], *flag.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    "band-limited-random:seed=7,L=6,amplitude=0.25",
+    "circle-cos:eps=0.3",
+    "optimizer:s=1.5,x0=(0.7,-0.4)",
+], ids=["sphere", "circle", "off-center"])
+def test_oracle_without_a_radial_search_is_invalid_input(capsys, spec):
+    """The oracle sweeps the radial search; a spec that has none refuses
+    --oracle instead of printing a certificate without oracle_distance."""
+    code, out, err = run_cli(capsys, "stability", spec, "--oracle")
+    assert code == 2 and out == ""
+    assert "--oracle sweeps the radial search of a centered plane spec" in err
+
+
+def test_oracle_adds_the_dense_sweep_distance(capsys):
+    code, out, _ = run_cli(capsys, "stability", "optimizer:s=2", "--oracle")
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["distance"] <= cert["search"]["oracle_distance"] + 1e-9
+    code, out, _ = run_cli(capsys, "stability", "optimizer:s=2")
+    assert code == 0 and "oracle_distance" not in json.loads(out)["certificate"]["search"]
+
+
 def test_heatflow_short_T_samples_end_at_T(capsys):
     code, out, _ = run_cli(capsys, "heatflow", "1+0.5*P1", "--T", "0.005")
     assert code == 0
@@ -386,6 +427,15 @@ def test_config_out_writes_the_report(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["free_energy"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("line", ["seed = 1", "oracle = true"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "eval", "gaussian:sigma=1", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"unknown config key {line.split()[0]!r}" in err
 
 
 def test_tol_is_not_an_option(tmp_path, capsys):

@@ -1,15 +1,22 @@
-"""The option surface of the library: every parameter with a default.
+"""The option surface of the library: every parameter with a default,
+every command-line flag and every configuration key.
 
 A default is a setting some caller may change by keyword, so a tolerance
 or limit given one would let any caller loosen it unseen.  Tolerances
 and iteration limits are named module constants instead, and this test
-pins the defaulted parameters that remain.
+pins the defaulted parameters that remain.  The same rule holds for the
+flags and the ``RunConfig`` keys: each one changes the output of a
+command that accepts it, and a setting with one value in use is a
+constant.
 """
 
+import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import loghls
+from loghls.cli import build_parser
 
 SRC = Path(loghls.__file__).parent
 
@@ -48,3 +55,37 @@ def test_defaulted_parameters_are_pinned():
         "A new option needs two callers outside the tests that need different "
         "values; a value that one caller uses is a module constant.  Update "
         "DEFAULTED only for such an option, or for one that is gone.")
+
+
+FLAGS = {
+    "eval": {"--config", "--grid-n", "--rmax", "--out"},
+    "stability": {"--config", "--grid-n", "--rmax", "--oracle", "--out"},
+    "heatflow": {"--T", "--samples", "--csv", "--config", "--out"},
+    "ks": {"--T", "--samples", "--csv", "--config", "--grid-n", "--rmax", "--out"},
+    "duality-demo": {"--dim", "--config", "--out"},
+    "suite": {"--ids", "--json", "--config", "--grid-n", "--rmax", "--out"},
+}
+
+CONFIG_KEYS = {
+    "radial_n", "radial_rmax", "radial_span", "sphere_nz", "sphere_nphi", "circle_n",
+    "ks_n", "ks_rmin", "ks_rmax", "ks_T", "ks_dt", "out",
+}
+
+
+def test_command_flags_are_pinned():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {flag for action in sp._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")}
+             for name, sp in commands.choices.items()}
+    assert found == FLAGS, (
+        "A flag must change the output of every command that accepts it; "
+        "update FLAGS only for such a flag, or for one that is gone.")
+
+
+def test_config_keys_are_pinned():
+    found = {f.name for f in fields(loghls.RunConfig)}
+    assert found == CONFIG_KEYS, (
+        f"added: {sorted(found - CONFIG_KEYS)}, removed: {sorted(CONFIG_KEYS - found)}.  "
+        "A configuration key needs a command or criterion that reads it with "
+        "more than one value in use; update CONFIG_KEYS only for such a key.")

@@ -140,12 +140,12 @@ def test_runconfig_validation_and_file(tmp_path):
     with pytest.raises(ParseError):
         RunConfig.from_file(str(stale))
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nradial_n = 512\nsphere_nz = 64\noracle = true\nks_dt = none\n")
+    path.write_text("# comment\nradial_n = 512\nsphere_nz = 64\ncircle_n = 1024\nks_dt = none\n")
     cfg = RunConfig.from_file(str(path))
     assert cfg.radial_n == 512
     assert cfg.sphere_nz == 64
-    assert cfg.oracle is True
+    assert cfg.circle_n == 1024
     assert cfg.ks_dt is None
-    for key in ("nonsense", "cart_n", "cart_L"):
+    for key in ("nonsense", "cart_n", "cart_L", "oracle", "seed"):
         with pytest.raises(ParseError):
             RunConfig.from_strings({key: "1"})

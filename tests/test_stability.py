@@ -363,6 +363,14 @@ def test_duality_2d_anisotropic():
     assert rep.transfer_min_slack >= -2e-2
 
 
+def test_duality_pair_dimension_is_one_or_two():
+    """The demo's grids are sized for dimensions 1 and 2, the two that
+    ``duality-demo --dim`` offers."""
+    with pytest.raises(DomainError):
+        ConvexPairSpec(dim=3, E=lambda x: (x**2).sum(axis=1),
+                       F=lambda x: 2.0 * (x**2).sum(axis=1), C=1.0, lam=0.25)
+
+
 def test_duality_premise_violation():
     spec = ConvexPairSpec(dim=1, E=lambda x: 2.0 * (x**2).sum(axis=1),
                           F=lambda x: (x**2).sum(axis=1), C=1.0, lam=0.25)
