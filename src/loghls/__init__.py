@@ -14,23 +14,18 @@ from .flows import (HeatState, KSState, FlowTrajectory, decay_check,
                     dissipation_check, heat_evolve, heat_state, ks_evolve,
                     ks_rate_fit, reverse_entropy)
 from .functionals import (dirichlet_energy, half_laplacian_energy,
-                          lebedev_milin_functional, log_interaction,
-                          onofri_entropy_form_gap, onofri_functional,
+                          lebedev_milin_functional, log_interaction, onofri_functional,
                           planar_free_energy, planar_free_energy_report,
                           sphere_green_apply, spherical_free_energy)
-from .geometry import (ConformalParams, chordal_identity_check, conformal_push,
-                       lift_T, planar_from_profile, rotate_field, stereo_forward,
-                       stereo_inverse)
+from .geometry import ConformalParams, conformal_push, lift_T, planar_from_profile
 from .grids import (CircleGrid, RadialGrid, SphereGrid, integrate,
                     make_circle_grid, make_radial_grid, make_sphere_grid)
 from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          SearchDiagnostics, SphereOptimizerParams, circle_optimizer,
-                         nearest_planar_L1, planar_optimizer, recenter,
-                         sphere_optimizer)
+                         nearest_planar_L1, recenter, sphere_optimizer)
 from .specs import RunConfig, format_input_spec, parse_input_spec
 from .stability import (ConvexPairSpec, StabilityCertificate,
-                        circle_stability_certificate, constrained_onofri_gap,
-                        onofri_stability_certificates,
+                        circle_stability_certificate, onofri_stability_certificates,
                         planar_stability_certificate,
                         spherical_stability_certificate, toy_duality_demo)
 

@@ -33,19 +33,37 @@ from .functionals import (dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report)
 from .grids import integrate
-from .specs import (RunConfig, format_input_spec, parse_input_spec,
+from .specs import (RunConfig, format_input_spec, parse_input_spec, read_config_file,
                     realize_circle, realize_heat_coeffs, realize_planar,
                     realize_sphere, spec_domain)
-from .stability import (DEMO_PAIRS, circle_stability_certificate,
+from .stability import (DEMO_PAIRS, _radial_oracle_distance, circle_stability_certificate,
                         planar_stability_certificate,
                         sphere_stability_certificates, toy_duality_demo)
 from .suite import run_all
 
+_RADIAL = {"radial_n", "radial_rmax", "radial_span"}
+_SPHERE = {"sphere_nz", "sphere_nphi"}
+_KS = {"ks_n", "ks_rmin", "ks_rmax", "ks_T", "ks_dt"}
+COMMAND_CONFIG_KEYS = {     # the RunConfig keys each command reads
+    "eval": _RADIAL | _SPHERE | {"circle_n", "out"},
+    "stability": _RADIAL | _SPHERE | {"circle_n", "out"},
+    "heatflow": {"out"},
+    "ks": _RADIAL | _KS | {"out"},
+    "duality-demo": {"out"},
+    "suite": (_RADIAL | _SPHERE | _KS | {"circle_n", "out"}) - {"ks_dt"},
+}
+
 
 def _config_from_args(args) -> RunConfig:
-    """The run's configuration; one that fails validation is invalid input."""
+    """The run's configuration; one that fails validation, or a config file
+    key the command does not read, is invalid input."""
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        given = read_config_file(args.config) if args.config else {}
+        cfg = RunConfig.from_strings(given)
+        unread = sorted(set(given) - COMMAND_CONFIG_KEYS[args.command])
+        if unread:
+            raise ParseError(f"the config file {args.config} sets {', '.join(map(repr, unread))}, "
+                             f"which {args.command} does not read")
         for key in ("radial_n", "radial_rmax", "ks_n", "ks_rmax"):   # if given
             if getattr(args, key, None) is not None:
                 setattr(cfg, key, getattr(args, key))
@@ -126,8 +144,10 @@ def cmd_stability(args) -> int:
         rho = realize_planar(spec, cfg)
         if not isinstance(rho, RadialDensity):
             _check_oracle_flag(args, "an off-center plane spec")
-        cert = planar_stability_certificate(rho, oracle=args.oracle)
+        cert = planar_stability_certificate(rho)
         out["certificate"] = cert.to_json()
+        if args.oracle:
+            out["certificate"]["search"]["oracle_distance"] = _radial_oracle_distance(rho)
         ok = cert.passed
     elif domain == "sphere":
         *certs, scert = sphere_stability_certificates(realize_sphere(spec, cfg))

@@ -4,8 +4,11 @@ Legendre coefficients) and the critical-mass radial Keller-Segel flow
 
 A heat state keeps the plain Legendre a_l of rho(z) = sum a_l P_l(z).
 Its grid's ``SphereTransform`` synthesizes rho from the m = 0 column
-a_l / sqrt(2l+1) and gives int |grad log rho|^2 as the Dirichlet energy
-of log rho, as ``onofri_entropy_form_gap`` does.
+a_l / sqrt(2l+1).  Along the flow the reverse entropy H(1 || rho) =
+-int log rho dsigma dissipates at the rate int |grad log rho|^2 dsigma,
+the Dirichlet energy of log rho.  Onofri's inequality applied to
+u = log rho (int e^u = 1) bounds that rate below by 4 H(1 || rho), so
+H(1 || rho(t)) <= e^{-4t} H(1 || rho(0)).
 
 Keller-Segel reduction
 ----------------------

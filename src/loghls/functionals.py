@@ -56,7 +56,6 @@ __all__ = [
     "sphere_green_apply",
     "dirichlet_energy",
     "onofri_functional",
-    "onofri_entropy_form_gap",
     "half_laplacian_energy",
     "lebedev_milin_functional",
     "radial_grid_misfit",
@@ -243,20 +242,6 @@ def onofri_functional(u: SphereField) -> float:
     shifted = u.values - ubar
     log_int = float(np.log(integrate(np.exp(shifted), u.grid)))
     return 0.25 * dirichlet_energy(u) - log_int
-
-
-def onofri_entropy_form_gap(rho: SphereField) -> float:
-    """int |grad log rho|^2 dsigma - 4 H(1 || rho) >= 0 (entropy form of Onofri)."""
-    if np.min(rho.values) <= 0:
-        raise PositivityError("onofri_entropy_form_gap: density must be strictly positive")
-    mass = rho.mean()
-    if abs(mass - 1.0) > MASS_TOL:
-        raise NormalizationError(
-            f"onofri_entropy_form_gap: density mass {mass!r} is not 1 within {MASS_TOL}")
-    logrho = SphereField(rho.grid, np.log(rho.values))
-    energy = dirichlet_energy(logrho)
-    H_rev = -logrho.mean()          # H(1||rho) = - int log rho dsigma
-    return energy - 4.0 * H_rev
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Stereographic projection, the L^1 isometry onto the sphere, and
-conformal transformations of S^2.
+"""The L^1 isometry of the plane onto the sphere, and conformal
+transformations of S^2.
 
-The projection is based at the south pole (0, 0, -1): the north pole
-maps to the origin and the equator is fixed.  With z = omega_3 the
-radius satisfies |S(omega)|^2 = (1 - z)/(1 + z).
+The isometry rests on the stereographic projection
+S(omega) = (omega_1, omega_2) / (1 + omega_3), based at the south pole
+(0, 0, -1): the north pole maps to the origin and the equator is fixed.
+With z = omega_3 the radius satisfies |S(omega)|^2 = (1 - z)/(1 + z).
+``lift_T`` and ``planar_from_profile`` evaluate the projection inline, at
+the grid points of the sphere.
 
 Conformal maps of S^2 are 4x4 orthochronous Lorentz matrices G
 (G^T eta G = eta with eta = diag(-1, 1, 1, 1), G_00 > 0).  A point omega
@@ -28,21 +31,14 @@ from .grids import SPHERE_NPHI, SPHERE_NZ, SphereGrid, make_sphere_grid
 
 __all__ = [
     "ConformalParams",
-    "stereo_forward",
-    "stereo_inverse",
-    "chordal_identity_check",
-    "stereonorm_residual",
     "lift_T",
     "planar_from_profile",
     "sphere_optimizer_values",
     "conformal_push",
-    "rotate_field",
-    "rotation_to_pole",
     "T_CAP",
 ]
 
 T_CAP = 20.0   # cosh(t) stays far from overflow and minimizers live at bounded t
-UNIT_TOL = 1e-10   # how far from 1 the norm of a point given as on S^2 may be
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
@@ -77,71 +73,6 @@ class ConformalParams:
         G[0, 1:] = G[1:, 0] = s * n
         G[1:, 1:] = np.eye(3) + (c - 1.0) * np.outer(n, n)
         return G
-
-
-def _check_unit(omega: np.ndarray) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    norms = np.sqrt(np.sum(omega**2, axis=-1))
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
-        raise DomainError(
-            f"stereo_forward: input must lie on S^2 within {UNIT_TOL} (max deviation "
-            f"{np.max(np.abs(norms - 1.0)):.2e})")
-    return omega
-
-
-def stereo_forward(omega: np.ndarray) -> np.ndarray:
-    """South-pole stereographic projection S: S^2 -> R^2.
-
-    Returns (omega_1, omega_2) / (1 + omega_3); the south pole itself maps
-    to the infinity marker (inf, inf).
-    """
-    omega = _check_unit(omega)
-    z = omega[..., 2]
-    out = np.empty(omega.shape[:-1] + (2,))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[..., 0] = omega[..., 0] / (1.0 + z)
-        out[..., 1] = omega[..., 1] / (1.0 + z)
-    at_pole = np.isclose(z, -1.0, atol=1e-14)
-    out[at_pole] = np.inf
-    return out
-
-
-def stereo_inverse(x: np.ndarray) -> np.ndarray:
-    """Inverse projection: x -> (2 x_1, 2 x_2, 1 - |x|^2) / (1 + |x|^2)."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x**2, axis=-1)
-    out = np.empty(x.shape[:-1] + (3,))
-    out[..., 0] = 2.0 * x[..., 0] / (1.0 + r2)
-    out[..., 1] = 2.0 * x[..., 1] / (1.0 + r2)
-    out[..., 2] = (1.0 - r2) / (1.0 + r2)
-    return out
-
-
-def stereonorm_residual(omega: np.ndarray) -> float:
-    """Residual of |S(omega)|^2 * (1 + omega_3) - (1 - omega_3).
-
-    This is the radius identity consistent with the south-pole
-    projection used here: z = omega_3 = (1 - |x|^2)/(1 + |x|^2).
-    """
-    omega = _check_unit(omega)
-    x = stereo_forward(omega)
-    r2 = np.sum(x**2, axis=-1)
-    z = omega[..., 2]
-    return float(np.max(np.abs(r2 * (1.0 + z) - (1.0 - z))))
-
-
-def chordal_identity_check(x: np.ndarray, xp: np.ndarray) -> float:
-    """| |S^-1 x - S^-1 x'|^2 - 4 |x - x'|^2 / ((1+|x|^2)(1+|x'|^2)) |."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
-        raise DomainError("chordal_identity_check: points must be finite")
-    a = stereo_inverse(x)
-    b = stereo_inverse(xp)
-    lhs = np.sum((a - b)**2, axis=-1)
-    rhs = 4.0 * np.sum((x - xp)**2, axis=-1) / ((1.0 + np.sum(x**2, axis=-1))
-                                                * (1.0 + np.sum(xp**2, axis=-1)))
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _radius_from_z(z: np.ndarray) -> np.ndarray:
@@ -222,25 +153,3 @@ def conformal_push(u: SphereField, g: ConformalParams | np.ndarray) -> SphereFie
         return _u.evaluate(moved) - 2.0 * np.log(x0)
 
     return SphereField(u.grid, fn(u.grid.points()), fn=fn)
-
-
-def rotation_to_pole(n: np.ndarray) -> np.ndarray:
-    """A rotation matrix R with R n = e_3 (deterministic choice)."""
-    n = np.asarray(n, dtype=float)
-    e3 = np.array([0.0, 0.0, 1.0])
-    v = np.cross(n, e3)
-    c = float(n @ e3)
-    if np.linalg.norm(v) < 1e-14:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
-
-
-def rotate_field(u: SphereField, R: np.ndarray) -> SphereField:
-    """u o R (a measure-preserving conformal map, Jacobian 1): the push by diag(1, R)."""
-    R = np.asarray(R, dtype=float)
-    if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-10:
-        raise DomainError("rotate_field: R must be orthogonal")
-    G = np.eye(4)
-    G[1:, 1:] = R
-    return conformal_push(u, G)

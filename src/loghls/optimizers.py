@@ -54,8 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField, get_transform,
-                     radial_from_profile)
+from .fields import CircleField, PlanarDensity, RadialDensity, SphereField, get_transform
 from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
 from .geometry import _ETA, ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
 from .grids import CircleGrid, RadialGrid, SphereGrid, affine_values, integrate, moments
@@ -66,7 +65,6 @@ __all__ = [
     "SphereOptimizerParams",
     "CircleOptimizerParams",
     "planar_optimizer_profile",
-    "planar_optimizer",
     "sphere_optimizer",
     "circle_optimizer",
     "golden_section",
@@ -130,13 +128,6 @@ def planar_optimizer_profile(p: PlanarOptimizerParams):
         return (1.0 / (np.pi * s * s)) * (1.0 + rr * rr) ** -2
 
     return prof
-
-
-def planar_optimizer(p: PlanarOptimizerParams, grid: RadialGrid) -> RadialDensity:
-    """The centered optimizer density s^-2 h(x/s) realized on a radial grid."""
-    if p.x0 != (0.0, 0.0):
-        raise DomainError("planar_optimizer: radial grids require x0 = 0")
-    return radial_from_profile(grid, planar_optimizer_profile(p))
 
 
 def sphere_optimizer(p: SphereOptimizerParams, grid: SphereGrid) -> SphereField:

@@ -37,8 +37,8 @@ from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
                          planar_optimizer_profile, sphere_optimizer)
 
 __all__ = ["InputSpec", "parse_input_spec", "format_input_spec", "RunConfig",
-           "realize_planar", "realize_sphere", "realize_circle", "realize_heat_coeffs",
-           "spec_domain"]
+           "read_config_file", "realize_planar", "realize_sphere", "realize_circle",
+           "realize_heat_coeffs", "spec_domain"]
 
 _KINDS = {      # kind: (domain, its keys in canonical order with their defaults)
     "gaussian": ("plane", {"sigma": 1.0}),
@@ -307,20 +307,6 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        kwargs = {}
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}:{line_no}: expected key=value, got {line!r}")
-                k, _, v = line.partition("=")
-                kwargs[k.strip()] = v.strip()
-        return cls.from_strings(kwargs)
-
-    @classmethod
     def from_strings(cls, kwargs: dict) -> "RunConfig":
         typed = {}
         types = {f.name: f.type for f in dc_fields(cls)}
@@ -334,10 +320,30 @@ class RunConfig:
             else:
                 try:
                     x = float(v)
-                    typed[k] = int(x) if types[k] == "int" else x
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise ParseError(f"RunConfig: {k} = {v!r} is not a valid number") from exc
+                if types[k] == "int":
+                    if not x.is_integer():
+                        raise ParseError(f"RunConfig: {k} = {v!r} is not an integer")
+                    x = int(x)
+                typed[k] = x
         return cls(**typed)
+
+
+def read_config_file(path: str) -> dict:
+    """The key = value lines of a flat config file, as strings by key;
+    blank lines and lines starting with # are skipped."""
+    kwargs = {}
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            k, _, v = line.partition("=")
+            kwargs[k.strip()] = v.strip()
+    return kwargs
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField
-from .functionals import (MASS_TOL, _circle_grid_for, dirichlet_energy,
-                          lebedev_milin_functional, onofri_functional,
-                          planar_free_energy_report, spherical_free_energy)
+from .functionals import (MASS_TOL, _circle_grid_for, lebedev_milin_functional,
+                          onofri_functional, planar_free_energy_report,
+                          spherical_free_energy)
 from .grids import CircleGrid, integrate
 from .optimizers import (LOG_S_BOX, _gradient_energy, _l1_objective, _SphereFamily,
                          nearest_circle_L1, nearest_planar_L1, nearest_sphere_L1,
@@ -36,7 +36,6 @@ __all__ = [
     "spherical_stability_certificate",
     "onofri_stability_certificates",
     "sphere_stability_certificates",
-    "constrained_onofri_gap",
     "circle_stability_certificate",
     "ConvexPairSpec",
     "DEMO_PAIRS",
@@ -47,7 +46,6 @@ __all__ = [
 
 PASS_ABS_TOL = 1e-6
 PASS_REL_TOL = 1e-4
-BARY_TOL = 1e-8          # the barycenter precondition of constrained_onofri_gap
 ORACLE_SWEEP = 10_000    # log s values of the radial oracle's dense sweep
 DUALITY_SLACK = 2e-2     # toy_duality_demo's slack on each of its checks
 DUALITY_EQ_TOL = 1e-9    # toy_duality_demo's tolerance for equality
@@ -98,8 +96,7 @@ def _search(params, diag) -> dict:
 # log HLS certificates
 # ----------------------------------------------------------------------
 
-def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
-                                 oracle: bool = False) -> StabilityCertificate:
+def planar_stability_certificate(rho: RadialDensity | PlanarDensity) -> StabilityCertificate:
     """H(rho) >= (1/8) inf_g ||rho - g||_1^2 over the planar manifold.
 
     A radial search whose optimum lies on the edge of its range
@@ -115,14 +112,11 @@ def planar_stability_certificate(rho: RadialDensity | PlanarDensity,
             f"the edge of the searched range s in [e^-{LOG_S_BOX:g}, e^{LOG_S_BOX:g}] = "
             f"[{np.exp(-LOG_S_BOX):.6g}, {np.exp(LOG_S_BOX):.6g}], so the nearest optimizer "
             f"may lie beyond it")
-    search = _search(params, diag)
-    if oracle and isinstance(rho, RadialDensity):
-        search["oracle_distance"] = _radial_oracle_distance(rho)
     if isinstance(rho, RadialDensity):
         grid = f"radial n={rho.grid.n}"
     else:
         grid = f"sphere lift {rho.lifted.grid.n_z}x{rho.lifted.grid.n_phi}"
-    return _certificate("log-HLS (plane)", report.total, 0.125, dist, grid, search)
+    return _certificate("log-HLS (plane)", report.total, 0.125, dist, grid, _search(params, diag))
 
 
 def _radial_oracle_distance(rho: RadialDensity) -> float:
@@ -186,20 +180,6 @@ def sphere_stability_certificates(u: SphereField) -> tuple[StabilityCertificate,
     H = spherical_free_energy(SphereField(u.grid, f)).total
     return (*onofri, l1,
             _certificate("log-HLS (sphere)", H, 0.125, dist, l1.grid, dict(l1.search)))
-
-
-def constrained_onofri_gap(u: SphereField) -> float:
-    """(1/8) int |grad u|^2 - log int e^u + int u for barycenter-free u.
-
-    Precondition: the sphere barycenter of e^u vanishes within BARY_TOL
-    (recenter first); the improved constant 1/8 is valid only there.
-    """
-    b = float(np.linalg.norm(u.barycenter()))
-    if b > BARY_TOL:
-        raise PreconditionError(
-            f"constrained_onofri_gap: |barycenter| = {b:.3e} exceeds {BARY_TOL}; "
-            "recenter the field first")
-    return onofri_functional(u) - 0.125 * dirichlet_energy(u)
 
 
 # ----------------------------------------------------------------------

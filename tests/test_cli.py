@@ -266,14 +266,33 @@ def test_non_positive_samples_is_invalid_input(capsys, argv):
     ("", ("ks", "8pi*optimizer:s=1", "--grid-n", "32")),
     ("radial_n = abc", ("eval", "optimizer:s=1")),
     ("ks_T = abc", ("ks", "8pi*optimizer:s=1")),
+    ("radial_n = 1000.7", ("eval", "gaussian:sigma=1")),
 ], ids=["ks_T", "ks_dt", "radial_n", "grid-n", "grid-n-zero", "ks-grid-n", "radial_n-text",
-        "ks_T-text"])
+        "ks_T-text", "radial_n-fraction"])
 def test_invalid_config_is_invalid_input(tmp_path, capsys, line, argv):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 2 and out == ""
     assert "invalid input" in err and "RunConfig" in err
+
+
+@pytest.mark.parametrize("lines,argv", [
+    ("ks_n = 128\nsphere_nz = 64", ("duality-demo",)),
+    ("sphere_nz = 64", ("heatflow", "1+0.5*P1")),
+    ("circle_n = 1024", ("ks", "8pi*optimizer:s=1")),
+    ("ks_T = 5", ("eval", "gaussian:sigma=1")),
+    ("ks_dt = 1e-3", ("suite", "--ids", "A06")),
+], ids=["duality-demo", "heatflow", "ks", "eval", "suite"])
+def test_config_key_the_command_does_not_read_is_invalid_input(tmp_path, capsys, lines, argv):
+    """A valid key that the command never reads is refused, naming the key
+    and the command, instead of being echoed as if it had been used."""
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(lines + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    keys = ", ".join(repr(line.split(" = ")[0]) for line in sorted(lines.split("\n")))
+    assert f"sets {keys}, which {argv[0]} does not read" in err
 
 
 def test_ks_grid_flags_size_the_flow_grid(capsys):

@@ -9,14 +9,13 @@ from loghls.errors import (DomainError, NormalizationError, PositivityError,
 from loghls.fields import CircleField, PlanarDensity, SphereField, radial_from_profile
 from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
                                 half_laplacian_energy, lebedev_milin_functional,
-                                log_interaction, onofri_entropy_form_gap,
-                                onofri_functional, planar_free_energy,
+                                log_interaction, onofri_functional, planar_free_energy,
                                 planar_free_energy_report, sphere_green_apply,
                                 sphere_log_interaction, spherical_free_energy)
 from loghls.geometry import lift_T, planar_from_profile, sphere_optimizer_values
 from loghls.grids import integrate, make_circle_grid
 from loghls.optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
-                               circle_optimizer, planar_optimizer)
+                               circle_optimizer, planar_optimizer_profile)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -67,7 +66,7 @@ def test_optimizer_family_values(radial_fine):
     assert log_interaction(h) == pytest.approx(0.5, abs=1e-6)
     assert entropy_term(h) == pytest.approx(-LOG_PI - 2.0, abs=1e-6)
     for s in (0.5, 1.0, 2.0):
-        rho = planar_optimizer(PlanarOptimizerParams(s), radial_fine)
+        rho = radial_from_profile(radial_fine, planar_optimizer_profile(PlanarOptimizerParams(s)))
         assert abs(planar_free_energy(rho)) <= 1e-6
 
 
@@ -243,18 +242,6 @@ def test_onofri_small_perturbation_series(sphere_grid):
     exact = eps**2 / 6.0 - np.log(np.sinh(eps) / eps)
     assert J == pytest.approx(exact, abs=1e-12)
     assert J == pytest.approx(eps**4 / 180.0, rel=2e-3)
-
-
-def test_onofri_entropy_form(sphere_grid):
-    one = SphereField(sphere_grid, np.ones(sphere_grid.shape), axisymmetric=True)
-    assert abs(onofri_entropy_form_gap(one)) <= 1e-12
-    vals = np.exp(sphere_optimizer_values(1.0, np.array([0, 0, 1.0]), sphere_grid.points()))
-    rho = SphereField(sphere_grid, vals, axisymmetric=True)
-    assert abs(onofri_entropy_form_gap(rho)) <= 1e-5
-    rho2 = SphereField.from_zonal(sphere_grid, lambda z: 1.0 + 0.5 * z)
-    assert onofri_entropy_form_gap(rho2) > 0.0
-    with pytest.raises(PositivityError):
-        onofri_entropy_form_gap(SphereField.from_zonal(sphere_grid, lambda z: 1.5 * z))
 
 
 # ----------------------------------------------------------------------

@@ -7,49 +7,13 @@ import loghls.suite as suite
 from loghls.errors import DomainError
 from loghls.fields import SphereField, radial_from_profile
 from loghls.functionals import dirichlet_energy, onofri_functional
-from loghls.geometry import (ConformalParams, chordal_identity_check,
-                             conformal_push, lift_T, rotate_field,
-                             rotation_to_pole, sphere_optimizer_values,
-                             stereo_forward, stereo_inverse, stereonorm_residual)
+from loghls.geometry import ConformalParams, conformal_push, lift_T, sphere_optimizer_values
 from loghls.grids import integrate, make_radial_grid
 from loghls.optimizers import sphere_optimizer
 from loghls.sht import SphereTransform
 from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-
-
-def test_stereo_special_points():
-    assert np.allclose(stereo_forward(np.array([0.0, 0.0, 1.0])), [0.0, 0.0])
-    assert np.allclose(stereo_forward(np.array([1.0, 0.0, 0.0])), [1.0, 0.0])
-    out = stereo_forward(np.array([0.0, 0.0, -1.0]))
-    assert np.all(np.isinf(out))
-
-
-def test_stereo_roundtrip_and_norm_identity():
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=(200, 3))
-    omega = v / np.linalg.norm(v, axis=1, keepdims=True)
-    x = stereo_forward(omega)
-    back = stereo_inverse(x)
-    assert np.max(np.abs(back - omega)) <= 1e-12
-    assert stereonorm_residual(omega) <= 1e-10
-
-
-def test_stereo_rejects_non_unit():
-    with pytest.raises(DomainError):
-        stereo_forward(np.array([0.0, 0.0, 1.5]))
-
-
-def test_chordal_identity():
-    assert chordal_identity_check(np.array([0.3, -0.7]), np.array([0.3, -0.7])) == 0.0
-    assert chordal_identity_check(np.array([1.0, 0.0]), np.array([0.0, 0.0])) <= 1e-12
-    rng = np.random.default_rng(1)
-    x = rng.uniform(-5, 5, size=(500, 2))
-    xp = rng.uniform(-5, 5, size=(500, 2))
-    assert chordal_identity_check(x, xp) <= 1e-10
-    with pytest.raises(DomainError):
-        chordal_identity_check(np.array([np.inf, 0.0]), np.array([0.0, 0.0]))
 
 
 def test_lift_T_maps_optimizer_to_one(radial_fine):
@@ -169,7 +133,7 @@ def test_onofri_conformal_and_rotation_invariance(seed, L, amplitude, t, axis, r
     R = Rotation.from_rotvec(rotvec).as_matrix()
     rotation = np.eye(4)
     rotation[1:, 1:] = R
-    for moved in (conformal_push(u, boost), rotate_field(u, R),
+    for moved in (conformal_push(u, boost), conformal_push(u, rotation),
                   conformal_push(u, rotation @ boost.matrix)):
         assert abs(onofri_functional(moved) - J) <= 1e-10
 
@@ -214,19 +178,13 @@ def test_dirichlet_invariance_under_rotation(sphere_grid):
     u = SphereField(sphere_grid, tr.synthesize(c, s),
                     fn=lambda p: tr.evaluate(c, s, np.clip(p[..., 2], -1, 1),
                                              np.arctan2(p[..., 1], p[..., 0])))
-    R = rotation_to_pole(np.array([0.48, -0.6, 0.64]) / np.linalg.norm([0.48, -0.6, 0.64]))
-    rotated = rotate_field(u, R)
+    # the rotation taking the unit vector (0.48, -0.6, 0.64) to the north pole
+    axis = np.cross([0.48, -0.6, 0.64], [0.0, 0.0, 1.0])
+    rotation = np.eye(4)
+    rotation[1:, 1:] = Rotation.from_rotvec(
+        np.arccos(0.64) * axis / np.linalg.norm(axis)).as_matrix()
+    rotated = conformal_push(u, rotation)
     assert dirichlet_energy(rotated) == pytest.approx(dirichlet_energy(u), abs=1e-6)
-
-
-def test_rotation_to_pole():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        v = rng.normal(size=3)
-        n = v / np.linalg.norm(v)
-        R = rotation_to_pole(n)
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
-        assert np.allclose(R @ n, [0, 0, 1], atol=1e-12)
 
 
 def test_plane_sphere_onofri_correspondence():

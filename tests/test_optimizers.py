@@ -16,8 +16,7 @@ from loghls.optimizers import (_SPHERE_DIRS, CIRCLE_MAX_MODES, CIRCLE_MAX_R, LOG
                                _SphereFamily,
                                circle_optimizer, golden_section, nearest_circle_L1,
                                nearest_planar_L1, nearest_sphere_gradient, nearest_sphere_L1,
-                               nearest_sphere_reverse_entropy, planar_optimizer,
-                               planar_optimizer_profile,
+                               nearest_sphere_reverse_entropy, planar_optimizer_profile,
                                radial_L1_objective, recenter, sphere_optimizer)
 from loghls.specs import (RunConfig, parse_input_spec, realize_circle, realize_planar,
                           realize_sphere)
@@ -35,20 +34,18 @@ def test_golden_section_quadratic():
 
 
 def test_planar_optimizer_radial(radial_fine):
-    rho = planar_optimizer(PlanarOptimizerParams(1.0), radial_fine)
+    rho = radial_from_profile(radial_fine, planar_optimizer_profile(PlanarOptimizerParams(1.0)))
     assert abs(rho.mass - 1.0) <= 1e-6
-    rho2 = planar_optimizer(PlanarOptimizerParams(2.0), radial_fine)
+    rho2 = radial_from_profile(radial_fine, planar_optimizer_profile(PlanarOptimizerParams(2.0)))
     assert abs(rho2.mass - 1.0) <= 1e-6
     assert rho2.profile(0.0) == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-15)
     assert abs(planar_free_energy(rho2)) <= 1e-6
-    with pytest.raises(DomainError):
-        planar_optimizer(PlanarOptimizerParams(1.0, (1.0, 0.0)), radial_fine)
     with pytest.raises(DomainError):
         PlanarOptimizerParams(-1.0)
 
 
 def test_nearest_planar_recovers_member(radial_fine):
-    rho = planar_optimizer(PlanarOptimizerParams(1.7), radial_fine)
+    rho = radial_from_profile(radial_fine, planar_optimizer_profile(PlanarOptimizerParams(1.7)))
     params, dist, diag = nearest_planar_L1(rho)
     assert params.s == pytest.approx(1.7, abs=1e-6)
     assert dist <= 1e-5

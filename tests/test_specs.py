@@ -5,7 +5,7 @@ from loghls.errors import DomainError, ParseError
 from loghls.fields import PlanarDensity, RadialDensity
 from loghls.grids import (CIRCLE_N, SPHERE_NPHI, SPHERE_NZ, integrate, make_circle_grid,
                           make_sphere_grid)
-from loghls.specs import (RunConfig, format_input_spec, parse_input_spec,
+from loghls.specs import (RunConfig, format_input_spec, parse_input_spec, read_config_file,
                           realize_circle, realize_heat_coeffs, realize_planar,
                           realize_sphere, spec_domain)
 
@@ -138,10 +138,10 @@ def test_runconfig_validation_and_file(tmp_path):
     stale = tmp_path / "stale.cfg"
     stale.write_text("tol = 1e-6\n")             # the pass tolerance is not configurable
     with pytest.raises(ParseError):
-        RunConfig.from_file(str(stale))
+        RunConfig.from_strings(read_config_file(str(stale)))
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nradial_n = 512\nsphere_nz = 64\ncircle_n = 1024\nks_dt = none\n")
-    cfg = RunConfig.from_file(str(path))
+    cfg = RunConfig.from_strings(read_config_file(str(path)))
     assert cfg.radial_n == 512
     assert cfg.sphere_nz == 64
     assert cfg.circle_n == 1024

@@ -6,19 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from loghls.errors import DomainError, PreconditionError
 from loghls import optimizers, stability, suite
-from loghls.fields import SphereField, get_transform
+from loghls.fields import SphereField, get_transform, radial_from_profile
 from loghls.functionals import (dirichlet_energy, onofri_functional,
                                 sphere_log_interaction, spherical_free_energy)
 from loghls.geometry import lift_T, sphere_optimizer_values
 from loghls.grids import integrate, make_sphere_grid
 from loghls.optimizers import (LOG_S_BOX, PlanarOptimizerParams, SphereOptimizerParams,
-                               planar_optimizer, planar_optimizer_profile, recenter,
+                               planar_optimizer_profile, recenter,
                                sphere_optimizer)
 from loghls.specs import (RunConfig, parse_input_spec, realize_circle, realize_planar,
                           realize_sphere)
-from loghls.stability import (ORACLE_SWEEP, ConvexPairSpec, circle_stability_certificate,
-                              constrained_onofri_gap,
-                              onofri_stability_certificates,
+from loghls.stability import (ORACLE_SWEEP, ConvexPairSpec, _radial_oracle_distance,
+                              circle_stability_certificate, onofri_stability_certificates,
                               planar_stability_certificate, sphere_stability_certificates,
                               spherical_stability_certificate, toy_duality_demo)
 
@@ -31,7 +30,7 @@ def _gaussian():
 
 
 def test_planar_certificate_on_manifold(radial_fine):
-    rho = planar_optimizer(PlanarOptimizerParams(1.3), radial_fine)
+    rho = radial_from_profile(radial_fine, planar_optimizer_profile(PlanarOptimizerParams(1.3)))
     cert = planar_stability_certificate(rho)
     assert cert.passed
     assert abs(cert.value) <= 1e-6
@@ -49,14 +48,13 @@ def test_planar_certificate_gaussian():
 
 
 def test_planar_certificate_oracle_agrees(radial_small):
-    from loghls.fields import radial_from_profile
     rho = radial_from_profile(
         radial_small,
         lambda r: 0.5 * (1 / np.pi) * (1 + r**2) ** -2
         + 0.5 * (1 / (9 * np.pi)) * (1 + (r / 3.0) ** 2) ** -2)
-    cert = planar_stability_certificate(rho, oracle=True)
+    cert = planar_stability_certificate(rho)
     assert cert.passed
-    assert cert.search["oracle_distance"] == pytest.approx(cert.distance, abs=1e-4)
+    assert _radial_oracle_distance(rho) == pytest.approx(cert.distance, abs=1e-4)
 
 
 def test_radial_oracle_is_the_profile_sweep():
@@ -65,12 +63,13 @@ def test_radial_oracle_is_the_profile_sweep():
     lies at or below it."""
     rho = realize_planar(parse_input_spec(
         "mixture:weights=(0.5,0.5),components=(optimizer:s=0.2|optimizer:s=5)"), RunConfig())
-    cert = planar_stability_certificate(rho, oracle=True)
+    cert = planar_stability_certificate(rho)
+    oracle = _radial_oracle_distance(rho)
     sweep = min(integrate(np.abs(rho.values - planar_optimizer_profile(
                     PlanarOptimizerParams(float(np.exp(ls))))(rho.grid.nodes)), rho.grid)
                 for ls in np.linspace(-LOG_S_BOX, LOG_S_BOX, ORACLE_SWEEP))
-    assert abs(cert.search["oracle_distance"] - sweep) <= 1e-14 * sweep
-    assert cert.distance <= cert.search["oracle_distance"] + 1e-12
+    assert abs(oracle - sweep) <= 1e-14 * sweep
+    assert cert.distance <= oracle + 1e-12
 
 
 @pytest.mark.parametrize("spec", ["optimizer:s=1e-3", "optimizer:s=2e-3", "gaussian:sigma=1e-3",
@@ -260,20 +259,23 @@ def test_sphere_certificates_near_the_manifold_on_even_fields(sphere_grid, coeff
 _FINE = make_sphere_grid(256, 512)
 
 
+def _constrained_onofri_gap(u: SphereField) -> float:
+    """(1/8) int |grad u|^2 - log int e^u + int u, which the improved
+    constant 1/8 keeps >= 0 when the barycenter of e^u vanishes."""
+    return onofri_functional(u) - dirichlet_energy(u) / 8.0
+
+
 def test_constrained_onofri_gap(sphere_grid):
     zero = SphereField(sphere_grid, np.zeros(sphere_grid.shape), axisymmetric=True)
-    assert constrained_onofri_gap(zero) == pytest.approx(0.0, abs=1e-12)
+    assert _constrained_onofri_gap(zero) == pytest.approx(0.0, abs=1e-12)
     # u = c P_2 normalized is barycenter-free; gap ~ c^2/20 for small c
     c = 0.02
     base = SphereField.from_zonal(sphere_grid, lambda z: c * 0.5 * (3 * z**2 - 1))
     u = base.shifted(-float(np.log(base.exp_integral())))
-    gap = constrained_onofri_gap(u)
+    assert np.linalg.norm(u.barycenter()) <= 1e-8
+    gap = _constrained_onofri_gap(u)
     assert gap > 0.0
     assert gap == pytest.approx(c**2 / 20.0, rel=0.05)
-    # violating the barycenter precondition raises
-    tilted = sphere_optimizer(SphereOptimizerParams(0.5, (0, 0, 1.0)), sphere_grid)
-    with pytest.raises(PreconditionError):
-        constrained_onofri_gap(tilted)
 
 
 def test_constrained_gap_on_recentered_fields():
@@ -282,7 +284,8 @@ def test_constrained_gap_on_recentered_fields():
         u = realize_sphere(parse_input_spec(
             f"band-limited-random:seed={seed},L=4,amplitude=0.3"), cfg)
         res = recenter(u)
-        assert constrained_onofri_gap(res.field) >= -1e-9
+        assert np.linalg.norm(res.field.barycenter()) <= 1e-8
+        assert _constrained_onofri_gap(res.field) >= -1e-9
 
 
 def test_circle_certificate():
