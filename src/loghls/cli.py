@@ -6,7 +6,7 @@ eval          evaluate the functionals of a plane, sphere or circle spec
               (on a sphere spec: the Onofri functional and its parts)
 stability     stability certificate(s) for a spec (on a sphere spec: the
               three Onofri certificates and the spherical log-HLS one)
-heatflow      heat semigroup run with entropy diagnostics (flow heat)
+heatflow      heat flow of a sphere spec's density e^u, entropy diagnostics
 ks            critical-mass Keller-Segel run (flow ks)
 duality-demo  finite-dimensional duality transfer demonstration
 suite         run the acceptance matrix
@@ -34,8 +34,7 @@ from .functionals import (dirichlet_energy, half_laplacian_energy,
                           planar_free_energy_report)
 from .grids import integrate
 from .specs import (RunConfig, format_input_spec, parse_input_spec, read_config_file,
-                    realize_circle, realize_heat_coeffs, realize_planar,
-                    realize_sphere, spec_domain)
+                    realize_circle, realize_planar, realize_sphere, spec_domain)
 from .stability import (DEMO_PAIRS, _radial_oracle_distance, circle_stability_certificate,
                         planar_stability_certificate,
                         sphere_stability_certificates, toy_duality_demo)
@@ -47,16 +46,19 @@ _KS = {"ks_n", "ks_rmin", "ks_rmax", "ks_T", "ks_dt"}
 COMMAND_CONFIG_KEYS = {     # the RunConfig keys each command reads
     "eval": _RADIAL | _SPHERE | {"circle_n", "out"},
     "stability": _RADIAL | _SPHERE | {"circle_n", "out"},
-    "heatflow": {"out"},
+    "heatflow": _SPHERE | {"out"},
     "ks": _RADIAL | _KS | {"out"},
     "duality-demo": {"out"},
     "suite": (_RADIAL | _SPHERE | _KS | {"circle_n", "out"}) - {"ks_dt"},
 }
+# the grid keys a spec's domain reads: an off-center plane spec lifts onto the sphere grid
+_DOMAIN_KEYS = {"plane": _RADIAL | _SPHERE, "sphere": _SPHERE, "circle": {"circle_n"}}
 
 
-def _config_from_args(args) -> RunConfig:
-    """The run's configuration; one that fails validation, or a config file
-    key the command does not read, is invalid input."""
+def _config_from_args(args, domain: str | None) -> RunConfig:
+    """The run's configuration.  Invalid input: one that fails validation,
+    a config file key the command does not read, and on eval and stability
+    a grid flag or key that a spec of ``domain`` does not read."""
     try:
         given = read_config_file(args.config) if args.config else {}
         cfg = RunConfig.from_strings(given)
@@ -64,6 +66,15 @@ def _config_from_args(args) -> RunConfig:
         if unread:
             raise ParseError(f"the config file {args.config} sets {', '.join(map(repr, unread))}, "
                              f"which {args.command} does not read")
+        if domain is not None:
+            if domain != "plane" and (args.radial_n is not None or args.radial_rmax is not None):
+                raise ParseError(f"{args.command}: --grid-n and --rmax size the radial grid of "
+                                 f"plane specs, which a {domain} spec does not use")
+            unread = sorted(set(given) & (_RADIAL | _SPHERE | {"circle_n"}) - _DOMAIN_KEYS[domain])
+            if unread:
+                raise ParseError(f"{args.command}: the config file {args.config} sets "
+                                 f"{', '.join(map(repr, unread))}, which a {domain} spec does "
+                                 "not read")
         for key in ("radial_n", "radial_rmax", "ks_n", "ks_rmax"):   # if given
             if getattr(args, key, None) is not None:
                 setattr(cfg, key, getattr(args, key))
@@ -73,12 +84,6 @@ def _config_from_args(args) -> RunConfig:
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     return cfg
-
-
-def _check_grid_flags(args, domain: str) -> None:
-    if domain != "plane" and (args.radial_n is not None or args.radial_rmax is not None):
-        raise ParseError(f"{args.command}: --grid-n and --rmax size the radial grid of plane "
-                         f"specs, which a {domain} spec does not use")
 
 
 def _check_oracle_flag(args, what: str) -> None:
@@ -104,10 +109,9 @@ def _meta(cfg: RunConfig, spec=None) -> dict:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
     spec = parse_input_spec(args.spec)
     domain = spec_domain(spec)
-    _check_grid_flags(args, domain)
+    cfg = _config_from_args(args, domain)
     out = {"domain": domain, **_meta(cfg, spec)}
     if domain == "plane":
         rho = realize_planar(spec, cfg)
@@ -119,24 +123,21 @@ def cmd_eval(args) -> int:
         out.update(onofri=onofri_functional(u), dirichlet_energy=dirichlet_energy(u),
                    mean_u=u.mean(), exp_integral=u.exp_integral(),
                    barycenter=list(u.barycenter()))
-    elif domain == "circle":
+    else:
         u = realize_circle(spec, cfg)
         grid = cfg.circle_grid()
         out.update(lebedev_milin=lebedev_milin_functional(u, grid),
                    half_laplacian_energy=half_laplacian_energy(u),
                    mean_u=u.mean(),
                    exp_integral=integrate(np.exp(u.values(grid)), grid))
-    else:
-        raise ParseError(f"eval: spec domain {domain!r} is not evaluable directly")
     _emit(out, cfg)
     return 0
 
 
 def cmd_stability(args) -> int:
-    cfg = _config_from_args(args)
     spec = parse_input_spec(args.spec)
     domain = spec_domain(spec)
-    _check_grid_flags(args, domain)
+    cfg = _config_from_args(args, domain)
     if domain != "plane":
         _check_oracle_flag(args, f"a {domain} spec")
     out = {"domain": domain, **_meta(cfg, spec)}
@@ -154,40 +155,33 @@ def cmd_stability(args) -> int:
         out["onofri_certificates"] = [c.to_json() for c in certs]
         out["spherical_certificate"] = scert.to_json()
         ok = all(c.passed for c in certs) and scert.passed
-    elif domain == "circle":
+    else:
         cert = circle_stability_certificate(realize_circle(spec, cfg), cfg.circle_grid())
         out["certificate"] = cert.to_json()
         ok = cert.passed
-    else:
-        raise ParseError(f"stability: unsupported domain {domain!r}")
     _emit(out, cfg)
     return 0 if ok else 1
 
 
 def cmd_heatflow(args) -> int:
-    cfg = _config_from_args(args)
     spec = parse_input_spec(args.spec)
-    if spec_domain(spec) != "heat":
-        raise ParseError(f"heatflow: spec {format_input_spec(spec)} is not heat initial data "
-                         "(expected legendre:c0=1,... or 1+a*P1+...)")
-    coeffs = realize_heat_coeffs(spec)
-    state0 = heat_state(coeffs)
+    if spec_domain(spec) != "sphere":
+        raise ParseError(f"heatflow: {format_input_spec(spec)} is not a sphere spec, whose "
+                         "density e^u the flow evolves (e.g. 1+0.5*P1)")
+    cfg = _config_from_args(args, None)       # its config keys are the sphere domain's
+    state0 = heat_state(realize_sphere(spec, cfg))
     T = args.T
     first = max(1e-2, T / 100.0) if T > 1e-2 else T / 100.0
     if args.samples == 1:
         first = T                 # the one sample after t = 0 is T
-    times = np.concatenate(([0.0], np.geomspace(first, T, args.samples)))
-    decay = decay_check(state0, times[1:])
-    H0 = reverse_entropy(state0)
-    rows = []
-    for t, H in zip(times, np.concatenate(([H0], decay.entropies))):
-        st = heat_evolve(state0, float(t))
-        rho = st.density_values()
-        dist = integrate(np.broadcast_to(np.abs(rho - 1.0)[:, None], st.grid.shape), st.grid)
-        rows.append((float(t), H, dist, entropy_dissipation_rate(st), 0.0))
+    states = [heat_evolve(state0, float(t))
+              for t in np.concatenate(([0.0], np.geomspace(first, T, args.samples)))]
+    decay = decay_check(states)
     # columns t, free_energy, distance_L1, dissipation, mass_error
+    rows = [(st.time, reverse_entropy(st), integrate(np.abs(st.rho.values - 1.0), st.rho.grid),
+             entropy_dissipation_rate(st), 0.0) for st in states]
     traj = FlowTrajectory(*np.array(rows).T,
-                          diagnostics={"kind": "heat", "H0": H0,
+                          diagnostics={"kind": "heat", "H0": rows[0][1],
                                        "spec": format_input_spec(spec)})
     lhs, rhs, res = dissipation_check(state0, dt=DISSIPATION_DT)
     out = {**_meta(cfg, spec), "trajectory": traj.to_json(),
@@ -200,7 +194,7 @@ def cmd_heatflow(args) -> int:
 
 
 def cmd_ks(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, None)
     text = args.spec.strip()
     if not text.startswith("8pi*"):
         raise ParseError("ks: spec must be of the form 8pi*<planar spec> "
@@ -231,14 +225,17 @@ def cmd_ks(args) -> int:
 
 
 def cmd_duality_demo(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, None)
     rep = toy_duality_demo(DEMO_PAIRS[args.dim])
     _emit({**_meta(cfg), "report": rep.to_json()}, cfg)
     return 0 if rep.passed else 1
 
 
 def cmd_suite(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, None)
+    if cfg.out and not args.json:
+        raise ParseError("suite: --out and the config key out write the JSON summary, "
+                         "which only --json prints")
     ids = args.ids.split(",") if args.ids else None
     results = run_all(cfg, ids)
     all_pass = all(r.passed for r in results)
@@ -308,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, ("radial", "radial grid of plane specs"))
     sp.set_defaults(fn=cmd_stability)
 
-    sp = sub.add_parser("heatflow", help="heat semigroup run (flow heat)")
-    sp.add_argument("spec", help='e.g. "1+0.5*P1" or legendre:c0=1,c1=0.5')
+    sp = sub.add_parser("heatflow", help="heat semigroup run from a sphere spec's density e^u")
+    sp.add_argument("spec", help='a sphere spec, e.g. "1+0.5*P1" or band-limited-random:seed=7')
     sp.add_argument("--T", type=_finite_positive("T"), default=1.0)
     sp.add_argument("--samples", type=_positive_count, default=33)
     sp.add_argument("--csv", help="write the trajectory CSV here")

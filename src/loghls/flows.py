@@ -1,14 +1,16 @@
-"""Entropy-dissipating flows: the heat semigroup on S^2 (spectral, in
-Legendre coefficients) and the critical-mass radial Keller-Segel flow
-(cumulative-mass finite differences on a log-radius grid).
+"""Entropy-dissipating flows: the heat semigroup on S^2 (spectral, in the
+harmonic coefficients of the sphere transform) and the critical-mass
+radial Keller-Segel flow (cumulative-mass finite differences on a
+log-radius grid).
 
-A heat state keeps the plain Legendre a_l of rho(z) = sum a_l P_l(z).
-Its grid's ``SphereTransform`` synthesizes rho from the m = 0 column
-a_l / sqrt(2l+1).  Along the flow the reverse entropy H(1 || rho) =
--int log rho dsigma dissipates at the rate int |grad log rho|^2 dsigma,
-the Dirichlet energy of log rho.  Onofri's inequality applied to
-u = log rho (int e^u = 1) bounds that rate below by 4 H(1 || rho), so
-H(1 || rho(t)) <= e^{-4t} H(1 || rho(0)).
+A heat state is a positive density rho on a sphere grid, held as the
+(c, s) coefficients of that grid's ``SphereTransform``; e^{t Delta}
+multiplies degree l by e^{-l(l+1)t}, and the values are their synthesis.
+Along the flow the reverse entropy H(1 || rho) = -int log rho dsigma
+dissipates at the rate int |grad log rho|^2 dsigma, the Dirichlet energy
+of log rho.  Onofri's inequality applied to u = log rho (int e^u = 1)
+bounds that rate below by 4 H(1 || rho) for every such density, zonal or
+not, so H(1 || rho(t)) <= e^{-4t} H(1 || rho(0)).
 
 Keller-Segel reduction
 ----------------------
@@ -44,18 +46,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .entropy import xlogx
-from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
+from .errors import (ConvergenceError, DomainError,
                      MassConservationError, NormalizationError, PositivityError,
                      StepSizeError)
 from .fields import RadialDensity, SphereField, get_transform
 from .functionals import MASS_TOL, dirichlet_energy
-from .grids import RadialGrid, SphereGrid, integrate, make_radial_grid, make_sphere_grid
+from .grids import RadialGrid, integrate, make_radial_grid
 from .optimizers import LOG_S_BOX, golden_section, radial_L1_objective
 
 __all__ = [
@@ -86,6 +89,8 @@ DT_CAP = 2e-2           # the largest Keller-Segel step
 STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP + n_samples steps
 DECAY_SLACK = 1e-8      # slack of the heat flow's entropy decay bound
 DISSIPATION_DT = 1e-3   # the step of the heat flow's dissipation check in heatflow and A09
+BAND_FLOOR = 1e-12      # the dissipation check's band ignores coefficients this small: analysis
+                        # of 1 or 1 + 0.5z leaves up to 2.0e-13 on 128 x 256, 2.7e-13 on 256 x 8
 MONO_TOL = 1e-10        # largest decrease of M between nodes, relative to the mass
 RATE_T_MIN = 1.0        # the rate fit's window starts here
 RATE_HEADROOM = 1.05    # growth of H t^{1/8} and d t^{1/16} the rate fit's flags allow
@@ -100,67 +105,57 @@ FE_STEP_TOL = 1e-8      # the largest increase of H over one step
 
 @dataclass(frozen=True)
 class HeatState:
-    """Axisymmetric density on S^2 as plain Legendre a_l, one per z node at most."""
+    """A density rho on S^2 at ``time``, held as its grid transform's (c, s):
+    the cached ``coeffs()`` of the field ``rho``, whose values they synthesize
+    (``heat_state``, ``heat_evolve``)."""
 
-    grid: SphereGrid
-    coeffs: np.ndarray
+    rho: SphereField
     time: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if abs(c[0] - 1.0) > 1e-12:
+        c00 = self.rho.coeffs()[0][0, 0]
+        if abs(c00 - 1.0) > 1e-12:
             raise NormalizationError(
-                f"HeatState: a_0 = {c[0]!r}, unit mass requires a_0 = 1")
-        if c.size > self.grid.n_z:
-            raise DimensionMismatchError(
-                f"HeatState: {c.size} coefficients need n_z >= {c.size}, "
-                f"the grid has {self.grid.n_z}")
-        object.__setattr__(self, "coeffs", c)
+                f"HeatState: int rho dsigma = {c00!r}, unit mass requires 1")
 
-    def density_values(self) -> np.ndarray:
-        """rho at the grid's z nodes, synthesized from the m = 0 column
-        c_l0 = a_l / sqrt(2l+1) of the grid's transform."""
-        tr = get_transform(self.grid)
-        c = np.zeros((tr.lmax + 1, tr.lmax + 1))
-        c[: self.coeffs.size, 0] = self.coeffs / np.sqrt(2.0 * np.arange(self.coeffs.size) + 1.0)
-        return tr.synthesize(c, np.zeros_like(c))[:, 0]
+    @cached_property
+    def log_rho(self) -> SphereField:
+        """log rho; a density <= 0 at some node raises PositivityError."""
+        rho = self.rho.values
+        if not np.min(rho) > 0.0:
+            raise PositivityError(f"HeatState: the density at t = {self.time:.6g} has min "
+                                  f"{float(np.min(rho))!r} <= 0; log rho needs rho > 0")
+        return SphereField(self.rho.grid, np.log(rho))
 
 
-def heat_state(coeffs) -> HeatState:
-    """A heat state at t = 0 on the max(256, len(coeffs)) x 8 sphere grid."""
-    return HeatState(make_sphere_grid(max(256, len(coeffs)), 8), coeffs)
+def heat_state(u: SphereField) -> HeatState:
+    """The heat state at t = 0 of the density e^u on u's grid."""
+    return heat_evolve(HeatState(SphereField(u.grid, np.exp(u.values))), 0.0)
 
 
-def _evolved_coeffs(coeffs: np.ndarray, t: float) -> np.ndarray:
-    ell = np.arange(coeffs.size, dtype=float)
-    return coeffs * np.exp(-ell * (ell + 1.0) * t)
+def _evolved(state: HeatState, t: float, band: int) -> HeatState:
+    """e^{t Delta}, for either sign of t, on the degrees l <= band; the rest are dropped."""
+    tr = get_transform(state.rho.grid)
+    decay = np.where(tr.eigs <= band * (band + 1.0), np.exp(-tr.eigs * t), 0.0)[:, None]
+    c, s = (part * decay for part in state.rho.coeffs())
+    return HeatState(SphereField(tr.grid, tr.synthesize(c, s), _coeffs=(c, s)), state.time + t)
 
 
 def heat_evolve(state: HeatState, t: float) -> HeatState:
     """e^{t Delta}: each mode decays by exp(-l(l+1)t); mass is exact."""
     if t < 0:
         raise DomainError(f"heat_evolve: t must be >= 0, got {t}")
-    return HeatState(state.grid, _evolved_coeffs(state.coeffs, t), state.time + t)
-
-
-def _log_density(state: HeatState, who: str) -> SphereField:
-    """log rho as a zonal field on the state's grid."""
-    rho = state.density_values()
-    if np.min(rho) <= 0.0:
-        raise PositivityError(
-            f"{who}: reconstructed density has min {np.min(rho)!r} <= 0; "
-            "entropy diagnostics need a positive density")
-    return SphereField(state.grid, np.broadcast_to(np.log(rho)[:, None], state.grid.shape))
+    return _evolved(state, t, get_transform(state.rho.grid).lmax)
 
 
 def reverse_entropy(state: HeatState) -> float:
     """H(1 || rho) = - int log rho dsigma."""
-    return -_log_density(state, "reverse_entropy").mean()
+    return -state.log_rho.mean()
 
 
 def entropy_dissipation_rate(state: HeatState) -> float:
     """int |grad log rho|^2 dsigma: the Dirichlet energy of log rho."""
-    return dirichlet_energy(_log_density(state, "entropy_dissipation_rate"))
+    return dirichlet_energy(state.log_rho)
 
 
 def dissipation_check(state: HeatState, dt: float) -> tuple[float, float, float]:
@@ -169,18 +164,22 @@ def dissipation_check(state: HeatState, dt: float) -> tuple[float, float, float]
     lhs: centered difference of H(1||rho(t)) over dt,
     rhs: -int |grad log rho(t)|^2 dsigma,
     residual |lhs - rhs| = O(dt^2) for smooth positive densities.
+
+    Both steps evolve the band alone, the degrees up to the top one with a
+    coefficient above BAND_FLOOR: the backward step would raise the noise
+    beyond it by exp(l(l+1) dt), e^16 at l = 127.  A band with
+    l(l+1) dt > 5 raises StepSizeError.
     """
     if not 0.0 < dt < np.inf:
         raise DomainError(f"dissipation_check: dt must be a finite number > 0, got {dt}")
-    active = np.nonzero(np.abs(state.coeffs) > 1e-13)[0]
-    lmax_active = int(active.max()) if active.size else 0
-    if lmax_active * (lmax_active + 1) * dt > 5.0:
+    above = np.any(np.abs(np.hstack(state.rho.coeffs())) > BAND_FLOOR, axis=1)
+    band = int(np.nonzero(above)[0].max(initial=0))
+    if band * (band + 1) * dt > 5.0:
         raise StepSizeError(
             f"dissipation_check: dt = {dt} too large for the band limit "
-            f"l = {lmax_active} (backward step would amplify noise)")
-    fwd = HeatState(state.grid, _evolved_coeffs(state.coeffs, dt), state.time + dt)
-    bwd = HeatState(state.grid, _evolved_coeffs(state.coeffs, -dt), state.time - dt)
-    lhs = (reverse_entropy(fwd) - reverse_entropy(bwd)) / (2.0 * dt)
+            f"l = {band} (backward step would amplify noise)")
+    lhs = (reverse_entropy(_evolved(state, dt, band))
+           - reverse_entropy(_evolved(state, -dt, band))) / (2.0 * dt)
     rhs = -entropy_dissipation_rate(state)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -193,11 +192,12 @@ class DecayReport:
     passed: bool
 
 
-def decay_check(state0: HeatState, times) -> DecayReport:
-    """H(1||rho(t)) <= e^{-4t} H(1||rho(0)) + DECAY_SLACK for each requested t."""
-    H0 = reverse_entropy(state0)
-    ts = np.asarray(list(times), dtype=float)
-    Hs = np.array([reverse_entropy(heat_evolve(state0, float(t))) for t in ts])
+def decay_check(states) -> DecayReport:
+    """H(1||rho(t)) <= e^{-4t} H(1||rho(0)) + DECAY_SLACK at each state after
+    the first, rho(0), from which ``heat_evolve`` took them."""
+    H0 = reverse_entropy(states[0])
+    ts = np.array([st.time - states[0].time for st in states[1:]])
+    Hs = np.array([reverse_entropy(st) for st in states[1:]])
     bounds = np.exp(-4.0 * ts) * H0
     return DecayReport(ts, Hs, bounds, bool(np.all(Hs <= bounds + DECAY_SLACK)))
 

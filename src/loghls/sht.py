@@ -17,9 +17,9 @@ row and one stacked matrix product of every order's table block with
 that order's Fourier column; synthesis is the transposed product and one
 inverse FFT.  Zonal input
 (every grid row constant) fills the m = 0 column alone, the plain
-Legendre a_l of u(z) = sum a_l P_l(z) times 1/sqrt(2l+1), in which the
-heat flow keeps its states; ``legendre_analyze`` computes the a_l
-directly, a reference for that shortcut.
+Legendre a_l of u(z) = sum a_l P_l(z) times 1/sqrt(2l+1);
+``legendre_analyze`` computes the a_l directly, a reference for that
+shortcut.  The heat flow keeps its states in these (c, s) coefficients.
 """
 
 from __future__ import annotations

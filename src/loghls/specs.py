@@ -14,7 +14,7 @@ Examples::
     sphere-optimizer:t=1,n=(0,0,1)
     band-limited-random:seed=7,L=6,amplitude=0.25
     circle-poisson:r=0.5,alpha=0
-    legendre:c0=1,c1=0.5        (heat initial data; "1+0.5*P1" also parses)
+    legendre:c0=1,c1=0.5        (the zonal density 1 + 0.5 P_1(z); "1+0.5*P1" also parses)
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ import re
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, PositivityError
 from .fields import CircleField, SphereField, get_transform, radial_from_profile
 from .flows import DT_CAP, KS_N, KS_R_MAX, KS_R_MIN
 from .functionals import MASS_TOL, radial_grid_misfit
@@ -38,7 +39,7 @@ from .optimizers import (CircleOptimizerParams, PlanarOptimizerParams,
 
 __all__ = ["InputSpec", "parse_input_spec", "format_input_spec", "RunConfig",
            "read_config_file", "realize_planar", "realize_sphere", "realize_circle",
-           "realize_heat_coeffs", "spec_domain"]
+           "spec_domain"]
 
 _KINDS = {      # kind: (domain, its keys in canonical order with their defaults)
     "gaussian": ("plane", {"sigma": 1.0}),
@@ -49,7 +50,7 @@ _KINDS = {      # kind: (domain, its keys in canonical order with their defaults
     "band-limited-random": ("sphere", {"seed": 0, "L": 6, "amplitude": 0.3}),
     "circle-poisson": ("circle", {"r": 0.5, "alpha": 0.0}),
     "circle-cos": ("circle", {"eps": 0.3}),
-    "legendre": ("heat", None),         # c0, c1, ... in index order
+    "legendre": ("sphere", None),       # c0, c1, ... in index order
 }
 
 
@@ -105,7 +106,7 @@ _LEGENDRE_SHORTHAND = re.compile(
 
 
 def _parse_legendre_shorthand(text: str) -> "InputSpec | None":
-    """Accept forms like "1+0.5*P1" or "1 + 0.3*P2" for heat initial data."""
+    """Accept forms like "1+0.5*P1" or "1 + 0.3*P2" for a legendre spec."""
     terms = re.split(r"(?=[+-])", text.replace(" ", ""))
     coeffs: dict[int, float] = {}
     for term in terms:
@@ -156,14 +157,9 @@ def parse_input_spec(text: str) -> InputSpec:
             raw[k] = _parse_value(v)
     keys = _KINDS[kind][1]
     if keys is None:             # legendre: c0, c1, ...
-        params = {}
-        for k, v in raw.items():
-            if not re.fullmatch(r"c\d+", k):
-                raise ParseError(f"legendre spec keys must be c0, c1, ...; got {k!r}")
-            params[k] = v
-        if not params:
-            raise ParseError("legendre spec needs at least one coefficient")
-        order = sorted(params, key=lambda k: int(k[1:]))
+        if not raw or not all(re.fullmatch(r"c\d+", k) for k in raw):
+            raise ParseError(f"a legendre spec takes one or more keys c0, c1, ...; got {list(raw)}")
+        params, order = raw, sorted(raw, key=lambda k: int(k[1:]))
     else:
         for k in raw:
             if k not in keys:
@@ -435,8 +431,21 @@ def realize_planar(spec: InputSpec, config: RunConfig):
 
 
 def realize_sphere(spec: InputSpec, config: RunConfig) -> SphereField:
-    """Build a sphere field with int e^u dsigma = 1."""
+    """Build a sphere field with int e^u dsigma = 1; a legendre spec is
+    u = log sum a_l P_l(z) with a_0 = 1, and degree <= lmax = sphere_nz - 1."""
     grid = config.sphere_grid()
+    if spec.kind == "legendre":
+        coeffs = {int(k[1:]): v for k, v in spec.params}
+        a = np.zeros(max(coeffs) + 1)
+        a[list(coeffs)] = list(coeffs.values())
+        if a.size > grid.n_z:
+            raise ParseError(f"realize_sphere: {format_input_spec(spec)} has degree {a.size - 1}, "
+                             f"above the sphere grid's lmax {grid.n_z - 1} (raise sphere_nz)")
+        rho = legval(grid.z, a)
+        if not np.min(rho) > 0.0:
+            raise PositivityError(f"realize_sphere: {format_input_spec(spec)} has min "
+                                  f"{float(np.min(rho))!r} <= 0 on the grid; log rho needs rho > 0")
+        return SphereField.from_zonal(grid, lambda z, _a=a: np.log(legval(z, _a)))
     if spec.kind == "sphere-optimizer":
         return sphere_optimizer(
             SphereOptimizerParams(float(spec.get("t")),
@@ -479,12 +488,3 @@ def realize_circle(spec: InputSpec, config: RunConfig) -> CircleField:
         return CircleField(coeffs).normalized(config.circle_grid())
     raise DomainError(f"spec {spec.kind!r} is not a circle field")
 
-
-def realize_heat_coeffs(spec: InputSpec) -> np.ndarray:
-    if spec.kind != "legendre":
-        raise DomainError(f"spec {spec.kind!r} is not heat initial data")
-    idx = [int(k[1:]) for k, _ in spec.params]
-    coeffs = np.zeros(max(idx) + 1)
-    for k, v in spec.params:
-        coeffs[int(k[1:])] = float(v)
-    return coeffs

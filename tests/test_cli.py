@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from loghls.cli import main
+from loghls.flows import (decay_check, entropy_dissipation_rate, heat_evolve, heat_state,
+                          reverse_entropy)
+from loghls.grids import integrate
+from loghls.specs import RunConfig, parse_input_spec, realize_sphere
 
 
 def run_cli(capsys, *argv):
@@ -83,9 +87,9 @@ def test_scale_outside_the_radial_grid_is_invalid_input(capsys, argv):
     ("ks", "8pi*circle-cos:eps=0.3"),
 ], ids=lambda argv: f"{argv[0]} {argv[1]}")
 def test_wrong_domain_is_invalid_input(capsys, argv):
-    """heatflow takes unit-mass Legendre data and ks a planar density;
-    anything else exits 2, as eval and stability do (each once exited 1
-    or ended in a traceback)."""
+    """heatflow takes the density of a sphere spec (a legendre one with
+    c0 = 1) and ks a planar density; anything else exits 2, as eval and
+    stability do (each once exited 1 or ended in a traceback)."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "invalid input" in err
@@ -193,6 +197,29 @@ def test_heatflow_command(tmp_path, capsys):
     assert header == "t,free_energy,distance_L1,dissipation,mass_error"
 
 
+@pytest.mark.parametrize("spec", [
+    "sphere-optimizer:t=0.8,n=(0,0.6,0.8)",
+    "band-limited-random:seed=7,L=6,amplitude=0.25",
+], ids=["tilted-optimizer", "random"])
+def test_heatflow_takes_any_sphere_density(capsys, spec):
+    """heatflow runs on densities that are not zonal; each sample's H, D
+    and L1 distance come from one evolved field, with the numbers of the
+    separate library calls."""
+    code, out, _ = run_cli(capsys, "heatflow", spec, "--T", "1", "--samples", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert data["decay_pass"] is True
+    traj = data["trajectory"]
+    st0 = heat_state(realize_sphere(parse_input_spec(spec), RunConfig()))
+    states = [heat_evolve(st0, t) for t in traj["t"]]
+    assert traj["free_energy"] == [reverse_entropy(st) for st in states]
+    assert traj["dissipation"] == [entropy_dissipation_rate(st) for st in states]
+    assert traj["distance_L1"] == [integrate(np.abs(st.rho.values - 1.0), st.rho.grid)
+                                   for st in states]
+    assert decay_check(states).passed is True
+    assert data["trajectory"]["diagnostics"]["H0"] == reverse_entropy(st0)
+
+
 def test_ks_command(tmp_path, capsys):
     csv = tmp_path / "ks.csv"
     code, out, _ = run_cli(capsys, "ks", "8pi*optimizer:s=1", "--T", "0.5",
@@ -279,7 +306,7 @@ def test_invalid_config_is_invalid_input(tmp_path, capsys, line, argv):
 
 @pytest.mark.parametrize("lines,argv", [
     ("ks_n = 128\nsphere_nz = 64", ("duality-demo",)),
-    ("sphere_nz = 64", ("heatflow", "1+0.5*P1")),
+    ("radial_n = 512", ("heatflow", "1+0.5*P1")),
     ("circle_n = 1024", ("ks", "8pi*optimizer:s=1")),
     ("ks_T = 5", ("eval", "gaussian:sigma=1")),
     ("ks_dt = 1e-3", ("suite", "--ids", "A06")),
@@ -293,6 +320,27 @@ def test_config_key_the_command_does_not_read_is_invalid_input(tmp_path, capsys,
     assert code == 2 and out == ""
     keys = ", ".join(repr(line.split(" = ")[0]) for line in sorted(lines.split("\n")))
     assert f"sets {keys}, which {argv[0]} does not read" in err
+
+
+@pytest.mark.parametrize("line,argv", [
+    ("radial_n = 512", ("eval", "sphere-optimizer:t=1")),
+    ("radial_span = 20", ("stability", "circle-cos:eps=0.3")),
+    ("circle_n = 1024", ("eval", "gaussian:sigma=1")),
+    ("circle_n = 1024", ("stability", "band-limited-random:seed=7,L=6,amplitude=0.25")),
+    ("sphere_nz = 64", ("eval", "circle-cos:eps=0.3")),
+    ("sphere_nphi = 64", ("stability", "circle-poisson:r=0.5")),
+], ids=["radial-sphere", "radial-circle", "circle-plane", "circle-sphere", "sphere-circle",
+        "sphere-circle-stability"])
+def test_config_key_the_spec_does_not_read_is_invalid_input(tmp_path, capsys, line, argv):
+    """A grid key the spec's domain never reads is refused, as the grid
+    flags are, instead of being echoed as if it had sized a grid."""
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    domain = {"sphere-optimizer": "sphere", "circle-cos": "circle", "gaussian": "plane",
+              "band-limited-random": "sphere", "circle-poisson": "circle"}[argv[1].split(":")[0]]
+    assert f"sets {line.split(' = ')[0]!r}, which a {domain} spec does not read" in err
 
 
 def test_ks_grid_flags_size_the_flow_grid(capsys):
@@ -429,6 +477,22 @@ def test_suite_coarse_grid_fails(tmp_path, capsys):
                              "--config", str(cfg))
     assert code == 1
     assert "failing criteria" in err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_suite_out_needs_json(tmp_path, capsys, how):
+    """suite writes its JSON summary to --out or the config's out only with
+    --json; without it the path would be left unwritten, so it is refused."""
+    path = tmp_path / "s.json"
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"out = {path}\n")
+    extra = ("--out", str(path)) if how == "flag" else ("--config", str(cfg))
+    code, out, err = run_cli(capsys, "suite", "--ids", "A06", *extra)
+    assert code == 2 and out == "" and not path.exists()
+    assert "which only --json prints" in err
+    code, out, _ = run_cli(capsys, "suite", "--ids", "A06", "--json", *extra)
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["all_pass"] is True
 
 
 def test_out_file(tmp_path, capsys):

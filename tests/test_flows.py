@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 from scipy.linalg import solve_banded as scipy_solve_banded
 
 from loghls import flows
 
-from loghls.errors import (ConvergenceError, DimensionMismatchError, DomainError,
-                           MassConservationError, NormalizationError, PositivityError,
-                           StepSizeError)
-from loghls.fields import radial_from_profile
+from loghls.cli import main
+from loghls.errors import (ConvergenceError, DomainError, MassConservationError,
+                           NormalizationError, ParseError, PositivityError, StepSizeError)
+from loghls.fields import SphereField, radial_from_profile
 from loghls.flows import (KS_MASS, KS_R_MAX, KS_R_MIN, FlowTrajectory, HeatState,
                           decay_check, dissipation_check, entropy_dissipation_rate,
                           heat_evolve, heat_state, ks_distance, ks_evolve,
@@ -17,8 +18,7 @@ from loghls.flows import (KS_MASS, KS_R_MAX, KS_R_MIN, FlowTrajectory, HeatState
                           reverse_entropy)
 from loghls.grids import make_radial_grid, make_sphere_grid
 from loghls.optimizers import LOG_S_BOX, radial_L1_objective
-from loghls.sht import legendre_analyze
-from loghls.specs import RunConfig, parse_input_spec, realize_planar
+from loghls.specs import RunConfig, parse_input_spec, realize_planar, realize_sphere
 
 
 def exact_reverse_entropy(a: float) -> float:
@@ -30,26 +30,41 @@ def exact_reverse_entropy(a: float) -> float:
 # heat semigroup
 # ----------------------------------------------------------------------
 
+def heat_of(text: str) -> HeatState:
+    """The heat state of a sphere spec's density e^u on the default 128 x 256 grid."""
+    return heat_state(realize_sphere(parse_input_spec(text), RunConfig()))
+
+
+def evolved(st: HeatState, times) -> list:
+    return [heat_evolve(st, float(t)) for t in (0.0, *times)]
+
+
 def test_heat_constant_is_stationary():
-    st = heat_state([1.0])
+    st = heat_of("legendre:c0=1")
     out = heat_evolve(st, 5.0)
-    assert np.allclose(out.coeffs, [1.0])
+    c, s = out.rho.coeffs()
+    assert c[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert max(np.abs(c[1:]).max(), np.abs(s).max()) <= 1e-20
     assert reverse_entropy(out) == pytest.approx(0.0, abs=1e-15)
     lhs, rhs, res = dissipation_check(st, 1e-3)
-    assert (lhs, rhs, res) == (0.0, 0.0, 0.0)
+    assert lhs == 0.0 and abs(rhs) <= 1e-18 and res == abs(rhs)
 
 
 def test_heat_mode_decay_exact():
-    st = heat_state([1.0, 0.5])
+    st = heat_of("1+0.5*P1")
     out = heat_evolve(st, 0.5)
-    assert out.coeffs[1] == pytest.approx(0.5 * np.exp(-1.0), abs=1e-16)
+    # the plain Legendre a_1 = 0.5 is the m = 0 coefficient 0.5 / sqrt(3), up to the
+    # analysis error (1.3e-14)
+    c1 = st.rho.coeffs()[0][1, 0]
+    assert c1 == pytest.approx(0.5 / np.sqrt(3.0), abs=5e-14)
+    assert out.rho.coeffs()[0][1, 0] == c1 * np.exp(-1.0)
     assert out.time == 0.5
     with pytest.raises(DomainError):
         heat_evolve(st, -0.1)
 
 
 def test_heat_entropy_closed_forms():
-    st = heat_state([1.0, 0.5])
+    st = heat_of("1+0.5*P1")
     assert reverse_entropy(st) == pytest.approx(exact_reverse_entropy(0.5), abs=1e-12)
     assert reverse_entropy(st) == pytest.approx(0.045229, abs=1e-6)
     st5 = heat_evolve(st, 0.5)
@@ -60,11 +75,12 @@ def test_heat_entropy_closed_forms():
 
 
 def test_decay_check_p1_and_p2():
-    rep = decay_check(heat_state([1.0, 0.5]), [0.1, 0.25, 0.5, 1.0])
+    rep = decay_check(evolved(heat_of("1+0.5*P1"), [0.1, 0.25, 0.5, 1.0]))
     assert rep.passed
+    assert np.array_equal(rep.times, [0.1, 0.25, 0.5, 1.0])
     # pure l=2 mode decays like e^{-12t} at small amplitude
-    st2 = heat_state([1.0, 0.0, 0.3])
-    rep2 = decay_check(st2, [0.1, 0.2])
+    st2 = heat_of("1+0.3*P2")
+    rep2 = decay_check(evolved(st2, [0.1, 0.2]))
     assert rep2.passed
     H0 = reverse_entropy(st2)
     for t, H in zip(rep2.times, rep2.entropies):
@@ -72,54 +88,73 @@ def test_decay_check_p1_and_p2():
 
 
 def test_dissipation_residual_small():
-    st = heat_state([1.0, 0.5])
+    st = heat_of("1+0.5*P1")
     lhs, rhs, res = dissipation_check(st, dt=1e-3)
-    assert res <= 1e-4
+    assert res <= 1e-6
     finer = dissipation_check(st, dt=2.5e-4)[2]
     assert finer <= res
 
 
-def test_dissipation_equality_on_optimizers(sphere_grid):
-    # rho = e^{u_{t,n}}: Onofri equality gives rate = 4 H(1||rho) exactly
-    t = 0.8
-    vals = (np.cosh(t) + np.sinh(t) * sphere_grid.z) ** -2.0
-    coeffs = legendre_analyze(vals, sphere_grid, min(256, sphere_grid.n_z - 1))
-    coeffs[0] = 1.0      # unit mass holds to quadrature accuracy already
-    st = HeatState(sphere_grid, coeffs)
-    assert entropy_dissipation_rate(st) == pytest.approx(
-        4.0 * reverse_entropy(st), abs=1e-6)
+def test_dissipation_equality_on_optimizers():
+    """rho = e^{u_{t,n}} off the pole axis: Onofri's equality makes the
+    rate exactly 4 H(1||rho), and the flow's analyzed state keeps it to
+    5e-14 relative."""
+    st = heat_of("sphere-optimizer:t=0.8,n=(0,0.6,0.8)")
+    assert entropy_dissipation_rate(st) == pytest.approx(4.0 * reverse_entropy(st), rel=1e-12)
 
 
-def test_heat_grid_holds_the_coefficients():
-    """heat_state's grid grows to one z node per coefficient; a grid with
-    fewer nodes is refused."""
-    a = np.zeros(301)
+def test_non_zonal_density_decays_and_dissipates():
+    """The e^{-4t} bound and the dissipation identity hold for a density
+    that is not zonal (residual 2.9e-5 at DISSIPATION_DT)."""
+    st = heat_of("band-limited-random:seed=7,L=6,amplitude=0.25")
+    assert decay_check(evolved(st, [0.1, 0.5, 1.0])).passed
+    lhs, rhs, res = dissipation_check(st, dt=flows.DISSIPATION_DT)
+    assert res <= 4e-5
+    assert dissipation_check(st, dt=flows.DISSIPATION_DT / 2)[2] <= res / 3
+
+
+def test_band_rule_reads_past_the_analysis_noise():
+    """Analysis leaves up to 2e-13 on every degree of 1 + 0.5z, which the
+    band rule's floor ignores; a 1e-9 mode at the grid's top degree and a
+    field whose band reaches it are still refused."""
+    c, _ = heat_of("1+0.5*P1").rho.coeffs()
+    assert 1e-14 < np.abs(c[2:]).max() < flows.BAND_FLOOR
+    dissipation_check(heat_of("1+0.5*P1"), dt=1e-3)
+    for text in ("legendre:c0=1,c127=1e-9", "band-limited-random:seed=1,L=32,amplitude=1"):
+        with pytest.raises(StepSizeError):
+            dissipation_check(heat_of(text), dt=1e-3)
+
+
+def test_legendre_spec_is_the_zonal_density():
+    """A legendre spec's density e^u is sum a_l P_l(z) on the grid; a degree
+    above the grid's lmax is invalid input that names sphere_nz."""
+    a = np.zeros(101)
     a[:2] = 1.0, 0.3
-    a[300] = 1e-3
-    st = heat_state(a)
-    assert st.grid.shape == (301, 8)
-    assert np.max(np.abs(st.density_values() - np.polynomial.legendre.legval(st.grid.z, a))) <= 1e-13
-    assert heat_state([1.0, 0.5]).grid.shape == (256, 8)
-    with pytest.raises(DimensionMismatchError):
-        HeatState(make_sphere_grid(32, 8), np.r_[1.0, np.zeros(39)])
+    a[100] = 1e-3
+    u = realize_sphere(parse_input_spec("legendre:c0=1,c1=0.3,c100=0.001"), RunConfig())
+    assert np.max(np.abs(np.exp(u.values) - legval(u.grid.z, a)[:, None])) <= 1e-13
+    with pytest.raises(ParseError, match="sphere_nz"):
+        realize_sphere(parse_input_spec("legendre:c0=1,c200=0.001"), RunConfig())
+    assert main(["heatflow", "legendre:c0=1,c128=0.001"]) == 2
 
 
 def test_heat_positivity_errors():
-    bad = heat_state([1.0, 1.5])          # 1 + 1.5 z < 0 near z = -1
+    with pytest.raises(PositivityError):      # 1 + 1.5 z < 0 near z = -1
+        heat_of("legendre:c0=1,c1=1.5")
+    grid = make_sphere_grid(64, 128)
+    bad = HeatState(SphereField(grid, np.repeat(1.0 + 1.5 * grid.z[:, None], 128, axis=1)))
     with pytest.raises(PositivityError):
         reverse_entropy(bad)
     with pytest.raises(PositivityError):
-        decay_check(bad, [0.01])
+        decay_check(evolved(bad, [0.01]))
     with pytest.raises(NormalizationError):
-        heat_state([0.9, 0.1])
-    with pytest.raises(StepSizeError):
-        dissipation_check(heat_state(np.array([1.0] + [0.0] * 254 + [1e-9])), dt=1e-3)
+        heat_state(realize_sphere(parse_input_spec("1+0.1*P1"), RunConfig()).shifted(np.log(0.9)))
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
 def test_dissipation_check_needs_finite_positive_dt(dt):
     with pytest.raises(DomainError):
-        dissipation_check(heat_state([1.0, 0.5]), dt=dt)
+        dissipation_check(heat_of("1+0.5*P1"), dt=dt)
 
 
 # ----------------------------------------------------------------------

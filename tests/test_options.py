@@ -87,7 +87,7 @@ _RADIAL = {"radial_n", "radial_rmax", "radial_span"}
 COMMAND_KEYS = {
     "eval": _RADIAL | {"sphere_nz", "sphere_nphi", "circle_n", "out"},
     "stability": _RADIAL | {"sphere_nz", "sphere_nphi", "circle_n", "out"},
-    "heatflow": {"out"},
+    "heatflow": {"sphere_nz", "sphere_nphi", "out"},
     "ks": _RADIAL | {"ks_n", "ks_rmin", "ks_rmax", "ks_T", "ks_dt", "out"},
     "duality-demo": {"out"},
     "suite": CONFIG_KEYS - {"ks_dt"},

@@ -6,8 +6,7 @@ from loghls.fields import PlanarDensity, RadialDensity
 from loghls.grids import (CIRCLE_N, SPHERE_NPHI, SPHERE_NZ, integrate, make_circle_grid,
                           make_sphere_grid)
 from loghls.specs import (RunConfig, format_input_spec, parse_input_spec, read_config_file,
-                          realize_circle, realize_heat_coeffs, realize_planar,
-                          realize_sphere, spec_domain)
+                          realize_circle, realize_planar, realize_sphere, spec_domain)
 
 CANONICAL = [
     "gaussian:sigma=1",
@@ -42,10 +41,7 @@ def test_legendre_shorthand():
     spec = parse_input_spec("1+0.5*P1")
     assert spec.kind == "legendre"
     assert format_input_spec(spec) == "legendre:c0=1,c1=0.5"
-    coeffs = realize_heat_coeffs(spec)
-    assert np.allclose(coeffs, [1.0, 0.5])
-    spec2 = parse_input_spec("1-0.3*P2")
-    assert np.allclose(realize_heat_coeffs(spec2), [1.0, 0.0, -0.3])
+    assert format_input_spec(parse_input_spec("1-0.3*P2")) == "legendre:c0=1,c2=-0.3"
 
 
 @pytest.mark.parametrize("bad", [
@@ -72,7 +68,7 @@ def test_spec_domains():
     assert spec_domain(parse_input_spec("gaussian:sigma=1")) == "plane"
     assert spec_domain(parse_input_spec("sphere-optimizer:t=1")) == "sphere"
     assert spec_domain(parse_input_spec("circle-poisson:r=0.2")) == "circle"
-    assert spec_domain(parse_input_spec("1+0.5*P1")) == "heat"
+    assert spec_domain(parse_input_spec("1+0.5*P1")) == "sphere"
 
 
 @pytest.fixture(scope="module")
