@@ -12,7 +12,6 @@ convention 0*log 0 = 0 is applied throughout, and relative entropy is
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, NormalizationError
 
@@ -100,6 +99,8 @@ def log_partition(phi, nu) -> float:
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise DomainError("log_partition: potential must be finite (L^inf)")
+    # imported here, so commands that take no log-partition never load scipy.special
+    from scipy.special import logsumexp
     pos = nu > 0
     return float(logsumexp(phi[pos], b=nu[pos]))
 

@@ -19,8 +19,9 @@ Conventions
   On the sphere each Gauss row is summed and the row sums are dotted
   with the row weights ``w_z / (2 n_phi)``; on the circle it is the
   plain mean.  :func:`moments` weights a sphere grid's values against
-  [1, omega] by the same row weights, and its dual :func:`affine_values`
-  writes a0 + a.omega at a sphere grid's nodes.
+  [1, omega] by the same row weights, :func:`second_moments` against
+  [1, omega] [1, omega]^T, and the dual of the first,
+  :func:`affine_values`, writes a0 + a.omega at a sphere grid's nodes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.special import roots_legendre
 
 from .errors import DimensionMismatchError, DomainError
 
@@ -45,6 +45,7 @@ __all__ = [
     "make_circle_grid",
     "integrate",
     "moments",
+    "second_moments",
     "affine_values",
 ]
 
@@ -243,6 +244,22 @@ class SphereGrid:
         return azimuth, rows
 
     @cached_property
+    def second_moment_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of :func:`second_moments`: [1, cos phi, sin phi,
+        cos^2 phi, cos phi sin phi, sin^2 phi] by column (n_phi x 6) and
+        the row weights times the sin theta and z factors of the ten
+        entries of x x^T, x = (1, omega), on and above the diagonal
+        (n_z x 10)."""
+        c, s = np.cos(self.phi), np.sin(self.phi)
+        azimuth = np.stack([np.ones(self.n_phi), c, s, c * c, c * s, s * s], axis=1)
+        st = np.sqrt(np.clip(1.0 - self.z**2, 0.0, None))
+        one, z = np.ones(self.n_z), self.z
+        rows = (self.w_z / (2.0 * self.n_phi))[:, None] * np.stack(
+            [one, st, st, z, st * st, st * st, st * z, st * st, st * z, z * z], axis=1)
+        _read_only(azimuth, rows)
+        return azimuth, rows
+
+    @cached_property
     def affine_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The tables of :func:`affine_values`: [z, sin theta] by row
         (n_z x 2) and [cos phi, sin phi] by column (2 x n_phi)."""
@@ -262,6 +279,8 @@ def make_sphere_grid(n_z: int, n_phi: int) -> SphereGrid:
     if key not in _SPHERE_GRIDS:
         if n_z < 4 or n_phi < 4:
             raise DomainError(f"make_sphere_grid: grid too small ({n_z} x {n_phi})")
+        # imported here, so commands that build no sphere grid never load scipy.special
+        from scipy.special import roots_legendre
         z, w_z = roots_legendre(n_z)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         _read_only(z, w_z, phi)
@@ -333,6 +352,33 @@ def moments(values: np.ndarray, grid: SphereGrid) -> np.ndarray:
     azimuth, rows = grid.moment_tables
     sums = v @ azimuth
     return np.einsum("ij,ij->j", sums[:, [0, 1, 2, 0]], rows)
+
+
+# the azimuth column of second_moment_tables that each of the ten upper
+# entries of x x^T takes, in np.triu_indices(4) order
+_SECOND_MOMENT_COLUMNS = [0, 1, 2, 0, 3, 4, 1, 5, 2, 0]
+
+
+def second_moments(values: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """int v x x^T dsigma with x = (1, omega): the symmetric 4 x 4 matrix
+    of the zeroth, first and second moments of v.
+
+    Each Gauss row is summed against [1, cos phi, sin phi, cos^2 phi,
+    cos phi sin phi, sin^2 phi], and the row sums are dotted with the row
+    weights of :func:`integrate` times each entry's sin theta and z
+    factors, as in :func:`moments`.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape != grid.shape:
+        raise DimensionMismatchError(
+            f"second_moments: got {v.shape} values for a sphere grid of {grid.shape}")
+    azimuth, rows = grid.second_moment_tables
+    sums = v @ azimuth
+    upper = np.einsum("ij,ij->j", sums[:, _SECOND_MOMENT_COLUMNS], rows)
+    out = np.empty((4, 4))
+    i, j = np.triu_indices(4)
+    out[i, j] = out[j, i] = upper
+    return out
 
 
 def affine_values(a0: float, a: np.ndarray, grid: SphereGrid, out: np.ndarray) -> np.ndarray:

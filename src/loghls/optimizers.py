@@ -20,12 +20,15 @@ A = cosh t + sinh t n_3 z and B = sin theta by row and
 C = sinh t (n_1 cos phi + n_2 sin phi) by column, so it is one rank-2
 product of tables cached on the grid (``grids.affine_values``).  The
 reverse-entropy objective is smooth in v and returns its value with its
-exact gradient, the moments of g'(q) through the chain rule of
-_SphereFamily.gradient, so BFGS refines it; the L1 objectives, whose
-quadrature gradient has kinks, return their value and are refined by
-Nelder-Mead.  All integrate with ``grids.integrate`` and
-``grids.moments`` on their grid.  The gradient form is taken at the
-reverse-entropy optimum (nearest_sphere_gradient).
+exact gradient and Hessian, from the moments of g'(q) and g''(q) through
+the chain rule of _family_derivatives, so damped Newton refines
+it; the L1 objectives, whose quadrature gradient has kinks, return their
+value and are refined by Nelder-Mead.  Both refiners are numpy
+(:func:`minimize`): the Nelder-Mead is scipy's step for step, so the L1
+searches keep scipy's bits, and no command loads scipy.optimize.  All
+objectives integrate with ``grids.integrate``, ``grids.moments`` and
+``grids.second_moments`` on their grid.  The gradient form is taken at
+the reverse-entropy optimum (nearest_sphere_gradient).
 
 A sphere search's scan is not evaluated on the grid.  Each of its 273
 start values needs C(t, n) = int f e^{u_{t,n}} dsigma for one field f,
@@ -57,7 +60,8 @@ from .errors import ConvergenceError, DomainError, NormalizationError
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField, get_transform
 from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
 from .geometry import _ETA, ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
-from .grids import CircleGrid, RadialGrid, SphereGrid, affine_values, integrate, moments
+from .grids import (CircleGrid, RadialGrid, SphereGrid, affine_values, integrate, moments,
+                    second_moments)
 from .sht import legendre_rows
 
 __all__ = [
@@ -87,6 +91,12 @@ RECENTER_STEP = 1.5      # Newton step t = RECENTER_STEP |b| (capped at 2)
 CIRCLE_MAX_MODES = 65_536  # Poisson kernel modes: r^k < e^-40 holds up to r = e^(-40/65536)
 # that bound rounded down to the 7 digits messages print: 0.9993898
 CIRCLE_MAX_R = math.floor(math.exp(-40.0 / CIRCLE_MAX_MODES) * 1e7) / 1e7
+NM_XATOL = 1e-9          # Nelder-Mead stops once its simplex spans at most this in v
+NM_FATOL = 1e-14         # and its values at most this
+NM_MAX_ITER = 2000
+NEWTON_FTOL = 1e-16      # Newton stops when a step promises at most this decrease
+NEWTON_MAX_STEP = 1.0    # Newton's longest step in v
+NEWTON_MAX_ITER = 100
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -191,11 +201,11 @@ class SearchDiagnostics:
     ``evaluations`` counts every distinct evaluation; ``scan_evaluations``
     those of the scan (the radial search's 16 samples, the entries of a
     manifold search's start table) and ``iterations`` the refinement's
-    iterations (BFGS ``nit`` for the reverse-entropy objective, Nelder-Mead
-    ``nit`` for the L1 ones) of a manifold search (0 for the radial
-    golden-section search).  A manifold search's ``evaluations`` is its
-    ``scan_evaluations`` plus the refiner's ``nfev``: the refiner's first
-    evaluation is the scan's start.
+    iterations (Newton's steps for the reverse-entropy objective,
+    Nelder-Mead's ``nit`` for the L1 ones) of a manifold search (0 for
+    the radial golden-section search).  A manifold search's
+    ``evaluations`` is its ``scan_evaluations`` plus the refiner's
+    ``nfev``: the refiner's first evaluation is the scan's start.
     """
 
     evaluations: int = 0
@@ -344,13 +354,115 @@ def _per_start(fn: Callable[[float], float]) -> np.ndarray:
     return np.repeat([fn(t) for t in (0.0,) + _COARSE_T], counts)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported at the first call.  Only the
-    manifold searches refine with it, and importing scipy.optimize costs
-    about 0.1 s, so commands that run no such search never load it.
-    _manifold_minimize calls it by this module-global name."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+@dataclass(frozen=True)
+class Refinement:
+    """A refiner's result: its best point ``x`` and value ``fun``, its
+    evaluations of the objective ``nfev`` and its iterations ``nit``."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+
+
+def _nelder_mead(fun, sim: np.ndarray) -> Refinement:
+    """Nelder-Mead from the simplex ``sim`` ((d + 1) x d), step for step
+    scipy 1.17.1's ``_minimize_neldermead`` with the standard coefficients
+    (reflection 1, expansion 2, contraction 1/2, shrink 1/2; adaptive
+    off), no bounds and no evaluation cap, at xatol NM_XATOL, fatol
+    NM_FATOL and maxiter NM_MAX_ITER: the same points in the same order,
+    the same sorts, convergence test and counts, so every search keeps
+    scipy's bits.  ``nit`` starts at 1, as scipy's does.
+    """
+    d = sim.shape[1]
+    fsim = np.array([fun(x) for x in sim])
+    nfev = d + 1
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nit < NM_MAX_ITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / d
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside if the reflection beats the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = fun(xc)
+            nfev += 1
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:                                  # shrink toward the best vertex
+                for j in range(1, d + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+                nfev += d
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return Refinement(sim[0], float(np.min(fsim)), nfev, nit)
+
+
+def _newton(fun, x: np.ndarray) -> Refinement:
+    """Damped Newton from ``x`` on fun(x) = (value, gradient, Hessian).
+
+    Each iteration solves with the Hessian's eigenvalues taken in
+    absolute value (floored at 1e-12 of the largest), so a direction of
+    negative curvature is walked downhill too, and shortens the step p to
+    at most NEWTON_MAX_STEP.  Only a step that lowers the value is taken;
+    one that does not is halved.  The iteration stops when the step's
+    first-order decrease -grad.p is at most NEWTON_FTOL, below the
+    rounding noise of the quadrature values (a few 1e-16), so the last
+    Newton step is not halved through that noise; or after
+    NEWTON_MAX_ITER steps.  Every evaluation counts in ``nfev``, and
+    ``nit`` counts the steps taken.
+    """
+    val, grad, hess = fun(x)
+    nfev, nit = 1, 0
+    while nit < NEWTON_MAX_ITER:
+        e, Q = np.linalg.eigh(hess)
+        e = np.abs(e)
+        step = -(Q @ ((Q.T @ grad) / np.maximum(e, 1e-12 * e.max())))
+        length = float(np.linalg.norm(step))
+        if length > NEWTON_MAX_STEP:
+            step *= NEWTON_MAX_STEP / length
+        decrease = -float(grad @ step)
+        while True:
+            if not NEWTON_FTOL < decrease < math.inf:      # NaN stops too
+                return Refinement(x, val, nfev, nit)
+            trial = fun(x + step)
+            nfev += 1
+            if trial[0] < val:
+                break
+            step *= 0.5
+            decrease *= 0.5
+        x = x + step
+        val, grad, hess = trial
+        nit += 1
+    return Refinement(x, val, nfev, nit)
+
+
+def minimize(fun, x0: np.ndarray, smooth: bool) -> Refinement:
+    """Refine a manifold search from ``x0``: damped Newton (:func:`_newton`)
+    if ``smooth``, where fun(x) returns (value, gradient, Hessian), and
+    otherwise Nelder-Mead (:func:`_nelder_mead`) from the simplex of x0
+    and x0 + _SIMPLEX_STEP e_i, where fun(x) returns the value.  Both
+    evaluate x0 first.  _manifold_minimize calls this by its module-global
+    name."""
+    if smooth:
+        return _newton(fun, x0)
+    return _nelder_mead(fun, x0 + np.vstack([np.zeros(x0.size), _SIMPLEX_STEP * np.eye(x0.size)]))
 
 
 def _at_v(fun, v: np.ndarray, t_max: float):
@@ -362,20 +474,20 @@ def _at_v(fun, v: np.ndarray, t_max: float):
 
 def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, table: np.ndarray, smooth: bool):
     """Minimize fun(t, n) over [0, t_max] x S^{d-1}: the best start of a
-    scan, then BFGS if ``smooth`` and Nelder-Mead otherwise.  A smooth
-    ``fun`` returns (value, d fun / d v) at v = t n, any other the value.
+    scan, then Newton if ``smooth`` and Nelder-Mead otherwise
+    (:func:`minimize`).  A smooth ``fun`` returns (value, gradient,
+    Hessian) in v = t n, any other the value.
 
     ``table`` holds one value for each start of _scan_starts(dirs).  It
     only has to rank the starts, so it may be ``fun``'s own values or a
     cheaper stand-in.  Its least entry (the first, on ties) is the start.
     Both refiners evaluate the start first and never return a larger
-    value (it is a vertex of Nelder-Mead's initial simplex, and BFGS only
-    accepts steps that lower the value), so their result is the search's.
-    The refinement runs over v = t n in R^d with t = |v| capped at t_max:
-    the family is smooth in v through v = 0, so a search that starts at
-    t = 0 can leave it along any axis.  Past the cap, BFGS sees the value
-    at the cap and its gradient with the radial part projected out,
-    scaled by t_max / |v|.
+    value (it is a vertex of Nelder-Mead's initial simplex, and Newton
+    only accepts steps that lower the value), so their result is the
+    search's.  The refinement runs over v = t n in R^d: the family is
+    smooth in v through v = 0, so a search that starts at t = 0 can leave
+    it along any axis.  Nelder-Mead sees t = |v| capped at t_max; Newton
+    reads +inf past the cap, so it halves any step that would cross it.
 
     Returns (value, t, n, diagnostics); the boundary is t = t_max.
     ``scan_evaluations`` counts the table's entries, and ``evaluations``
@@ -384,25 +496,15 @@ def _manifold_minimize(fun, dirs: np.ndarray, t_max: float, table: np.ndarray, s
     d = dirs.shape[1]
 
     def at(v: np.ndarray):
-        t = float(np.linalg.norm(v))
-        if not smooth or t <= t_max:
-            return _at_v(fun, v, t_max)
-        n = v / t
-        val, grad = fun(t_max, n)
-        return val, (t_max / t) * (grad - (grad @ n) * n)
+        if smooth and np.linalg.norm(v) > t_max:
+            return math.inf, None, None
+        return _at_v(fun, v, t_max)
 
     start = _scan_starts(dirs)[int(np.argmin(table))]
-    if smooth:
-        search = {"method": "BFGS", "jac": True, "options": {"gtol": 1e-10}}
-    else:
-        simplex = start + np.vstack([np.zeros(d), _SIMPLEX_STEP * np.eye(d)])
-        search = {"method": "Nelder-Mead",
-                  "options": {"initial_simplex": simplex, "xatol": 1e-9,
-                              "fatol": 1e-14, "maxiter": 2000}}
-    res = minimize(at, start, **search)
+    res = minimize(at, start, smooth)
     t = float(np.linalg.norm(res.x))
-    diag = SearchDiagnostics(evaluations=len(table) + int(res.nfev),
-                             boundary_hit=t >= t_max - 1e-6, iterations=int(res.nit),
+    diag = SearchDiagnostics(evaluations=len(table) + res.nfev,
+                             boundary_hit=t >= t_max - 1e-6, iterations=res.nit,
                              scan_evaluations=len(table))
     return float(res.fun), min(t, t_max), (res.x / t if t > 0.0 else np.eye(d)[-1]), diag
 
@@ -522,18 +624,53 @@ class _SphereFamily:
         np.square(q, out=q)
         return np.reciprocal(q, out=q)
 
-    def gradient(self, t: float, n: np.ndarray, dg: np.ndarray) -> np.ndarray:
-        """d/dv int g(q) dsigma at v = t n, given dg = g'(q) on the grid.
 
-        With q = cosh t + (sinh t / t) v.w the chain rule reads
-        dq/dv = sinh t n + (cosh t - sinh t / t)(n.w) n + (sinh t / t) w,
-        which is w at v = 0; it is taken against the moments [int g',
-        int g' w] of :func:`grids.moments`.
-        """
-        m = moments(dg, self.grid)
-        sinc = math.sinh(t) / t if t > 0.0 else 1.0
-        radial = math.sinh(t) * m[0] + (math.cosh(t) - sinc) * float(n @ m[1:])
-        return radial * n + sinc * m[1:]
+# Taylor coefficients 1 / (2k + 1)! of S(tau) = sinh t / t in tau = t^2, and of S' and S''
+_SINHC = np.array([1.0 / math.factorial(2 * k + 1) for k in range(10)])
+_SINHC_DERIVATIVES = (_SINHC, np.polynomial.polynomial.polyder(_SINHC),
+                      np.polynomial.polynomial.polyder(_SINHC, 2))
+
+
+def _sinhc(tau: float) -> tuple[float, float, float]:
+    """S(tau) = sinh t / t at tau = t^2, and its first two derivatives in
+    tau.  Below tau = 1 they are Taylor series, whose first omitted terms
+    are below 2e-18, since the closed forms S' = (t cosh t - sinh t) /
+    (2 t^3) and S'' = ((t^2 + 3) sinh t - 3 t cosh t) / (4 t^5) cancel
+    as t -> 0; from tau = 1 on, the closed forms."""
+    if tau < 1.0:
+        return tuple(float(np.polynomial.polynomial.polyval(tau, c)) for c in _SINHC_DERIVATIVES)
+    t = math.sqrt(tau)
+    sh, ch = math.sinh(t), math.cosh(t)
+    return (sh / t, (t * ch - sh) / (2.0 * t**3),
+            ((tau + 3.0) * sh - 3.0 * t * ch) / (4.0 * t**5))
+
+
+def _family_derivatives(v: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """The gradient and Hessian in v of int g(q) dsigma over the sphere
+    family, given ``first`` = [m0, m1] = [int g', int g' w]
+    (:func:`grids.moments`) and ``second`` = int g'' x x^T, x = (1, w),
+    with blocks M0, M1, M2 (:func:`grids.second_moments`).
+
+    With tau = |v|^2 and S(tau) = sinh t / t, q = C(tau) + S v.w, so
+    q_v = alpha v + S w with alpha = S + 2 S' v.w, and
+    q_vv = alpha I + (2 S' + 4 S'' v.w) v v^T + 2 S' (v w^T + w v^T).
+    The gradient int g' q_v is c v + S m1 with c = S m0 + 2 S' v.m1;
+    the Hessian int g'' q_v q_v^T + int g' q_vv gathers into
+    c I + b v v^T + v a^T + a v^T + S^2 M2, with
+    b = S^2 M0 + 4 S S' v.M1 + 4 S'^2 v.M2 v + 2 S' m0 + 4 S'' v.m1 and
+    a = S (S M1 + 2 S' M2 v) + 2 S' m1.  At v = 0 they are m1 and
+    m0 I + M2.
+    """
+    S, S1, S2 = _sinhc(float(v @ v))
+    m0, m1 = first[0], first[1:]
+    M0, M1, M2 = second[0, 0], second[0, 1:], second[1:, 1:]
+    vm1, M2v = float(v @ m1), M2 @ v
+    c = S * m0 + 2.0 * S1 * vm1
+    b = (S * S * M0 + 4.0 * S * S1 * float(v @ M1) + 4.0 * S1 * S1 * float(v @ M2v)
+         + 2.0 * S1 * m0 + 4.0 * S2 * vm1)
+    a = S * (S * M1 + 2.0 * S1 * M2v) + 2.0 * S1 * m1
+    hess = c * np.eye(v.size) + b * np.outer(v, v) + np.outer(v, a) + np.outer(a, v) + S * S * M2
+    return c * v + S * m1, hess
 
 
 def _sphere_search(fun, table: np.ndarray, smooth: bool):
@@ -551,8 +688,10 @@ def _check_normalized_exp(u: SphereField, who: str):
 
 
 def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
-    """(t, n) -> (H(e^{u_{t,n}} | e^u), its gradient in v = t n):
-    H = int q^-2 A with A = -2 log q - u, g'(q) = -2 q^-3 (A + 1)."""
+    """(t, n) -> H(e^{u_{t,n}} | e^u) with its gradient and Hessian in
+    v = t n: H = int g(q) dsigma with g(q) = q^-2 A, A = -2 log q - u, so
+    g'(q) = -2 q^-3 (A + 1) and g''(q) = q^-4 (6 (A + 1) + 4)
+    (:func:`_family_derivatives`)."""
 
     def fun(t, n):
         q = fam.base(t, n)
@@ -564,8 +703,14 @@ def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
         dg *= r2
         val = integrate(dg, fam.grid)
         dg += r2
-        dg *= r
-        return val, -2.0 * fam.gradient(t, n, dg)
+        dg *= r                        # (A + 1) q^-3 = -g'(q) / 2
+        first = -2.0 * moments(dg, fam.grid)
+        r2 *= r
+        r2 *= 4.0
+        dg *= 6.0
+        dg += r2
+        dg *= r                        # g''(q)
+        return (val, *_family_derivatives(t * n, first, second_moments(dg, fam.grid)))
 
     return fun
 

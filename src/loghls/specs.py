@@ -159,6 +159,12 @@ def parse_input_spec(text: str) -> InputSpec:
     if keys is None:             # legendre: c0, c1, ...
         if not raw or not all(re.fullmatch(r"c\d+", k) for k in raw):
             raise ParseError(f"a legendre spec takes one or more keys c0, c1, ...; got {list(raw)}")
+        degrees: dict[int, str] = {}
+        for k in raw:
+            first = degrees.setdefault(int(k[1:]), k)
+            if first != k:
+                raise ParseError(f"legendre: keys {first!r} and {k!r} name the same degree "
+                                 f"{int(k[1:])} in {text!r}")
         params, order = raw, sorted(raw, key=lambda k: int(k[1:]))
     else:
         for k in raw:

@@ -148,6 +148,15 @@ def test_stability_circle(capsys):
     assert json.loads(out)["certificate"]["distance"] <= 1e-8
 
 
+@pytest.mark.parametrize("command", ["eval", "heatflow"])
+def test_legendre_degree_named_twice_is_invalid_input(capsys, command):
+    """c1 and c01 name one degree: exit 2 with both keys named (it once
+    exited 0 and evaluated 1 + 0.2z)."""
+    code, out, err = run_cli(capsys, command, "legendre:c0=1,c1=0.5,c01=0.2")
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "'c1' and 'c01'" in err
+
+
 @pytest.mark.parametrize("command", ["eval", "stability"])
 def test_circle_radius_past_the_mode_cap_is_invalid_input(capsys, command):
     """A Poisson kernel past the mode cap is invalid input (it once exited

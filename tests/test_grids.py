@@ -10,7 +10,7 @@ from loghls.fields import radial_from_profile
 from loghls.flows import KS_N, KS_R_MAX, KS_R_MIN, ks_initial_state
 from loghls.geometry import T_CAP
 from loghls.grids import (affine_values, integrate, make_circle_grid, make_radial_grid,
-                          make_sphere_grid, moments)
+                          make_sphere_grid, moments, second_moments)
 from loghls.specs import RunConfig, parse_input_spec, realize_planar
 
 
@@ -142,6 +142,22 @@ def test_sphere_moments_are_exact_for_low_degrees():
     assert np.max(np.abs(m - np.concatenate([[1.0], a / 3.0]))) <= 1e-14
     with pytest.raises(DimensionMismatchError):
         moments(vals[:, :4], g)
+
+
+def test_sphere_second_moments_are_exact_for_low_degrees():
+    """second_moments weights [1, omega] [1, omega]^T like moments: on
+    1 + a.omega it is [[1, a/3], [a/3, I/3]] (the cubic moments vanish),
+    symmetric, with moments' values in its first row."""
+    g = make_sphere_grid(16, 8)
+    a = np.array([0.3, -0.2, 0.5])
+    vals = 1.0 + g.points() @ a
+    M = second_moments(vals, g)
+    exact = np.block([[np.ones((1, 1)), a[None] / 3.0], [a[:, None] / 3.0, np.eye(3) / 3.0]])
+    assert np.array_equal(M, M.T)
+    assert np.max(np.abs(M - exact)) <= 1e-14
+    assert np.max(np.abs(M[0] - moments(vals, g))) <= 1e-15
+    with pytest.raises(DimensionMismatchError):
+        second_moments(vals[:, :4], g)
 
 
 _POLES = st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])

@@ -1,9 +1,13 @@
 """Which scipy modules a command loads.
 
-``import loghls`` loads numpy, scipy.linalg's LAPACK wrappers and
-scipy.special.  scipy.optimize is imported at the first manifold search
-(``optimizers.minimize``), and scipy.interpolate not at all.  Each check
-runs in a fresh interpreter, so no other test's imports count.
+``import loghls`` loads numpy and scipy.linalg's LAPACK wrappers.
+scipy.special is imported where it is used: by the first sphere grid
+(``grids.make_sphere_grid``'s Gauss-Legendre rule) and by
+``entropy.log_partition``.  So ``ks`` and the radial ``eval`` and
+``stability`` commands never load it.  The manifold searches refine in
+numpy (``optimizers.minimize``), so scipy.optimize is loaded by no
+command, and scipy.interpolate not at all.  Each check runs in a fresh
+interpreter, so no other test's imports count.
 """
 
 import os
@@ -15,7 +19,7 @@ import pytest
 
 import loghls
 
-DEFERRED = ("scipy.optimize", "scipy.interpolate")
+DEFERRED = ("scipy.optimize", "scipy.interpolate", "scipy.special")
 
 
 def loaded_after(code: str) -> list[str]:
@@ -33,16 +37,16 @@ def loaded_after(code: str) -> list[str]:
     "from loghls import cli; cli.main(['eval', 'gaussian:sigma=1'])",
     "from loghls import cli; cli.main(['ks', '8pi*gaussian:sigma=1', '--T', '0.05', "
     "'--samples', '2'])",
-], ids=["import", "eval", "ks"])
+    "from loghls import cli; cli.main(['stability', 'optimizer:s=2'])",
+], ids=["import", "eval", "ks", "stability"])
 def test_commands_without_a_manifold_search_load_neither(code):
+    """Nor scipy.special: no sphere grid is built and no log-partition taken."""
     assert loaded_after(code) == []
 
 
-def test_the_first_manifold_search_loads_scipy_optimize():
-    code = ("import numpy as np\n"
-            "from loghls.grids import make_sphere_grid\n"
-            "from loghls.optimizers import nearest_sphere_L1\n"
-            "g = make_sphere_grid(16, 32)\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            "nearest_sphere_L1(np.ones(g.shape), g)")
-    assert loaded_after(code) == ["scipy.optimize"]
+def test_a_sphere_stability_run_loads_scipy_special_alone():
+    """All three sphere searches, the reverse-entropy and the two L1 ones,
+    run without scipy.optimize; the sphere grid loads scipy.special."""
+    code = ("from loghls import cli\n"
+            "cli.main(['stability', 'band-limited-random:seed=21,L=3,amplitude=0.1'])")
+    assert loaded_after(code) == ["scipy.special"]

@@ -64,6 +64,18 @@ def test_parse_errors(bad):
         parse_input_spec(bad)
 
 
+@pytest.mark.parametrize("text, keys", [
+    ("legendre:c0=1,c1=0.5,c01=0.2", ("'c1'", "'c01'")),
+    ("legendre:c00=1,c0=1", ("'c00'", "'c0'")),
+])
+def test_legendre_degree_named_twice_is_invalid(text, keys):
+    """A legendre spec that names one degree by two keys is refused, with
+    both keys in the message (it once kept the last value silently)."""
+    with pytest.raises(ParseError) as err:
+        parse_input_spec(text)
+    assert all(k in str(err.value) for k in keys)
+
+
 def test_spec_domains():
     assert spec_domain(parse_input_spec("gaussian:sigma=1")) == "plane"
     assert spec_domain(parse_input_spec("sphere-optimizer:t=1")) == "sphere"

@@ -172,12 +172,12 @@ def test_onofri_certificates_share_one_smooth_search(spec, monkeypatch):
     u = realize_sphere(parse_input_spec(spec), RunConfig())
     calls, real = [], optimizers.minimize
     monkeypatch.setattr(optimizers, "minimize",
-                        lambda *args, **kw: calls.append(kw["method"]) or real(*args, **kw))
+                        lambda fun, x0, smooth: calls.append(smooth) or real(fun, x0, smooth))
     grad, entropy, _ = onofri_stability_certificates(u)
-    assert calls == ["BFGS", "Nelder-Mead"]
+    assert calls == [True, False]          # Newton, then Nelder-Mead
     calls.clear()
     sphere_stability_certificates(u)
-    assert calls == ["BFGS", "Nelder-Mead"]
+    assert calls == [True, False]
     assert grad.search == entropy.search
     assert grad.gap >= 0.0 and entropy.gap >= 0.0
 
