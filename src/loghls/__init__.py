@@ -10,9 +10,9 @@ from .entropy import (gibbs_density, half_convexity_gap, log_partition,
 from .errors import LogHLSError
 from .fields import (CircleField, PlanarDensity, RadialDensity, SphereField,
                      radial_from_profile)
-from .flows import (HeatState, KSState, FlowTrajectory, decay_check,
-                    dissipation_check, heat_evolve, heat_state, ks_evolve,
-                    ks_rate_fit, reverse_entropy)
+from .flows import (HeatState, KSState, FlowTrajectory, dissipation_check,
+                    heat_evolve, heat_run, heat_state, ks_evolve, ks_rate_fit,
+                    reverse_entropy)
 from .functionals import (dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, log_interaction, onofri_functional,
                           planar_free_energy, planar_free_energy_report,

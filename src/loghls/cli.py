@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import DomainError, LogHLSError, ParseError
 from .fields import RadialDensity
-from .flows import (DISSIPATION_DT, DISTANCE_SLACK, FE_STEP_TOL, FlowTrajectory, KS_MASS,
-                    _jsonable, decay_check, dissipation_check, entropy_dissipation_rate,
-                    heat_evolve, heat_state, ks_evolve, ks_rate_fit, reverse_entropy)
+from .flows import KS_MASS, _jsonable, heat_run, ks_evolve, ks_rate_fit, ks_verdict
 from .functionals import (dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report)
@@ -53,33 +51,36 @@ COMMAND_CONFIG_KEYS = {     # the RunConfig keys each command reads
 }
 # the grid keys a spec's domain reads: an off-center plane spec lifts onto the sphere grid
 _DOMAIN_KEYS = {"plane": _RADIAL | _SPHERE, "sphere": _SPHERE, "circle": {"circle_n"}}
+# the RunConfig key of each flag that sets one, on the commands that take it
+_FLAG_KEYS = {"radial_n": "--grid-n", "radial_rmax": "--rmax", "ks_n": "--grid-n",
+              "ks_rmax": "--rmax", "out": "--out"}
 
 
 def _config_from_args(args, domain: str | None) -> RunConfig:
     """The run's configuration.  Invalid input: one that fails validation,
-    a config file key the command does not read, and on eval and stability
-    a grid flag or key that a spec of ``domain`` does not read."""
+    and a setting, by flag or config file, that the run does not read: a
+    key its command does not read, on eval and stability a grid key that
+    a spec of ``domain`` does not read, and on suite ``out`` without
+    --json, which alone writes it."""
+    reads, context = COMMAND_CONFIG_KEYS[args.command], ""
+    if domain is not None:
+        reads, context = reads & (_DOMAIN_KEYS[domain] | {"out"}), f" on a {domain} spec"
+    if args.command == "suite" and not args.json:
+        reads, context = reads - {"out"}, " without --json"
     try:
         given = read_config_file(args.config) if args.config else {}
         cfg = RunConfig.from_strings(given)
-        unread = sorted(set(given) - COMMAND_CONFIG_KEYS[args.command])
-        if unread:
-            raise ParseError(f"the config file {args.config} sets {', '.join(map(repr, unread))}, "
-                             f"which {args.command} does not read")
-        if domain is not None:
-            if domain != "plane" and (args.radial_n is not None or args.radial_rmax is not None):
-                raise ParseError(f"{args.command}: --grid-n and --rmax size the radial grid of "
-                                 f"plane specs, which a {domain} spec does not use")
-            unread = sorted(set(given) & (_RADIAL | _SPHERE | {"circle_n"}) - _DOMAIN_KEYS[domain])
-            if unread:
-                raise ParseError(f"{args.command}: the config file {args.config} sets "
-                                 f"{', '.join(map(repr, unread))}, which a {domain} spec does "
-                                 "not read")
-        for key in ("radial_n", "radial_rmax", "ks_n", "ks_rmax"):   # if given
+        source = dict.fromkeys(given, f"the config file {args.config}")
+        for key, flag in _FLAG_KEYS.items():
             if getattr(args, key, None) is not None:
                 setattr(cfg, key, getattr(args, key))
-        if args.out:
-            cfg.out = args.out
+                source[key] = flag
+        unread = {}
+        for key in sorted(source.keys() - reads):
+            unread.setdefault(source[key], []).append(repr(key))
+        if unread:
+            sets = "; ".join(f"{src} sets {', '.join(keys)}" for src, keys in unread.items())
+            raise ParseError(f"{sets}, which {args.command} does not read{context}")
         cfg.validate()
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
@@ -169,28 +170,19 @@ def cmd_heatflow(args) -> int:
         raise ParseError(f"heatflow: {format_input_spec(spec)} is not a sphere spec, whose "
                          "density e^u the flow evolves (e.g. 1+0.5*P1)")
     cfg = _config_from_args(args, None)       # its config keys are the sphere domain's
-    state0 = heat_state(realize_sphere(spec, cfg))
     T = args.T
     first = max(1e-2, T / 100.0) if T > 1e-2 else T / 100.0
     if args.samples == 1:
         first = T                 # the one sample after t = 0 is T
-    states = [heat_evolve(state0, float(t))
-              for t in np.concatenate(([0.0], np.geomspace(first, T, args.samples)))]
-    decay = decay_check(states)
-    # columns t, free_energy, distance_L1, dissipation, mass_error
-    rows = [(st.time, reverse_entropy(st), integrate(np.abs(st.rho.values - 1.0), st.rho.grid),
-             entropy_dissipation_rate(st), 0.0) for st in states]
-    traj = FlowTrajectory(*np.array(rows).T,
-                          diagnostics={"kind": "heat", "H0": rows[0][1],
-                                       "spec": format_input_spec(spec)})
-    lhs, rhs, res = dissipation_check(state0, dt=DISSIPATION_DT)
+    run = heat_run(realize_sphere(spec, cfg), np.geomspace(first, T, args.samples))
+    traj = run.trajectory
+    traj.diagnostics["spec"] = format_input_spec(spec)
     out = {**_meta(cfg, spec), "trajectory": traj.to_json(),
-           "decay_pass": decay.passed,
-           "dissipation": {"lhs": lhs, "rhs": rhs, "residual": res}}
+           "decay_pass": run.decay_pass, "dissipation": run.dissipation}
     if args.csv:
         traj.write_csv(args.csv)
     _emit(out, cfg)
-    return 0 if decay.passed else 1
+    return 0 if run.decay_pass and "error" not in run.dissipation else 1
 
 
 def cmd_ks(args) -> int:
@@ -207,12 +199,11 @@ def cmd_ks(args) -> int:
         raise ParseError("ks: only radial initial data is supported")
     scaled = RadialDensity(rho.grid, KS_MASS * rho.values,
                            profile=lambda r, _p=rho.profile: KS_MASS * _p(r))
-    traj, state = ks_evolve(scaled, dt=cfg.ks_dt, T=cfg.ks_T if args.T is None else args.T,
-                            n=cfg.ks_n, r_min=cfg.ks_rmin, r_max=cfg.ks_rmax,
-                            n_samples=args.samples)
+    traj, _state = ks_evolve(scaled, dt=cfg.ks_dt, T=cfg.ks_T if args.T is None else args.T,
+                             n=cfg.ks_n, r_min=cfg.ks_rmin, r_max=cfg.ks_rmax,
+                             n_samples=args.samples)
     fit = ks_rate_fit(traj)
-    bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + DISTANCE_SLACK
-    bound_ok = bool(np.all(traj.distance_L1 <= bound))
+    bound_ok, step_ok = ks_verdict(traj)
     inc = traj.diagnostics["max_free_energy_increase_per_step"]
     out = {**_meta(cfg, spec), "trajectory": traj.to_json(),
            "rate_fit": {k: v for k, v in asdict(fit).items() if k != "window"},
@@ -221,7 +212,7 @@ def cmd_ks(args) -> int:
     if args.csv:
         traj.write_csv(args.csv)
     _emit(out, cfg)
-    return 0 if (bound_ok and inc <= FE_STEP_TOL) else 1
+    return 0 if bound_ok and step_ok else 1
 
 
 def cmd_duality_demo(args) -> int:
@@ -233,9 +224,6 @@ def cmd_duality_demo(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg = _config_from_args(args, None)
-    if cfg.out and not args.json:
-        raise ParseError("suite: --out and the config key out write the JSON summary, "
-                         "which only --json prints")
     ids = args.ids.split(",") if args.ids else None
     results = run_all(cfg, ids)
     all_pass = all(r.passed for r in results)

@@ -9,8 +9,8 @@ never have to interpolate.  A sphere field is expanded by its grid's one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
-import weakref
 
 import numpy as np
 
@@ -28,17 +28,13 @@ __all__ = [
     "radial_from_profile",
 ]
 
-_TRANSFORMS: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
-
-
 def get_transform(grid: SphereGrid, lmax: int | None = None) -> SphereTransform:
-    """Shared per-grid transform cache (the Legendre tables are heavy)."""
-    if lmax is None:
-        lmax = grid.n_z - 1
-    per_grid = _TRANSFORMS.setdefault(grid, {})
-    if lmax not in per_grid:
-        per_grid[lmax] = SphereTransform(grid, lmax)
-    return per_grid[lmax]
+    """The grid's one transform to degree ``lmax``, by default its top
+    degree n_z - 1 (the Legendre tables are heavy)."""
+    return _transform(grid, grid.n_z - 1 if lmax is None else lmax)
+
+
+_transform = cache(SphereTransform)
 
 
 @dataclass(eq=False)

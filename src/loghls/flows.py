@@ -68,8 +68,8 @@ __all__ = [
     "reverse_entropy",
     "entropy_dissipation_rate",
     "dissipation_check",
-    "DecayReport",
-    "decay_check",
+    "HeatRun",
+    "heat_run",
     "FlowTrajectory",
     "KSState",
     "ks_initial_state",
@@ -78,6 +78,7 @@ __all__ = [
     "ks_distance",
     "RateFit",
     "ks_rate_fit",
+    "ks_verdict",
     "KS_MASS",
 ]
 
@@ -88,13 +89,13 @@ KS_R_MAX = 1e3          # its outer radius
 DT_CAP = 2e-2           # the largest Keller-Segel step
 STEP_BUDGET = 100       # a Keller-Segel run may take this many times T / DT_CAP + n_samples steps
 DECAY_SLACK = 1e-8      # slack of the heat flow's entropy decay bound
-DISSIPATION_DT = 1e-3   # the step of the heat flow's dissipation check in heatflow and A09
+DISSIPATION_DT = 1e-3   # the step of heat_run's dissipation check
 BAND_FLOOR = 1e-12      # the dissipation check's band ignores coefficients this small: analysis
                         # of 1 or 1 + 0.5z leaves up to 2.0e-13 on 128 x 256, 2.7e-13 on 256 x 8
 MONO_TOL = 1e-10        # largest decrease of M between nodes, relative to the mass
 RATE_T_MIN = 1.0        # the rate fit's window starts here
 RATE_HEADROOM = 1.05    # growth of H t^{1/8} and d t^{1/16} the rate fit's flags allow
-# acceptance bounds of a Keller-Segel run, for the CLI and the suite:
+# acceptance bounds of a Keller-Segel run (ks_verdict):
 DISTANCE_SLACK = 1e-4   # d(t) <= 8 pi sqrt(8 H(t)) + DISTANCE_SLACK at every sample
 FE_STEP_TOL = 1e-8      # the largest increase of H over one step
 
@@ -184,22 +185,37 @@ def dissipation_check(state: HeatState, dt: float) -> tuple[float, float, float]
     return lhs, rhs, abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    times: np.ndarray
-    entropies: np.ndarray
-    bounds: np.ndarray
-    passed: bool
+class HeatRun(NamedTuple):
+    """A heat flow run (``heat_run``).  ``decay_pass``: H(1||rho(t)) <=
+    e^{-4t} H(1||rho(0)) + DECAY_SLACK at every sample after t = 0.
+    ``dissipation``: the ``lhs``, ``rhs`` and ``residual`` of
+    ``dissipation_check`` at t = 0, or as ``error`` the band rule's
+    refusal of the state."""
+
+    trajectory: FlowTrajectory
+    decay_pass: bool
+    dissipation: dict
 
 
-def decay_check(states) -> DecayReport:
-    """H(1||rho(t)) <= e^{-4t} H(1||rho(0)) + DECAY_SLACK at each state after
-    the first, rho(0), from which ``heat_evolve`` took them."""
-    H0 = reverse_entropy(states[0])
-    ts = np.array([st.time - states[0].time for st in states[1:]])
-    Hs = np.array([reverse_entropy(st) for st in states[1:]])
-    bounds = np.exp(-4.0 * ts) * H0
-    return DecayReport(ts, Hs, bounds, bool(np.all(Hs <= bounds + DECAY_SLACK)))
+def heat_run(u: SphereField, times) -> HeatRun:
+    """The heat flow of the density e^u, evolved from t = 0 to each of
+    ``times`` once.  At each sample the trajectory holds H(1||rho) as
+    free_energy, ||rho - 1||_1 as distance_L1 and the dissipation rate;
+    mass is exact, so mass_error is 0.  The decay verdict reads the
+    free_energy column."""
+    state0 = heat_state(u)
+    states = [heat_evolve(state0, float(t)) for t in (0.0, *times)]
+    rows = [(st.time, reverse_entropy(st), integrate(np.abs(st.rho.values - 1.0), st.rho.grid),
+             entropy_dissipation_rate(st), 0.0) for st in states]
+    traj = FlowTrajectory(*np.array(rows).T, diagnostics={"kind": "heat", "H0": rows[0][1]})
+    H, ts = traj.free_energy, traj.times
+    decay_pass = bool(np.all(H[1:] <= np.exp(-4.0 * ts[1:]) * H[0] + DECAY_SLACK))
+    try:
+        lhs, rhs, res = dissipation_check(state0, DISSIPATION_DT)
+        dissipation = {"lhs": lhs, "rhs": rhs, "residual": res}
+    except StepSizeError as exc:
+        dissipation = {"error": str(exc)}
+    return HeatRun(traj, decay_pass, dissipation)
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +601,15 @@ def ks_evolve(rho0: RadialDensity, *, T: float, n: int, r_min: float, r_max: flo
             "steps": steps, "dt_min": dt_min,
         })
     return traj, state
+
+
+def ks_verdict(traj: FlowTrajectory) -> tuple[bool, bool]:
+    """The acceptance bounds of a Keller-Segel run: d(t) <= 8 pi sqrt(8 H(t))
+    + DISTANCE_SLACK at every sample, and no step raised H by more than
+    FE_STEP_TOL."""
+    bound = KS_MASS * np.sqrt(8.0 * np.clip(traj.free_energy, 0.0, None)) + DISTANCE_SLACK
+    return (bool(np.all(traj.distance_L1 <= bound)),
+            traj.diagnostics["max_free_energy_increase_per_step"] <= FE_STEP_TOL)
 
 
 @dataclass(frozen=True)

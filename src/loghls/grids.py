@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -160,29 +160,24 @@ class RadialGrid:
         return mass
 
 
-_RADIAL_GRIDS: dict[tuple[float, float, int], RadialGrid] = {}
-
-
+@cache
 def make_radial_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     """The one shared, read-only radial grid: n nodes uniform in log r on
     [log r_min, log r_max], which resolves heavy power-law tails (the
     optimizer profile decays like r^-4) and near-origin structure at once.
     """
-    key = (float(r_min), float(r_max), int(n))
-    if key not in _RADIAL_GRIDS:
-        if not 0.0 < r_min < r_max < math.inf:
-            raise DomainError(
-                f"make_radial_grid: need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
-        if n < 16:
-            raise DomainError(f"make_radial_grid: n must be at least 16, got {n}")
-        x = np.linspace(math.log(r_min), math.log(r_max), n)
-        r = np.exp(x)
-        weights = 2.0 * np.pi * r**2 * float(x[1] - x[0])
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        _read_only(x, r, weights)
-        _RADIAL_GRIDS[key] = RadialGrid(x=x, nodes=r, weights=weights)
-    return _RADIAL_GRIDS[key]
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError(
+            f"make_radial_grid: need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+    if n < 16:
+        raise DomainError(f"make_radial_grid: n must be at least 16, got {n}")
+    x = np.linspace(math.log(r_min), math.log(r_max), int(n))
+    r = np.exp(x)
+    weights = 2.0 * np.pi * r**2 * float(x[1] - x[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    _read_only(x, r, weights)
+    return RadialGrid(x=x, nodes=r, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,23 +264,18 @@ class SphereGrid:
         return rows, azimuth
 
 
-_SPHERE_GRIDS: dict[tuple[int, int], SphereGrid] = {}
-
-
+@cache
 def make_sphere_grid(n_z: int, n_phi: int) -> SphereGrid:
     """The one shared, read-only grid of each shape, so its transform
     tables (``fields.get_transform``) are built once."""
-    key = (int(n_z), int(n_phi))
-    if key not in _SPHERE_GRIDS:
-        if n_z < 4 or n_phi < 4:
-            raise DomainError(f"make_sphere_grid: grid too small ({n_z} x {n_phi})")
-        # imported here, so commands that build no sphere grid never load scipy.special
-        from scipy.special import roots_legendre
-        z, w_z = roots_legendre(n_z)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        _read_only(z, w_z, phi)
-        _SPHERE_GRIDS[key] = SphereGrid(*key, z=z, w_z=w_z, phi=phi)
-    return _SPHERE_GRIDS[key]
+    if n_z < 4 or n_phi < 4:
+        raise DomainError(f"make_sphere_grid: grid too small ({n_z} x {n_phi})")
+    # imported here, so commands that build no sphere grid never load scipy.special
+    from scipy.special import roots_legendre
+    z, w_z = roots_legendre(n_z)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    _read_only(z, w_z, phi)
+    return SphereGrid(int(n_z), int(n_phi), z=z, w_z=w_z, phi=phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,19 +294,14 @@ class CircleGrid:
         return (self.n,)
 
 
-_CIRCLE_GRIDS: dict[int, CircleGrid] = {}
-
-
+@cache
 def make_circle_grid(n: int) -> CircleGrid:
     """The one shared, read-only circle grid of ``n`` points."""
-    n = int(n)
-    if n not in _CIRCLE_GRIDS:
-        if n < 8:
-            raise DomainError(f"make_circle_grid: n must be at least 8, got {n}")
-        theta = 2.0 * np.pi * np.arange(n) / n
-        _read_only(theta)
-        _CIRCLE_GRIDS[n] = CircleGrid(n=n, theta=theta)
-    return _CIRCLE_GRIDS[n]
+    if n < 8:
+        raise DomainError(f"make_circle_grid: n must be at least 8, got {n}")
+    theta = 2.0 * np.pi * np.arange(n) / n
+    _read_only(theta)
+    return CircleGrid(n=int(n), theta=theta)
 
 
 def integrate(values: np.ndarray, grid) -> float:

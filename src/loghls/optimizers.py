@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -582,17 +583,14 @@ class _FunkHecke:
         return np.concatenate([[c[0, 0]], C.ravel()])
 
 
-_FUNK_HECKE: dict[tuple[int, int], _FunkHecke] = {}
+_funk_hecke = cache(_FunkHecke)
 
 
 def _scan_integrals(grid: SphereGrid, coeffs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """_FunkHecke.integrals of the coefficients of a field on ``grid``; the
     tables are built on the first search on a transform of their shape."""
     tr = get_transform(grid)
-    key = (tr.lmax, tr.max_m)
-    if key not in _FUNK_HECKE:
-        _FUNK_HECKE[key] = _FunkHecke(*key)
-    return _FUNK_HECKE[key].integrals(*coeffs)
+    return _funk_hecke(tr.lmax, tr.max_m).integrals(*coeffs)
 
 
 class _SphereFamily:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from loghls.cli import main
-from loghls.flows import (decay_check, entropy_dissipation_rate, heat_evolve, heat_state,
-                          reverse_entropy)
+from loghls.flows import entropy_dissipation_rate, heat_evolve, heat_state, reverse_entropy
 from loghls.grids import integrate
 from loghls.specs import RunConfig, parse_input_spec, realize_sphere
 
@@ -225,8 +224,23 @@ def test_heatflow_takes_any_sphere_density(capsys, spec):
     assert traj["dissipation"] == [entropy_dissipation_rate(st) for st in states]
     assert traj["distance_L1"] == [integrate(np.abs(st.rho.values - 1.0), st.rho.grid)
                                    for st in states]
-    assert decay_check(states).passed is True
-    assert data["trajectory"]["diagnostics"]["H0"] == reverse_entropy(st0)
+    H0 = reverse_entropy(st0)
+    assert all(H <= np.exp(-4.0 * t) * H0 for t, H in zip(traj["t"][1:], traj["free_energy"][1:]))
+    assert data["trajectory"]["diagnostics"]["H0"] == H0
+
+
+def test_heatflow_reports_a_band_the_dissipation_check_refuses(capsys):
+    """A density whose band reaches the grid's top degree is evolved and
+    reported like any other; the dissipation block holds the band rule's
+    refusal, and the run exits 1."""
+    code, out, _ = run_cli(capsys, "heatflow", "band-limited-random:seed=1,L=32,amplitude=1",
+                           "--T", "1", "--samples", "4")
+    assert code == 1
+    data = json.loads(out)
+    assert len(data["trajectory"]["t"]) == 5 and data["decay_pass"] is True
+    assert data["dissipation"] == {
+        "error": "dissipation_check: dt = 0.001 too large for the band limit l = 127 "
+                 "(backward step would amplify noise)"}
 
 
 def test_ks_command(tmp_path, capsys):
@@ -328,7 +342,7 @@ def test_config_key_the_command_does_not_read_is_invalid_input(tmp_path, capsys,
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 2 and out == ""
     keys = ", ".join(repr(line.split(" = ")[0]) for line in sorted(lines.split("\n")))
-    assert f"sets {keys}, which {argv[0]} does not read" in err
+    assert f"the config file {cfg} sets {keys}, which {argv[0]} does not read" in err
 
 
 @pytest.mark.parametrize("line,argv", [
@@ -349,7 +363,9 @@ def test_config_key_the_spec_does_not_read_is_invalid_input(tmp_path, capsys, li
     assert code == 2 and out == ""
     domain = {"sphere-optimizer": "sphere", "circle-cos": "circle", "gaussian": "plane",
               "band-limited-random": "sphere", "circle-poisson": "circle"}[argv[1].split(":")[0]]
-    assert f"sets {line.split(' = ')[0]!r}, which a {domain} spec does not read" in err
+    key = line.split(" = ")[0]
+    assert (f"the config file {cfg} sets {key!r}, which {argv[0]} does not read "
+            f"on a {domain} spec") in err
 
 
 def test_ks_grid_flags_size_the_flow_grid(capsys):
@@ -365,14 +381,14 @@ def test_ks_grid_flags_size_the_flow_grid(capsys):
     assert (diagnostics["n"], diagnostics["r_max"]) == (2048, 1e5)
 
 
-@pytest.mark.parametrize("argv", [
-    ("eval", "sphere-optimizer:t=1,n=(0,0,1)", "--grid-n", "2048"),
-    ("stability", "circle-cos:eps=0.3", "--rmax", "1e3"),
+@pytest.mark.parametrize("argv,key,domain", [
+    (("eval", "sphere-optimizer:t=1,n=(0,0,1)", "--grid-n", "2048"), "radial_n", "sphere"),
+    (("stability", "circle-cos:eps=0.3", "--rmax", "1e3"), "radial_rmax", "circle"),
 ], ids=["eval-sphere", "stability-circle"])
-def test_grid_flags_on_a_spec_without_a_radial_grid_are_invalid_input(capsys, argv):
+def test_grid_flags_on_a_spec_without_a_radial_grid_are_invalid_input(capsys, argv, key, domain):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "--grid-n and --rmax size the radial grid of plane specs" in err
+    assert f"{argv[2]} sets {key!r}, which {argv[0]} does not read on a {domain} spec" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -498,7 +514,8 @@ def test_suite_out_needs_json(tmp_path, capsys, how):
     extra = ("--out", str(path)) if how == "flag" else ("--config", str(cfg))
     code, out, err = run_cli(capsys, "suite", "--ids", "A06", *extra)
     assert code == 2 and out == "" and not path.exists()
-    assert "which only --json prints" in err
+    source = "--out" if how == "flag" else f"the config file {cfg}"
+    assert f"{source} sets 'out', which suite does not read without --json" in err
     code, out, _ = run_cli(capsys, "suite", "--ids", "A06", "--json", *extra)
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["all_pass"] is True

@@ -12,9 +12,9 @@ from loghls.errors import (ConvergenceError, DomainError, MassConservationError,
                            NormalizationError, ParseError, PositivityError, StepSizeError)
 from loghls.fields import SphereField, radial_from_profile
 from loghls.flows import (KS_MASS, KS_R_MAX, KS_R_MIN, FlowTrajectory, HeatState,
-                          decay_check, dissipation_check, entropy_dissipation_rate,
-                          heat_evolve, heat_state, ks_distance, ks_evolve,
-                          ks_free_energy, ks_initial_state, ks_rate_fit,
+                          dissipation_check, entropy_dissipation_rate,
+                          heat_evolve, heat_run, heat_state, ks_distance, ks_evolve,
+                          ks_free_energy, ks_initial_state, ks_rate_fit, ks_verdict,
                           reverse_entropy)
 from loghls.grids import make_radial_grid, make_sphere_grid
 from loghls.optimizers import LOG_S_BOX, radial_L1_objective
@@ -30,13 +30,14 @@ def exact_reverse_entropy(a: float) -> float:
 # heat semigroup
 # ----------------------------------------------------------------------
 
+def sphere_u(text: str) -> SphereField:
+    """A sphere spec's field u on the default 128 x 256 grid."""
+    return realize_sphere(parse_input_spec(text), RunConfig())
+
+
 def heat_of(text: str) -> HeatState:
-    """The heat state of a sphere spec's density e^u on the default 128 x 256 grid."""
-    return heat_state(realize_sphere(parse_input_spec(text), RunConfig()))
-
-
-def evolved(st: HeatState, times) -> list:
-    return [heat_evolve(st, float(t)) for t in (0.0, *times)]
+    """The heat state of a sphere spec's density e^u on the default grid."""
+    return heat_state(sphere_u(text))
 
 
 def test_heat_constant_is_stationary():
@@ -74,17 +75,17 @@ def test_heat_entropy_closed_forms():
     assert H5 <= np.exp(-2.0) * reverse_entropy(st) + 1e-8
 
 
-def test_decay_check_p1_and_p2():
-    rep = decay_check(evolved(heat_of("1+0.5*P1"), [0.1, 0.25, 0.5, 1.0]))
-    assert rep.passed
-    assert np.array_equal(rep.times, [0.1, 0.25, 0.5, 1.0])
+def test_heat_run_decays_p1_and_p2():
+    run = heat_run(sphere_u("1+0.5*P1"), [0.1, 0.25, 0.5, 1.0])
+    assert run.decay_pass
+    assert np.array_equal(run.trajectory.times, [0.0, 0.1, 0.25, 0.5, 1.0])
     # pure l=2 mode decays like e^{-12t} at small amplitude
-    st2 = heat_of("1+0.3*P2")
-    rep2 = decay_check(evolved(st2, [0.1, 0.2]))
-    assert rep2.passed
-    H0 = reverse_entropy(st2)
-    for t, H in zip(rep2.times, rep2.entropies):
-        assert H <= np.exp(-11.0 * t) * H0
+    run2 = heat_run(sphere_u("1+0.3*P2"), [0.1, 0.2])
+    assert run2.decay_pass
+    ts, Hs = run2.trajectory.times, run2.trajectory.free_energy
+    assert Hs[0] == reverse_entropy(heat_of("1+0.3*P2"))
+    for t, H in zip(ts[1:], Hs[1:]):
+        assert H <= np.exp(-11.0 * t) * Hs[0]
 
 
 def test_dissipation_residual_small():
@@ -106,9 +107,13 @@ def test_dissipation_equality_on_optimizers():
 def test_non_zonal_density_decays_and_dissipates():
     """The e^{-4t} bound and the dissipation identity hold for a density
     that is not zonal (residual 2.9e-5 at DISSIPATION_DT)."""
-    st = heat_of("band-limited-random:seed=7,L=6,amplitude=0.25")
-    assert decay_check(evolved(st, [0.1, 0.5, 1.0])).passed
+    u = sphere_u("band-limited-random:seed=7,L=6,amplitude=0.25")
+    run = heat_run(u, [0.1, 0.5, 1.0])
+    assert run.decay_pass
+    assert np.array_equal(run.trajectory.times, [0.0, 0.1, 0.5, 1.0])
+    st = heat_state(u)
     lhs, rhs, res = dissipation_check(st, dt=flows.DISSIPATION_DT)
+    assert run.dissipation == {"lhs": lhs, "rhs": rhs, "residual": res}
     assert res <= 4e-5
     assert dissipation_check(st, dt=flows.DISSIPATION_DT / 2)[2] <= res / 3
 
@@ -145,8 +150,6 @@ def test_heat_positivity_errors():
     bad = HeatState(SphereField(grid, np.repeat(1.0 + 1.5 * grid.z[:, None], 128, axis=1)))
     with pytest.raises(PositivityError):
         reverse_entropy(bad)
-    with pytest.raises(PositivityError):
-        decay_check(evolved(bad, [0.01]))
     with pytest.raises(NormalizationError):
         heat_state(realize_sphere(parse_input_spec("1+0.1*P1"), RunConfig()).shifted(np.log(0.9)))
 
@@ -539,6 +542,24 @@ def test_ks_rate_fit_paths(ks_grid):
                                      dissipation=np.zeros_like(ts),
                                      mass_error=np.zeros_like(ts)))
     assert fit.defined and fit.slope_free_energy == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_ks_verdict_reads_both_bounds():
+    """A run passes with d = 8 pi sqrt(8 H) + DISTANCE_SLACK at each sample
+    and a largest per-step increase of H of FE_STEP_TOL; one ulp past
+    either fails that bound alone."""
+    H = np.array([1e-3, 1e-4])
+    edge = KS_MASS * np.sqrt(8.0 * H) + flows.DISTANCE_SLACK
+
+    def verdict(d, inc):
+        return ks_verdict(FlowTrajectory(
+            np.array([0.0, 1.0]), H, d, np.zeros(2), np.zeros(2),
+            diagnostics={"max_free_energy_increase_per_step": inc}))
+
+    assert verdict(edge, flows.FE_STEP_TOL) == (True, True)
+    past = np.array([edge[0], np.nextafter(edge[1], np.inf)])
+    assert verdict(past, flows.FE_STEP_TOL) == (False, True)
+    assert verdict(edge, np.nextafter(flows.FE_STEP_TOL, np.inf)) == (True, False)
 
 
 def test_trajectory_io(tmp_path):

@@ -117,8 +117,8 @@ PUBLIC = {
     "relative_entropy", "small_set_delta", "strong_young_gap",
     "LogHLSError",
     "CircleField", "PlanarDensity", "RadialDensity", "SphereField", "radial_from_profile",
-    "HeatState", "KSState", "FlowTrajectory", "decay_check", "dissipation_check",
-    "heat_evolve", "heat_state", "ks_evolve", "ks_rate_fit", "reverse_entropy",
+    "HeatState", "KSState", "FlowTrajectory", "dissipation_check",
+    "heat_evolve", "heat_run", "heat_state", "ks_evolve", "ks_rate_fit", "reverse_entropy",
     "dirichlet_energy", "half_laplacian_energy", "lebedev_milin_functional",
     "log_interaction", "onofri_functional", "planar_free_energy",
     "planar_free_energy_report", "sphere_green_apply", "spherical_free_energy",
