@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, LogHLSError, ParseError
 from .fields import RadialDensity
 from .flows import KS_MASS, _jsonable, heat_run, ks_evolve, ks_rate_fit, ks_verdict
-from .functionals import (dirichlet_energy, half_laplacian_energy,
+from .functionals import (_circle_grid_for, dirichlet_energy, half_laplacian_energy,
                           lebedev_milin_functional, onofri_functional,
                           planar_free_energy_report)
 from .grids import integrate
@@ -53,7 +53,7 @@ COMMAND_CONFIG_KEYS = {     # the RunConfig keys each command reads
 _DOMAIN_KEYS = {"plane": _RADIAL | _SPHERE, "sphere": _SPHERE, "circle": {"circle_n"}}
 # the RunConfig key of each flag that sets one, on the commands that take it
 _FLAG_KEYS = {"radial_n": "--grid-n", "radial_rmax": "--rmax", "ks_n": "--grid-n",
-              "ks_rmax": "--rmax", "out": "--out"}
+              "ks_rmax": "--rmax", "ks_T": "--T", "out": "--out"}
 
 
 def _config_from_args(args, domain: str | None) -> RunConfig:
@@ -126,7 +126,7 @@ def cmd_eval(args) -> int:
                    barycenter=list(u.barycenter()))
     else:
         u = realize_circle(spec, cfg)
-        grid = cfg.circle_grid()
+        grid = _circle_grid_for(u, cfg.circle_grid())     # the grid that resolves u
         out.update(lebedev_milin=lebedev_milin_functional(u, grid),
                    half_laplacian_energy=half_laplacian_energy(u),
                    mean_u=u.mean(),
@@ -199,9 +199,8 @@ def cmd_ks(args) -> int:
         raise ParseError("ks: only radial initial data is supported")
     scaled = RadialDensity(rho.grid, KS_MASS * rho.values,
                            profile=lambda r, _p=rho.profile: KS_MASS * _p(r))
-    traj, _state = ks_evolve(scaled, dt=cfg.ks_dt, T=cfg.ks_T if args.T is None else args.T,
-                             n=cfg.ks_n, r_min=cfg.ks_rmin, r_max=cfg.ks_rmax,
-                             n_samples=args.samples)
+    traj, _state = ks_evolve(scaled, dt=cfg.ks_dt, T=cfg.ks_T, n=cfg.ks_n, r_min=cfg.ks_rmin,
+                             r_max=cfg.ks_rmax, n_samples=args.samples)
     fit = ks_rate_fit(traj)
     bound_ok, step_ok = ks_verdict(traj)
     inc = traj.diagnostics["max_free_energy_increase_per_step"]
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ks", help="critical-mass Keller-Segel run (flow ks)")
     sp.add_argument("spec", help='e.g. "8pi*optimizer:s=1"')
-    sp.add_argument("--T", type=_finite_positive("T"), default=None)
+    sp.add_argument("--T", type=_finite_positive("T"), dest="ks_T")
     sp.add_argument("--samples", type=_positive_count, default=64)
     sp.add_argument("--csv", help="write the trajectory CSV here")
     common(sp, ("ks", "Keller-Segel flow grid"))

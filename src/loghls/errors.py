@@ -17,16 +17,16 @@ class DimensionMismatchError(LogHLSError, ValueError):
     """Array shape does not match the grid it is paired with."""
 
 
-class NormalizationError(LogHLSError, ValueError):
+class PreconditionError(LogHLSError, ValueError):
+    """A stated operation precondition is violated (e.g. a field's mean not zero)."""
+
+
+class NormalizationError(PreconditionError):
     """A density violates a unit-mass (or fixed-mass) precondition."""
 
 
 class PositivityError(LogHLSError, ValueError):
     """A quantity that must be positive is not (e.g. log of a density)."""
-
-
-class PreconditionError(LogHLSError, ValueError):
-    """A stated operation precondition is violated (e.g. barycenter not zero)."""
 
 
 class ConvergenceError(LogHLSError, RuntimeError):

@@ -57,7 +57,7 @@ from .errors import (ConvergenceError, DomainError,
                      MassConservationError, NormalizationError, PositivityError,
                      StepSizeError)
 from .fields import RadialDensity, SphereField, get_transform
-from .functionals import MASS_TOL, dirichlet_energy
+from .functionals import check_mass, dirichlet_energy
 from .grids import RadialGrid, integrate, make_radial_grid
 from .optimizers import LOG_S_BOX, golden_section, radial_L1_objective
 
@@ -117,7 +117,7 @@ class HeatState:
         c00 = self.rho.coeffs()[0][0, 0]
         if abs(c00 - 1.0) > 1e-12:
             raise NormalizationError(
-                f"HeatState: int rho dsigma = {c00!r}, unit mass requires 1")
+                f"HeatState: int rho dsigma = {float(c00)!r}, unit mass requires 1")
 
     @cached_property
     def log_rho(self) -> SphereField:
@@ -130,8 +130,12 @@ class HeatState:
 
 
 def heat_state(u: SphereField) -> HeatState:
-    """The heat state at t = 0 of the density e^u on u's grid."""
-    return heat_evolve(HeatState(SphereField(u.grid, np.exp(u.values))), 0.0)
+    """The heat state at t = 0 of the density e^u on u's grid, divided by
+    its quadrature mass, which must be 1 within MASS_TOL."""
+    eu = np.exp(u.values)
+    mass = integrate(eu, u.grid)
+    check_mass("heat_state: int e^u dsigma", mass, 1.0)
+    return heat_evolve(HeatState(SphereField(u.grid, eu / mass)), 0.0)
 
 
 def _evolved(state: HeatState, t: float, band: int) -> HeatState:
@@ -309,10 +313,10 @@ class KSState:
         if not dM.min() >= -MONO_TOL * self.mass_total:
             raise PositivityError(
                 f"KSState: cumulative mass not finite and monotone at t = {self.time:.4f} "
-                f"(min increment {dM.min()!r}: the density went negative or non-finite)")
+                f"(min increment {float(dM.min())!r}: the density went negative or non-finite)")
         if not abs(self.M[-1] - self.mass_total) <= 1e-8 * self.mass_total:
             raise MassConservationError(
-                f"KSState: M(r_max) = {self.M[-1]!r} drifted from {self.mass_total!r} "
+                f"KSState: M(r_max) = {float(self.M[-1])!r} drifted from {self.mass_total!r} "
                 f"at t = {self.time:.4f}")
 
     def density(self) -> np.ndarray:
@@ -334,10 +338,7 @@ def ks_initial_state(rho0: RadialDensity, n: int, r_min: float, r_max: float) ->
     """rho0 as the cumulative mass M(r_i) = int_{|x|<r_i} rho0 dx at the
     nodes of ``make_radial_grid(r_min, r_max, n)``: the mass antiderivative
     of its profile on a grid eight times finer that starts at r_min e^-25."""
-    mass = rho0.mass
-    if abs(mass - KS_MASS) > MASS_TOL:
-        raise NormalizationError(
-            f"ks_initial_state: mass {mass!r} is not the critical 8*pi within {MASS_TOL}")
+    check_mass("ks_initial_state: the mass (critical: 8 pi)", rho0.mass, KS_MASS)
     grid = make_radial_grid(r_min, r_max, n)
     fine = make_radial_grid(r_min * math.exp(-25.0), r_max, 8 * n + 1)
     M = fine.mass_antiderivative(rho0.profile(fine.nodes))(grid.x)

@@ -69,6 +69,22 @@ GRID_MASS_SHARE = 1e-2   # mass share a radial grid may miss, or hold in its top
 MEAN_TOL = 1e-8          # mean-zero preconditions of the sphere functionals
 
 
+def check_mass(what: str, mass: float, expected: float) -> None:
+    """The unit-mass (and critical-mass) precondition: NormalizationError
+    unless ``mass`` is ``expected`` within MASS_TOL.  ``what`` names the
+    caller and the quantity, as in "recenter: int e^u dsigma"."""
+    if not abs(mass - expected) <= MASS_TOL:
+        raise NormalizationError(
+            f"{what} = {float(mass)!r}, expected {expected!r} within {MASS_TOL}")
+
+
+def check_mean_zero(what: str, mean: float) -> None:
+    """The mean-zero precondition of the sphere functionals:
+    PreconditionError unless ``mean`` is 0 within MEAN_TOL."""
+    if not abs(mean) <= MEAN_TOL:
+        raise PreconditionError(f"{what} = {float(mean)!r}, expected 0 within {MEAN_TOL}")
+
+
 @dataclass(frozen=True)
 class FreeEnergyReport:
     """Free energy split into its entropy and interaction parts."""
@@ -76,7 +92,6 @@ class FreeEnergyReport:
     entropy: float
     interaction: float
     total: float
-    domain: str
 
 
 # ----------------------------------------------------------------------
@@ -164,16 +179,12 @@ def entropy_term(rho: RadialDensity | PlanarDensity) -> float:
 
 def planar_free_energy_report(rho: RadialDensity | PlanarDensity) -> FreeEnergyReport:
     mass = rho.mass
-    if abs(mass - 1.0) > MASS_TOL:
-        raise NormalizationError(
-            f"planar_free_energy: density mass {mass!r} violates the unit-mass "
-            f"precondition (tolerance {MASS_TOL}); normalize the input")
+    check_mass("planar_free_energy: the density's mass", mass, 1.0)
     work = rho if mass == 1.0 else rho.normalized()
     ent = entropy_term(work)
     inter = log_interaction(work)
     return FreeEnergyReport(entropy=ent, interaction=inter,
-                            total=ent + 2.0 * inter + 1.0 + LOG_PI,
-                            domain="plane")
+                            total=ent + 2.0 * inter + 1.0 + LOG_PI)
 
 
 def planar_free_energy(rho: RadialDensity | PlanarDensity) -> float:
@@ -187,30 +198,22 @@ def planar_free_energy(rho: RadialDensity | PlanarDensity) -> float:
 
 def sphere_log_interaction(f: SphereField) -> float:
     """int int f log|w-w'| f dsigma dsigma' for a mean-zero field."""
-    mean = f.mean()
-    if abs(mean) > MEAN_TOL:
-        raise PreconditionError(
-            f"sphere_log_interaction: field mean {mean!r} violates the "
-            f"mean-zero precondition (tolerance {MEAN_TOL})")
+    check_mean_zero("sphere_log_interaction: int f dsigma", f.mean())
     tr = get_transform(f.grid)
     c, s = f.coeffs()
     return tr.log_kernel_quadratic(c, s)
 
 
 def spherical_free_energy(f: SphereField):
-    """H_S(f) = int (f+1) log(f+1) dsigma + 2 * int int f log|.| f."""
-    mean = f.mean()
-    if abs(mean) > MEAN_TOL:
-        raise PreconditionError(
-            f"spherical_free_energy: int f dsigma = {mean!r}, not 0 within {MEAN_TOL}")
+    """H_S(f) = int (f+1) log(f+1) dsigma + 2 * int int f log|.| f, for a
+    mean-zero f (``sphere_log_interaction`` checks it) with f + 1 >= 0."""
     dens = f.values + 1.0
     if np.min(dens) < -1e-9:
         raise PositivityError(
-            f"spherical_free_energy: f + 1 has min {np.min(dens)!r} < 0")
+            f"spherical_free_energy: f + 1 has min {float(np.min(dens))!r} < 0")
     ent = integrate(xlogx(np.clip(dens, 0.0, None)), f.grid)
     inter = sphere_log_interaction(f)
-    return FreeEnergyReport(entropy=ent, interaction=inter,
-                            total=ent + 2.0 * inter, domain="sphere")
+    return FreeEnergyReport(entropy=ent, interaction=inter, total=ent + 2.0 * inter)
 
 
 def sphere_green_apply(f: SphereField) -> SphereField:
@@ -218,8 +221,7 @@ def sphere_green_apply(f: SphereField) -> SphereField:
 
     Acts on degree-l harmonics as multiplication by 1/(l(l+1)).
     """
-    if abs(f.mean()) > MEAN_TOL:
-        raise PreconditionError("sphere_green_apply: field must have zero mean")
+    check_mean_zero("sphere_green_apply: int f dsigma", f.mean())
     tr = get_transform(f.grid)
     c, s = tr.green_coeffs(*f.coeffs())
     return SphereField(f.grid, tr.synthesize(c, s))

@@ -45,19 +45,20 @@ _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 @dataclass(frozen=True)
 class ConformalParams:
     """The boost with rapidity 0 <= t <= T_CAP along a unit axis n, whose
-    log-Jacobian is the optimizer u_{t,n}."""
+    log-Jacobian is the optimizer u_{t,n}: n is a 3-vector with |n| = 1
+    within 1e-12."""
 
     t: float
     n: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise DomainError(f"ConformalParams: |n| = {np.linalg.norm(n)!r} is not 1 within 1e-12")
-        if self.t < 0:
-            raise DomainError(f"ConformalParams: t must be >= 0, got {self.t}")
-        if self.t > T_CAP:
-            raise DomainError(f"ConformalParams: t = {self.t} exceeds the cap {T_CAP}")
+        norm = float(np.linalg.norm(n))
+        if n.shape != (3,) or not abs(norm - 1.0) <= 1e-12:
+            raise DomainError(f"ConformalParams: n = {n.tolist()!r} is not a unit 3-vector "
+                              f"within 1e-12 (|n| = {norm!r})")
+        if not 0.0 <= self.t <= T_CAP:
+            raise DomainError(f"ConformalParams: t = {float(self.t)!r} lies outside [0, {T_CAP}]")
 
     @property
     def axis(self) -> np.ndarray:

@@ -57,9 +57,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NormalizationError
+from .errors import ConvergenceError, DomainError
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField, get_transform
-from .functionals import MASS_TOL, _circle_grid_for, dirichlet_energy
+from .functionals import _circle_grid_for, check_mass, dirichlet_energy
 from .geometry import _ETA, ConformalParams, T_CAP, conformal_push, sphere_optimizer_values
 from .grids import (CircleGrid, RadialGrid, SphereGrid, affine_values, integrate, moments,
                     second_moments)
@@ -122,8 +122,9 @@ class CircleOptimizerParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.r < 1.0):
-            raise DomainError(f"CircleOptimizerParams: r must lie in [0, 1), got {self.r}")
+        if not (0.0 <= self.r < 1.0 and math.isfinite(self.alpha)):
+            raise DomainError(f"CircleOptimizerParams: r must lie in [0, 1) and alpha be "
+                              f"finite, got r = {self.r}, alpha = {self.alpha}")
 
 
 # ----------------------------------------------------------------------
@@ -678,13 +679,6 @@ def _sphere_search(fun, table: np.ndarray, smooth: bool):
     return SphereOptimizerParams(t, tuple(n)), val, diag
 
 
-def _check_normalized_exp(u: SphereField, who: str):
-    m = u.exp_integral()
-    if abs(m - 1.0) > MASS_TOL:
-        raise NormalizationError(
-            f"{who}: int e^u dsigma = {m!r}, expected 1 within {MASS_TOL}")
-
-
 def _reverse_entropy_objective(fam: _SphereFamily, u: np.ndarray):
     """(t, n) -> H(e^{u_{t,n}} | e^u) with its gradient and Hessian in
     v = t n: H = int g(q) dsigma with g(q) = q^-2 A, A = -2 log q - u, so
@@ -723,7 +717,7 @@ def nearest_sphere_reverse_entropy(u: SphereField):
     2 t coth t - 2 = E(u_{t,n}) / 4 (0 at t = 0) and the last integral
     comes from u's coefficients (_FunkHecke).
     """
-    _check_normalized_exp(u, who="nearest_sphere_reverse_entropy")
+    check_mass("nearest_sphere_reverse_entropy: int e^u dsigma", u.exp_integral(), 1.0)
     fun = _reverse_entropy_objective(_SphereFamily(u.grid), u.values)
     table = (_per_start(lambda t: 2.0 * t / math.tanh(t) - 2.0 if t > 0.0 else 0.0)
              - _scan_integrals(u.grid, u.coeffs()))
@@ -842,7 +836,7 @@ def recenter(u: SphereField) -> RecenterResult:
     taken on u's own grid.  The accepted G pushes u once, and |b| of the
     pushed field is checked against RECENTER_TOL.
     """
-    _check_normalized_exp(u, who="recenter")
+    check_mass("recenter: int e^u dsigma", u.exp_integral(), 1.0)
     barycenter = _pushed_barycenter(u)
     steps: list[ConformalParams] = []
     G = np.eye(4)

@@ -52,6 +52,10 @@ _KINDS = {      # kind: (domain, its keys in canonical order with their defaults
     "circle-cos": ("circle", {"eps": 0.3}),
     "legendre": ("sphere", None),       # c0, c1, ... in index order
 }
+_PARAMS = {     # the kinds whose ranges are those of their optimizer's parameter type
+    "sphere-optimizer": SphereOptimizerParams,
+    "circle-poisson": CircleOptimizerParams,
+}
 
 
 @dataclass(frozen=True)
@@ -89,16 +93,19 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 def _parse_value(text: str):
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
-        if ":" in inner:
-            return tuple(parse_input_spec(p) for p in _split_top(inner, "|"))
-        return tuple(float(p) for p in _split_top(inner, ","))
+    is_tuple = text.startswith("(") and text.endswith(")")
+    if is_tuple and ":" in text:
+        return tuple(parse_input_spec(p) for p in _split_top(text[1:-1], "|"))
     try:
-        f = float(text)
+        return tuple(float(p) for p in _split_top(text[1:-1], ",")) if is_tuple else float(text)
     except ValueError as exc:
         raise ParseError(f"cannot parse value {text!r}") from exc
-    return f
+
+
+def _value_type(v) -> str:
+    if isinstance(v, tuple):
+        return "a list of specs" if isinstance(v[0], InputSpec) else "a tuple of numbers"
+    return "a number"
 
 
 _LEGENDRE_SHORTHAND = re.compile(
@@ -167,9 +174,11 @@ def parse_input_spec(text: str) -> InputSpec:
                                  f"{int(k[1:])} in {text!r}")
         params, order = raw, sorted(raw, key=lambda k: int(k[1:]))
     else:
-        for k in raw:
+        for k, v in raw.items():
             if k not in keys:
                 raise ParseError(f"unknown key {k!r} for kind {kind!r}")
+            if keys[k] is not None and _value_type(v) != _value_type(keys[k]):
+                raise ParseError(f"{kind}: {k} takes {_value_type(keys[k])}, got {_fmt_value(v)}")
         params = {k: v for k, v in keys.items() if v is not None}
         params.update(raw)
         order = [k for k in keys if k in params]
@@ -181,8 +190,7 @@ def _validate_spec(kind: str, p: dict) -> None:
     def need_pos(key):
         # a scale enters its profile as 1/x^2 and its tail as x^2: both must be finite
         x = p[key]
-        if not (isinstance(x, (int, float)) and x > 0 and 0 < x * x < math.inf
-                and 0 < 1 / (x * x) < math.inf):
+        if not (x > 0 and 0 < x * x < math.inf and 0 < 1 / (x * x) < math.inf):
             raise ParseError(f"{kind}: {key} must be a positive number with x^2 and x^-2 "
                              f"finite and nonzero, got {x!r}")
 
@@ -190,7 +198,7 @@ def _validate_spec(kind: str, p: dict) -> None:
         need_pos("sigma")
     elif kind == "optimizer":
         need_pos("s")
-        if not (isinstance(p["x0"], tuple) and len(p["x0"]) == 2):
+        if len(p["x0"]) != 2:
             raise ParseError(f"optimizer: x0 must be a pair, got {p['x0']!r}")
     elif kind == "mixture":
         w = p.get("weights")
@@ -200,7 +208,7 @@ def _validate_spec(kind: str, p: dict) -> None:
             raise ParseError("mixture: weights and components must be lists of equal length")
         if not all(isinstance(c, InputSpec) for c in comps):
             raise ParseError("mixture: components must be sub-specs")
-        if any(float(x) < 0 for x in w) or abs(sum(float(x) for x in w) - 1.0) > 1e-9:
+        if not all(isinstance(x, float) and x >= 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
             raise ParseError("mixture: weights must be nonnegative and sum to 1")
     elif kind == "perturbed-optimizer":
         need_pos("s")
@@ -208,20 +216,16 @@ def _validate_spec(kind: str, p: dict) -> None:
             raise ParseError(f"perturbed-optimizer: eps must lie in [0, 0.5], got {p['eps']!r}")
         if int(p["mode"]) not in (1, 2):
             raise ParseError(f"perturbed-optimizer: mode must be 1 or 2, got {p['mode']!r}")
-    elif kind == "sphere-optimizer":
-        if not (0 <= float(p["t"]) <= 20.0):
-            raise ParseError(f"sphere-optimizer: t must lie in [0, 20], got {p['t']!r}")
-        n = np.asarray(p["n"], dtype=float)
-        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise ParseError(f"sphere-optimizer: n must be a unit 3-vector, got {p['n']!r}")
+    elif kind in _PARAMS:
+        try:
+            _PARAMS[kind](**p)
+        except DomainError as exc:
+            raise ParseError(f"{kind}: {exc}") from exc
     elif kind == "band-limited-random":
         if int(p["L"]) < 1 or int(p["L"]) > 32:
             raise ParseError(f"band-limited-random: L must lie in [1, 32], got {p['L']!r}")
         if not (0 < float(p["amplitude"]) <= 1.0):
             raise ParseError("band-limited-random: amplitude must lie in (0, 1]")
-    elif kind == "circle-poisson":
-        if not (0 <= float(p["r"]) < 1.0):
-            raise ParseError(f"circle-poisson: r must lie in [0, 1), got {p['r']!r}")
     elif kind == "circle-cos":
         if not (0 <= float(p["eps"]) <= 2.0):
             raise ParseError(f"circle-cos: eps must lie in [0, 2], got {p['eps']!r}")
@@ -229,7 +233,7 @@ def _validate_spec(kind: str, p: dict) -> None:
         if not all(isinstance(v, float) and math.isfinite(v) for v in p.values()):
             raise ParseError(f"legendre: coefficients must be finite numbers, got {p!r}")
         c0 = p.get("c0", 0.0)
-        if abs(c0 - 1.0) > 1e-12:        # HeatState's unit-mass test, as invalid input
+        if abs(c0 - 1.0) > 1e-12:        # the density's mass is c0; realize_sphere's e^u has mass 1
             raise ParseError(f"legendre: unit mass requires c0 = 1, got c0 = {c0!r}")
 
 
@@ -453,9 +457,7 @@ def realize_sphere(spec: InputSpec, config: RunConfig) -> SphereField:
                                   f"{float(np.min(rho))!r} <= 0 on the grid; log rho needs rho > 0")
         return SphereField.from_zonal(grid, lambda z, _a=a: np.log(legval(z, _a)))
     if spec.kind == "sphere-optimizer":
-        return sphere_optimizer(
-            SphereOptimizerParams(float(spec.get("t")),
-                                  tuple(float(v) for v in spec.get("n"))), grid)
+        return sphere_optimizer(SphereOptimizerParams(**dict(spec.params)), grid)
     if spec.kind == "band-limited-random":
         seed = int(spec.get("seed"))
         L = int(spec.get("L"))
@@ -484,8 +486,7 @@ def realize_circle(spec: InputSpec, config: RunConfig) -> CircleField:
     """Build a circle field with int e^u dsigma = 1."""
     if spec.kind == "circle-poisson":
         try:        # the spec's range is checked, so this is a radius past the mode cap
-            return circle_optimizer(
-                CircleOptimizerParams(float(spec.get("r")), float(spec.get("alpha"))))
+            return circle_optimizer(CircleOptimizerParams(**dict(spec.params)))
         except DomainError as exc:
             raise ParseError(str(exc)) from exc
     if spec.kind == "circle-cos":

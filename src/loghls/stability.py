@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .fields import CircleField, PlanarDensity, RadialDensity, SphereField
-from .functionals import (MASS_TOL, _circle_grid_for, lebedev_milin_functional,
+from .functionals import (_circle_grid_for, check_mass, lebedev_milin_functional,
                           onofri_functional, planar_free_energy_report,
                           spherical_free_energy)
 from .grids import CircleGrid, integrate
@@ -145,12 +145,9 @@ def onofri_stability_certificates(u: SphereField) -> tuple[StabilityCertificate,
     (c) J >= (1/4) inf ||e^u - e^{u_{t,n}}||_1^2  (Pinsker applied to (b)).
 
     (a) is taken at the search of (b), which minimizes it too
-    (nearest_sphere_gradient), and that search is its ``search``.
+    (nearest_sphere_gradient), and that search is its ``search``; the
+    search requires int e^u dsigma = 1.
     """
-    m = u.exp_integral()
-    if abs(m - 1.0) > MASS_TOL:
-        raise PreconditionError(
-            f"onofri_stability_certificates: int e^u = {m!r}, expected 1 within {MASS_TOL}")
     J = onofri_functional(u)
     gridname = f"sphere {u.grid.n_z}x{u.grid.n_phi}"
 
@@ -190,10 +187,8 @@ def circle_stability_certificate(u: CircleField, grid: CircleGrid) -> StabilityC
     """LM(u) >= (1/4) inf ||e^u - e^v||_1^2 over normalized Poisson kernels,
     on ``grid`` or else the circle grid that resolves u."""
     grid = _circle_grid_for(u, grid)
-    m = integrate(np.exp(u.values(grid)), grid)
-    if abs(m - 1.0) > MASS_TOL:
-        raise PreconditionError(
-            f"circle_stability_certificate: int e^u = {m!r}, expected 1 within {MASS_TOL}")
+    check_mass("circle_stability_certificate: int e^u dsigma",
+               integrate(np.exp(u.values(grid)), grid), 1.0)
     value = lebedev_milin_functional(u, grid)
     params, dist, diag = nearest_circle_L1(u, grid)
     return _certificate("Lebedev-Milin (circle)", value, 0.25, dist,

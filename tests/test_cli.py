@@ -33,9 +33,11 @@ def test_eval_gaussian(capsys):
 
 
 def test_eval_bad_spec_exit_2(capsys):
-    code, out, err = run_cli(capsys, "eval", "bad:spec")
-    assert code == 2
-    assert "invalid input" in err
+    for spec in ("bad:spec", "sphere-optimizer:t=1,n=(0,0.6,0.800000001)"):
+        code, out, err = run_cli(capsys, "eval", spec)
+        assert code == 2
+        assert "invalid input" in err
+    assert "is not a unit 3-vector within 1e-12 (|n| = 1.0000000007999998)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,7 +163,8 @@ def test_circle_radius_past_the_mode_cap_is_invalid_input(capsys, command):
     """A Poisson kernel past the mode cap is invalid input (it once exited
     1 on circle_optimizer's DomainError), and the bound the message prints
     is one that r itself may take: r = 0.99939 was refused "(r <= 0.99939)"
-    when the cap is e^(-40/65536) = 0.99938981."""
+    when the cap is e^(-40/65536) = 0.99938981.  At that bound eval's
+    int e^u is taken on the grid that resolves u (it once read 6.45)."""
     for r in ("0.9995", "0.99939"):
         code, out, err = run_cli(capsys, command, f"circle-poisson:r={r}")
         assert code == 2 and out == ""
@@ -170,6 +173,7 @@ def test_circle_radius_past_the_mode_cap_is_invalid_input(capsys, command):
         assert float(bound) < float(r)
     code, out, _ = run_cli(capsys, "eval", f"circle-poisson:r={bound}")
     assert code == 0 and json.loads(out)["domain"] == "circle"
+    assert abs(json.loads(out)["exp_integral"] - 1.0) <= 1e-12
 
 
 def test_stability_circle_uses_config_grid(tmp_path, capsys):
@@ -232,15 +236,18 @@ def test_heatflow_takes_any_sphere_density(capsys, spec):
 def test_heatflow_reports_a_band_the_dissipation_check_refuses(capsys):
     """A density whose band reaches the grid's top degree is evolved and
     reported like any other; the dissipation block holds the band rule's
-    refusal, and the run exits 1."""
-    code, out, _ = run_cli(capsys, "heatflow", "band-limited-random:seed=1,L=32,amplitude=1",
-                           "--T", "1", "--samples", "4")
-    assert code == 1
-    data = json.loads(out)
-    assert len(data["trajectory"]["t"]) == 5 and data["decay_pass"] is True
-    assert data["dissipation"] == {
-        "error": "dissipation_check: dt = 0.001 too large for the band limit l = 127 "
-                 "(backward step would amplify noise)"}
+    refusal, and the run exits 1.  The steep sphere optimizers are such
+    densities (they once exited 1 with no report, on a quadrature mass
+    1e-12 off 1)."""
+    for spec in ("band-limited-random:seed=1,L=32,amplitude=1",
+                 "sphere-optimizer:t=2.5,n=(0,0,1)", "sphere-optimizer:t=3,n=(0,0,1)"):
+        code, out, _ = run_cli(capsys, "heatflow", spec, "--T", "1", "--samples", "4")
+        assert code == 1
+        data = json.loads(out)
+        assert len(data["trajectory"]["t"]) == 5 and data["decay_pass"] is True
+        assert data["dissipation"] == {
+            "error": "dissipation_check: dt = 0.001 too large for the band limit l = 127 "
+                     "(backward step would amplify noise)"}
 
 
 def test_ks_command(tmp_path, capsys):
@@ -368,14 +375,18 @@ def test_config_key_the_spec_does_not_read_is_invalid_input(tmp_path, capsys, li
             f"on a {domain} spec") in err
 
 
-def test_ks_grid_flags_size_the_flow_grid(capsys):
-    """On ks, --grid-n and --rmax set ks_n and ks_rmax, the flow grid; the
-    radial grid of the initial data keeps its default."""
+def test_ks_grid_flags_size_the_flow_grid(tmp_path, capsys):
+    """On ks, --grid-n, --rmax and --T set ks_n, ks_rmax and ks_T, the flow
+    grid and the end time, over a config file's values; the radial grid of
+    the initial data keeps its default."""
+    cfg = tmp_path / "ks.cfg"
+    cfg.write_text("ks_n = 512\nks_T = 5\n")
     code, out, _ = run_cli(capsys, "ks", "8pi*gaussian:sigma=1", "--T", "0.5", "--samples", "4",
-                           "--grid-n", "2048", "--rmax", "1e5")
+                           "--grid-n", "2048", "--rmax", "1e5", "--config", str(cfg))
     assert code == 0
     data = json.loads(out)
     assert (data["config"]["ks_n"], data["config"]["ks_rmax"]) == (2048, 1e5)
+    assert data["config"]["ks_T"] == data["trajectory"]["t"][-1] == 0.5
     assert data["config"]["radial_rmax"] == 1e4
     diagnostics = data["trajectory"]["diagnostics"]
     assert (diagnostics["n"], diagnostics["r_max"]) == (2048, 1e5)

@@ -154,6 +154,18 @@ def test_heat_positivity_errors():
         heat_state(realize_sphere(parse_input_spec("1+0.1*P1"), RunConfig()).shifted(np.log(0.9)))
 
 
+def test_heat_state_divides_by_the_quadrature_mass():
+    """heat_state takes a density whose int e^u is 1 within MASS_TOL and
+    divides it by that mass, so its HeatState holds unit mass to 1e-12."""
+    u = sphere_u("1+0.1*P1").shifted(np.log(1.0 + 5e-7))
+    state = heat_state(u)
+    assert abs(state.rho.coeffs()[0][0, 0] - 1.0) <= 1e-12
+    unit = heat_state(u.shifted(-np.log(u.exp_integral())))
+    assert np.max(np.abs(state.rho.values - unit.rho.values)) <= 1e-14
+    with pytest.raises(NormalizationError):
+        heat_state(u.shifted(np.log(1.0 + 2e-6)))
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
 def test_dissipation_check_needs_finite_positive_dt(dt):
     with pytest.raises(DomainError):

@@ -7,7 +7,8 @@ from scipy.special import i0
 from loghls.errors import (DomainError, NormalizationError, PositivityError,
                            PreconditionError)
 from loghls.fields import CircleField, PlanarDensity, SphereField, radial_from_profile
-from loghls.functionals import (LOG_PI, dirichlet_energy, entropy_term,
+from loghls.functionals import (LOG_PI, MASS_TOL, MEAN_TOL, check_mass, check_mean_zero,
+                                dirichlet_energy, entropy_term,
                                 half_laplacian_energy, lebedev_milin_functional,
                                 log_interaction, onofri_functional, planar_free_energy,
                                 planar_free_energy_report, sphere_green_apply,
@@ -123,6 +124,24 @@ def test_free_energy_mass_precondition(radial_fine):
     rho = radial_from_profile(radial_fine, lambda r: 2 * np.exp(-r**2) / np.pi)
     with pytest.raises(NormalizationError):
         planar_free_energy(rho)
+
+
+def test_each_precondition_holds_its_own_tolerance():
+    """The unit-mass check accepts a mass inside MASS_TOL and refuses one
+    outside it, the mean-zero check accepts a mean at MEAN_TOL and refuses
+    one an ulp past it, both refuse NaN, and a mass error is a precondition
+    error too."""
+    for expected in (1.0, 8.0 * np.pi):
+        check_mass("m", expected + MASS_TOL / 2, expected)
+        for bad in (expected + 2 * MASS_TOL, expected - 2 * MASS_TOL, np.nan):
+            with pytest.raises(NormalizationError, match=r"^m = "):
+                check_mass("m", bad, expected)
+    check_mean_zero("f", MEAN_TOL)
+    check_mean_zero("f", -MEAN_TOL)
+    for bad in (np.nextafter(MEAN_TOL, 1.0), np.nan):
+        with pytest.raises(PreconditionError, match=r"^f = (nan|1\.0000000000000002e-08), "):
+            check_mean_zero("f", bad)
+    assert issubclass(NormalizationError, PreconditionError)
 
 
 def test_divergent_log_moment_rejected(radial_fine):

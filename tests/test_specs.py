@@ -53,6 +53,16 @@ def test_legendre_shorthand():
     "mixture:weights=(0.5,0.5),components=(gaussian:sigma=1)",
     "sphere-optimizer:t=1,n=(1,1,1)",
     "sphere-optimizer:t=30",
+    "sphere-optimizer:t=1,n=(0,0.6,0.800000001)",
+    "sphere-optimizer:t=1,n=(0,0,nan)",
+    "sphere-optimizer:t=(1,2)",
+    "sphere-optimizer:n=(gaussian:sigma=1)",
+    "circle-poisson:r=(0.5,0.5)",
+    "circle-poisson:r=0.5,alpha=nan",
+    "perturbed-optimizer:eps=(0.1,0.2)",
+    "mixture:weights=(gaussian:sigma=1),components=(gaussian:sigma=1)",
+    "optimizer:x0=()",
+    "optimizer:x0=(a,b)",
     "circle-poisson:r=1.0",
     "optimizer:s=1,s=2",
     "optimizer:s=(1",
